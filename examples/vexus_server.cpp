@@ -14,9 +14,8 @@
 //   --loops N     event-loop threads (SO_REUSEPORT listener group);
 //                 0 = min(4, hw threads)  (default 0)
 //   --users N     synthetic dataset size   (default 1500)
-//   --shards N    horizontal shards over the user universe (default 1):
-//                 shards the offline index build and every session's greedy
-//                 scatter-gather; byte-identical selections at any N.
+//   --shards N    snapshot section count for --save-snapshot (default 1);
+//                 a usage error without it — a single process never shards.
 //   --selftest    bind an ephemeral port with two loops, run a scripted
 //                 client against ourselves (including a SIGTERM drain),
 //                 and exit — the mode the example smoke test runs in CI.
@@ -91,9 +90,8 @@ void PrintUsage(FILE* out) {
       "              kernel steers each connect to one of them.\n"
       "              0 = min(4, hw threads) (default 0)\n"
       "  --users N   synthetic dataset size (default 1500)\n"
-      "  --shards N  horizontal shards over the user universe (default 1);\n"
-      "              shards the index build and the greedy scatter-gather,\n"
-      "              selections stay byte-identical to --shards 1\n"
+      "  --shards N  snapshot section count for --save-snapshot (default 1);\n"
+      "              only valid with --save-snapshot\n"
       "  --selftest  scripted self-check on an ephemeral port, then exit\n"
       "  --shard-backend     serve one snapshot shard section (needs\n"
       "                      --shard-index and --snapshot)\n"
@@ -547,6 +545,7 @@ int main(int argc, char** argv) {
   uint64_t users = 1500;
   uint64_t loops = 0;  // 0 = auto (min(4, hw threads))
   uint64_t shards = 1;
+  bool shards_given = false;
   bool selftest = false;
   bool selftest_gather = false;
   bool shard_backend = false;
@@ -604,10 +603,10 @@ int main(int argc, char** argv) {
       if (!parse_uint(arg, 100'000'000, &value)) return 2;
       users = value;
     } else if (arg == "--shards") {
-      // Metrics report at most 64 per-shard counters; larger values would
-      // silently fold into the last slot, so reject them at the flag.
+      // Bounded like --shard-index's fleet width S.
       if (!parse_uint(arg, 64, &value)) return 2;
       shards = value;
+      shards_given = true;
     } else if (arg == "--selftest") {
       selftest = true;
     } else if (arg == "--selftest-gather") {
@@ -666,6 +665,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--users must be positive\n");
     return 2;
   }
+  if (shards_given && save_snapshot_path.empty()) {
+    std::fprintf(stderr,
+                 "--shards sets the snapshot section count and needs "
+                 "--save-snapshot; a single process never shards\n");
+    PrintUsage(stderr);
+    return 2;
+  }
   if (shard_backend) {
     if (fleet_width == 0) {
       std::fprintf(stderr, "--shard-backend needs --shard-index i/S\n");
@@ -681,10 +687,8 @@ int main(int argc, char** argv) {
   data_cfg.num_ratings = users * 7;
   vexus::mining::DiscoveryOptions discovery;
   discovery.min_support_fraction = 0.02;
-  vexus::index::InvertedIndex::Options index_opts;
-  index_opts.num_shards = shards;  // sharded co-occurrence/MinHash build
   auto engine_result = VexusEngine::Preprocess(
-      BookCrossingGenerator::Generate(data_cfg), discovery, index_opts);
+      BookCrossingGenerator::Generate(data_cfg), discovery);
   if (!engine_result.ok()) {
     std::fprintf(stderr, "preprocess failed: %s\n",
                  engine_result.status().ToString().c_str());
@@ -695,8 +699,8 @@ int main(int argc, char** argv) {
 
   // Fleet bootstrap: write the generated store as a snapshot (v3 with one
   // section per --shards shard) and exit — the file a --shard-backend
-  // cold-starts from. The same --users/--shards invocation then serves as
-  // the coordinator over those backends.
+  // cold-starts from. The same --users invocation then serves as the
+  // coordinator over those backends.
   if (!save_snapshot_path.empty()) {
     vexus::core::SnapshotSaveOptions save;
     save.num_shards = shards;
@@ -719,7 +723,6 @@ int main(int argc, char** argv) {
   options.session_template.greedy.k = 5;
   options.session_template.greedy.time_limit_ms = 80;
   options.num_workers = 4;
-  options.num_shards = shards;  // scatter-gather greedy + per-shard stats
   // Declared before the service: the coordinator (owned by the service)
   // borrows this pool, so it must be destroyed after the service drains.
   std::unique_ptr<ThreadPool> gather_pool;

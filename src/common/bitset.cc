@@ -124,70 +124,6 @@ size_t Bitset::AssignUnionMaskedCount(const Bitset& a, const Bitset& b,
                                  words_.size());
 }
 
-size_t Bitset::CountRange(size_t word_begin, size_t word_end) const {
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  return kernels::Count(words_.data() + word_begin, word_end - word_begin);
-}
-
-size_t Bitset::IntersectCountRange(const Bitset& other, size_t word_begin,
-                                   size_t word_end) const {
-  CheckCompatible(other);
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  return kernels::AndCount(words_.data() + word_begin,
-                           other.words_.data() + word_begin,
-                           word_end - word_begin);
-}
-
-size_t Bitset::CountAndNotRange(const Bitset& exclude, size_t word_begin,
-                                size_t word_end) const {
-  CheckCompatible(exclude);
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  return kernels::AndNotCount(words_.data() + word_begin,
-                              exclude.words_.data() + word_begin,
-                              word_end - word_begin);
-}
-
-size_t Bitset::AssignUnionCountRange(const Bitset& a, const Bitset& b,
-                                     size_t word_begin, size_t word_end) {
-  CheckCompatible(a);
-  a.CheckCompatible(b);
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  return kernels::OrCountInto(a.words_.data() + word_begin,
-                              b.words_.data() + word_begin,
-                              words_.data() + word_begin,
-                              word_end - word_begin);
-}
-
-size_t Bitset::AssignUnionMaskedCountRange(const Bitset& a, const Bitset& b,
-                                           const Bitset& mask,
-                                           size_t word_begin,
-                                           size_t word_end) {
-  CheckCompatible(a);
-  a.CheckCompatible(b);
-  a.CheckCompatible(mask);
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  return kernels::OrAndCountInto(
-      a.words_.data() + word_begin, b.words_.data() + word_begin,
-      mask.words_.data() + word_begin, words_.data() + word_begin,
-      word_end - word_begin);
-}
-
-void Bitset::AssignRange(const Bitset& src, size_t word_begin,
-                         size_t word_end) {
-  CheckCompatible(src);
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  for (size_t w = word_begin; w < word_end; ++w) words_[w] = src.words_[w];
-}
-
-void Bitset::AssignUnionRange(const Bitset& a, const Bitset& b,
-                              size_t word_begin, size_t word_end) {
-  CheckCompatible(a);
-  a.CheckCompatible(b);
-  VEXUS_DCHECK(word_begin <= word_end && word_end <= words_.size());
-  kernels::Or(a.words_.data() + word_begin, b.words_.data() + word_begin,
-              words_.data() + word_begin, word_end - word_begin);
-}
-
 size_t Bitset::UnionCount(const Bitset& other) const {
   CheckCompatible(other);
   return kernels::OrCount(words_.data(), other.words_.data(), words_.size());

@@ -86,45 +86,6 @@ class Bitset {
   /// |this ∪ other| without allocating. Sizes must match.
   size_t UnionCount(const Bitset& other) const;
 
-  // --- Word-subrange partials (horizontal sharding, common/shard_map.h) ---
-  //
-  // Each runs the same kernel as its whole-universe counterpart but only
-  // over words [word_begin, word_end). Because shard boundaries are
-  // word-aligned and counts are integers, summing the partials over a
-  // partition of the word array reproduces the whole-universe count
-  // *exactly* — the byte-identity foundation of the scatter-gather greedy.
-
-  /// popcount of words [word_begin, word_end).
-  size_t CountRange(size_t word_begin, size_t word_end) const;
-
-  /// |this ∩ other| restricted to the word subrange.
-  size_t IntersectCountRange(const Bitset& other, size_t word_begin,
-                             size_t word_end) const;
-
-  /// |this ∩ ¬exclude| restricted to the word subrange.
-  size_t CountAndNotRange(const Bitset& exclude, size_t word_begin,
-                          size_t word_end) const;
-
-  /// this = a ∪ b over the word subrange only (all operands must already
-  /// share this universe — no resize, so disjoint subranges are safe to
-  /// fill from different threads); returns the subrange's popcount.
-  size_t AssignUnionCountRange(const Bitset& a, const Bitset& b,
-                               size_t word_begin, size_t word_end);
-
-  /// this = (a ∪ b) ∩ mask over the word subrange only; returns the
-  /// subrange's popcount. Same no-resize contract as AssignUnionCountRange.
-  size_t AssignUnionMaskedCountRange(const Bitset& a, const Bitset& b,
-                                     const Bitset& mask, size_t word_begin,
-                                     size_t word_end);
-
-  /// Copies src's words [word_begin, word_end) into this (same universe;
-  /// no resize — subrange writes from different threads stay disjoint).
-  void AssignRange(const Bitset& src, size_t word_begin, size_t word_end);
-
-  /// this = a ∪ b over the word subrange only, without the popcount.
-  void AssignUnionRange(const Bitset& a, const Bitset& b, size_t word_begin,
-                        size_t word_end);
-
   /// Jaccard similarity |a∩b| / |a∪b|; 1.0 when both sets are empty.
   double Jaccard(const Bitset& other) const;
 

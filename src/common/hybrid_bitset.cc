@@ -202,38 +202,6 @@ size_t HybridBitset::SparseLowerBound(uint64_t id_bound) const {
   return static_cast<size_t>(it - ids_.begin());
 }
 
-size_t HybridBitset::CountAndNotRange(const Bitset& exclude,
-                                      size_t word_begin,
-                                      size_t word_end) const {
-  CheckUniverse(exclude.size());
-  if (!sparse_) {
-    return dense_.CountAndNotRange(exclude, word_begin, word_end);
-  }
-  size_t c = 0;
-  for (size_t i = SparseLowerBound(word_begin * 64),
-              e = SparseLowerBound(word_end * 64);
-       i < e; ++i) {
-    c += exclude.Test(ids_[i]) ? 0 : 1;
-  }
-  return c;
-}
-
-void HybridBitset::UnionIntoRange(const Bitset& base, Bitset* out,
-                                  size_t word_begin, size_t word_end) const {
-  CheckUniverse(base.size());
-  CheckUniverse(out->size());
-  if (!sparse_) {
-    out->AssignUnionRange(base, dense_, word_begin, word_end);
-    return;
-  }
-  out->AssignRange(base, word_begin, word_end);
-  for (size_t i = SparseLowerBound(word_begin * 64),
-              e = SparseLowerBound(word_end * 64);
-       i < e; ++i) {
-    out->Set(ids_[i]);
-  }
-}
-
 HybridBitset HybridBitset::AndWith(const Bitset& mask) const {
   CheckUniverse(mask.size());
   if (sparse_) {

@@ -143,26 +143,9 @@ class HybridBitset {
   /// this ∩ mask as a new hybrid set (normalized by the result's density).
   HybridBitset AndWith(const Bitset& mask) const;
 
-  // --- word-subrange partials (horizontal sharding, common/shard_map.h) ---
-
-  /// |this ∩ ¬exclude| restricted to words [word_begin, word_end) — the
-  /// sharded trial-coverage partial. Summing over a word-aligned partition
-  /// reproduces CountAndNot exactly (each member id lives in exactly one
-  /// shard). Sparse: probes only the ids inside the range; dense: the
-  /// subrange kernel.
-  size_t CountAndNotRange(const Bitset& exclude, size_t word_begin,
-                          size_t word_end) const;
-
-  /// *out = base | this over words [word_begin, word_end) only. No resize:
-  /// out must already share the universe, so different threads can fill
-  /// disjoint shard ranges of the same output — the scattered rest-table
-  /// build primitive.
-  void UnionIntoRange(const Bitset& base, Bitset* out, size_t word_begin,
-                      size_t word_end) const;
-
   /// Calls fn(id) for every member with id in [64·word_begin,
-  /// 64·word_end), ascending — per-shard MinHash partial signatures walk
-  /// members this way.
+  /// 64·word_end), ascending — the snapshot v3 encoder walks each shard
+  /// section's members this way (common/shard_map.h).
   template <typename Fn>
   void ForEachInRange(size_t word_begin, size_t word_end, Fn&& fn) const {
     if (sparse_) {

@@ -1,22 +1,22 @@
-// ShardMap — the horizontal partitioning of the user universe (ROADMAP
-// item 2: "278,858 users fast" → "millions of users flat").
+// ShardMap — the fleet partition of the user universe (DESIGN.md §15).
 //
 // Each shard owns a contiguous user-id range whose boundaries are multiples
 // of 64, i.e. whole 64-bit words of every Bitset over the universe. That
 // alignment is the load-bearing property: a popcount (or fused
 // AND/OR/ANDNOT popcount) over the whole universe equals the sum of the
 // same kernel applied to each shard's word subrange, *exactly* — integer
-// partials, not float partials — so per-shard scatter followed by a fold in
-// shard order reproduces the unsharded integers bit for bit. Every float
-// the greedy objective or the index builder derives from those integers is
-// then byte-identical across shard counts (the same argument that makes
-// kernel tiers and sparse/dense forms interchangeable).
+// partials, not float partials — so shard backends that each score their
+// own range, folded in shard order by a gather coordinator, reproduce the
+// single-process integers bit for bit. Every float the greedy objective
+// derives from those integers is then byte-identical to the single-process
+// run (the same argument that makes kernel tiers and sparse/dense forms
+// interchangeable).
 //
 // The map is a pure function of (num_users, num_shards): words are dealt
 // out as evenly as possible (first `words % S` shards get one extra), and
 // the shard count is clamped so no shard is empty. Two processes given the
-// same pair compute the same boundaries — snapshot shard sections, the
-// scatter-gather greedy, and the serving layer's per-shard counters all
+// same pair compute the same boundaries — snapshot v3 sections,
+// LoadSnapshotShard slices, and the GatherCoordinator's user ranges all
 // rely on that.
 #pragma once
 

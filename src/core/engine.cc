@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/shard_map.h"
 #include "common/string_util.h"
 #include "core/snapshot.h"
 
@@ -122,23 +121,8 @@ std::optional<mining::GroupId> VexusEngine::RootGroup() const {
   return std::nullopt;
 }
 
-void VexusEngine::ConfigureSharding(size_t num_shards) {
-  if (num_shards <= 1) {
-    shard_map_.reset();
-    return;
-  }
-  shard_map_ = std::make_unique<ShardMap>(discovery_->groups.num_users(),
-                                          num_shards);
-  // A universe with a single bitset word clamps to one shard — identical to
-  // unsharded, so drop the map rather than carry a degenerate one.
-  if (shard_map_->num_shards() <= 1) shard_map_.reset();
-}
-
 std::unique_ptr<ExplorationSession> VexusEngine::CreateSession(
     SessionOptions options) const {
-  if (options.greedy.shard_map == nullptr) {
-    options.greedy.shard_map = shard_map_.get();
-  }
   return std::make_unique<ExplorationSession>(
       dataset_.get(), &discovery_->groups, index_.get(), options);
 }

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "common/shard_map.h"
 #include "common/trace.h"
 #include "core/session.h"
 #include "data/dataset.h"
@@ -68,21 +67,8 @@ class VexusEngine {
   /// emitted one; used as a neutral exploration start.
   std::optional<mining::GroupId> RootGroup() const;
 
-  /// Builds (or tears down, for num_shards <= 1) the engine's horizontal
-  /// shard map over the user universe (common/shard_map.h; ROADMAP item 2).
-  /// Sessions created afterwards run the scatter-gather greedy across the
-  /// map unless their options already carry one. The count clamps to the
-  /// universe's bitset-word count; selections are byte-identical for every
-  /// shard count, so this is a throughput knob, never a results knob.
-  void ConfigureSharding(size_t num_shards);
-
-  /// The configured shard map, or nullptr when unsharded.
-  const ShardMap* shard_map() const { return shard_map_.get(); }
-
   /// A fresh interactive session over the preprocessed structures. The
-  /// engine must outlive its sessions. A configured shard map (see
-  /// ConfigureSharding) is injected into the session's greedy options when
-  /// they do not already name one.
+  /// engine must outlive its sessions.
   std::unique_ptr<ExplorationSession> CreateSession(
       SessionOptions options = {}) const;
 
@@ -96,7 +82,6 @@ class VexusEngine {
   std::unique_ptr<mining::DiscoveryResult> discovery_;
   std::unique_ptr<index::InvertedIndex> index_;
   std::unique_ptr<index::GroupGraph> graph_;
-  std::unique_ptr<ShardMap> shard_map_;  // null while unsharded
 };
 
 }  // namespace vexus::core

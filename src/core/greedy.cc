@@ -7,7 +7,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/shard_map.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -38,7 +37,7 @@ struct ChunkBest {
   size_t cand = SIZE_MAX;
   size_t pos = SIZE_MAX;
   size_t evaluations = 0;
-  /// False when the deadline (or a peer shard's stop flag) truncated the
+  /// False when the deadline (or a peer chunk's stop flag) truncated the
   /// range before every trial was scored — the pass cannot prove a local
   /// optimum from an incomplete scan.
   bool complete = true;
@@ -50,7 +49,7 @@ struct ChunkBest {
 /// serial scan's pick exactly. The deadline is rechecked every
 /// `check_interval` trials *inside* the position sweep (a single
 /// candidate's k-trial sweep must not blow the 100 ms budget), and `stop`
-/// (when non-null) lets parallel shards cut each other short.
+/// (when non-null) lets parallel chunks cut each other short.
 template <typename TrialFn>
 ChunkBest ScanRange(size_t begin, size_t end,
                     const std::vector<size_t>& selected,
@@ -94,112 +93,10 @@ ChunkBest ScanRange(size_t begin, size_t end,
   return best;
 }
 
-/// Scatter-gather pass scan over (shard × trial) space (ROADMAP item 2).
-/// The scatter phase computes, for every admissible (cand, pos) trial and
-/// every shard, the shard's integer coverage partial over its own word
-/// range; the gather phase folds each trial's partials in shard order and
-/// walks trials in the exact ascending (cand, pos) order ScanRange uses,
-/// with the same strict-`>` earliest-argmax — so the S-shard pick is
-/// byte-identical to the 1-shard (and to the serial) pick. `pool_threads`
-/// parallelizes the scatter; null keeps the same partial discipline on one
-/// thread. On completion, `shard_evals` gains each shard's folded trial
-/// count (its share of the scatter work).
-ChunkBest ShardedScan(const SwapObjective& eval, const ShardMap& shards,
-                      ThreadPool* pool_threads, size_t pool_size,
-                      const std::vector<size_t>& selected,
-                      const std::vector<bool>& in_selection,
-                      const std::vector<bool>& is_refinement,
-                      size_t refinement_count, size_t quota, double current,
-                      const Deadline& deadline, size_t check_interval,
-                      size_t scan_chunk,
-                      std::vector<uint64_t>* shard_evals) {
-  // Admissible trials, in the order the serial scan visits them.
-  std::vector<std::pair<uint32_t, uint32_t>> trials;  // (cand, pos)
-  trials.reserve(pool_size * selected.size());
-  for (size_t cand = 0; cand < pool_size; ++cand) {
-    if (in_selection[cand]) continue;
-    for (size_t pos = 0; pos < selected.size(); ++pos) {
-      size_t after = refinement_count -
-                     (is_refinement[selected[pos]] ? 1 : 0) +
-                     (is_refinement[cand] ? 1 : 0);
-      if (after < quota) continue;
-      trials.emplace_back(static_cast<uint32_t>(cand),
-                          static_cast<uint32_t>(pos));
-    }
-  }
-  ChunkBest best;
-  const size_t num_shards = shards.num_shards();
-  if (shard_evals->size() != num_shards) shard_evals->assign(num_shards, 0);
-  if (trials.empty()) return best;
-
-  // Scatter: flat index f = shard * |trials| + trial, so each chunk scans
-  // contiguous trials of one shard. Unscored slots keep the sentinel — a
-  // deadline-truncated scatter leaves holes the gather can detect.
-  constexpr uint32_t kUnscored = UINT32_MAX;
-  std::vector<uint32_t> partial(trials.size() * num_shards, kUnscored);
-  std::atomic<bool> stop{false};
-  if (check_interval == 0) check_interval = 1;
-  auto scatter = [&](size_t, size_t begin, size_t end) {
-    size_t since_check = 0;
-    for (size_t f = begin; f < end; ++f) {
-      const size_t s = f / trials.size();
-      const size_t t = f % trials.size();
-      partial[t * num_shards + s] =
-          eval.TrialCoveragePartial(trials[t].second, trials[t].first, s);
-      if (++since_check >= check_interval) {
-        since_check = 0;
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (deadline.Expired()) {
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  };
-  const size_t chunk = std::max<size_t>(1, scan_chunk) *
-                       std::max<size_t>(1, selected.size());
-  if (pool_threads != nullptr) {
-    pool_threads->ParallelForChunked(trials.size() * num_shards, chunk,
-                                     scatter);
-  } else {
-    scatter(0, 0, trials.size() * num_shards);
-  }
-
-  // Gather: fold partials in shard order (integer sum == whole-universe
-  // count, exactly), score, and keep the earliest best — deterministic
-  // regardless of how the scatter was scheduled.
-  for (size_t t = 0; t < trials.size(); ++t) {
-    size_t newly = 0;
-    bool scored = true;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const uint32_t p = partial[t * num_shards + s];
-      if (p == kUnscored) {
-        scored = false;
-        break;
-      }
-      newly += p;
-    }
-    if (!scored) {
-      best.complete = false;
-      continue;
-    }
-    double v = eval.TrialFromCovered(trials[t].second, trials[t].first, newly);
-    ++best.evaluations;
-    if (v - current > best.gain) {
-      best.gain = v - current;
-      best.cand = trials[t].first;
-      best.pos = trials[t].second;
-    }
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    (*shard_evals)[s] += best.evaluations;
-  }
-  return best;
-}
-
-/// Remote scatter-gather pass scan (DESIGN.md §16): same admissible trial
-/// list and earliest-(cand, pos) argmax as ShardedScan, but the per-shard
-/// integer partials come back from shard backends through the injected
+/// Remote scatter-gather pass scan (DESIGN.md §16): the same admissible
+/// trials in the same ascending (cand, pos) order and earliest argmax as
+/// ScanRange, but each trial's newly-covered count is the shard-order sum
+/// of integer partials that shard backends return through the injected
 /// RemoteTrialScatterer. Shards the scatterer could not reach are dropped
 /// from the fold — every trial is then scored over the surviving user
 /// ranges (still deterministic given which shards answered), and
@@ -443,25 +340,14 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   // The parallel scan reads pass-frozen delta state; the scratch evaluator
   // memoizes into its sim cache mid-trial, so it must stay serial.
   ThreadPool* scan_pool = incremental ? options.scan_pool : nullptr;
-  // Scatter-gather needs the incremental evaluator's pass-frozen rest
+  // Remote scatter needs the incremental evaluator's pass-frozen rest
   // tables; kScratch stays whole-universe (it is the serial oracle).
-  // The remote scatterer supersedes the in-process shard map: trial
-  // partials come from shard backends and the coordinator's evaluator
-  // rebuilds unsharded (identical integers either way — the tested
-  // 1-shard/S-shard invariant).
   RemoteTrialScatterer* remote =
       incremental ? options.remote_scatter : nullptr;
-  const ShardMap* shards =
-      incremental && remote == nullptr && options.shard_map != nullptr &&
-              options.shard_map->num_shards() > 1
-          ? options.shard_map
-          : nullptr;
 
   index::PairwiseSimCache sims(store_, &pool);
   SwapObjective eval(store_, &pool, anchor_members, &affinity,
-                     {options.lambda, options.feedback_weight, shards,
-                      scan_pool},
-                     &sims);
+                     {options.lambda, options.feedback_weight}, &sims);
 
   double current;
   if (incremental) {
@@ -505,32 +391,27 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
                         is_refinement, refinement_count, quota, current,
                         deadline, &result.covered_fraction,
                         &result.gather_lap_ms);
-    } else if (shards != nullptr) {
-      best = ShardedScan(eval, *shards, scan_pool, pool.size(), selected,
-                         in_selection, is_refinement, refinement_count, quota,
-                         current, deadline, options.deadline_check_interval,
-                         options.scan_chunk, &result.shard_evaluations);
     } else if (scan_pool != nullptr) {
-      // Sharded scan with a deterministic argmax reduction: chunk
+      // Chunked scan with a deterministic argmax reduction: chunk
       // boundaries are pure functions of (|pool|, scan_chunk), each chunk
       // records its earliest argmax, and the fold below walks chunks in
       // ascending order — so the parallel pick is byte-identical to the
       // serial one regardless of thread scheduling.
       const size_t chunk = std::max<size_t>(1, options.scan_chunk);
       const size_t num_chunks = (pool.size() + chunk - 1) / chunk;
-      std::vector<ChunkBest> shard(num_chunks);
+      std::vector<ChunkBest> chunks(num_chunks);
       std::atomic<bool> stop{false};
       scan_pool->ParallelForChunked(
           pool.size(), chunk, [&](size_t c, size_t begin, size_t end) {
-            shard[c] = ScanRange(begin, end, selected, in_selection,
-                                 is_refinement, refinement_count, quota,
-                                 current, deadline,
-                                 options.deadline_check_interval, &stop,
-                                 [&eval](size_t pos, size_t cand) {
-                                   return eval.Trial(pos, cand);
-                                 });
+            chunks[c] = ScanRange(begin, end, selected, in_selection,
+                                  is_refinement, refinement_count, quota,
+                                  current, deadline,
+                                  options.deadline_check_interval, &stop,
+                                  [&eval](size_t pos, size_t cand) {
+                                    return eval.Trial(pos, cand);
+                                  });
           });
-      for (const ChunkBest& r : shard) {
+      for (const ChunkBest& r : chunks) {
         best.evaluations += r.evaluations;
         best.complete = best.complete && r.complete;
         if (r.gain > best.gain) {
@@ -573,17 +454,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   // to read expired at return time: a run that converged before expiry is
   // not deadline-truncated (the old check here mislabeled that case).
   result.deadline_hit = !converged;
-  if (shards != nullptr) {
-    // Fold in the scattered rebuild work (seed Reset + one per applied
-    // swap) so the per-shard counters account for every partial kernel
-    // evaluation run on a shard's behalf.
-    if (result.shard_evaluations.size() != shards->num_shards()) {
-      result.shard_evaluations.assign(shards->num_shards(), 0);
-    }
-    for (uint64_t& evals : result.shard_evaluations) {
-      evals += eval.rebuild_partials_per_shard();
-    }
-  }
   greedy.AddCount(result.evaluations);
   greedy.Close();
 

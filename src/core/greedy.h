@@ -30,7 +30,6 @@
 #include "mining/group.h"
 
 namespace vexus {
-class ShardMap;
 class ThreadPool;
 class TraceSpan;
 }  // namespace vexus
@@ -46,9 +45,11 @@ namespace vexus::core {
 class RemoteTrialScatterer {
  public:
   struct Outcome {
-    /// Per-shard: true when the shard answered this lap (possibly after
-    /// retry/hedge) with a generation-matched partial vector.
-    std::vector<bool> shard_ok;
+    /// Per-shard: nonzero when the shard answered this lap (possibly after
+    /// retry/hedge) with a generation-matched partial vector. One byte per
+    /// shard, not vector<bool>: pool threads set their own shard's flag
+    /// concurrently, and packed bits would race on the shared word.
+    std::vector<uint8_t> shard_ok;
     /// partials[s][t] = shard s's newly-covered count for trial t. Sized
     /// |trials| for ok shards; unspecified for failed ones.
     std::vector<std::vector<uint32_t>> partials;
@@ -118,7 +119,7 @@ struct GreedyOptions {
   enum class EvalMode { kIncremental, kScratch };
   EvalMode eval_mode = EvalMode::kIncremental;
 
-  /// Optional pool for sharding the candidate scan. Null → serial scan.
+  /// Optional pool for chunking the candidate scan. Null → serial scan.
   /// Parallel and serial scans select byte-identical swaps: trials compute
   /// identical doubles in either mode, and the argmax reduction folds
   /// per-chunk results in deterministic chunk order with ties broken by
@@ -133,20 +134,6 @@ struct GreedyOptions {
   /// balance, large enough to amortize the atomic chunk cursor.
   size_t scan_chunk = 16;
 
-  /// Optional horizontal shard map over the user universe
-  /// (common/shard_map.h; ROADMAP item 2). Non-null with num_shards() > 1
-  /// turns the incremental refinement loop into scatter-gather: per-pass
-  /// rebuilds scatter one task per shard, the candidate scan computes
-  /// per-shard coverage partials over each shard's word-aligned range, and
-  /// a deterministic coordinator folds partials in shard order before the
-  /// earliest-(cand, pos) argmax. Because every partial is an exact
-  /// integer and shard boundaries are word-aligned, S-shard selections are
-  /// byte-identical to 1-shard — selections, objective bits, and swap
-  /// counts (the tested invariant, like kernel tiers and hybrid forms).
-  /// The scatter runs on scan_pool when set, serially otherwise. Ignored
-  /// under kScratch.
-  const ShardMap* shard_map = nullptr;
-
   /// The deadline is rechecked every this many trial evaluations *inside*
   /// the per-candidate position sweep. Checking only between candidates
   /// (the old behaviour) let a single candidate's k-trial sweep blow
@@ -156,9 +143,9 @@ struct GreedyOptions {
   /// Optional multi-box scatterer (see RemoteTrialScatterer above). When
   /// set (and eval_mode is kIncremental), the candidate scan of every
   /// refinement pass goes out to the remote shards instead of the local
-  /// ShardedScan; the coordinator still folds integer partials in shard
-  /// order with the earliest-(cand, pos) argmax, so an all-healthy fleet
-  /// selects byte-identically to the single-process S-shard run. Shards
+  /// scan; the coordinator folds integer partials in shard order with the
+  /// earliest-(cand, pos) argmax, so an all-healthy fleet selects
+  /// byte-identically to the single-process run. Shards
   /// that miss the lap (open circuit, exhausted retries) are dropped from
   /// the fold — the pass scores trials over the surviving user ranges and
   /// GreedySelection::covered_fraction records the degradation. Not owned.
@@ -184,11 +171,6 @@ struct GreedySelection {
   size_t passes = 0;
   size_t swaps = 0;
   size_t evaluations = 0;
-  /// Coverage-partial evaluations executed on behalf of each shard (trial
-  /// partials folded by the coordinator plus per-shard rebuild partials).
-  /// Empty when the run was unsharded; the serving layer surfaces these as
-  /// get_stats' per-shard counters.
-  std::vector<uint64_t> shard_evaluations;
   /// True iff the refinement loop stopped *because of* the deadline — i.e.
   /// it had not reached (or trivially started at) a local optimum when time
   /// ran out. A run that converges and only then observes an expired clock

@@ -1,8 +1,6 @@
 #include "core/greedy_eval.h"
 
 #include "common/logging.h"
-#include "common/shard_map.h"
-#include "common/thread_pool.h"
 
 namespace vexus::core {
 
@@ -23,15 +21,6 @@ SwapObjective::SwapObjective(const mining::GroupStore* store,
   cov_denom_ = anchor_ != nullptr
                    ? static_cast<double>(anchor_->Count())
                    : static_cast<double>(store_->num_users());
-  if (cfg_.shards != nullptr) {
-    VEXUS_CHECK(cfg_.shards->num_users() == store_->num_users())
-        << "shard map universe mismatch: " << cfg_.shards->num_users()
-        << " vs " << store_->num_users();
-  }
-}
-
-bool SwapObjective::sharded() const {
-  return cfg_.shards != nullptr && cfg_.shards->num_shards() > 1;
 }
 
 void SwapObjective::Reset(const std::vector<size_t>& selected) {
@@ -75,92 +64,28 @@ void SwapObjective::Rebuild() {
   suffix_.resize(k + 1);
   rest_.resize(k);
   rest_count_.resize(k);
-  size_t covered = 0;
-  if (sharded()) {
-    // Scatter-gather rebuild: each shard builds its own word range of
-    // every table (prefix, suffix, rest) and reports integer partials; the
-    // fold below sums them in shard order. Word-aligned disjoint ranges
-    // make the parallel writes race-free and the partial sums exactly
-    // equal to the unsharded counts — byte-identical objective either way.
-    const ShardMap& map = *cfg_.shards;
-    const size_t num_shards = map.num_shards();
-    // Serial prologue: size every table once so the scattered range
-    // writes never reallocate.
-    for (size_t i = 0; i <= k; ++i) {
-      prefix_[i].Resize(n_users);
-      suffix_[i].Resize(n_users);
-    }
-    for (size_t pos = 0; pos < k; ++pos) rest_[pos].Resize(n_users);
-    prefix_[0].ClearAll();
-    suffix_[k].ClearAll();
-    std::vector<size_t> rest_part(num_shards * k, 0);
-    std::vector<size_t> cov_part(num_shards, 0);
-    auto build_shard = [&](size_t s) {
-      const ShardMap::Range& r = map.shard(s);
-      for (size_t i = 0; i < k; ++i) {
-        members(selected_[i])
-            .UnionIntoRange(prefix_[i], &prefix_[i + 1], r.word_begin,
-                            r.word_end);
-      }
-      for (size_t i = k; i-- > 0;) {
-        members(selected_[i])
-            .UnionIntoRange(suffix_[i + 1], &suffix_[i], r.word_begin,
-                            r.word_end);
-      }
-      for (size_t pos = 0; pos < k; ++pos) {
-        rest_part[s * k + pos] =
-            anchor_ != nullptr
-                ? rest_[pos].AssignUnionMaskedCountRange(
-                      prefix_[pos], suffix_[pos + 1], *anchor_, r.word_begin,
-                      r.word_end)
-                : rest_[pos].AssignUnionCountRange(
-                      prefix_[pos], suffix_[pos + 1], r.word_begin,
-                      r.word_end);
-      }
-      cov_part[s] = anchor_ != nullptr
-                        ? prefix_[k].IntersectCountRange(*anchor_,
-                                                         r.word_begin,
-                                                         r.word_end)
-                        : prefix_[k].CountRange(r.word_begin, r.word_end);
-    };
-    if (cfg_.scatter_pool != nullptr) {
-      cfg_.scatter_pool->ParallelForChunked(
-          num_shards, 1, [&](size_t, size_t begin, size_t end) {
-            for (size_t s = begin; s < end; ++s) build_shard(s);
-          });
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) build_shard(s);
-    }
-    for (size_t pos = 0; pos < k; ++pos) {
-      size_t total = 0;
-      for (size_t s = 0; s < num_shards; ++s) total += rest_part[s * k + pos];
-      rest_count_[pos] = total;
-    }
-    for (size_t s = 0; s < num_shards; ++s) covered += cov_part[s];
-    rebuild_partials_ += k + 1;
-  } else {
-    prefix_[0].Resize(n_users);
-    prefix_[0].ClearAll();
-    for (size_t i = 0; i < k; ++i) {
-      members(selected_[i]).UnionInto(prefix_[i], &prefix_[i + 1]);
-    }
-    suffix_[k].Resize(n_users);
-    suffix_[k].ClearAll();
-    for (size_t i = k; i-- > 0;) {
-      members(selected_[i]).UnionInto(suffix_[i + 1], &suffix_[i]);
-    }
-    for (size_t pos = 0; pos < k; ++pos) {
-      // Union, anchor mask, and popcount fused into one kernel sweep
-      // (three passes before the fused OrAndCountInto/OrCountInto kernels).
-      rest_count_[pos] =
-          anchor_ != nullptr
-              ? rest_[pos].AssignUnionMaskedCount(prefix_[pos],
-                                                  suffix_[pos + 1], *anchor_)
-              : rest_[pos].AssignUnionCount(prefix_[pos], suffix_[pos + 1]);
-    }
-    covered = anchor_ != nullptr ? prefix_[k].IntersectCount(*anchor_)
-                                 : prefix_[k].Count();
+  prefix_[0].Resize(n_users);
+  prefix_[0].ClearAll();
+  for (size_t i = 0; i < k; ++i) {
+    members(selected_[i]).UnionInto(prefix_[i], &prefix_[i + 1]);
   }
+  suffix_[k].Resize(n_users);
+  suffix_[k].ClearAll();
+  for (size_t i = k; i-- > 0;) {
+    members(selected_[i]).UnionInto(suffix_[i + 1], &suffix_[i]);
+  }
+  for (size_t pos = 0; pos < k; ++pos) {
+    // Union, anchor mask, and popcount fused into one kernel sweep
+    // (three passes before the fused OrAndCountInto/OrCountInto kernels).
+    rest_count_[pos] =
+        anchor_ != nullptr
+            ? rest_[pos].AssignUnionMaskedCount(prefix_[pos],
+                                                suffix_[pos + 1], *anchor_)
+            : rest_[pos].AssignUnionCount(prefix_[pos], suffix_[pos + 1]);
+  }
+  const size_t covered = anchor_ != nullptr
+                             ? prefix_[k].IntersectCount(*anchor_)
+                             : prefix_[k].Count();
 
   // ---- Diversity rows: refill only columns whose member changed. ----
   for (size_t j = 0; j < k; ++j) {
@@ -214,20 +139,6 @@ double SwapObjective::Trial(size_t pos, size_t cand) const {
           ? cand_anchor_[cand].CountAndNot(rest_[pos])
           : store_->group((*pool_)[cand]).members().CountAndNot(rest_[pos]);
   return TrialFromCovered(pos, cand, newly);
-}
-
-uint32_t SwapObjective::TrialCoveragePartial(size_t pos, size_t cand,
-                                             size_t shard) const {
-  VEXUS_DCHECK(cfg_.shards != nullptr && shard < cfg_.shards->num_shards());
-  const ShardMap::Range& r = cfg_.shards->shard(shard);
-  size_t newly =
-      anchor_ != nullptr
-          ? cand_anchor_[cand].CountAndNotRange(rest_[pos], r.word_begin,
-                                                r.word_end)
-          : store_->group((*pool_)[cand])
-                .members()
-                .CountAndNotRange(rest_[pos], r.word_begin, r.word_end);
-  return static_cast<uint32_t>(newly);
 }
 
 double SwapObjective::TrialFromCovered(size_t pos, size_t cand,

@@ -30,7 +30,7 @@
 //
 // Threading contract: Reset/ApplySwap mutate and must run on the owning
 // thread; Trial() is a pure read of pass-frozen state and is safe to call
-// concurrently from the sharded candidate scan.
+// concurrently from the chunked candidate scan.
 //
 // EvaluateScratch() keeps the pre-incremental evaluator alive verbatim — it
 // is the oracle the delta path is tested against (|Δ| ≤ 1e-9 over random
@@ -46,11 +46,6 @@
 #include "index/similarity.h"
 #include "mining/group.h"
 
-namespace vexus {
-class ShardMap;
-class ThreadPool;
-}  // namespace vexus
-
 namespace vexus::core {
 
 class SwapObjective {
@@ -60,20 +55,6 @@ class SwapObjective {
     double lambda = 0.5;
     /// μ: weight of the feedback-affinity term.
     double feedback_weight = 0.2;
-    /// Optional horizontal partition of the user universe
-    /// (common/shard_map.h; must span store->num_users()). Non-null with
-    /// num_shards() > 1 turns on scatter-gather coverage: per-pass rebuilds
-    /// scatter one task per shard over disjoint word ranges, and the
-    /// sharded scan scores trials from per-shard partials
-    /// (TrialCoveragePartial / TrialFromCovered). Every partial is an
-    /// exact integer over a word-aligned subrange, so folding partials in
-    /// shard order reproduces the unsharded integers — and therefore the
-    /// unsharded objective doubles — bit for bit.
-    const ShardMap* shards = nullptr;
-    /// Pool the per-pass rebuild scatters over; null runs the shard loop
-    /// serially (same integers either way). Safe to point at a shared
-    /// pool — ParallelForChunked has the caller participate.
-    ThreadPool* scatter_pool = nullptr;
   };
 
   /// All pointers must outlive the evaluator. `anchor_members` is null for
@@ -99,27 +80,13 @@ class SwapObjective {
   /// ApplySwap calls: touches only pass-frozen state.
   double Trial(size_t pos, size_t cand) const;
 
-  /// Shard `s`'s coverage partial of the trial (pos ← cand): how many
-  /// anchor users inside the shard's word range the candidate would newly
-  /// cover. Config.shards must be set. Thread-safe like Trial — the
-  /// scatter phase of the sharded scan.
-  uint32_t TrialCoveragePartial(size_t pos, size_t cand, size_t shard) const;
-
-  /// The gather phase: the trial objective given the already-summed
-  /// newly-covered count. Trial(pos, cand) ==
-  /// TrialFromCovered(pos, cand, Σ_s TrialCoveragePartial(pos, cand, s))
-  /// bit for bit — the count is an integer however it was partitioned.
+  /// The trial objective given an already-summed newly-covered count — the
+  /// fold step of a remote scatter, whose shard backends return integer
+  /// partials over their own user ranges (core/partial_eval.h). Trial(pos,
+  /// cand) == TrialFromCovered(pos, cand, Σ_s partial_s) bit for bit: the
+  /// count is an integer however the universe was partitioned.
   double TrialFromCovered(size_t pos, size_t cand,
                           size_t newly_covered) const;
-
-  /// True when Config.shards engages the scatter-gather paths.
-  bool sharded() const;
-
-  /// Coverage-partial evaluations each shard has executed for per-pass
-  /// rebuilds so far (k rest-table counts + 1 covered count per rebuild —
-  /// identical per shard, since every shard rebuilds every table's own
-  /// word range). Zero when unsharded.
-  uint64_t rebuild_partials_per_shard() const { return rebuild_partials_; }
 
   /// Applies the swap selected[pos] ← cand and rebuilds pass structures in
   /// O(k·U/64 + |pool|) — per *applied* swap, not per trial. Current() is
@@ -169,8 +136,6 @@ class SwapObjective {
   double sim_sum_ = 0;   // Σ_{i<j} Sim(S[i], S[j])
   double aff_sum_ = 0;   // Σ affinity(S)
   double current_ = 0;
-  /// Per-shard rebuild coverage-partial count (see accessor above).
-  uint64_t rebuild_partials_ = 0;
 
   // Scratch buffer for EvaluateScratch's coverage union.
   Bitset scratch_covered_;

@@ -5,15 +5,16 @@
 // full-universe width but its members are restricted to the shard's user
 // range. Because slice members = full members ∩ range and the coverage
 // kernels are word-parallel, evaluating a trial over the slice with
-// whole-universe bitset ops yields exactly the integer
-// SwapObjective::TrialCoveragePartial would compute for this shard's word
-// range on the full store:
+// whole-universe bitset ops yields exactly the full store's count
+// restricted to this shard's word range:
 //
 //     |cand ∩ anchor ∩ ¬rest(pos)|_slice  ==  partial(shard)
 //
-// so the coordinator can fold per-shard integers from different processes
-// in shard order and reproduce the single-process counts — and therefore
-// the single-process objective doubles and selections — bit for bit.
+// and the partials of a ShardMap partition sum to the whole-universe count.
+// The coordinator folds per-shard integers from different processes in
+// shard order and feeds the sum to SwapObjective::TrialFromCovered, which
+// reproduces the single-process objective doubles — and selections — bit
+// for bit.
 //
 // One EvalCoveragePartials call scores a whole candidate-window batch: it
 // rebuilds the prefix/suffix/rest tables once (O(k·U/64)) and then pays one

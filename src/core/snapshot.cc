@@ -218,8 +218,11 @@ void EncodeGroupsV2(const mining::GroupStore& groups, std::string* out) {
       AppendU8(out, kEncodingRaw);
       if (members.is_sparse()) {
         // Sparse in RAM but raw wins on disk (pathological delta spread):
-        // materialize the words once for this group.
-        for (uint64_t w : members.ToBitset().words()) AppendU64(out, w);
+        // materialize the words once for this group. Named, not iterated as
+        // ToBitset().words(): the range-for would keep only the words
+        // reference alive and read the destroyed temporary's storage.
+        const Bitset dense = members.ToBitset();
+        for (uint64_t w : dense.words()) AppendU64(out, w);
       } else {
         for (uint64_t w : members.dense_form().words()) AppendU64(out, w);
       }

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/logging.h"
-#include "common/shard_map.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "index/minhash.h"
@@ -58,43 +57,26 @@ Result<InvertedIndex> InvertedIndex::Build(const GroupStore& store,
   std::atomic<size_t> candidate_pairs{0};
   std::atomic<size_t> full_postings{0};
 
-  const ShardMap shards(store.num_users(),
-                        std::max<size_t>(1, options.num_shards));
-  const size_t S = shards.num_shards();
-
   if (options.strategy == BuildStrategy::kCooccurrence) {
-    // Per-shard user -> groups adjacency, indexed by u - user_begin. Each
-    // shard's slice depends only on its own word range, so slices build
-    // independently (in parallel when pooled); concatenating them in shard
-    // order reproduces the global adjacency exactly. S == 1 is the original
-    // single-table build.
-    std::vector<std::vector<std::vector<GroupId>>> adj(S);
-    auto build_adjacency = [&](size_t s) {
-      const ShardMap::Range& r = shards.shard(s);
-      adj[s].resize(r.num_users());
-      for (GroupId g = 0; g < n; ++g) {
-        store.group(g).members().ForEachInRange(
-            r.word_begin, r.word_end,
-            [&](uint32_t u) { adj[s][u - r.user_begin].push_back(g); });
-      }
-    };
+    // User -> groups adjacency; groups are appended in ascending id order.
+    std::vector<std::vector<GroupId>> adj(store.num_users());
+    for (GroupId g = 0; g < n; ++g) {
+      store.group(g).members().ForEach(
+          [&](uint32_t u) { adj[u].push_back(g); });
+    }
 
     auto build_one = [&](size_t g_idx, std::vector<uint32_t>* counts) {
       GroupId g = static_cast<GroupId>(g_idx);
       const mining::UserGroup& gg = store.group(g);
       std::vector<GroupId> touched;
-      // Walking shards in ascending order visits members in ascending user
-      // order — the same order the unsharded walk used — so touched-order,
-      // and therefore the posting list, is byte-identical for every S.
-      for (size_t s = 0; s < S; ++s) {
-        const ShardMap::Range& r = shards.shard(s);
-        gg.members().ForEachInRange(r.word_begin, r.word_end, [&](uint32_t u) {
-          for (GroupId h : adj[s][u - r.user_begin]) {
-            if (h == g) continue;
-            if ((*counts)[h]++ == 0) touched.push_back(h);
-          }
-        });
-      }
+      // Members are visited in ascending user order, so touched-order — and
+      // therefore the posting list — is a pure function of the store.
+      gg.members().ForEach([&](uint32_t u) {
+        for (GroupId h : adj[u]) {
+          if (h == g) continue;
+          if ((*counts)[h]++ == 0) touched.push_back(h);
+        }
+      });
       std::vector<Neighbor>& list = idx.postings_[g];
       list.reserve(touched.size());
       size_t gsize = gg.size();
@@ -113,22 +95,15 @@ Result<InvertedIndex> InvertedIndex::Build(const GroupStore& store,
     };
 
     if (options.num_threads == 1) {
-      for (size_t s = 0; s < S; ++s) build_adjacency(s);
       std::vector<uint32_t> counts(n, 0);
       for (size_t g = 0; g < n; ++g) build_one(g, &counts);
     } else {
-      // Sharded over ParallelForChunked with one counts buffer per chunk.
+      // Split over ParallelForChunked with one counts buffer per chunk.
       // Chunk sizing caps the number of chunks near the worker count so the
       // n-sized buffers stay bounded; each posting list is written by
       // exactly one chunk, so the parallel result is byte-identical to the
       // serial one (tested in inverted_index_test).
       ThreadPool pool(options.num_threads);
-      pool.ParallelForChunked(S, /*chunk_size=*/1,
-                              [&](size_t, size_t begin, size_t end) {
-                                for (size_t s = begin; s < end; ++s) {
-                                  build_adjacency(s);
-                                }
-                              });
       size_t workers = pool.num_threads() + 1;  // the caller participates
       size_t chunk_size = (n + workers - 1) / workers;
       size_t num_chunks = (n + chunk_size - 1) / chunk_size;
@@ -155,34 +130,8 @@ Result<InvertedIndex> InvertedIndex::Build(const GroupStore& store,
       pool = std::make_unique<ThreadPool>(options.num_threads);
     }
     MinHasher hasher(options.minhash_hashes);
-    std::vector<std::vector<uint64_t>> sigs;
-    if (S == 1) {
-      sigs = hasher.Signatures(store, pool.get());
-    } else {
-      // Per-shard signature partials folded by elementwise min — exact for
-      // any S, since each member lives in exactly one shard and a signature
-      // component is a min over members (see MinHasher::AccumulateSignature).
-      sigs.assign(n, std::vector<uint64_t>(hasher.num_hashes(),
-                                           MinHasher::kEmptySentinel));
-      auto accumulate = [&](size_t g) {
-        for (size_t s = 0; s < S; ++s) {
-          const ShardMap::Range& r = shards.shard(s);
-          hasher.AccumulateSignature(
-              store.group(static_cast<GroupId>(g)).members(), r.word_begin,
-              r.word_end, &sigs[g]);
-        }
-      };
-      if (pool == nullptr) {
-        for (size_t g = 0; g < n; ++g) accumulate(g);
-      } else {
-        pool->ParallelForChunked(n, /*chunk_size=*/64,
-                                 [&](size_t, size_t begin, size_t end) {
-                                   for (size_t g = begin; g < end; ++g) {
-                                     accumulate(g);
-                                   }
-                                 });
-      }
-    }
+    std::vector<std::vector<uint64_t>> sigs =
+        hasher.Signatures(store, pool.get());
     auto pairs = LshCandidatePairs(sigs, options.minhash_bands, pool.get());
     candidate_pairs = pairs.size();
 

@@ -44,13 +44,6 @@ class InvertedIndex {
     size_t minhash_bands = 24;
     /// Worker threads for the build (0 = hardware concurrency).
     size_t num_threads = 1;
-    /// Horizontal shards of the user universe (common/shard_map.h; ROADMAP
-    /// item 2). The co-occurrence adjacency and MinHash signatures are then
-    /// built per shard and folded in shard order. Both folds are exact —
-    /// co-occurrence counts are integer sums over disjoint user ranges, and
-    /// a MinHash component is a min over the partition — so the index is
-    /// byte-identical for every shard count (tested). Clamped to ≥ 1.
-    size_t num_shards = 1;
   };
 
   struct BuildStats {

@@ -43,18 +43,6 @@ std::vector<uint64_t> MinHasher::Signature(const HybridBitset& members) const {
   return SignatureOf(members, salts_);
 }
 
-void MinHasher::AccumulateSignature(const HybridBitset& members,
-                                    size_t word_begin, size_t word_end,
-                                    std::vector<uint64_t>* sig) const {
-  VEXUS_DCHECK(sig->size() == salts_.size());
-  members.ForEachInRange(word_begin, word_end, [&](uint32_t u) {
-    for (size_t i = 0; i < salts_.size(); ++i) {
-      uint64_t h = Mix64(salts_[i] ^ (static_cast<uint64_t>(u) + 1));
-      if (h < (*sig)[i]) (*sig)[i] = h;
-    }
-  });
-}
-
 std::vector<std::vector<uint64_t>> MinHasher::Signatures(
     const mining::GroupStore& store, ThreadPool* pool) const {
   const size_t n = store.size();

@@ -45,16 +45,6 @@ class MinHasher {
   std::vector<uint64_t> Signature(const Bitset& members) const;
   std::vector<uint64_t> Signature(const HybridBitset& members) const;
 
-  /// Min-accumulates the shard partial of a signature into `sig` (which must
-  /// hold num_hashes() components, seeded with kEmptySentinel): for each
-  /// hash i, sig[i] = min(sig[i], min over members in word range
-  /// [word_begin, word_end) of h_i(u)). Each member lives in exactly one
-  /// shard and min is associative/commutative, so folding the partials of a
-  /// word-aligned partition — in any order — reproduces Signature(members)
-  /// bit for bit (the sharded inverted-index build relies on this).
-  void AccumulateSignature(const HybridBitset& members, size_t word_begin,
-                           size_t word_end, std::vector<uint64_t>* sig) const;
-
   /// Signatures of every group in the store, sharded across `pool` when
   /// non-null (groups are independent, so the parallel result is
   /// byte-identical to the serial one).

@@ -199,7 +199,7 @@ GatherCoordinator::Outcome GatherCoordinator::Scatter(
   const size_t num_shards = shards_.size();
   const size_t num_trials = trials.size() / 2;
   Outcome out;
-  out.shard_ok.assign(num_shards, false);
+  out.shard_ok.assign(num_shards, 0);
   out.partials.assign(num_shards, {});
 
   Request req;
@@ -217,7 +217,7 @@ GatherCoordinator::Outcome GatherCoordinator::Scatter(
     if (CallShard(s, shard_req, deadline, &resp) &&
         resp.partials.size() == num_trials) {
       out.partials[s] = std::move(resp.partials);
-      out.shard_ok[s] = true;
+      out.shard_ok[s] = 1;  // own byte: pool threads write disjoint slots
     }
   };
   if (options_.pool != nullptr) {

@@ -130,12 +130,6 @@ MetricsSnapshot ServiceMetrics::Snapshot(uint64_t open_sessions) const {
   s.last_warm_load_ms =
       static_cast<double>(last_warm_load_us_.load(kRelaxed)) / 1e3;
   s.open_sessions = open_sessions;
-  if (uint64_t shards = num_shards_.load(kRelaxed); shards > 1) {
-    s.shard_evaluations.resize(shards);
-    for (uint64_t i = 0; i < shards; ++i) {
-      s.shard_evaluations[i] = shard_evaluations_[i].load(kRelaxed);
-    }
-  }
   s.latency_all = latency_all_.Read();
   for (size_t i = 0; i < kNumStages; ++i) {
     s.stage_latency[i] = stage_latency_[i].Read();
@@ -179,17 +173,6 @@ json::Value MetricsSnapshot::ToJson() const {
   o.emplace_back("degraded_stale", json::Value(degraded_stale));
   o.emplace_back("degraded_partial", json::Value(degraded_partial));
   o.emplace_back("overload_sheds", json::Value(overload_sheds));
-  if (!shard_evaluations.empty()) {
-    json::Object sh;
-    sh.emplace_back("count",
-                    json::Value(static_cast<uint64_t>(
-                        shard_evaluations.size())));
-    json::Array evals;
-    evals.reserve(shard_evaluations.size());
-    for (uint64_t v : shard_evaluations) evals.emplace_back(v);
-    sh.emplace_back("evaluations", json::Value(std::move(evals)));
-    o.emplace_back("shards", json::Value(std::move(sh)));
-  }
   o.emplace_back("warm_loads", json::Value(warm_loads));
   o.emplace_back("last_warm_load_ms", json::Value(last_warm_load_ms));
   o.emplace_back("open_sessions", json::Value(open_sessions));
@@ -246,15 +229,6 @@ std::string MetricsSnapshot::ToString() const {
                 static_cast<unsigned long long>(greedy_passes),
                 static_cast<unsigned long long>(greedy_swaps));
   out += line;
-  if (!shard_evaluations.empty()) {
-    out += "shards:";
-    for (size_t s = 0; s < shard_evaluations.size(); ++s) {
-      std::snprintf(line, sizeof(line), " s%zu=%llu", s,
-                    static_cast<unsigned long long>(shard_evaluations[s]));
-      out += line;
-    }
-    out += '\n';
-  }
   if (DegradedTotal() > 0 || overload_sheds > 0) {
     std::snprintf(line, sizeof(line),
                   "overload: degraded_effort=%llu degraded_k=%llu "

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/trace.h"
 #include "server/json.h"
@@ -49,11 +48,6 @@ std::string_view StageName(Stage s);
 /// 2^31 us ≈ 36 min caps the range; slower requests clamp into the last
 /// bucket.
 inline constexpr size_t kLatencyBuckets = 32;
-
-/// Per-shard evaluation counters are a fixed atomic array (vectors of
-/// atomics cannot resize under traffic); shard counts beyond this clamp.
-/// 64 shards ≫ any core count the serving tier targets.
-inline constexpr size_t kMaxMetricShards = 64;
 
 class LatencyHistogram {
  public:
@@ -128,11 +122,6 @@ struct MetricsSnapshot {
   double last_warm_load_ms = 0;
   /// Live gauge at snapshot time.
   uint64_t open_sessions = 0;
-  /// Scatter-gather greedy: coverage-partial evaluations executed on behalf
-  /// of each shard (GreedySelection::shard_evaluations summed over runs).
-  /// Empty unless the service was configured with more than one shard —
-  /// get_stats then serves these as the "shards" object.
-  std::vector<uint64_t> shard_evaluations;
 
   LatencyHistogram::Snapshot latency_by_type[kNumRequestTypes];
   LatencyHistogram::Snapshot latency_all;
@@ -174,23 +163,6 @@ class ServiceMetrics {
     greedy_evaluations_.fetch_add(evaluations, kRelaxed);
     greedy_passes_.fetch_add(passes, kRelaxed);
     greedy_swaps_.fetch_add(swaps, kRelaxed);
-  }
-  /// Declares the shard count get_stats should report per-shard counters
-  /// for (clamped to [1, kMaxMetricShards]). Call once at service warm-up,
-  /// before traffic — the count itself is not synchronized with recording.
-  void ConfigureShards(size_t num_shards) {
-    if (num_shards < 1) num_shards = 1;
-    if (num_shards > kMaxMetricShards) num_shards = kMaxMetricShards;
-    num_shards_.store(num_shards, kRelaxed);
-  }
-  /// Accounts one sharded greedy run's per-shard coverage-partial
-  /// evaluations (GreedySelection::shard_evaluations). Entries beyond the
-  /// metric slot cap fold into the last slot so totals stay conserved.
-  void RecordShardEvaluations(const std::vector<uint64_t>& per_shard) {
-    for (size_t s = 0; s < per_shard.size(); ++s) {
-      size_t slot = s < kMaxMetricShards ? s : kMaxMetricShards - 1;
-      shard_evaluations_[slot].fetch_add(per_shard[s], kRelaxed);
-    }
   }
   /// Accounts one degraded answer, by the deepest ladder rung applied.
   void RecordDegradedEffort() { degraded_effort_.fetch_add(1, kRelaxed); }
@@ -244,8 +216,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> overload_sheds_{0};
   std::atomic<uint64_t> warm_loads_{0};
   std::atomic<uint64_t> last_warm_load_us_{0};
-  std::atomic<uint64_t> num_shards_{1};
-  std::array<std::atomic<uint64_t>, kMaxMetricShards> shard_evaluations_{};
 
   LatencyHistogram latency_by_type_[kNumRequestTypes];
   LatencyHistogram latency_all_;

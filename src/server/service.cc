@@ -6,7 +6,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/shard_map.h"
 #include "common/stopwatch.h"
 #include "core/partial_eval.h"
 #include "server/gather.h"
@@ -33,7 +32,6 @@ ExplorationService::ExplorationService(const core::VexusEngine* engine,
     : engine_(engine), options_(std::move(options)) {
   VEXUS_CHECK(engine != nullptr);
   InitRuntime();
-  ConfigureSharding();
   sessions_ =
       std::make_unique<SessionManager>(engine_, options_.sessions, &metrics_);
   warm_state_.store(static_cast<int>(WarmState::kWarm),
@@ -82,21 +80,6 @@ void ExplorationService::InitRuntime() {
         return Execute(req, deadline, span);
       },
       options_.dispatcher, &metrics_, trace_log_.get());
-}
-
-void ExplorationService::ConfigureSharding() {
-  if (options_.num_shards <= 1) return;
-  auto map = std::make_unique<ShardMap>(engine_->groups().num_users(),
-                                        options_.num_shards);
-  // A universe that clamps to a single shard is identical to unsharded —
-  // skip the map (and the per-shard stats) rather than carry a degenerate
-  // one.
-  if (map->num_shards() <= 1) return;
-  shard_map_ = std::move(map);
-  if (options_.session_template.greedy.shard_map == nullptr) {
-    options_.session_template.greedy.shard_map = shard_map_.get();
-  }
-  metrics_.ConfigureShards(shard_map_->num_shards());
 }
 
 ExplorationService::~ExplorationService() { Shutdown(); }
@@ -151,7 +134,6 @@ Status ExplorationService::WarmFromSnapshot(const std::string& path) {
       std::move(engine).ValueOrDie());
   cold_dataset_.reset();
   engine_ = owned_engine_.get();
-  ConfigureSharding();
   sessions_ =
       std::make_unique<SessionManager>(engine_, options_.sessions, &metrics_);
   metrics_.RecordWarmLoad(watch.ElapsedMillis());
@@ -348,9 +330,6 @@ void ExplorationService::FillScreen(const core::GreedySelection& selection,
   if (fresh_run) {
     metrics_.RecordGreedyRun(selection.evaluations, selection.passes,
                              selection.swaps);
-    if (!selection.shard_evaluations.empty()) {
-      metrics_.RecordShardEvaluations(selection.shard_evaluations);
-    }
     // Multi-box gather degradation (DESIGN.md §16): a screen scored over a
     // subset of the user universe outranks the effort/k rung flags — the
     // explorer should know the *data*, not just the effort, was partial.

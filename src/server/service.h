@@ -46,23 +46,13 @@ struct ServiceOptions {
   core::SessionOptions session_template;
   /// Worker threads (0 → hardware concurrency).
   size_t num_workers = 0;
-  /// Shard each session's greedy candidate scan across the service's own
+  /// Chunk each session's greedy candidate scan across the service's own
   /// worker pool (GreedyOptions::scan_pool). Safe even though the greedy
   /// loop itself runs *on* a pool worker: ParallelForChunked has the caller
   /// participate, so a busy pool degrades to the serial scan rather than
   /// deadlocking, and parallel scans select byte-identical swaps. Overrides
   /// any scan_pool already set on session_template.greedy.
   bool parallel_greedy_scan = true;
-  /// Horizontal shard count over the user universe (common/shard_map.h;
-  /// ROADMAP item 2). > 1 turns every session's greedy refinement into the
-  /// scatter-gather form: per-shard coverage partials folded by a
-  /// deterministic coordinator, so selections stay byte-identical to the
-  /// unsharded run while get_stats gains per-shard evaluation counters.
-  /// The service owns the ShardMap; it is built over the engine's universe
-  /// at warm-up (construction when warm, WarmFromSnapshot when cold) and
-  /// clamps to the universe's word count. Sessions whose template already
-  /// carries a shard map keep it.
-  size_t num_shards = 1;
   /// Request-scoped tracing (DESIGN.md §10). Disabled by default: with
   /// trace.enabled == false no Trace is ever allocated and the per-request
   /// cost is one branch per would-be span.
@@ -193,12 +183,6 @@ class ExplorationService {
   /// Shared tail of both constructors (pool, trace log, dispatcher).
   void InitRuntime();
 
-  /// Builds the service-owned shard map over the (now known) engine's user
-  /// universe when options_.num_shards > 1, wires it into the session
-  /// template, and declares the shard count to metrics. Runs before the
-  /// service goes warm, so request handlers never observe it half-wired.
-  void ConfigureSharding();
-
   /// Fills the screen payload (groups + quality) from a selection, under a
   /// `serialize` child of `span`. When `fresh_run` is set the selection came
   /// from a greedy run executed for this request (start_session /
@@ -214,10 +198,6 @@ class ExplorationService {
   uint64_t backend_generation_ = 0;
   /// Owned gather coordinator (null unless ConfigureGather ran).
   std::unique_ptr<GatherCoordinator> gather_;
-  /// Service-owned scatter-gather shard map (see ServiceOptions::
-  /// num_shards); null when unsharded. Built before warm_state_ goes kWarm
-  /// and immutable afterwards, so sessions may hold the raw pointer.
-  std::unique_ptr<ShardMap> shard_map_;
   ServiceMetrics metrics_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<SessionManager> sessions_;  // null while cold

@@ -1,16 +1,12 @@
-// ShardMap boundary algebra + the word-subrange partial kernels it exists
-// to drive: for any word-aligned partition of the universe, per-shard
-// integer partials must sum to the whole-universe count *exactly* — this is
-// the foundation the S-shard greedy byte-identity gate stands on.
+// ShardMap boundary algebra: word-aligned, contiguous, non-empty ranges
+// that are a pure function of (num_users, num_shards) — the property the
+// fleet partition (snapshot v3 sections, shard backends, the gather
+// coordinator) stands on.
 #include "common/shard_map.h"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "common/bitset.h"
-#include "common/hybrid_bitset.h"
-#include "common/random.h"
+#include <algorithm>
 
 namespace vexus {
 namespace {
@@ -65,76 +61,6 @@ TEST(ShardMapTest, ShardOfAgreesWithRanges) {
     }
     EXPECT_EQ(map.ShardOf(0), 0u);
     EXPECT_EQ(map.ShardOf(9999), map.num_shards() - 1);
-  }
-}
-
-Bitset RandomBitset(size_t universe, double density, Rng* rng) {
-  Bitset b(universe);
-  for (size_t i = 0; i < universe; ++i) {
-    if (rng->UniformDouble() < density) b.Set(i);
-  }
-  return b;
-}
-
-TEST(ShardMapTest, BitsetRangePartialsSumToWholeCounts) {
-  Rng rng(1234);
-  const size_t universe = 5000;
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
-    ShardMap map(universe, shards);
-    Bitset a = RandomBitset(universe, 0.3, &rng);
-    Bitset b = RandomBitset(universe, 0.2, &rng);
-    Bitset mask = RandomBitset(universe, 0.5, &rng);
-    Bitset whole_union, part_union(universe), part_masked(universe);
-    size_t whole_uc = whole_union.AssignUnionCount(a, b);
-    Bitset whole_masked;
-    size_t whole_mc = whole_masked.AssignUnionMaskedCount(a, b, mask);
-
-    size_t count = 0, inter = 0, andnot = 0, uc = 0, mc = 0;
-    for (size_t s = 0; s < map.num_shards(); ++s) {
-      const ShardMap::Range& r = map.shard(s);
-      count += a.CountRange(r.word_begin, r.word_end);
-      inter += a.IntersectCountRange(b, r.word_begin, r.word_end);
-      andnot += a.CountAndNotRange(b, r.word_begin, r.word_end);
-      uc += part_union.AssignUnionCountRange(a, b, r.word_begin, r.word_end);
-      mc += part_masked.AssignUnionMaskedCountRange(a, b, mask, r.word_begin,
-                                                    r.word_end);
-    }
-    EXPECT_EQ(count, a.Count());
-    EXPECT_EQ(inter, a.IntersectCount(b));
-    EXPECT_EQ(andnot, a.CountAndNot(b));
-    EXPECT_EQ(uc, whole_uc);
-    EXPECT_EQ(part_union, whole_union);
-    EXPECT_EQ(mc, whole_mc);
-    EXPECT_EQ(part_masked, whole_masked);
-  }
-}
-
-TEST(ShardMapTest, HybridRangePartialsMatchBothForms) {
-  Rng rng(77);
-  const size_t universe = 4096;
-  ShardMap map(universe, 4);
-  Bitset exclude = RandomBitset(universe, 0.4, &rng);
-  Bitset base = RandomBitset(universe, 0.1, &rng);
-  // One sparse set (well under universe/8) and one dense set.
-  Bitset sparse_src = RandomBitset(universe, 0.02, &rng);
-  Bitset dense_src = RandomBitset(universe, 0.6, &rng);
-  for (const Bitset* src : {&sparse_src, &dense_src}) {
-    HybridBitset h = HybridBitset::FromBitset(*src);
-    size_t andnot = 0;
-    Bitset part_out(universe);
-    Bitset whole_out;
-    h.UnionInto(base, &whole_out);
-    std::vector<uint32_t> walked;
-    for (size_t s = 0; s < map.num_shards(); ++s) {
-      const ShardMap::Range& r = map.shard(s);
-      andnot += h.CountAndNotRange(exclude, r.word_begin, r.word_end);
-      h.UnionIntoRange(base, &part_out, r.word_begin, r.word_end);
-      h.ForEachInRange(r.word_begin, r.word_end,
-                       [&](uint32_t id) { walked.push_back(id); });
-    }
-    EXPECT_EQ(andnot, h.CountAndNot(exclude));
-    EXPECT_EQ(part_out, whole_out);
-    EXPECT_EQ(walked, h.ToVector());
   }
 }
 

@@ -122,38 +122,6 @@ TEST(EngineTest, IndexOptionsPropagate) {
             big->index().build_stats().postings);
 }
 
-TEST(EngineTest, ConfigureShardingInjectsMapAndKeepsScreensIdentical) {
-  mining::DiscoveryOptions opt;
-  opt.min_support_fraction = 0.03;
-  auto engine = VexusEngine::Preprocess(SmallBx(), opt, {});
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->shard_map(), nullptr);
-
-  SessionOptions sopts;
-  sopts.greedy.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
-  auto plain = engine->CreateSession(sopts);
-  const auto want = plain->Start();
-
-  engine->ConfigureSharding(4);
-  ASSERT_NE(engine->shard_map(), nullptr);
-  EXPECT_EQ(engine->shard_map()->num_shards(), 4u);
-  EXPECT_EQ(engine->shard_map()->num_users(), 500u);
-
-  // Sessions created after ConfigureSharding run the scatter-gather greedy
-  // (per-shard counters prove it) yet select the exact same screen.
-  auto sharded = engine->CreateSession(sopts);
-  const auto got = sharded->Start();
-  EXPECT_EQ(got.groups, want.groups);
-  EXPECT_EQ(got.quality.coverage, want.quality.coverage);
-  EXPECT_EQ(got.quality.diversity, want.quality.diversity);
-  EXPECT_EQ(got.shard_evaluations.size(), 4u);
-  EXPECT_TRUE(want.shard_evaluations.empty());
-
-  // <= 1 tears the map down; sessions go back to the unsharded evaluator.
-  engine->ConfigureSharding(1);
-  EXPECT_EQ(engine->shard_map(), nullptr);
-}
-
 std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
 
 /// Preprocesses SmallBx() and snapshots the result to `path` (no fsync:

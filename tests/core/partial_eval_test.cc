@@ -4,11 +4,16 @@
 //   1. On a full store it reproduces the direct |cand ∩ anchor ∩ ¬rest|
 //      integers (the SwapObjective trial counts).
 //   2. On S slice stores (members restricted to word-aligned shard ranges)
-//      the per-slice partials sum to the full-store count AND match
-//      SwapObjective::TrialCoveragePartial over the same ShardMap — so a
-//      gather over backends folds to byte-identical selections.
+//      the per-slice partials sum to the full-store count, and folding that
+//      sum through SwapObjective::TrialFromCovered reproduces the local
+//      whole-universe Trial() bit for bit — so a gather over backends folds
+//      to byte-identical selections.
 #include "core/partial_eval.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +22,8 @@
 #include "common/random.h"
 #include "common/shard_map.h"
 #include "core/greedy_eval.h"
+#include "core/snapshot.h"
+#include "index/inverted_index.h"
 #include "index/similarity.h"
 
 namespace vexus::core {
@@ -140,39 +147,81 @@ TEST(PartialEvalTest, SlicePartialsSumToFullStoreCount) {
   }
 }
 
-// The remote partials must be the *same integers* the in-process sharded
-// scan computes (SwapObjective::TrialCoveragePartial) — this is what makes
-// a gather fold byte-identical to the single-process sharded greedy.
+// The fleet's answer must be the local answer: for every admissible trial,
+// the shard-order sum of the backends' partials — each computed on a slice
+// cold-started from its own snapshot section, exactly as a shard backend
+// does — folded through TrialFromCovered equals the whole-universe
+// SwapObjective::Trial bit for bit. S=1 is the single-section file.
 TEST(PartialEvalTest, SliceMatchesInProcessShardPartials) {
-  const size_t n_users = 448;  // 7 words, splits 4 ways word-aligned
+  const size_t n_users = 448;  // 7 words: uneven word splits for S = 3, 4
   GroupStore store = MakeStore(18, n_users, 31);
-  ShardMap map(n_users, 4);
-  ASSERT_EQ(map.num_shards(), 4u);
+  auto index = index::InvertedIndex::Build(store, {});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
 
   std::vector<GroupId> pool(store.size());
   for (size_t i = 0; i < pool.size(); ++i) pool[i] = static_cast<GroupId>(i);
-  std::vector<double> affinity(pool.size(), 0.0);
+  std::vector<double> affinity(pool.size());
+  vexus::Rng rng(5);
+  for (double& a : affinity) a = rng.UniformDouble();
   index::PairwiseSimCache sims(&store, &pool);
-  Bitset anchor = store.group(0).members().ToBitset();
-  SwapObjective::Config cfg;
-  cfg.shards = &map;
-  SwapObjective eval(&store, &pool, &anchor, &affinity, cfg, &sims);
+  const std::vector<uint32_t> selection = {1, 2, 3, 4};
+  const std::vector<size_t> selected(selection.begin(), selection.end());
 
-  PartialEvalInput in = MakeInput(store, /*anchored=*/true, 7);
-  std::vector<size_t> selected(in.selection.begin(), in.selection.end());
-  eval.Reset(selected);
+  for (size_t num_shards : {1u, 2u, 3u, 4u}) {
+    const std::string path = ::testing::TempDir() + "partial_eval_s" +
+                             std::to_string(num_shards) + ".snap";
+    SnapshotSaveOptions save;
+    save.num_shards = num_shards;
+    save.sync = false;
+    ASSERT_TRUE(SaveSnapshot(store, *index, path, save).ok()) << path;
+    std::vector<GroupStore> slices;
+    for (size_t s = 0; s < num_shards; ++s) {
+      auto shard = LoadSnapshotShard(path, s);
+      ASSERT_TRUE(shard.ok()) << "shards=" << num_shards << " shard=" << s
+                              << ": " << shard.status().ToString();
+      ASSERT_EQ(shard->num_shards, num_shards);
+      slices.push_back(std::move(shard->groups));
+    }
+    std::remove(path.c_str());
 
-  for (size_t s = 0; s < map.num_shards(); ++s) {
-    GroupStore slice =
-        SliceStore(store, static_cast<uint32_t>(map.shard(s).user_begin),
-                   static_cast<uint32_t>(map.shard(s).user_end));
-    auto part = EvalCoveragePartials(slice, in);
-    ASSERT_TRUE(part.ok());
-    for (size_t t = 0; t < part->size(); ++t) {
-      size_t cand = in.trials[2 * t];  // pool position == gid here
-      size_t slot = in.trials[2 * t + 1];
-      EXPECT_EQ((*part)[t], eval.TrialCoveragePartial(slot, cand, s))
-          << "shard=" << s << " trial=" << t;
+    for (bool anchored : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << num_shards << " anchored=" << anchored);
+      Bitset anchor_bits = store.group(0).members().ToBitset();
+      SwapObjective eval(&store, &pool, anchored ? &anchor_bits : nullptr,
+                         &affinity, {0.5, 0.2}, &sims);
+      eval.Reset(selected);
+
+      // Every admissible trial: each non-selected candidate at every slot.
+      PartialEvalInput in;
+      if (anchored) in.anchor = 0;
+      in.selection = selection;
+      for (uint32_t cand = 0; cand < store.size(); ++cand) {
+        if (std::find(selection.begin(), selection.end(), cand) !=
+            selection.end()) {
+          continue;
+        }
+        for (uint32_t slot = 0; slot < selection.size(); ++slot) {
+          in.trials.push_back(cand);
+          in.trials.push_back(slot);
+        }
+      }
+      const size_t num_trials = in.trials.size() / 2;
+      std::vector<size_t> newly(num_trials, 0);
+      for (const GroupStore& slice : slices) {
+        auto part = EvalCoveragePartials(slice, in);
+        ASSERT_TRUE(part.ok()) << part.status().ToString();
+        ASSERT_EQ(part->size(), num_trials);
+        for (size_t t = 0; t < num_trials; ++t) newly[t] += (*part)[t];
+      }
+      for (size_t t = 0; t < num_trials; ++t) {
+        const size_t cand = in.trials[2 * t];  // pool position == gid here
+        const size_t slot = in.trials[2 * t + 1];
+        const double fleet = eval.TrialFromCovered(slot, cand, newly[t]);
+        const double local = eval.Trial(slot, cand);
+        EXPECT_EQ(std::memcmp(&fleet, &local, sizeof(double)), 0)
+            << "trial=" << t << " fleet=" << fleet << " local=" << local;
+      }
     }
   }
 }

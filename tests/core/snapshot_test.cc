@@ -244,6 +244,30 @@ TEST(SnapshotFormatTest, V1AndV2LoadIdentically) {
   std::remove(p2.c_str());
 }
 
+TEST(SnapshotFormatTest, SparseGroupEncodedRawRoundTrips) {
+  // 56 members of 448 users sit exactly at the in-RAM sparse threshold, but
+  // the first id (252) needs a two-byte varint: 57 sparse bytes lose to the
+  // 56-byte raw block, so a sparse-in-RAM group takes the raw encoding.
+  // Pre-fix the encoder wrote that block from a destroyed temporary.
+  const size_t num_users = 448;
+  Bitset members(num_users);
+  for (uint32_t u = 252; u < 308; ++u) members.Set(u);
+  mining::GroupStore store(num_users);
+  store.Add(mining::UserGroup({{0, 0}}, members));
+  ASSERT_TRUE(store.group(0).members().is_sparse());
+  index::InvertedIndex index = index::InvertedIndex::FromPostings(
+      std::vector<std::vector<index::Neighbor>>(1));
+
+  std::string path = TempPath("sparse_raw");
+  SnapshotSaveOptions opts;
+  opts.sync = false;
+  ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
+  auto loaded = LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectStoresEqual(store, loaded->groups);
+}
+
 TEST(SnapshotFormatTest, PropertyRandomStoresRoundTripBothVersions) {
   Rng rng(20260806);
   for (int trial = 0; trial < 12; ++trial) {

@@ -274,62 +274,6 @@ TEST(InvertedIndexParallelTest, CooccurrenceBuildMatchesSerialExactly) {
   ExpectIndexesIdentical(*a, *b);
 }
 
-// ROADMAP item 2: horizontally sharding the user universe must not change a
-// single posting bit — co-occurrence counts are integer sums over disjoint
-// word-aligned user ranges and MinHash components are mins over the
-// partition, so every S (serial or pooled) folds back to the S=1 build.
-TEST(InvertedIndexShardedTest, CooccurrenceShardedBuildsAreByteIdentical) {
-  GroupStore store = RandomStore(60, 900, 31);
-  auto base = InvertedIndex::Build(store, FullOptions());
-  ASSERT_TRUE(base.ok());
-  for (size_t shards : {2u, 4u, 8u}) {
-    for (size_t threads : {1u, 4u}) {
-      InvertedIndex::Options opt = FullOptions();
-      opt.num_shards = shards;
-      opt.num_threads = threads;
-      auto sharded = InvertedIndex::Build(store, opt);
-      ASSERT_TRUE(sharded.ok()) << "S=" << shards << " T=" << threads;
-      ExpectIndexesIdentical(*base, *sharded);
-      EXPECT_EQ(base->build_stats().candidate_pairs,
-                sharded->build_stats().candidate_pairs);
-      EXPECT_EQ(base->build_stats().full_postings,
-                sharded->build_stats().full_postings);
-    }
-  }
-}
-
-TEST(InvertedIndexShardedTest, MinHashShardedBuildsAreByteIdentical) {
-  GroupStore store = RandomStore(60, 900, 33);
-  InvertedIndex::Options base_opt = FullOptions();
-  base_opt.strategy = InvertedIndex::BuildStrategy::kMinHash;
-  auto base = InvertedIndex::Build(store, base_opt);
-  ASSERT_TRUE(base.ok());
-  for (size_t shards : {2u, 4u, 8u}) {
-    for (size_t threads : {1u, 4u}) {
-      InvertedIndex::Options opt = base_opt;
-      opt.num_shards = shards;
-      opt.num_threads = threads;
-      auto sharded = InvertedIndex::Build(store, opt);
-      ASSERT_TRUE(sharded.ok()) << "S=" << shards << " T=" << threads;
-      ExpectIndexesIdentical(*base, *sharded);
-      EXPECT_EQ(base->build_stats().candidate_pairs,
-                sharded->build_stats().candidate_pairs);
-    }
-  }
-}
-
-TEST(InvertedIndexShardedTest, ShardCountBeyondWordCountClamps) {
-  // 100 users = 2 bitset words; asking for 64 shards must clamp, not crash.
-  GroupStore store = RandomStore(10, 100, 35);
-  InvertedIndex::Options opt = FullOptions();
-  opt.num_shards = 64;
-  auto sharded = InvertedIndex::Build(store, opt);
-  auto base = InvertedIndex::Build(store, FullOptions());
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(sharded.ok());
-  ExpectIndexesIdentical(*base, *sharded);
-}
-
 TEST(InvertedIndexParallelTest, MinHashBuildMatchesSerialExactly) {
   GroupStore store = RandomStore(60, 500, 9);
   InvertedIndex::Options serial = FullOptions();

@@ -4,7 +4,7 @@
 //   P2 — shown groups respect the similarity lower bound and the reported
 //        quality matches an independent recomputation;
 //   P3 — the recommendation latency respects the configured time budget
-//        (with scheduling slack).
+//        (with scheduling slack), swept over a tight and a looser budget.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -18,8 +18,12 @@ namespace {
 
 using core::VexusEngine;
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialized padding bytes made the case names differ
+// from build to build. The float budget fills the slot after `users`.
 struct SweepParam {
   uint32_t users;
+  float time_limit_ms;
   size_t k;
   double min_support;
   uint64_t seed;
@@ -44,7 +48,7 @@ TEST_P(ExplorationInvariantsTest, PrinciplesHoldThroughoutASession) {
 
   core::SessionOptions sopt;
   sopt.greedy.k = p.k;
-  sopt.greedy.time_limit_ms = 100;
+  sopt.greedy.time_limit_ms = p.time_limit_ms;
   sopt.greedy.min_similarity = 0.05;
   auto session = engine->CreateSession(sopt);
 
@@ -94,12 +98,12 @@ TEST_P(ExplorationInvariantsTest, PrinciplesHoldThroughoutASession) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ExplorationInvariantsTest,
-    ::testing::Values(SweepParam{200, 3, 0.05, 1},
-                      SweepParam{200, 7, 0.05, 2},
-                      SweepParam{500, 5, 0.03, 3},
-                      SweepParam{500, 1, 0.10, 4},
-                      SweepParam{1000, 5, 0.02, 5},
-                      SweepParam{1000, 7, 0.05, 6}));
+    ::testing::Values(SweepParam{200, 32, 3, 0.05, 1},
+                      SweepParam{200, 32, 7, 0.05, 2},
+                      SweepParam{500, 32, 5, 0.03, 3},
+                      SweepParam{500, 104, 1, 0.10, 4},
+                      SweepParam{1000, 32, 5, 0.02, 5},
+                      SweepParam{1000, 104, 7, 0.05, 6}));
 
 /// Index invariant sweep: for any materialization fraction, the index is a
 /// prefix of the full ranking and the graph stays consistent.

@@ -24,6 +24,7 @@
 
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 
 namespace vexus::server {
 namespace {
@@ -220,6 +221,33 @@ TEST(GatherCoordinatorTest, HealthyScatterFoldsAllShards) {
   ASSERT_EQ(out.partials[0].size(), 3u);
   EXPECT_EQ(out.partials[0][0], 2u);
   EXPECT_EQ(out.partials[1][0], 5u);
+}
+
+// Pool threads record their own shard's success concurrently. Eight shards
+// keep every flag inside one 64-bit word, where a packed vector<bool> would
+// lose updates (and ThreadSanitizer reports the race); one byte per shard
+// must keep all eight, scatter after scatter.
+TEST(GatherCoordinatorTest, PooledScatterKeepsEveryShardFlag) {
+  constexpr size_t kShards = 8;
+  std::vector<std::unique_ptr<ShardTransport>> transports;
+  for (size_t s = 0; s < kShards; ++s) {
+    transports.push_back(std::make_unique<ScriptedTransport>(
+        Healthy(3, static_cast<uint32_t>(s))));
+  }
+  ThreadPool pool(4);
+  GatherCoordinator::Options opts = FastOptions();
+  opts.pool = &pool;
+  GatherCoordinator coord(std::move(transports), opts);
+
+  for (int round = 0; round < 200; ++round) {
+    auto out = coord.Scatter(std::nullopt, {1, 2}, SomeTrials(),
+                             Deadline::AfterMillis(1000));
+    ASSERT_EQ(out.shard_ok.size(), kShards);
+    for (size_t s = 0; s < kShards; ++s) {
+      ASSERT_TRUE(out.shard_ok[s]) << "round " << round << " shard " << s;
+    }
+    ASSERT_DOUBLE_EQ(out.covered_fraction, 1.0) << "round " << round;
+  }
 }
 
 TEST(GatherCoordinatorTest, DeadShardDegradesCoverageAndOpensBreaker) {

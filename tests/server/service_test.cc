@@ -208,92 +208,6 @@ TEST_F(ServiceTest, ParallelGreedyScanMatchesSerialService) {
   }
 }
 
-TEST_F(ServiceTest, ShardedServiceScreensMatchUnshardedByteForByte) {
-  // ServiceOptions::num_shards routes every session's greedy through the
-  // scatter-gather evaluator. Coverage partials are exact integers over
-  // word-aligned shard ranges, so screens — ids, coverage, diversity bits —
-  // must be identical to the unsharded service at every shard count.
-  ServiceOptions base = FastOptions();
-  base.session_template.greedy.time_limit_ms =
-      core::GreedyOptions::kUnboundedTimeLimit;
-  ExplorationService unsharded(engine_, base);
-  Response want = unsharded.Call(Start("u"));
-  ASSERT_TRUE(want.status.ok());
-  Response want2 = unsharded.Call(Select("u", want.groups[0].id));
-  ASSERT_TRUE(want2.status.ok());
-
-  for (size_t shards : {2u, 4u, 8u}) {
-    SCOPED_TRACE(shards);
-    ServiceOptions opts = base;
-    opts.num_shards = shards;
-    ExplorationService svc(engine_, opts);
-    Response got = svc.Call(Start("s"));
-    ASSERT_TRUE(got.status.ok());
-    ASSERT_EQ(got.groups.size(), want.groups.size());
-    for (size_t i = 0; i < got.groups.size(); ++i) {
-      EXPECT_EQ(got.groups[i].id, want.groups[i].id);
-    }
-    EXPECT_EQ(got.coverage, want.coverage);
-    EXPECT_EQ(got.diversity, want.diversity);
-
-    Response got2 = svc.Call(Select("s", got.groups[0].id));
-    ASSERT_TRUE(got2.status.ok());
-    ASSERT_EQ(got2.groups.size(), want2.groups.size());
-    for (size_t i = 0; i < got2.groups.size(); ++i) {
-      EXPECT_EQ(got2.groups[i].id, want2.groups[i].id);
-    }
-    EXPECT_EQ(got2.coverage, want2.coverage);
-    EXPECT_EQ(got2.diversity, want2.diversity);
-  }
-}
-
-TEST_F(ServiceTest, GetStatsReportsPerShardEvaluationCounters) {
-  ServiceOptions opts = FastOptions();
-  opts.num_shards = 4;
-  ExplorationService svc(engine_, opts);
-  ASSERT_TRUE(svc.Call(Start("s")).status.ok());
-
-  // The metrics snapshot carries one counter per shard, and every shard
-  // participated in the start_session run's scatter (its partials cover the
-  // whole universe each rebuild, so no shard can sit at zero).
-  MetricsSnapshot snap = svc.Stats();
-  ASSERT_EQ(snap.shard_evaluations.size(), 4u);
-  uint64_t total = 0;
-  for (uint64_t v : snap.shard_evaluations) {
-    EXPECT_GT(v, 0u);
-    total += v;
-  }
-  EXPECT_GT(total, snap.greedy_evaluations);  // partials ≥ S per trial
-
-  // The wire view: get_stats serves a "shards" object with the same counts.
-  std::string stats = svc.HandleLine("{\"op\":\"get_stats\"}");
-  auto parsed = json::Parse(stats);
-  ASSERT_TRUE(parsed.ok()) << stats;
-  const json::Value* s = parsed->Find("stats");
-  ASSERT_NE(s, nullptr);
-  const json::Value* sh = s->Find("shards");
-  ASSERT_NE(sh, nullptr) << stats;
-  EXPECT_EQ(sh->GetNumber("count", -1), 4.0);
-  const json::Value* evals = sh->Find("evaluations");
-  ASSERT_NE(evals, nullptr);
-  ASSERT_TRUE(evals->is_array());
-  ASSERT_EQ(evals->AsArray().size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(evals->AsArray()[i].AsDouble(),
-              static_cast<double>(snap.shard_evaluations[i]));
-  }
-}
-
-TEST_F(ServiceTest, UnshardedServiceOmitsShardCounters) {
-  ExplorationService svc(engine_, FastOptions());
-  ASSERT_TRUE(svc.Call(Start("s")).status.ok());
-  EXPECT_TRUE(svc.Stats().shard_evaluations.empty());
-  std::string stats = svc.HandleLine("{\"op\":\"get_stats\"}");
-  auto parsed = json::Parse(stats);
-  ASSERT_TRUE(parsed.ok()) << stats;
-  EXPECT_EQ(parsed->Find("stats")->Find("shards"), nullptr) << stats;
-}
-
 TEST_F(ServiceTest, ZeroBudgetIsDeadlineExceededWithoutTouchingGreedy) {
   ExplorationService svc(engine_, FastOptions());
   Request req = Start("hurried");
