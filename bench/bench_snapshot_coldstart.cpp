@@ -1,4 +1,4 @@
-// bench_snapshot_coldstart — the cold-start story behind snapshot v2.
+// bench_snapshot_coldstart — the serving cold-start path from a snapshot.
 //
 // Fig. 1 splits VEXUS into an offline pipeline and interactive modules; a
 // deployment mines once, snapshots, and brings serving processes up from the
@@ -8,15 +8,19 @@
 //   1. preprocess   serial vs parallel DiscoverGroups + InvertedIndex::Build
 //                   (the fold discipline promises byte-identical output — the
 //                   harness hashes both worlds and asserts it)
-//   2. save         format v1 (legacy per-member u32) vs v2 (varint-delta /
-//                   raw-bitset blocks + CRC trailer): bytes, bytes/group, ms
-//   3. load         v1 vs v2 parse time (median of N trials)
+//   2. save         one section (S=1) vs two shard sections (S=2): bytes, ms
+//   3. load         full LoadSnapshot of each file, and LoadSnapshotShard of
+//                   each S=2 section (medians of N trials); every load must
+//                   round-trip to the preprocessed store's digest
 //   4. warm-up      VexusEngine::FromSnapshot end-to-end (load + catalog
 //                   rebuild + graph), the number an operator actually waits
 //
-// Acceptance (ISSUE 4): at full scale v2 must load ≥5× faster and be ≥3×
-// smaller than v1. Emits BENCH_snapshot_coldstart.json (path overridable via
-// the first non-flag arg) so the numbers are a committed artifact.
+// Gates: parallel preprocess and both round trips identical; at full scale
+// the S=2 full load is at most 1.5x the S=1 full load (the section decoder
+// copies raw blocks at their word offset, so splitting a group's members
+// must not cost a per-member pass). Emits BENCH_snapshot_coldstart.json
+// (path overridable via the first non-flag arg) so the numbers are a
+// committed artifact.
 //
 // Run:  ./build/bench/bench_snapshot_coldstart [--smoke] [out.json]
 
@@ -41,9 +45,9 @@ namespace {
 /// Order-sensitive digest of everything a snapshot persists: group
 /// descriptions, member bitsets, posting lists. Two engines with equal
 /// digests went through byte-identical discovery + index builds.
-uint64_t EngineDigest(const core::VexusEngine& engine) {
+uint64_t StoreDigest(const mining::GroupStore& store,
+                     const index::InvertedIndex& idx) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  const mining::GroupStore& store = engine.groups();
   h = HashCombine(h, store.size());
   for (mining::GroupId g = 0; g < store.size(); ++g) {
     const mining::UserGroup& grp = store.group(g);
@@ -55,7 +59,6 @@ uint64_t EngineDigest(const core::VexusEngine& engine) {
     // word hash whichever representation the group is stored in).
     h = HashCombine(h, grp.members().Hash());
   }
-  const index::InvertedIndex& idx = engine.index();
   h = HashCombine(h, idx.num_groups());
   for (mining::GroupId g = 0; g < idx.num_groups(); ++g) {
     for (const index::Neighbor& n : idx.Neighbors(g)) {
@@ -84,8 +87,8 @@ core::VexusEngine Build(data::Dataset dataset, size_t threads) {
   // The serving tier keeps the top of the group lattice resident — the
   // broad, dense groups every exploration step touches first. That profile
   // (member mass concentrated in groups above ~1/8 density, where the raw
-  // bitset block is smaller than any per-member list) is exactly where
-  // v1's u32-per-member encoding explodes and v2's raw blocks win; the
+  // bitset block is smaller than any per-member list) puts the load on the
+  // raw-block path, which sharding splits into per-section word runs; the
   // long sparse tail is mined on demand, not served from the snapshot.
   dopt.min_support_fraction = 0.12;
   dopt.num_threads = threads;
@@ -113,9 +116,8 @@ int main(int argc, char** argv) {
   const int trials = smoke ? 3 : 5;
 
   Banner("bench_snapshot_coldstart",
-         "snapshot v2 (varint/raw-bitset blocks + CRC trailer) loads >=5x "
-         "faster and is >=3x smaller than v1; parallel preprocess is "
-         "byte-identical to serial");
+         "a 2-section snapshot loads within 1.5x of a 1-section one; "
+         "parallel preprocess is byte-identical to serial");
   std::printf("scale: %u users (%s)\n\n", users, smoke ? "smoke" : "full");
 
   // --- 1. Preprocess: serial vs parallel, identical output.
@@ -129,9 +131,8 @@ int main(int argc, char** argv) {
       Build(data::BookCrossingGenerator::Generate(BxConfig(users)), 0);
   double preprocess_parallel_ms = sw2.ElapsedMillis();
 
-  uint64_t serial_digest = EngineDigest(serial);
-  uint64_t parallel_digest = EngineDigest(parallel);
-  bool identical = serial_digest == parallel_digest;
+  const uint64_t digest = StoreDigest(serial.groups(), serial.index());
+  bool identical = digest == StoreDigest(parallel.groups(), parallel.index());
   std::printf("preprocess: serial %.0f ms | parallel %.0f ms (%.2fx) | "
               "digests %s\n",
               preprocess_serial_ms, preprocess_parallel_ms,
@@ -140,69 +141,68 @@ int main(int argc, char** argv) {
   std::printf("%s\n\n", serial.Summary().c_str());
   const uint64_t num_groups = serial.groups().size();
 
-  // --- 2./3. Save + load, both formats.
-  const std::string v1_path = "bench_coldstart_v1.snapshot";
-  const std::string v2_path = "bench_coldstart_v2.snapshot";
+  // --- 2. Save: one section vs two. sync=false times the codec, not the
+  // disk's fsync.
+  const std::string s1_path = "bench_coldstart_s1.snapshot";
+  const std::string s2_path = "bench_coldstart_s2.snapshot";
+  auto save = [&](const std::string& path, size_t num_shards) {
+    core::SnapshotSaveOptions opts;
+    opts.sync = false;
+    opts.num_shards = num_shards;
+    Stopwatch t;
+    Status st =
+        core::SaveSnapshot(serial.groups(), serial.index(), path, opts);
+    VEXUS_CHECK(st.ok()) << st.ToString();
+    return t.ElapsedMillis();
+  };
+  const double save_s1_ms = save(s1_path, 1);
+  const double save_s2_ms = save(s2_path, 2);
+  const uint64_t s1_bytes = FileBytes(s1_path);
+  const uint64_t s2_bytes = FileBytes(s2_path);
 
-  core::SnapshotSaveOptions save_v1;
-  save_v1.version = 1;
-  sw = Stopwatch();
-  Status st = core::SaveSnapshot(serial.groups(), serial.index(), v1_path,
-                                 save_v1);
-  double save_v1_ms = sw.ElapsedMillis();
-  VEXUS_CHECK(st.ok()) << st.ToString();
-
-  core::SnapshotSaveOptions save_v2;  // version = 2 is the default
-  sw = Stopwatch();
-  st = core::SaveSnapshot(serial.groups(), serial.index(), v2_path, save_v2);
-  double save_v2_ms = sw.ElapsedMillis();
-  VEXUS_CHECK(st.ok()) << st.ToString();
-
-  uint64_t v1_bytes = FileBytes(v1_path);
-  uint64_t v2_bytes = FileBytes(v2_path);
-
-  std::vector<double> v1_load, v2_load;
+  // --- 3. Load: full files alternating, then each S=2 section alone.
+  bool round_trip = true;
+  auto load = [&](const std::string& path) {
+    Stopwatch t;
+    auto snap = core::LoadSnapshot(path);
+    const double ms = t.ElapsedMillis();
+    VEXUS_CHECK(snap.ok()) << snap.status().ToString();
+    round_trip = round_trip && StoreDigest(snap->groups, snap->index) == digest;
+    return ms;
+  };
+  std::vector<double> s1_load, s2_load, shard_load;
   for (int t = 0; t < trials; ++t) {
-    sw = Stopwatch();
-    auto s1 = core::LoadSnapshot(v1_path);
-    v1_load.push_back(sw.ElapsedMillis());
-    VEXUS_CHECK(s1.ok()) << s1.status().ToString();
-
-    sw = Stopwatch();
-    auto s2 = core::LoadSnapshot(v2_path);
-    v2_load.push_back(sw.ElapsedMillis());
-    VEXUS_CHECK(s2.ok()) << s2.status().ToString();
-    if (t == 0) {
-      VEXUS_CHECK(s1->groups.size() == num_groups &&
-                  s2->groups.size() == num_groups)
-          << "snapshot round-trip lost groups";
+    s1_load.push_back(load(s1_path));
+    s2_load.push_back(load(s2_path));
+    for (size_t s = 0; s < 2; ++s) {
+      Stopwatch ts;
+      auto shard = core::LoadSnapshotShard(s2_path, s);
+      shard_load.push_back(ts.ElapsedMillis());
+      VEXUS_CHECK(shard.ok()) << shard.status().ToString();
+      VEXUS_CHECK(shard->groups.size() == num_groups);
     }
   }
-  double v1_load_ms = MedianMs(v1_load);
-  double v2_load_ms = MedianMs(v2_load);
+  const double load_s1_ms = MedianMs(s1_load);
+  const double load_s2_ms = MedianMs(s2_load);
+  const double shard_load_ms = MedianMs(shard_load);
+  const double s2_over_s1 = load_s1_ms <= 0 ? 0 : load_s2_ms / load_s1_ms;
 
-  double size_ratio =
-      v2_bytes == 0 ? 0 : static_cast<double>(v1_bytes) /
-                              static_cast<double>(v2_bytes);
-  double load_speedup = v2_load_ms <= 0 ? 0 : v1_load_ms / v2_load_ms;
-
-  std::printf("save: v1 %8llu bytes (%.1f B/group, %.0f ms) | "
-              "v2 %8llu bytes (%.1f B/group, %.0f ms) | v1/v2 = %.2fx\n",
-              static_cast<unsigned long long>(v1_bytes),
-              static_cast<double>(v1_bytes) /
+  std::printf("save: S=1 %8llu bytes (%.1f B/group, %.1f ms) | "
+              "S=2 %8llu bytes (%.1f ms)\n",
+              static_cast<unsigned long long>(s1_bytes),
+              static_cast<double>(s1_bytes) /
                   static_cast<double>(std::max<uint64_t>(1, num_groups)),
-              save_v1_ms, static_cast<unsigned long long>(v2_bytes),
-              static_cast<double>(v2_bytes) /
-                  static_cast<double>(std::max<uint64_t>(1, num_groups)),
-              save_v2_ms, size_ratio);
-  std::printf("load: v1 %.2f ms | v2 %.2f ms | speedup %.2fx "
-              "(median of %d)\n\n",
-              v1_load_ms, v2_load_ms, load_speedup, trials);
+              save_s1_ms, static_cast<unsigned long long>(s2_bytes),
+              save_s2_ms);
+  std::printf("load: S=1 %.3f ms | S=2 %.3f ms (%.2fx) | S=2 one section "
+              "%.3f ms (median of %d) | round trips %s\n\n",
+              load_s1_ms, load_s2_ms, s2_over_s1, shard_load_ms, trials,
+              round_trip ? "IDENTICAL" : "DIFFER (BUG)");
 
   // --- 4. End-to-end warm-up: dataset + snapshot -> serving engine.
   data::Dataset fresh = data::BookCrossingGenerator::Generate(BxConfig(users));
   sw = Stopwatch();
-  auto warmed = core::VexusEngine::FromSnapshot(&fresh, v2_path);
+  auto warmed = core::VexusEngine::FromSnapshot(&fresh, s1_path);
   double warm_ms = sw.ElapsedMillis();
   VEXUS_CHECK(warmed.ok()) << warmed.status().ToString();
   VEXUS_CHECK(warmed->groups().size() == num_groups);
@@ -211,12 +211,12 @@ int main(int argc, char** argv) {
               warm_ms, preprocess_serial_ms,
               preprocess_serial_ms / std::max(1.0, warm_ms));
 
-  bool pass_size = size_ratio >= 3.0;
-  bool pass_load = load_speedup >= 5.0;
-  std::printf("acceptance: size >=3x %s | load >=5x %s | parallel identical "
-              "%s\n",
-              pass_size ? "PASS" : "FAIL", pass_load ? "PASS" : "FAIL",
-              identical ? "PASS" : "FAIL");
+  constexpr double kMaxS2OverS1 = 1.5;
+  const bool pass_split = s2_over_s1 <= kMaxS2OverS1;
+  std::printf("acceptance: S=2 load <=%.1fx S=1 %s | round trips %s | "
+              "parallel identical %s\n",
+              kMaxS2OverS1, pass_split ? "PASS" : "FAIL",
+              round_trip ? "PASS" : "FAIL", identical ? "PASS" : "FAIL");
 
   server::json::Object out;
   out.emplace_back("bench",
@@ -229,28 +229,25 @@ int main(int argc, char** argv) {
   out.emplace_back("preprocess_parallel_ms",
                    server::json::Value(preprocess_parallel_ms));
   out.emplace_back("parallel_identical", server::json::Value(identical));
-  out.emplace_back("v1_bytes", server::json::Value(v1_bytes));
-  out.emplace_back("v2_bytes", server::json::Value(v2_bytes));
-  out.emplace_back("v1_bytes_per_group",
+  out.emplace_back("s1_bytes", server::json::Value(s1_bytes));
+  out.emplace_back("s2_bytes", server::json::Value(s2_bytes));
+  out.emplace_back("s1_bytes_per_group",
                    server::json::Value(
-                       static_cast<double>(v1_bytes) /
+                       static_cast<double>(s1_bytes) /
                        static_cast<double>(std::max<uint64_t>(1, num_groups))));
-  out.emplace_back("v2_bytes_per_group",
-                   server::json::Value(
-                       static_cast<double>(v2_bytes) /
-                       static_cast<double>(std::max<uint64_t>(1, num_groups))));
-  out.emplace_back("size_ratio_v1_over_v2", server::json::Value(size_ratio));
-  out.emplace_back("save_v1_ms", server::json::Value(save_v1_ms));
-  out.emplace_back("save_v2_ms", server::json::Value(save_v2_ms));
-  out.emplace_back("load_v1_ms_median", server::json::Value(v1_load_ms));
-  out.emplace_back("load_v2_ms_median", server::json::Value(v2_load_ms));
-  out.emplace_back("load_speedup_v1_over_v2",
-                   server::json::Value(load_speedup));
+  out.emplace_back("save_s1_ms", server::json::Value(save_s1_ms));
+  out.emplace_back("save_s2_ms", server::json::Value(save_s2_ms));
+  out.emplace_back("load_s1_ms_median", server::json::Value(load_s1_ms));
+  out.emplace_back("load_s2_ms_median", server::json::Value(load_s2_ms));
+  out.emplace_back("load_s2_over_s1", server::json::Value(s2_over_s1));
+  out.emplace_back("load_s2_shard_ms_median",
+                   server::json::Value(shard_load_ms));
+  out.emplace_back("round_trip_identical", server::json::Value(round_trip));
   out.emplace_back("from_snapshot_warm_ms", server::json::Value(warm_ms));
-  out.emplace_back("accept_size_ratio_min", server::json::Value(3.0));
-  out.emplace_back("accept_load_speedup_min", server::json::Value(5.0));
-  out.emplace_back("pass",
-                   server::json::Value(pass_size && pass_load && identical));
+  out.emplace_back("accept_load_s2_over_s1_max",
+                   server::json::Value(kMaxS2OverS1));
+  out.emplace_back("pass", server::json::Value(pass_split && round_trip &&
+                                               identical));
   std::string json = server::json::Value(std::move(out)).Dump();
   std::printf("JSON %s\n", json.c_str());
 
@@ -261,14 +258,13 @@ int main(int argc, char** argv) {
   } else {
     std::printf("WARN: could not open %s for writing\n", out_path);
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(s1_path.c_str());
+  std::remove(s2_path.c_str());
 
-  // Smoke mode is a CI health check: sub-50us loads make the speedup ratio
+  // Smoke mode is a CI health check: sub-50us loads make the load ratio
   // timing noise, so only the scale-independent claims gate — parallel
-  // preprocess must be byte-identical and v2 must still be >=3x smaller.
-  // Load-speedup acceptance is judged on the committed full-scale artifact.
-  bool structural = pass_size && identical;
-  return smoke ? (structural ? 0 : 1)
-               : (structural && pass_load ? 0 : 1);
+  // preprocess and both snapshot round trips must be byte-identical. The
+  // load-ratio gate is judged on the committed full-scale artifact.
+  const bool structural = round_trip && identical;
+  return smoke ? (structural ? 0 : 1) : (structural && pass_split ? 0 : 1);
 }

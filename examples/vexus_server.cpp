@@ -14,8 +14,9 @@
 //   --loops N     event-loop threads (SO_REUSEPORT listener group);
 //                 0 = min(4, hw threads)  (default 0)
 //   --users N     synthetic dataset size   (default 1500)
-//   --shards N    snapshot section count for --save-snapshot (default 1);
-//                 a usage error without it — a single process never shards.
+//   --shards N    group sections in the --save-snapshot file (default 1,
+//                 one section over every user); a usage error without
+//                 --save-snapshot — a single process never shards.
 //   --selftest    bind an ephemeral port with two loops, run a scripted
 //                 client against ourselves (including a SIGTERM drain),
 //                 and exit — the mode the example smoke test runs in CI.
@@ -25,7 +26,7 @@
 //
 //   backend:      vexus_server --shard-backend --shard-index 0/2
 //                     --snapshot store.snap --generation 7 --port 7801
-//                 cold-starts from ONE v3 snapshot section and serves
+//                 cold-starts from ONE snapshot section and serves
 //                 eval_partial / shard_info / health / get_stats.
 //   coordinator:  vexus_server --backends 127.0.0.1:7801,127.0.0.1:7802
 //                     --generation 7
@@ -90,16 +91,17 @@ void PrintUsage(FILE* out) {
       "              kernel steers each connect to one of them.\n"
       "              0 = min(4, hw threads) (default 0)\n"
       "  --users N   synthetic dataset size (default 1500)\n"
-      "  --shards N  snapshot section count for --save-snapshot (default 1);\n"
-      "              only valid with --save-snapshot\n"
+      "  --shards N  group sections in the --save-snapshot file (default 1,\n"
+      "              one section over every user); only valid with\n"
+      "              --save-snapshot\n"
       "  --selftest  scripted self-check on an ephemeral port, then exit\n"
       "  --shard-backend     serve one snapshot shard section (needs\n"
       "                      --shard-index and --snapshot)\n"
       "  --shard-index i/S   this backend's shard id and fleet width\n"
-      "  --snapshot PATH     v3 snapshot to cold-start the shard from\n"
+      "  --snapshot PATH     snapshot to cold-start the shard from\n"
       "  --save-snapshot PATH  write the generated store as a snapshot\n"
-      "                      (one section per --shards shard) and exit —\n"
-      "                      the file shard backends cold-start from\n"
+      "                      (one group section per --shards shard) and\n"
+      "                      exit — the file shard backends cold-start from\n"
       "  --generation N      store generation fenced by eval_partial\n"
       "                      (default 1)\n"
       "  --backends H:P,...  coordinator mode: scatter greedy trial\n"
@@ -697,7 +699,7 @@ int main(int argc, char** argv) {
   VexusEngine engine = std::move(engine_result).ValueOrDie();
   std::printf("%s\n", engine.Summary().c_str());
 
-  // Fleet bootstrap: write the generated store as a snapshot (v3 with one
+  // Fleet bootstrap: write the generated store as a snapshot (one group
   // section per --shards shard) and exit — the file a --shard-backend
   // cold-starts from. The same --users invocation then serves as the
   // coordinator over those backends.

@@ -1,4 +1,4 @@
-// Density-switched member-set container: the in-RAM twin of snapshot v2's
+// Density-switched member-set container: the in-RAM twin of the snapshot's
 // per-group encoding choice. Small groups (the overwhelming majority of
 // mined groups — a few hundred members out of 278,858 users) are stored as
 // a strictly-ascending sorted id array, so per-candidate work is O(|group|)
@@ -28,7 +28,7 @@ namespace vexus {
 class HybridBitset {
  public:
   /// Member count at or below which a set over `universe` users stays in
-  /// sparse (sorted id array) form. Mirrors snapshot v2's encoding switch:
+  /// sparse (sorted id array) form. Mirrors the snapshot's encoding switch:
   /// one uvarint byte per member vs universe/8 raw bitset bytes means the
   /// sparse encoding wins below ~1/8 density.
   static constexpr size_t SparseThresholdFor(size_t universe) {
@@ -45,7 +45,7 @@ class HybridBitset {
   static HybridBitset FromBitset(const Bitset& b);
   static HybridBitset FromBitset(Bitset&& b);
 
-  /// Builds from strictly-ascending ids < universe (the snapshot v2 sparse
+  /// Builds from strictly-ascending ids < universe (the snapshot sparse
   /// decode path hands its uvarint-delta ids straight here — no word
   /// materialization for small groups). Promotes to dense above threshold.
   static HybridBitset FromSortedIds(size_t universe,
@@ -144,7 +144,7 @@ class HybridBitset {
   HybridBitset AndWith(const Bitset& mask) const;
 
   /// Calls fn(id) for every member with id in [64·word_begin,
-  /// 64·word_end), ascending — the snapshot v3 encoder walks each shard
+  /// 64·word_end), ascending — the snapshot encoder walks each group
   /// section's members this way (common/shard_map.h).
   template <typename Fn>
   void ForEachInRange(size_t word_begin, size_t word_end, Fn&& fn) const {

@@ -15,7 +15,7 @@
 // The map is a pure function of (num_users, num_shards): words are dealt
 // out as evenly as possible (first `words % S` shards get one extra), and
 // the shard count is clamped so no shard is empty. Two processes given the
-// same pair compute the same boundaries — snapshot v3 sections,
+// same pair compute the same boundaries — snapshot group sections,
 // LoadSnapshotShard slices, and the GatherCoordinator's user ranges all
 // rely on that.
 #pragma once

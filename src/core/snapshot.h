@@ -6,42 +6,50 @@
 // InvertedIndex serialize to one versioned binary file, so a deployment
 // mines once and serves many exploration sessions. At the paper's
 // BOOKCROSSING scale (278,858 users) cold start must be seconds, not
-// minutes — which is why v2 stores members as compact blocks instead of one
-// u32 per member per group, and why load validates checksums before
+// minutes — which is why members are stored as compact blocks instead of
+// one u32 per member per group, and why load validates checksums before
 // trusting a single length field.
 //
-// Format v2 (little-endian throughout):
+// Format (version 3, little-endian throughout). The user universe is split
+// into S word-aligned shard ranges (common/shard_map.h); S = 1 is one range
+// over every user.
 //
-//   header   magic "VXSN" | u32 version=2 | u64 num_users        (16 bytes)
-//   GROUPS section
+//   header   magic "VXSN" | u32 version=3 | u64 num_users        (16 bytes)
+//   S GROUP sections, one per shard range, in shard order
 //     u64 num_groups
 //     per group: u32 desc_len, desc_len × (u32 attr, u32 value),
-//                u64 member_count, u8 encoding,
+//                u64 member_count (members inside the range), u8 encoding,
 //                encoding 0 (sparse):  member_count × uvarint deltas
 //                                      (first = id₀, then idᵢ − idᵢ₋₁;
 //                                      strictly ascending, so deltas ≥ 1)
-//                encoding 1 (raw):     ceil(num_users/64) × u64 bitset words
-//     The writer picks per group whichever encoding is smaller: dense groups
-//     (≳ num_users/20 members) become raw words loaded with one memcpy;
-//     sparse groups become varint deltas (~1–2 bytes/member vs v1's 4).
+//                encoding 1 (raw):     the range's u64 bitset words
+//     The writer picks per block whichever encoding is smaller: dense
+//     groups (≳ 1/8 of the range) become raw words loaded with one memcpy;
+//     sparse groups become varint deltas (~1–2 bytes/member). Descriptors
+//     repeat in every section, so each section loads on its own.
 //   POSTINGS section
 //     u64 num_lists (== num_groups)
 //     per list: u32 len, len × (u32 group, f32 similarity)
-//   trailer (fixed 48 bytes at EOF)
-//     u64 groups_offset | u64 groups_len |
-//     u64 postings_offset | u64 postings_len |
-//     u32 groups_crc (CRC-32C of bytes [0, groups_offset + groups_len) —
-//                     the header rides along so a flipped num_users bit is
-//                     caught here, not by a far-away range check) |
-//     u32 postings_crc (CRC-32C of the postings section) |
-//     u32 trailer_crc (CRC-32C of the preceding 40 bytes) | magic "VXTR"
+//   trailer (36·S + 36 bytes at EOF; 72 at S = 1)
+//     S × (u64 offset | u64 len | u64 user_begin | u64 user_end |
+//          u32 crc)  — section 0's CRC-32C covers bytes [0, offset + len):
+//                      the header rides along so a flipped num_users bit is
+//                      caught here, not by a far-away range check; later
+//                      sections cover their own bytes
+//     u64 postings_offset | u64 postings_len | u32 postings_crc |
+//     u64 num_shards | u32 trailer_crc (CRC-32C of the trailer before it) |
+//     magic "VXTR"
 //
-// Load reads the trailer first, checks that the two sections tile the file
-// exactly (so appended garbage or a truncated tail fails before parsing),
-// verifies each section's CRC-32C (common/crc32.h), then parses from the
-// in-memory buffer. v1 snapshots (one u32 per member, no checksums) are
-// still read behind the version switch; SaveOptions::version can write them
-// for comparison benchmarks.
+// Both loaders validate the header and trailer first: the version, that the
+// sections tile the file exactly (so appended garbage or a truncated tail
+// fails before parsing), and that the section ranges equal
+// ShardMap(num_users, S). LoadSnapshot then checks every section's CRC-32C
+// (common/crc32.h) and decodes every group section into one store — shard
+// member sets are disjoint, so they fold back into exactly the store that
+// was saved. LoadSnapshotShard checks and decodes only its own section, so
+// a flipped bit in one shard's section leaves every other shard loadable.
+// Any other version word, including the retired formats 1 and 2, is
+// NotSupported.
 //
 // Durability: SaveSnapshot writes path + ".tmp", fsyncs the tmp file,
 // renames it over `path`, then fsyncs the parent directory — so a crash at
@@ -51,20 +59,6 @@
 // Corruption (truncation, bad magic, checksum mismatch, duplicate member
 // ids, out-of-range references, trailing bytes) is detected on load and
 // reported as Status::Corruption.
-//
-// Format v3 (SnapshotSaveOptions::num_shards > 1; ROADMAP item 2) replaces
-// the single GROUPS section with one *self-contained* section per horizontal
-// shard of the user universe (common/shard_map.h): shard s's section holds,
-// for every group, the descriptors plus the members that fall inside the
-// shard's word-aligned user range (same sparse-delta/raw-words encoding,
-// raw blocks spanning only the shard's words). The variable trailer gains a
-// per-shard entry (offset | len | user_begin | user_end | CRC-32C), so a
-// shard server can cold-start from just its own section via
-// LoadSnapshotShard — and a flipped bit in one shard's section leaves every
-// other shard loadable. Shard member sets are disjoint by construction, so
-// the full-file load folds them back into exactly the store that was saved.
-// Saving with num_shards == 1 (or a universe too small to split) writes
-// plain v2, byte-identical to before.
 #pragma once
 
 #include <string>
@@ -82,19 +76,13 @@ struct Snapshot {
 };
 
 struct SnapshotSaveOptions {
-  /// Format version to write. 2 (default) = checksummed block format above;
-  /// 1 = the legacy per-member-u32 format, kept so the cold-start bench can
-  /// compare and so fleets mid-upgrade can still produce old snapshots.
-  uint32_t version = 2;
   /// fsync the tmp file before the rename and the parent directory after it
   /// (the crash-durability protocol). Tests may disable to avoid hammering
   /// slow CI disks; production callers should not.
   bool sync = true;
-  /// Horizontal shard count over the user universe. > 1 writes format v3
-  /// with one independently checksummed group section per shard (see the
-  /// format comment above); 1 — or a universe with fewer bitset words than
-  /// shards, which clamps — keeps the single-section v2/v1 output
-  /// byte-identical to before this option existed. Ignored for version 1.
+  /// Horizontal shard count over the user universe: one independently
+  /// checksummed group section per shard (see the format comment above).
+  /// A universe with fewer bitset words than shards clamps.
   size_t num_shards = 1;
 };
 
@@ -120,18 +108,17 @@ Status SaveSnapshot(const mining::GroupStore& groups,
                     const SnapshotSaveOptions& options = {},
                     const TraceSpan* span = nullptr);
 
-/// Loads a snapshot written by SaveSnapshot (either version). Corruption on
-/// malformed input, NotSupported on a future format version. `span`, when
+/// Loads a snapshot written by SaveSnapshot, every section. Corruption on
+/// malformed input, NotSupported on any other format version. `span`, when
 /// non-null, gets a "load" child span whose count is the byte size read.
 Result<Snapshot> LoadSnapshot(const std::string& path,
                               const TraceSpan* span = nullptr);
 
-/// Loads a single shard's group section from a v3 snapshot, verifying only
-/// that section's CRC (plus the trailer's) — corruption elsewhere in the
-/// file does not block this shard's cold start. v1/v2 files are accepted for
-/// shard 0 of 1 (the whole store), so callers need not special-case
-/// single-section deployments. Corruption / InvalidArgument (shard index out
-/// of range) on failure.
+/// Loads a single shard's group section, verifying only that section's CRC
+/// (plus the trailer's) — corruption elsewhere in the file does not block
+/// this shard's cold start. A single-section snapshot is shard 0 of 1 (the
+/// whole store). Corruption / NotSupported as LoadSnapshot, InvalidArgument
+/// when the shard index is out of range.
 Result<SnapshotShard> LoadSnapshotShard(const std::string& path, size_t shard,
                                         const TraceSpan* span = nullptr);
 

@@ -117,7 +117,7 @@ struct MetricsSnapshot {
   uint64_t overload_sheds = 0;
   /// Cold-start path: successful warm_from_snapshot loads and the wall time
   /// of the most recent one (0 until the first load) — the operator-visible
-  /// form of the snapshot-v2 cold-start claim.
+  /// form of the snapshot cold-start claim.
   uint64_t warm_loads = 0;
   double last_warm_load_ms = 0;
   /// Live gauge at snapshot time.

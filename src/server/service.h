@@ -75,7 +75,7 @@ class ExplorationService {
                               ServiceOptions options = {});
 
   /// Shard-backend construction (DESIGN.md §16): the service owns one
-  /// snapshot-v3 shard slice and serves only eval_partial / shard_info /
+  /// snapshot shard slice and serves only eval_partial / shard_info /
   /// health / get_stats — a multi-box gather fleet's backend. Session ops
   /// fail with FailedPrecondition (there is no engine). `generation` is
   /// the store generation fenced by eval_partial requests.

@@ -1,6 +1,6 @@
 // ShardMap boundary algebra: word-aligned, contiguous, non-empty ranges
 // that are a pure function of (num_users, num_shards) — the property the
-// fleet partition (snapshot v3 sections, shard backends, the gather
+// fleet partition (snapshot group sections, shard backends, the gather
 // coordinator) stands on.
 #include "common/shard_map.h"
 

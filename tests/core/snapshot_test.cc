@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/failpoint.h"
 #include "common/random.h"
+#include "common/shard_map.h"
 #include "core/session.h"
 #include "data/generators/bookcrossing_gen.h"
 #include "mining/discovery.h"
@@ -158,7 +160,7 @@ TEST(SnapshotTest, MismatchedInputsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 ↔ v2 equivalence and encoding edge cases
+// Encoding edge cases and round trips across section counts
 // ---------------------------------------------------------------------------
 
 std::string TempPath(const char* name) {
@@ -208,40 +210,62 @@ std::pair<mining::GroupStore, index::InvertedIndex> MixedWorld(
   return {std::move(store), index::InvertedIndex::FromPostings(lists)};
 }
 
-TEST(SnapshotFormatTest, V1AndV2LoadIdentically) {
-  auto [store, index] = MixedWorld(1000);
-  std::string p1 = TempPath("fmt_v1");
-  std::string p2 = TempPath("fmt_v2");
-  SnapshotSaveOptions v1opts;
-  v1opts.version = 1;
-  ASSERT_TRUE(SaveSnapshot(store, index, p1, v1opts).ok());
-  ASSERT_TRUE(SaveSnapshot(store, index, p2).ok());
-
-  auto l1 = LoadSnapshot(p1);
-  auto l2 = LoadSnapshot(p2);
-  ASSERT_TRUE(l1.ok()) << l1.status().ToString();
-  ASSERT_TRUE(l2.ok()) << l2.status().ToString();
-  ExpectStoresEqual(store, l1->groups);
-  ExpectStoresEqual(store, l2->groups);
-  ExpectStoresEqual(l1->groups, l2->groups);
-  ASSERT_EQ(l1->index.num_groups(), l2->index.num_groups());
-  for (mining::GroupId g = 0; g < store.size(); ++g) {
-    const auto& la = l1->index.Neighbors(g);
-    const auto& lb = l2->index.Neighbors(g);
-    ASSERT_EQ(la.size(), lb.size());
-    for (size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i].group, lb[i].group);
-      EXPECT_FLOAT_EQ(la[i].similarity, lb[i].similarity);
-    }
+uint64_t ReadU64At(const std::string& b, size_t off) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(b[off + i]))
+         << (8 * i);
   }
-  // v2 must actually be smaller — the dense groups become raw words, the
-  // sparse ones varint deltas, both beating 4 bytes/member.
-  struct ::stat s1, s2;
-  ASSERT_EQ(::stat(p1.c_str(), &s1), 0);
-  ASSERT_EQ(::stat(p2.c_str(), &s2), 0);
-  EXPECT_LT(s2.st_size, s1.st_size);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
+  return v;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+struct ShardSpan {
+  size_t offset = 0;
+  size_t len = 0;
+};
+
+/// Group-section spans straight from a file's variable trailer (layout in
+/// core/snapshot.h): the fixed 16-byte tail carries the shard count, each
+/// 36-byte entry leads with offset | len.
+std::vector<ShardSpan> ShardSpansOf(const std::string& file) {
+  const size_t num_shards = ReadU64At(file, file.size() - 16);
+  const size_t trailer_size = num_shards * 36 + 36;
+  const size_t base = file.size() - trailer_size;
+  std::vector<ShardSpan> spans(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    spans[s].offset = ReadU64At(file, base + s * 36);
+    spans[s].len = ReadU64At(file, base + s * 36 + 8);
+  }
+  return spans;
+}
+
+std::vector<uint32_t> MembersInRange(const mining::UserGroup& g,
+                                     uint32_t begin, uint32_t end) {
+  std::vector<uint32_t> ids;
+  g.members().ForEach([&](uint32_t u) {
+    if (u >= begin && u < end) ids.push_back(u);
+  });
+  return ids;
+}
+
+std::string WriteBytes(const std::string& bytes, const char* name) {
+  std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+Result<Snapshot> LoadBytes(const std::string& bytes, const char* name) {
+  std::string path = WriteBytes(bytes, name);
+  auto r = LoadSnapshot(path);
+  std::remove(path.c_str());
+  return r;
 }
 
 TEST(SnapshotFormatTest, SparseGroupEncodedRawRoundTrips) {
@@ -309,15 +333,15 @@ TEST(SnapshotFormatTest, PropertyRandomStoresRoundTripBothVersions) {
     }
     index::InvertedIndex index = index::InvertedIndex::FromPostings(lists);
 
-    for (uint32_t version : {1u, 2u}) {
+    for (size_t num_shards : {1u, 2u, 3u, 4u}) {
       std::string path = TempPath("property");
       SnapshotSaveOptions opts;
-      opts.version = version;
       opts.sync = false;
+      opts.num_shards = num_shards;
       ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
       auto loaded = LoadSnapshot(path);
       ASSERT_TRUE(loaded.ok())
-          << "trial " << trial << " v" << version << ": "
+          << "trial " << trial << " S=" << num_shards << ": "
           << loaded.status().ToString();
       ExpectStoresEqual(store, loaded->groups);
       ASSERT_EQ(loaded->index.num_groups(), store.size());
@@ -359,26 +383,36 @@ void AppendVarint(std::string* out, uint64_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-/// Assembles a well-formed v2 container (header, sections, CRC trailer)
-/// around arbitrary section payloads, so tests can express "the checksums
-/// are right but the content is evil".
-std::string MakeV2File(uint64_t num_users, const std::string& groups_sec,
+/// Assembles a well-formed container (header, one group section per range
+/// of ShardMap(num_users, S), postings, CRC trailer) around arbitrary
+/// section payloads, so tests can express "the checksums are right but the
+/// content is evil".
+std::string MakeV3File(uint64_t num_users,
+                       const std::vector<std::string>& group_secs,
                        const std::string& postings_sec) {
+  const ShardMap shards(num_users, group_secs.size());
+  EXPECT_EQ(shards.num_shards(), group_secs.size());
   std::string buf;
   buf.append("VXSN", 4);
-  AppendU32(&buf, 2);
+  AppendU32(&buf, 3);
   AppendU64(&buf, num_users);
-  uint64_t groups_offset = buf.size();
-  buf.append(groups_sec);
-  uint64_t postings_offset = buf.size();
-  buf.append(postings_sec);
   std::string trailer;
-  AppendU64(&trailer, groups_offset);
-  AppendU64(&trailer, groups_sec.size());
-  AppendU64(&trailer, postings_offset);
+  for (size_t s = 0; s < group_secs.size(); ++s) {
+    AppendU64(&trailer, buf.size());
+    AppendU64(&trailer, group_secs[s].size());
+    AppendU64(&trailer, shards.shard(s).user_begin);
+    AppendU64(&trailer, shards.shard(s).user_end);
+    buf.append(group_secs[s]);
+    // Section 0's CRC covers the header too.
+    AppendU32(&trailer,
+              s == 0 ? Crc32(buf.data(), buf.size())
+                     : Crc32(group_secs[s].data(), group_secs[s].size()));
+  }
+  AppendU64(&trailer, buf.size());
   AppendU64(&trailer, postings_sec.size());
-  AppendU32(&trailer, Crc32(buf.data(), buf.size() - postings_sec.size()));
   AppendU32(&trailer, Crc32(postings_sec.data(), postings_sec.size()));
+  buf.append(postings_sec);
+  AppendU64(&trailer, group_secs.size());
   AppendU32(&trailer, Crc32(trailer.data(), trailer.size()));
   trailer.append("VXTR", 4);
   buf.append(trailer);
@@ -392,17 +426,6 @@ std::string EmptyPostings(uint64_t num_groups) {
   return sec;
 }
 
-Result<Snapshot> LoadBytes(const std::string& bytes, const char* name) {
-  std::string path = TempPath(name);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto r = LoadSnapshot(path);
-  std::remove(path.c_str());
-  return r;
-}
-
 TEST(SnapshotFormatTest, DuplicateMemberDeltaIsCorruption) {
   // Sparse deltas {2, 0, 1}: the zero delta repeats member 2. Pre-fix the
   // loader Set() the same bit twice and the group silently shrank.
@@ -414,11 +437,44 @@ TEST(SnapshotFormatTest, DuplicateMemberDeltaIsCorruption) {
   AppendVarint(&groups, 2);
   AppendVarint(&groups, 0);
   AppendVarint(&groups, 1);
-  auto r = LoadBytes(MakeV2File(10, groups, EmptyPostings(1)), "dupdelta");
+  auto r = LoadBytes(MakeV3File(10, {groups}, EmptyPostings(1)), "dupdelta");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
   EXPECT_NE(r.status().ToString().find("duplicate member"), std::string::npos)
       << r.status().ToString();
+}
+
+TEST(SnapshotFormatTest, WrappingSparseDeltaIsCorruption) {
+  // A delta of 2^64 - 3 wraps the running 64-bit id back into range (5 → 2
+  // at S=1, 70 → 67 inside shard 1's [64, 128) at S=2). Pre-fix the range
+  // test ran after the add, so the loader accepted out-of-order ids.
+  const uint64_t wrap = ~uint64_t{0} - 2;
+  auto one_group = [](uint64_t member_count, std::vector<uint64_t> deltas) {
+    std::string sec;
+    AppendU64(&sec, 1);             // num_groups
+    AppendU32(&sec, 0);             // desc_len
+    AppendU64(&sec, member_count);  // member_count
+    AppendU8(&sec, 0);              // sparse
+    for (uint64_t d : deltas) AppendVarint(&sec, d);
+    return sec;
+  };
+
+  auto full = LoadBytes(MakeV3File(10, {one_group(2, {5, wrap})},
+                                   EmptyPostings(1)),
+                        "wrapdelta");
+  ASSERT_FALSE(full.ok());
+  EXPECT_TRUE(full.status().IsCorruption()) << full.status().ToString();
+
+  std::string path = WriteBytes(
+      MakeV3File(128, {one_group(0, {}), one_group(2, {70, wrap})},
+                 EmptyPostings(1)),
+      "wrapdelta_shard");
+  EXPECT_TRUE(LoadSnapshotShard(path, 0).ok());
+  auto shard = LoadSnapshotShard(path, 1);
+  ASSERT_FALSE(shard.ok());
+  EXPECT_TRUE(shard.status().IsCorruption()) << shard.status().ToString();
+  EXPECT_TRUE(LoadSnapshot(path).status().IsCorruption());
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotFormatTest, SparseMemberOutOfRangeIsCorruption) {
@@ -428,7 +484,7 @@ TEST(SnapshotFormatTest, SparseMemberOutOfRangeIsCorruption) {
   AppendU64(&groups, 1);
   AppendU8(&groups, 0);
   AppendVarint(&groups, 99);  // num_users is 10
-  auto r = LoadBytes(MakeV2File(10, groups, EmptyPostings(1)), "idrange");
+  auto r = LoadBytes(MakeV3File(10, {groups}, EmptyPostings(1)), "idrange");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
 }
@@ -440,7 +496,7 @@ TEST(SnapshotFormatTest, RawBlockBitBeyondUniverseIsCorruption) {
   AppendU64(&groups, 1);
   AppendU8(&groups, 1);                  // raw
   AppendU64(&groups, uint64_t{1} << 63);  // bit 63 set; universe is 10 bits
-  auto r = LoadBytes(MakeV2File(10, groups, EmptyPostings(1)), "rawtail");
+  auto r = LoadBytes(MakeV3File(10, {groups}, EmptyPostings(1)), "rawtail");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
 }
@@ -452,7 +508,7 @@ TEST(SnapshotFormatTest, RawBlockPopcountMismatchIsCorruption) {
   AppendU64(&groups, 1);  // claims one member…
   AppendU8(&groups, 1);
   AppendU64(&groups, 0b11);  // …but the block stores two
-  auto r = LoadBytes(MakeV2File(10, groups, EmptyPostings(1)), "popcount");
+  auto r = LoadBytes(MakeV3File(10, {groups}, EmptyPostings(1)), "popcount");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
 }
@@ -463,175 +519,151 @@ TEST(SnapshotFormatTest, UnknownEncodingIsCorruption) {
   AppendU32(&groups, 0);
   AppendU64(&groups, 0);
   AppendU8(&groups, 7);  // neither sparse (0) nor raw (1)
-  auto r = LoadBytes(MakeV2File(10, groups, EmptyPostings(1)), "encoding");
+  auto r = LoadBytes(MakeV3File(10, {groups}, EmptyPostings(1)), "encoding");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
 }
 
-TEST(SnapshotFormatTest, DuplicateMemberIdInV1IsCorruption) {
-  // v1 has no checksums, so the duplicate-id check is its only defence.
-  std::string buf;
-  buf.append("VXSN", 4);
-  AppendU32(&buf, 1);
-  AppendU64(&buf, 10);  // num_users
-  AppendU64(&buf, 1);   // num_groups
-  AppendU32(&buf, 0);   // desc_len
-  AppendU64(&buf, 2);   // member_count
-  AppendU32(&buf, 5);
-  AppendU32(&buf, 5);  // repeated member id
-  AppendU64(&buf, 1);  // num_lists
-  AppendU32(&buf, 0);  // empty posting list
-  auto r = LoadBytes(buf, "dupv1");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCorruption());
-  EXPECT_NE(r.status().ToString().find("duplicate member"), std::string::npos)
-      << r.status().ToString();
+TEST(SnapshotFormatTest, RetiredVersionsAreNotSupported) {
+  // Version words 1 and 2 name formats that are no longer read; both
+  // loaders answer NotSupported, as for any unknown version.
+  auto [store, index] = MixedWorld(300);
+  std::string path = TempPath("retired");
+  SnapshotSaveOptions opts;
+  opts.sync = false;
+  ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
+  const std::string good = ReadWholeFile(path);
+  std::remove(path.c_str());
+  for (char version : {1, 2}) {
+    std::string mutated = good;
+    mutated[4] = version;
+    std::string vpath = WriteBytes(mutated, "retired_version");
+    auto full = LoadSnapshot(vpath);
+    EXPECT_TRUE(full.status().IsNotSupported())
+        << "version " << int{version} << ": " << full.status().ToString();
+    auto shard = LoadSnapshotShard(vpath, 0);
+    EXPECT_TRUE(shard.status().IsNotSupported())
+        << "version " << int{version} << ": " << shard.status().ToString();
+    std::remove(vpath.c_str());
+  }
 }
 
 TEST(SnapshotFormatTest, TrailingGarbageIsCorruptionBothVersions) {
   auto [store, index] = MixedWorld(200);
-  for (uint32_t version : {1u, 2u}) {
+  for (size_t num_shards : {1u, 2u, 3u, 4u}) {
     std::string path = TempPath("garbage");
     SnapshotSaveOptions opts;
-    opts.version = version;
     opts.sync = false;
+    opts.num_shards = num_shards;
     ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
     {
       std::ofstream out(path, std::ios::binary | std::ios::app);
       out << "extra";
     }
-    // Pre-fix the v1 loader stopped at the last posting list and reported
-    // success on a file with unread bytes.
     auto r = LoadSnapshot(path);
-    ASSERT_FALSE(r.ok()) << "v" << version;
-    EXPECT_TRUE(r.status().IsCorruption()) << "v" << version;
+    ASSERT_FALSE(r.ok()) << "S=" << num_shards;
+    EXPECT_TRUE(r.status().IsCorruption()) << "S=" << num_shards;
+    auto shard = LoadSnapshotShard(path, 0);
+    ASSERT_FALSE(shard.ok()) << "S=" << num_shards;
+    EXPECT_TRUE(shard.status().IsCorruption()) << "S=" << num_shards;
     std::remove(path.c_str());
   }
 }
 
-TEST(SnapshotFormatTest, CorruptionMatrixEveryFlippedBitIsRejected) {
-  // Write a small v2 snapshot, then flip one bit in every byte of the file.
-  // No flip may crash the loader or produce Status::OK — each must surface
-  // as Corruption, or NotSupported when the flip lands in the version field.
+/// Write a small snapshot with `num_shards` sections, then flip one bit in
+/// every byte of the file. No flip may crash the loader or produce
+/// Status::OK — each must surface as Corruption, or NotSupported when the
+/// flip lands in the version word. Every bit of the header and the trailer,
+/// whose fields gate parsing, is flipped too, and must also stop every
+/// single-shard load.
+void ExpectEveryFlippedBitRejected(size_t num_shards) {
   auto [store, index] = MixedWorld(300);
   std::string path = TempPath("matrix");
   SnapshotSaveOptions opts;
   opts.sync = false;
+  opts.num_shards = num_shards;
   ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string full((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  const std::string full = ReadWholeFile(path);
   std::remove(path.c_str());
+  ASSERT_EQ(ShardSpansOf(full).size(), num_shards);
+  const size_t trailer_size = 36 * num_shards + 36;  // 72 at S=1
 
-  auto check = [&](size_t byte, int bit) {
+  auto rejected = [](const Status& st) {
+    return st.IsCorruption() || st.IsNotSupported();
+  };
+  auto check = [&](size_t byte, int bit, bool every_shard) {
     std::string mutated = full;
     mutated[byte] ^= static_cast<char>(1 << bit);
-    auto r = LoadBytes(mutated, "matrixbit");
-    ASSERT_FALSE(r.ok()) << "byte " << byte << " bit " << bit
-                         << " was accepted";
-    EXPECT_TRUE(r.status().IsCorruption() || r.status().IsNotSupported())
-        << "byte " << byte << " bit " << bit << ": "
-        << r.status().ToString();
+    std::string mpath = WriteBytes(mutated, "matrixbit");
+    Status st = LoadSnapshot(mpath).status();
+    EXPECT_TRUE(rejected(st)) << "S=" << num_shards << " byte " << byte
+                              << " bit " << bit << ": " << st.ToString();
+    for (size_t s = 0; every_shard && s < num_shards; ++s) {
+      Status shard_st = LoadSnapshotShard(mpath, s).status();
+      EXPECT_TRUE(rejected(shard_st))
+          << "S=" << num_shards << " shard " << s << " byte " << byte
+          << " bit " << bit << ": " << shard_st.ToString();
+    }
+    std::remove(mpath.c_str());
   };
   for (size_t byte = 0; byte < full.size(); ++byte) {
-    check(byte, static_cast<int>(byte % 8));  // a different bit each byte
+    check(byte, static_cast<int>(byte % 8), /*every_shard=*/false);
   }
-  // All eight bits for the header and trailer, whose fields gate parsing.
   for (size_t byte = 0; byte < 16; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) check(byte, bit);
+    for (int bit = 0; bit < 8; ++bit) check(byte, bit, true);
   }
-  for (size_t byte = full.size() - 48; byte < full.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) check(byte, bit);
+  for (size_t byte = full.size() - trailer_size; byte < full.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) check(byte, bit, true);
   }
+}
+
+TEST(SnapshotFormatTest, CorruptionMatrixEveryFlippedBitIsRejected) {
+  ExpectEveryFlippedBitRejected(1);
 }
 
 // ---------------------------------------------------------------------------
-// v3: per-shard group sections (ROADMAP item 2)
+// Per-shard group sections
 // ---------------------------------------------------------------------------
-
-uint64_t ReadU64At(const std::string& b, size_t off) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(b[off + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-struct ShardSpan {
-  size_t offset = 0;
-  size_t len = 0;
-};
-
-/// Shard-section spans straight from a v3 file's variable trailer (layout in
-/// core/snapshot.h): the fixed 16-byte tail carries the shard count, each
-/// 36-byte entry leads with offset | len.
-std::vector<ShardSpan> ShardSpansOf(const std::string& file) {
-  const size_t num_shards = ReadU64At(file, file.size() - 16);
-  const size_t trailer_size = num_shards * 36 + 36;
-  const size_t base = file.size() - trailer_size;
-  std::vector<ShardSpan> spans(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    spans[s].offset = ReadU64At(file, base + s * 36);
-    spans[s].len = ReadU64At(file, base + s * 36 + 8);
-  }
-  return spans;
-}
-
-std::vector<uint32_t> MembersInRange(const mining::UserGroup& g,
-                                     uint32_t begin, uint32_t end) {
-  std::vector<uint32_t> ids;
-  g.members().ForEach([&](uint32_t u) {
-    if (u >= begin && u < end) ids.push_back(u);
-  });
-  return ids;
-}
 
 TEST(SnapshotShardedTest, ShardedSaveRoundTripsIdenticallyToUnsharded) {
   auto [store, index] = MixedWorld(1000);
-  std::string p2 = TempPath("sharded_v2");
-  std::string p3 = TempPath("sharded_v3");
+  std::string p1 = TempPath("sharded_s1");
+  std::string p4 = TempPath("sharded_s4");
   SnapshotSaveOptions base;
   base.sync = false;
-  ASSERT_TRUE(SaveSnapshot(store, index, p2, base).ok());
+  ASSERT_TRUE(SaveSnapshot(store, index, p1, base).ok());
   SnapshotSaveOptions sharded = base;
   sharded.num_shards = 4;
-  ASSERT_TRUE(SaveSnapshot(store, index, p3, sharded).ok());
+  ASSERT_TRUE(SaveSnapshot(store, index, p4, sharded).ok());
 
-  // The sharded file really is the multi-section format (version word = 3).
-  std::string file = ReadWholeFile(p3);
+  std::string file = ReadWholeFile(p4);
   ASSERT_GE(file.size(), 16u);
   EXPECT_EQ(static_cast<unsigned char>(file[4]), 3);
   EXPECT_EQ(ShardSpansOf(file).size(), 4u);
 
-  auto l2 = LoadSnapshot(p2);
-  auto l3 = LoadSnapshot(p3);
-  ASSERT_TRUE(l2.ok()) << l2.status().ToString();
-  ASSERT_TRUE(l3.ok()) << l3.status().ToString();
-  ExpectStoresEqual(store, l3->groups);
-  ExpectStoresEqual(l2->groups, l3->groups);
-  ASSERT_EQ(l2->index.num_groups(), l3->index.num_groups());
+  auto l1 = LoadSnapshot(p1);
+  auto l4 = LoadSnapshot(p4);
+  ASSERT_TRUE(l1.ok()) << l1.status().ToString();
+  ASSERT_TRUE(l4.ok()) << l4.status().ToString();
+  ExpectStoresEqual(store, l4->groups);
+  ExpectStoresEqual(l1->groups, l4->groups);
+  ASSERT_EQ(l1->index.num_groups(), l4->index.num_groups());
   for (mining::GroupId g = 0; g < store.size(); ++g) {
-    const auto& la = l2->index.Neighbors(g);
-    const auto& lb = l3->index.Neighbors(g);
+    const auto& la = l1->index.Neighbors(g);
+    const auto& lb = l4->index.Neighbors(g);
     ASSERT_EQ(la.size(), lb.size());
     for (size_t i = 0; i < la.size(); ++i) {
       EXPECT_EQ(la[i].group, lb[i].group);
       EXPECT_EQ(la[i].similarity, lb[i].similarity);
     }
   }
-  std::remove(p2.c_str());
-  std::remove(p3.c_str());
+  std::remove(p1.c_str());
+  std::remove(p4.c_str());
 }
 
 TEST(SnapshotShardedTest, SingleShardOptionStaysByteIdenticalV2) {
+  // S = 1 is a one-section file: the default options and an explicit
+  // num_shards = 1 write the same bytes, version word 3.
   auto [store, index] = MixedWorld(500);
   std::string pa = TempPath("oneshard_a");
   std::string pb = TempPath("oneshard_b");
@@ -642,16 +674,20 @@ TEST(SnapshotShardedTest, SingleShardOptionStaysByteIdenticalV2) {
   SnapshotSaveOptions one = plain;
   one.num_shards = 1;
   ASSERT_TRUE(SaveSnapshot(store, index, pb, one).ok());
-  EXPECT_EQ(ReadWholeFile(pa), ReadWholeFile(pb));
+  const std::string a = ReadWholeFile(pa);
+  EXPECT_EQ(a, ReadWholeFile(pb));
+  EXPECT_EQ(static_cast<unsigned char>(a[4]), 3);
+  EXPECT_EQ(ShardSpansOf(a).size(), 1u);
 
   // A universe too small to split clamps back to one shard: 60 users is one
-  // bitset word, so even num_shards = 8 must emit plain v2.
+  // bitset word, so even num_shards = 8 writes one section.
   auto [tiny_store, tiny_index] = MixedWorld(60);
   SnapshotSaveOptions eight = plain;
   eight.num_shards = 8;
   ASSERT_TRUE(SaveSnapshot(tiny_store, tiny_index, pc, eight).ok());
   std::string tiny = ReadWholeFile(pc);
-  EXPECT_EQ(static_cast<unsigned char>(tiny[4]), 2);
+  EXPECT_EQ(static_cast<unsigned char>(tiny[4]), 3);
+  EXPECT_EQ(ShardSpansOf(tiny).size(), 1u);
   std::remove(pa.c_str());
   std::remove(pb.c_str());
   std::remove(pc.c_str());
@@ -702,8 +738,9 @@ TEST(SnapshotShardedTest, ShardLoadRestrictsMembersToOwnedRange) {
 }
 
 TEST(SnapshotShardedTest, ShardLoaderAcceptsV2AsSingleShard) {
+  // A one-section snapshot is shard 0 of 1: the whole store.
   auto [store, index] = MixedWorld(400);
-  std::string path = TempPath("shardv2");
+  std::string path = TempPath("shard_single");
   SnapshotSaveOptions opts;
   opts.sync = false;
   ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
@@ -714,6 +751,34 @@ TEST(SnapshotShardedTest, ShardLoaderAcceptsV2AsSingleShard) {
   EXPECT_EQ(shard->user_end, 400u);
   ExpectStoresEqual(store, shard->groups);
   EXPECT_TRUE(LoadSnapshotShard(path, 1).status().IsInvalidArgument());
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotShardedTest, ShardLoadDetectsReadPathCorruption) {
+  // The shard loader reads through the same path as LoadSnapshot, so the
+  // read-path bit-rot failpoint (a flip at the buffer's midpoint) reaches
+  // it too, and the section CRC rejects the flipped byte.
+  auto [store, index] = MixedWorld(1000);
+  std::string path = TempPath("shard_rot");
+  SnapshotSaveOptions opts;
+  opts.sync = false;
+  ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
+  const std::string file = ReadWholeFile(path);
+  const ShardSpan section = ShardSpansOf(file).at(0);
+  ASSERT_GT(file.size() / 2, section.offset);
+  ASSERT_LT(file.size() / 2, section.offset + section.len);
+
+  failpoint::Policy once;
+  once.mode = failpoint::Policy::Mode::kOnce;
+  once.code = StatusCode::kOk;
+  {
+    failpoint::ScopedFailpoint fp("snapshot.load.corrupt", once);
+    auto shard = LoadSnapshotShard(path, 0);
+    EXPECT_EQ(fp.fires(), 1u);
+    ASSERT_FALSE(shard.ok());
+    EXPECT_TRUE(shard.status().IsCorruption()) << shard.status().ToString();
+  }
+  EXPECT_TRUE(LoadSnapshotShard(path, 0).ok());
   std::remove(path.c_str());
 }
 
@@ -735,11 +800,7 @@ TEST(SnapshotShardedTest, FlippedShardSectionLeavesOtherShardsLoadable) {
   for (size_t victim = 0; victim < spans.size(); ++victim) {
     std::string mutated = good;
     mutated[spans[victim].offset + spans[victim].len / 2] ^= 0x40;
-    std::string mpath = TempPath("shardflip_mut");
-    {
-      std::ofstream out(mpath, std::ios::binary);
-      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    }
+    std::string mpath = WriteBytes(mutated, "shardflip_mut");
     auto full = LoadSnapshot(mpath);
     ASSERT_FALSE(full.ok()) << "victim " << victim;
     EXPECT_TRUE(full.status().IsCorruption()) << full.status().ToString();
@@ -788,11 +849,7 @@ TEST(SnapshotShardedTest, TruncatedTrailingSectionIsCorruption) {
     ASSERT_FALSE(r.ok()) << "cut " << cut;
     EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
 
-    std::string cpath = TempPath("shardtrunc_shard");
-    {
-      std::ofstream out(cpath, std::ios::binary);
-      out.write(good.data(), static_cast<std::streamsize>(cut));
-    }
+    std::string cpath = WriteBytes(good.substr(0, cut), "shardtrunc_shard");
     for (size_t s = 0; s < spans.size(); ++s) {
       auto shard = LoadSnapshotShard(cpath, s);
       ASSERT_FALSE(shard.ok()) << "cut " << cut << " shard " << s;
@@ -804,27 +861,7 @@ TEST(SnapshotShardedTest, TruncatedTrailingSectionIsCorruption) {
 }
 
 TEST(SnapshotShardedTest, CorruptionMatrixFlippedBitsNeverLoadCleanly) {
-  // The v2 matrix test's v3 sibling: flip one bit in every byte of a small
-  // sharded snapshot; every flip must surface as Corruption (or
-  // NotSupported in the version field), never a crash or silent success.
-  auto [store, index] = MixedWorld(300);
-  std::string path = TempPath("shardmatrix");
-  SnapshotSaveOptions opts;
-  opts.sync = false;
-  opts.num_shards = 4;
-  ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
-  const std::string good = ReadWholeFile(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(static_cast<unsigned char>(good[4]), 3);
-
-  for (size_t byte = 0; byte < good.size(); ++byte) {
-    std::string mutated = good;
-    mutated[byte] ^= static_cast<char>(1 << (byte % 8));
-    auto r = LoadBytes(mutated, "shardmatrixbit");
-    ASSERT_FALSE(r.ok()) << "byte " << byte << " was accepted";
-    EXPECT_TRUE(r.status().IsCorruption() || r.status().IsNotSupported())
-        << "byte " << byte << ": " << r.status().ToString();
-  }
+  ExpectEveryFlippedBitRejected(4);
 }
 
 TEST(SnapshotDurabilityTest, SaveIssuesFsyncsForFileAndDirectory) {

@@ -119,7 +119,7 @@ class GatherChaosTest : public ::testing::Test {
     return opts;
   }
 
-  /// Saves an S-shard v3 snapshot and cold-starts one backend service per
+  /// Saves an S-section snapshot and cold-starts one backend service per
   /// section. `generations[s]` (when provided) builds shard s with that
   /// store generation — the stale-shard leg.
   struct Fleet {
