@@ -4,17 +4,15 @@
 // popcount kernels convert directly into more refinement trials per screen
 // (E1: quality is a function of trials in budget).
 //
-// Three measurements:
+// Two measurements:
 //   kernels — words/sec of each popcount kernel at several set densities,
 //             per dispatch tier (scalar / avx2 / avx512 when supported);
 //   greedy  — SelectNext refinement evaluations/sec per tier over the same
 //             anchors, plus the byte-identity gate (the selections, exact
-//             objective bits, and swap counts must agree across tiers);
-//   hybrid  — per-candidate coverage-gain cost, sparse id-array form vs
-//             always-dense, at mined-group densities.
+//             objective bits, and swap counts must agree across tiers).
 //
-// JSON sidecar (argv[1], default BENCH_bitset_kernels.json) records all
-// three; exit status enforces the acceptance gate (>= 2x somewhere real +
+// JSON sidecar (argv[1], default BENCH_bitset_kernels.json) records both;
+// exit status enforces the acceptance gate (>= 2x somewhere real +
 // byte-identical greedy).
 
 #include <cinttypes>
@@ -27,7 +25,6 @@
 #include "bench_util.h"
 #include "common/bitset.h"
 #include "common/bitset_kernels.h"
-#include "common/hybrid_bitset.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/greedy.h"
@@ -95,8 +92,8 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "BENCH_bitset_kernels.json";
 
   Banner("bench_bitset_kernels",
-         "SIMD popcount kernels + density-switched group containers buy "
-         "more greedy refinement trials inside the 100 ms budget");
+         "SIMD popcount kernels buy more greedy refinement trials inside "
+         "the 100 ms budget");
 
   const std::vector<bk::Level> levels = SupportedLevels();
   std::printf("dispatch tiers:");
@@ -257,53 +254,6 @@ int main(int argc, char** argv) {
   std::printf("byte-identical selections across tiers: %s\n\n",
               greedy_identical ? "yes" : "NO");
 
-  // ---- 3. Hybrid sparse form vs always-dense, per-candidate cost. ----
-  // The coverage-gain probe CountAndNot(rest) is the per-candidate unit of
-  // greedy work. Mined groups are overwhelmingly sparse (hundreds of
-  // members over a 60k–278k universe); the id-array walk is O(|group|)
-  // against the dense scan's O(U/64).
-  const size_t kUniverse = 262144;
-  Bitset rest(kUniverse);
-  Rng hrng(7);
-  for (size_t i = 0; i < kUniverse; ++i) {
-    if (hrng.Bernoulli(0.4)) rest.Set(i);
-  }
-  server::json::Object hybrid_json;
-  std::printf("per-candidate coverage probe, universe=%zu\n", kUniverse);
-  PrintRow({"members", "form", "probes/sec", "vs dense"});
-  double max_hybrid_speedup = 0;
-  for (size_t members : {256ul, 2048ul, 65536ul}) {
-    Bitset dense_members(kUniverse);
-    auto picks = hrng.SampleWithoutReplacement(kUniverse, members);
-    for (uint64_t id : picks) dense_members.Set(id);
-    HybridBitset hybrid = HybridBitset::FromBitset(dense_members);
-
-    // MeasureGWps with words_per_call=1 reports Gcalls/sec.
-    double dense_per_sec = 1e9 * MeasureGWps(1, [&] {
-      g_sink = g_sink + dense_members.CountAndNot(rest);
-    });
-    double hybrid_per_sec = 1e9 * MeasureGWps(1, [&] {
-      g_sink = g_sink + hybrid.CountAndNot(rest);
-    });
-    double rel = hybrid_per_sec / dense_per_sec;
-    if (hybrid.is_sparse()) max_hybrid_speedup = std::max(max_hybrid_speedup, rel);
-    PrintRow({FmtInt(members), hybrid.is_sparse() ? "sparse" : "dense",
-              Fmt(hybrid_per_sec, 0), Fmt(rel, 2) + "x"});
-    server::json::Object hj;
-    hj.emplace_back("members", server::json::Value(uint64_t{members}));
-    hj.emplace_back("form", server::json::Value(std::string(
-                                hybrid.is_sparse() ? "sparse" : "dense")));
-    hj.emplace_back("dense_probes_per_sec",
-                    server::json::Value(dense_per_sec));
-    hj.emplace_back("hybrid_probes_per_sec",
-                    server::json::Value(hybrid_per_sec));
-    hj.emplace_back("speedup_vs_dense", server::json::Value(rel));
-    hybrid_json.emplace_back("m" + std::to_string(members),
-                             server::json::Value(std::move(hj)));
-  }
-  std::printf("max sparse-form speedup vs always-dense: %.1fx\n",
-              max_hybrid_speedup);
-
   // ---- JSON sidecar. ----
   server::json::Object top;
   top.emplace_back("bench", server::json::Value("bitset_kernels"));
@@ -312,8 +262,6 @@ int main(int argc, char** argv) {
   cfg.emplace_back("greedy_users", server::json::Value(uint64_t{60000}));
   cfg.emplace_back("greedy_anchors",
                    server::json::Value(uint64_t{anchors.size()}));
-  cfg.emplace_back("hybrid_universe",
-                   server::json::Value(uint64_t{kUniverse}));
   server::json::Array tier_names;
   for (bk::Level l : levels) {
     tier_names.emplace_back(std::string(bk::LevelName(l)));
@@ -349,9 +297,6 @@ int main(int argc, char** argv) {
   gj.emplace_back("speedup_vs_scalar", server::json::Value(greedy_speedup));
   gj.emplace_back("byte_identical", server::json::Value(greedy_identical));
   top.emplace_back("greedy", server::json::Value(std::move(gj)));
-  top.emplace_back("hybrid", server::json::Value(std::move(hybrid_json)));
-  top.emplace_back("max_hybrid_speedup",
-                   server::json::Value(max_hybrid_speedup));
 
   std::ofstream sidecar(json_path);
   sidecar << server::json::Value(std::move(top)).Dump() << "\n";
@@ -359,7 +304,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path.c_str());
 
   const bool gate = greedy_identical &&
-                    (max_kernel_speedup >= 2.0 || greedy_speedup >= 2.0 ||
-                     max_hybrid_speedup >= 2.0);
+                    (max_kernel_speedup >= 2.0 || greedy_speedup >= 2.0);
   return gate ? 0 : 1;
 }

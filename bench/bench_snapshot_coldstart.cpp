@@ -55,8 +55,6 @@ uint64_t StoreDigest(const mining::GroupStore& store,
     for (const mining::Descriptor& d : grp.description()) {
       h = HashCombine(h, (static_cast<uint64_t>(d.attribute) << 32) | d.value);
     }
-    // Form-independent member digest (HybridBitset::Hash equals the dense
-    // word hash whichever representation the group is stored in).
     h = HashCombine(h, grp.members().Hash());
   }
   h = HashCombine(h, idx.num_groups());

@@ -8,9 +8,9 @@
 //      We measure ns/op over a hot loop and compare with an empty baseline.
 //   2. Enabled span ops: Child()+Close() against a live Trace arena takes a
 //      mutex and a clock read; we amortise over a capacity-sized burst.
-//   3. End-to-end A/B: the scripted explorer workload from
-//      bench_service_throughput, run alternately with trace.enabled=false and
-//      true. Acceptance (ISSUE): traced throughput within 2% of untraced.
+//   3. End-to-end A/B: a scripted explorer workload (start, then select /
+//      context / bookmark rounds), run alternately with
+//      trace.enabled=false and true. Acceptance (ISSUE): traced throughput within 2% of untraced.
 //
 // Emits BENCH_trace_overhead.json (path overridable via argv[1]) so the
 // regression number is a committed artifact, and prints the same JSON.
@@ -83,7 +83,8 @@ server::Request MakeStart(const std::string& id) {
   return req;
 }
 
-/// Same request mix as bench_service_throughput's explorer loop.
+/// The scripted explorer loop: start, then select / context / bookmark
+/// rounds.
 void ExplorerLoop(server::ExplorationService& svc, const std::string& id,
                   int rounds, std::atomic<uint64_t>* errors) {
   server::Response screen = svc.Call(MakeStart(id));

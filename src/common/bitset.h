@@ -118,6 +118,10 @@ class Bitset {
   /// Indices of set bits in increasing order.
   std::vector<uint32_t> ToVector() const;
 
+  /// A copy. Exists only because the frozen vexus_e2e benchmark calls
+  /// `members().ToBitset()`; new code copies the Bitset directly.
+  Bitset ToBitset() const { return *this; }
+
   /// Builds a set from element indices (duplicates allowed).
   static Bitset FromVector(size_t size, const std::vector<uint32_t>& elems);
 

@@ -9,8 +9,7 @@
 // own range, folded in shard order by a gather coordinator, reproduce the
 // single-process integers bit for bit. Every float the greedy objective
 // derives from those integers is then byte-identical to the single-process
-// run (the same argument that makes kernel tiers and sparse/dense forms
-// interchangeable).
+// run (the same argument that makes kernel tiers interchangeable).
 //
 // The map is a pure function of (num_users, num_shards): words are dealt
 // out as evenly as possible (first `words % S` shards get one extra), and

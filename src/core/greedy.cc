@@ -207,7 +207,7 @@ GreedySelection GreedySelector::SelectNext(GroupId anchor,
   TraceSpan rank =
       options.trace != nullptr ? options.trace->Child("rank") : TraceSpan();
   std::vector<GroupId> pool;
-  const HybridBitset& anchor_members = store_->group(anchor).members();
+  const Bitset& anchor_members = store_->group(anchor).members();
   for (const index::Neighbor& nb : index_->Neighbors(anchor)) {
     if (nb.similarity < options.min_similarity) continue;
     if (options.exclude_supersets &&
@@ -298,10 +298,11 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   size_t quota = 0;
   if (anchor.has_value() && options.refinement_quota > 0) {
     size_t total_refinements = 0;
-    const HybridBitset& am = store_->group(*anchor).members();
+    const mining::UserGroup& ag = store_->group(*anchor);
     for (size_t i = 0; i < pool.size(); ++i) {
-      const HybridBitset& m = store_->group(pool[i]).members();
-      is_refinement[i] = m.Count() < am.Count() && m.IsSubsetOf(am);
+      const mining::UserGroup& g = store_->group(pool[i]);
+      is_refinement[i] =
+          g.size() < ag.size() && g.members().IsSubsetOf(ag.members());
       total_refinements += is_refinement[i];
     }
     quota = std::min(total_refinements,
@@ -325,15 +326,8 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     }
   }
 
-  // The evaluator's rest(pos) tables mask against the anchor with the SIMD
-  // kernels every pass, so materialize the anchor densely once per run —
-  // whatever form the store holds it in.
-  Bitset anchor_dense;
-  const Bitset* anchor_members = nullptr;
-  if (anchor.has_value()) {
-    anchor_dense = store_->group(*anchor).members().ToBitset();
-    anchor_members = &anchor_dense;
-  }
+  const Bitset* anchor_members =
+      anchor.has_value() ? &store_->group(*anchor).members() : nullptr;
 
   const bool incremental =
       options.eval_mode == GreedyOptions::EvalMode::kIncremental;

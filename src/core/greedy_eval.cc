@@ -38,7 +38,7 @@ void SwapObjective::Reset(const std::vector<size_t>& selected) {
   if (anchor_ != nullptr && cand_anchor_.size() != pool_->size()) {
     cand_anchor_.resize(pool_->size());
     for (size_t c = 0; c < pool_->size(); ++c) {
-      cand_anchor_[c] = store_->group((*pool_)[c]).members().AndWith(*anchor_);
+      cand_anchor_[c] = store_->group((*pool_)[c]).members() & *anchor_;
     }
   }
   selected_ = selected;
@@ -55,7 +55,7 @@ void SwapObjective::ApplySwap(size_t pos, size_t cand) {
 void SwapObjective::Rebuild() {
   const size_t k = selected_.size();
   const size_t n_users = store_->num_users();
-  auto members = [&](size_t pool_idx) -> const HybridBitset& {
+  auto members = [&](size_t pool_idx) -> const Bitset& {
     return store_->group((*pool_)[pool_idx]).members();
   };
 
@@ -67,12 +67,12 @@ void SwapObjective::Rebuild() {
   prefix_[0].Resize(n_users);
   prefix_[0].ClearAll();
   for (size_t i = 0; i < k; ++i) {
-    members(selected_[i]).UnionInto(prefix_[i], &prefix_[i + 1]);
+    prefix_[i + 1].AssignUnion(prefix_[i], members(selected_[i]));
   }
   suffix_[k].Resize(n_users);
   suffix_[k].ClearAll();
   for (size_t i = k; i-- > 0;) {
-    members(selected_[i]).UnionInto(suffix_[i + 1], &suffix_[i]);
+    suffix_[i].AssignUnion(suffix_[i + 1], members(selected_[i]));
   }
   for (size_t pos = 0; pos < k; ++pos) {
     // Union, anchor mask, and popcount fused into one kernel sweep

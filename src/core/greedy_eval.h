@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 #include "index/similarity.h"
 #include "mining/group.h"
 
@@ -122,9 +121,8 @@ class SwapObjective {
   std::vector<size_t> rest_count_;
   /// cand_anchor_[c] = members(pool[c]) ∩ anchor — built once per binding
   /// (first Reset) so a trial's coverage pass reads two operands, not
-  /// three. Empty when anchor_ is null. Hybrid form: a sparse candidate's
-  /// trial pass is O(|candidate|) id probes instead of O(U/64) words.
-  std::vector<HybridBitset> cand_anchor_;
+  /// three. Empty when anchor_ is null.
+  std::vector<Bitset> cand_anchor_;
   /// simrow_[c * k + j] = Sim(pool c, selected_[j]).
   std::vector<float> simrow_;
   /// Which pool member currently owns simrow column j (SIZE_MAX = unfilled).

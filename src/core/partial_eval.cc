@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 
 namespace vexus::core {
 
@@ -43,9 +42,9 @@ Result<std::vector<uint32_t>> EvalCoveragePartials(
   }
 
   const size_t n_users = store.num_users();
-  Bitset anchor_bits;
   const bool anchored = in.anchor.has_value();
-  if (anchored) anchor_bits = store.group(*in.anchor).members().ToBitset();
+  const Bitset* anchor_bits =
+      anchored ? &store.group(*in.anchor).members() : nullptr;
 
   // Prefix/suffix union tables → rest(pos), exactly the SwapObjective
   // rebuild (greedy_eval.cc) so the slice integers line up with the
@@ -56,17 +55,17 @@ Result<std::vector<uint32_t>> EvalCoveragePartials(
   suffix[k].Resize(n_users);
   suffix[k].ClearAll();
   for (size_t i = 0; i < k; ++i) {
-    store.group(in.selection[i]).members().UnionInto(prefix[i],
-                                                     &prefix[i + 1]);
+    prefix[i + 1].AssignUnion(prefix[i],
+                              store.group(in.selection[i]).members());
   }
   for (size_t i = k; i-- > 0;) {
-    store.group(in.selection[i]).members().UnionInto(suffix[i + 1],
-                                                     &suffix[i]);
+    suffix[i].AssignUnion(suffix[i + 1],
+                          store.group(in.selection[i]).members());
   }
   for (size_t pos = 0; pos < k; ++pos) {
     if (anchored) {
       rest[pos].AssignUnionMaskedCount(prefix[pos], suffix[pos + 1],
-                                       anchor_bits);
+                                       *anchor_bits);
     } else {
       rest[pos].AssignUnionCount(prefix[pos], suffix[pos + 1]);
     }
@@ -74,10 +73,10 @@ Result<std::vector<uint32_t>> EvalCoveragePartials(
 
   std::vector<uint32_t> out(num_trials);
   for (size_t t = 0; t < num_trials; ++t) {
-    const HybridBitset& cand = store.group(in.trials[2 * t]).members();
+    const Bitset& cand = store.group(in.trials[2 * t]).members();
     const Bitset& r = rest[in.trials[2 * t + 1]];
     const size_t newly =
-        anchored ? cand.IntersectCountAndNot(anchor_bits, r)
+        anchored ? cand.IntersectCountAndNot(*anchor_bits, r)
                  : cand.CountAndNot(r);
     out[t] = static_cast<uint32_t>(newly);
   }

@@ -2,11 +2,11 @@
 // scatter-gather greedy (DESIGN.md §16).
 //
 // A shard backend holds a *slice* store (LoadSnapshotShard): every group is
-// full-universe width but its members are restricted to the shard's user
-// range. Because slice members = full members ∩ range and the coverage
-// kernels are word-parallel, evaluating a trial over the slice with
-// whole-universe bitset ops yields exactly the full store's count
-// restricted to this shard's word range:
+// a bitset over the shard's own users only, local id = global id −
+// user_begin. Because the range is word-aligned, a slice group's words are
+// exactly the full group's words inside the range, so evaluating a trial
+// over the slice yields the full store's count restricted to this shard's
+// range:
 //
 //     |cand ∩ anchor ∩ ¬rest(pos)|_slice  ==  partial(shard)
 //

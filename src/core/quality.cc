@@ -29,8 +29,8 @@ double Coverage(const mining::GroupStore& store,
     covered |= store.group(g).members();
   }
   if (anchor.has_value()) {
-    const HybridBitset& target = store.group(*anchor).members();
-    size_t denom = target.Count();
+    const Bitset& target = store.group(*anchor).members();
+    size_t denom = store.group(*anchor).size();
     if (denom == 0) return 0.0;
     return static_cast<double>(target.IntersectCount(covered)) /
            static_cast<double>(denom);

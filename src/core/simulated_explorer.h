@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 #include "core/session.h"
 #include "mining/group.h"
 
@@ -63,18 +62,10 @@ class SimulatedExplorer {
   /// universe). The session must be fresh (Start() is called here).
   ExplorationOutcome RunMultiTarget(ExplorationSession* session,
                                     const Bitset& targets) const;
-  ExplorationOutcome RunMultiTarget(ExplorationSession* session,
-                                    const HybridBitset& targets) const {
-    return RunMultiTarget(session, targets.ToBitset());
-  }
 
   /// Runs an ST session toward a hidden target member set.
   ExplorationOutcome RunSingleTarget(ExplorationSession* session,
                                      const Bitset& target_members) const;
-  ExplorationOutcome RunSingleTarget(ExplorationSession* session,
-                                     const HybridBitset& target_members) const {
-    return RunSingleTarget(session, target_members.ToBitset());
-  }
 
  private:
   Options options_;

@@ -13,7 +13,6 @@
 #include "common/bitset_kernels.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
-#include "common/hybrid_bitset.h"
 #include "common/logging.h"
 #include "common/shard_map.h"
 
@@ -179,8 +178,7 @@ void EncodeGroupSection(const mining::GroupStore& groups,
                         const ShardMap::Range& r, std::string* out) {
   AppendU64(out, groups.size());
   const size_t raw_size = r.num_words() * 8;
-  std::string sparse;           // reused scratch across groups
-  std::vector<uint64_t> block;  // raw block of a sparse-in-RAM group
+  std::string sparse;  // reused scratch across groups
   for (mining::GroupId g = 0; g < groups.size(); ++g) {
     const mining::UserGroup& grp = groups.group(g);
     AppendU32(out, static_cast<uint32_t>(grp.description().size()));
@@ -188,47 +186,32 @@ void EncodeGroupSection(const mining::GroupStore& groups,
       AppendU32(out, d.attribute);
       AppendU32(out, d.value);
     }
-    const HybridBitset& members = grp.members();
-    const uint64_t* dense =
-        members.is_sparse()
-            ? nullptr
-            : members.dense_form().words().data() + r.word_begin;
-    uint64_t count = 0;
-    if (dense != nullptr) {
-      count = bitset_kernels::Count(dense, r.num_words());
-    } else {
-      members.ForEachInRange(r.word_begin, r.word_end,
-                             [&count](uint32_t) { ++count; });
-    }
+    const uint64_t* words = grp.members().words().data() + r.word_begin;
+    const uint64_t count = bitset_kernels::Count(words, r.num_words());
     AppendU64(out, count);
 
     // Every delta takes at least one byte, so a block with more members
-    // than raw bytes is raw without encoding its deltas.
+    // than raw bytes is raw without encoding its deltas. The first delta is
+    // the absolute id (its gap from 0).
     sparse.clear();
     if (count <= raw_size) {
-      uint32_t prev = 0;
-      bool first = true;
-      members.ForEachInRange(r.word_begin, r.word_end, [&](uint32_t u) {
-        AppendVarint(&sparse, first ? u : u - prev);
-        prev = u;
-        first = false;
-      });
-    }
-    if (count <= raw_size && sparse.size() <= raw_size) {
-      AppendU8(out, kEncodingSparse);
-      out->append(sparse);
-      continue;
+      uint64_t prev = 0;
+      for (size_t w = 0; w < r.num_words(); ++w) {
+        for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+          const uint64_t u = (r.word_begin + w) * 64 +
+                             static_cast<unsigned>(__builtin_ctzll(word));
+          AppendVarint(&sparse, u - prev);
+          prev = u;
+        }
+      }
+      if (sparse.size() <= raw_size) {
+        AppendU8(out, kEncodingSparse);
+        out->append(sparse);
+        continue;
+      }
     }
     AppendU8(out, kEncodingRaw);
-    if (dense == nullptr) {
-      // Sparse in RAM but raw wins on disk (pathological delta spread).
-      block.assign(r.num_words(), 0);
-      members.ForEachInRange(r.word_begin, r.word_end, [&](uint32_t u) {
-        block[(u >> 6) - r.word_begin] |= uint64_t{1} << (u & 63);
-      });
-      dense = block.data();
-    }
-    AppendWords(out, dense, r.num_words());
+    AppendWords(out, words, r.num_words());
   }
 }
 
@@ -538,24 +521,12 @@ Status CheckGroupSection(const SnapshotFile& f, size_t s) {
 // Group section decoding
 // ---------------------------------------------------------------------------
 
-/// One group as its sections decode. Members stay a sorted id list while
-/// every block so far was sparse and the running count is at or below the
-/// in-RAM sparse threshold; a raw block, or a count past the threshold,
-/// switches the group to the universe's words.
+/// One group as its sections decode: descriptors plus the words of the
+/// store it lands in (the whole universe's, or one shard's range).
 struct DecodedGroup {
   std::vector<mining::Descriptor> desc;
-  uint64_t count = 0;
-  bool dense = false;
-  std::vector<uint32_t> ids;
-  std::vector<uint64_t> words;  // valid when dense
+  std::vector<uint64_t> words;
 };
-
-void MakeDense(DecodedGroup* g, size_t num_words) {
-  g->words.assign(num_words, 0);
-  for (uint32_t u : g->ids) g->words[u >> 6] |= uint64_t{1} << (u & 63);
-  g->ids = {};
-  g->dense = true;
-}
 
 Status ReadDescriptors(Cursor* cur, std::vector<mining::Descriptor>* desc) {
   uint32_t desc_len;
@@ -614,7 +585,7 @@ Status DecodeSparseBlock(Cursor* cur, uint64_t count, uint64_t begin,
       return Status::Corruption("duplicate member id in group");
     }
     // Tested before the add: a delta near 2^64 would wrap `id` back into
-    // the range and break the ascending order the containers rely on.
+    // the range and break the ascending order the format requires.
     if (delta > end - 1 - id) {
       return Status::Corruption("member id out of range");
     }
@@ -626,10 +597,14 @@ Status DecodeSparseBlock(Cursor* cur, uint64_t count, uint64_t begin,
 }
 
 /// Decodes group section `s` — the members of every group inside shard s's
-/// range — into `groups`. The first section decoded fixes the group count
-/// and descriptors; later ones must agree (their CRCs already passed, so a
-/// mismatch means the writer was broken, not the media).
+/// range — into `groups`, whose words start at global word `base_word` and
+/// span `num_words` (0 and the universe for a full load; the shard's own
+/// range for a shard load, so local id = global id − 64·base_word). The
+/// first section decoded fixes the group count and descriptors; later ones
+/// must agree (their CRCs already passed, so a mismatch means the writer
+/// was broken, not the media).
 Status DecodeGroupSection(const SnapshotFile& f, size_t s, bool first,
+                          size_t base_word, size_t num_words,
                           std::vector<DecodedGroup>* groups) {
   const Section& sec = f.groups[s];
   const ShardMap::Range& r = f.shards.shard(s);
@@ -644,14 +619,13 @@ Status DecodeGroupSection(const SnapshotFile& f, size_t s, bool first,
   } else if (n != groups->size()) {
     return Status::Corruption("shard sections disagree on group count");
   }
-  const size_t universe_words = (f.num_users + 63) / 64;
-  const uint64_t sparse_threshold =
-      HybridBitset::SparseThresholdFor(f.num_users);
+  const uint64_t base_user = uint64_t{base_word} * 64;
   const uint64_t begin = r.user_begin;
   const uint64_t end = r.user_end;
   std::vector<mining::Descriptor> desc;
   for (DecodedGroup& g : *groups) {
     VEXUS_RETURN_NOT_OK(ReadDescriptors(&cur, first ? &g.desc : &desc));
+    if (first) g.words.assign(num_words, 0);
     if (!first && desc != g.desc) {
       return Status::Corruption("shard sections disagree on group descriptors");
     }
@@ -663,13 +637,11 @@ Status DecodeGroupSection(const SnapshotFile& f, size_t s, bool first,
     if (member_count > end - begin) {
       return Status::Corruption("group claims more members than shard users");
     }
-    g.count += member_count;
-
+    uint64_t* words = g.words.data();
     if (encoding == kEncodingRaw) {
-      // One word-run copy into the group's words at the shard's offset.
+      // One word-run copy into the group's words at the range's offset.
       if (cur.remaining() / 8 < r.num_words()) return Truncated();
-      if (!g.dense) MakeDense(&g, universe_words);
-      uint64_t* block = g.words.data() + r.word_begin;
+      uint64_t* block = words + (r.word_begin - base_word);
       (void)cur.ReadWordsInto(block, r.num_words());
       if (bitset_kernels::Count(block, r.num_words()) != member_count) {
         return Status::Corruption(
@@ -678,23 +650,11 @@ Status DecodeGroupSection(const SnapshotFile& f, size_t s, bool first,
     } else if (encoding == kEncodingSparse) {
       // Each delta takes at least one byte.
       if (member_count > cur.remaining()) return Truncated();
-      if (!g.dense && g.count > sparse_threshold) {
-        MakeDense(&g, universe_words);
-      }
-      if (g.dense) {
-        uint64_t* words = g.words.data();
-        VEXUS_RETURN_NOT_OK(DecodeSparseBlock(
-            &cur, member_count, begin, end, [words](uint64_t id) {
-              words[id >> 6] |= uint64_t{1} << (id & 63);
-            }));
-      } else {
-        // The ascending id list IS the canonical sparse container.
-        std::vector<uint32_t>& ids = g.ids;
-        ids.reserve(ids.size() + member_count);
-        VEXUS_RETURN_NOT_OK(DecodeSparseBlock(
-            &cur, member_count, begin, end,
-            [&ids](uint64_t id) { ids.push_back(static_cast<uint32_t>(id)); }));
-      }
+      VEXUS_RETURN_NOT_OK(DecodeSparseBlock(
+          &cur, member_count, begin, end, [words, base_user](uint64_t id) {
+            id -= base_user;
+            words[id >> 6] |= uint64_t{1} << (id & 63);
+          }));
     } else {
       return Status::Corruption("unknown member-block encoding");
     }
@@ -705,31 +665,26 @@ Status DecodeGroupSection(const SnapshotFile& f, size_t s, bool first,
   return Status::OK();
 }
 
+/// Wraps decoded groups into a store over `num_users` users, every group
+/// at its decoded slot. A full load (`dedup`) adds through GroupStore::Add:
+/// stores never hold duplicate (description, extent) pairs, so a dedup hit
+/// means the file repeats a group — ids would shift and the posting lists
+/// would dangle. A shard load appends instead: two groups that share a
+/// description (BIRCH labels can) may coincide inside one shard's range.
 Result<mining::GroupStore> BuildStore(uint64_t num_users,
-                                      std::vector<DecodedGroup>* groups) {
+                                      std::vector<DecodedGroup>* groups,
+                                      bool dedup) {
   mining::GroupStore store(num_users);
   for (size_t g = 0; g < groups->size(); ++g) {
     DecodedGroup& d = (*groups)[g];
-    HybridBitset members;
-    if (d.dense) {
-      Bitset words;
-      if (!words.AdoptWords(num_users, std::move(d.words))) {
-        return Status::Corruption("raw member block has bits beyond universe");
-      }
-      // FromBitset normalizes: a small raw-encoded group still lands in the
-      // canonical sparse form.
-      members = HybridBitset::FromBitset(std::move(words));
-    } else {
-      members = HybridBitset::FromSortedIds(num_users, std::move(d.ids));
+    Bitset members;
+    if (!members.AdoptWords(num_users, std::move(d.words))) {
+      return Status::Corruption("raw member block has bits beyond universe");
     }
-    mining::GroupId assigned = store.Add(
-        mining::UserGroup(std::move(d.desc), std::move(members)));
-    if (assigned != g) {
-      // Stores never hold duplicate (description, extent) pairs, so a dedup
-      // hit here means the file repeats a group — ids would shift and the
-      // posting lists would dangle. A shard slice also lands here when two
-      // groups share a description (BIRCH labels can) and their members
-      // inside the shard coincide; that load fails rather than shift ids.
+    mining::UserGroup group(std::move(d.desc), std::move(members));
+    if (!dedup) {
+      store.Append(std::move(group));
+    } else if (store.Add(std::move(group)) != g) {
       return Status::Corruption("duplicate group in snapshot");
     }
   }
@@ -801,12 +756,15 @@ Result<Snapshot> LoadSnapshot(const std::string& path, const TraceSpan* span) {
   }
 
   std::vector<DecodedGroup> decoded;
+  const size_t universe_words = (f.num_users + 63) / 64;
   for (size_t s = 0; s < num_shards; ++s) {
-    VEXUS_RETURN_NOT_OK(DecodeGroupSection(f, s, /*first=*/s == 0, &decoded));
+    VEXUS_RETURN_NOT_OK(DecodeGroupSection(f, s, /*first=*/s == 0,
+                                           /*base_word=*/0, universe_words,
+                                           &decoded));
   }
   const uint64_t num_groups = decoded.size();
   VEXUS_ASSIGN_OR_RETURN(mining::GroupStore store,
-                         BuildStore(f.num_users, &decoded));
+                         BuildStore(f.num_users, &decoded, /*dedup=*/true));
 
   Cursor pcur(f.buf.data() + f.postings.offset, f.postings.len);
   std::vector<std::vector<index::Neighbor>> lists;
@@ -830,11 +788,16 @@ Result<SnapshotShard> LoadSnapshotShard(const std::string& path, size_t shard,
   // Only this shard's section is checksummed — a flipped bit in another
   // shard's section must not block this shard's cold start (tested).
   VEXUS_RETURN_NOT_OK(CheckGroupSection(f, shard));
-  std::vector<DecodedGroup> decoded;
-  VEXUS_RETURN_NOT_OK(DecodeGroupSection(f, shard, /*first=*/true, &decoded));
-  VEXUS_ASSIGN_OR_RETURN(mining::GroupStore store,
-                         BuildStore(f.num_users, &decoded));
+  // The store spans only the shard's own words: local id = global id −
+  // user_begin, which is word-aligned.
   const ShardMap::Range& r = f.shards.shard(shard);
+  std::vector<DecodedGroup> decoded;
+  VEXUS_RETURN_NOT_OK(DecodeGroupSection(f, shard, /*first=*/true,
+                                         r.word_begin, r.num_words(),
+                                         &decoded));
+  VEXUS_ASSIGN_OR_RETURN(
+      mining::GroupStore store,
+      BuildStore(r.num_users(), &decoded, /*dedup=*/false));
   return SnapshotShard{shard, f.groups.size(), r.user_begin, r.user_end,
                        std::move(store)};
 }

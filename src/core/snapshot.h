@@ -46,8 +46,9 @@
 // ShardMap(num_users, S). LoadSnapshot then checks every section's CRC-32C
 // (common/crc32.h) and decodes every group section into one store — shard
 // member sets are disjoint, so they fold back into exactly the store that
-// was saved. LoadSnapshotShard checks and decodes only its own section, so
-// a flipped bit in one shard's section leaves every other shard loadable.
+// was saved. LoadSnapshotShard checks and decodes only its own section,
+// into a store over that shard's users alone, so a flipped bit in one
+// shard's section leaves every other shard loadable.
 // Any other version word, including the retired formats 1 and 2, is
 // NotSupported.
 //
@@ -94,8 +95,10 @@ struct SnapshotShard {
   /// ShardMap(num_users, num_shards).shard(shard).
   uint32_t user_begin = 0;
   uint32_t user_end = 0;
-  /// Groups over the *full* universe size, with members restricted to the
-  /// shard's range. Descriptors are complete (every section carries them).
+  /// Groups over the shard's own users only: the store's universe is
+  /// [0, user_end − user_begin) and a member's local id is its global id
+  /// minus user_begin. Every group keeps its global id (no deduplication),
+  /// and descriptors are complete (every section carries them).
   mining::GroupStore groups;
 };
 

@@ -58,11 +58,22 @@ Result<InvertedIndex> InvertedIndex::Build(const GroupStore& store,
   std::atomic<size_t> full_postings{0};
 
   if (options.strategy == BuildStrategy::kCooccurrence) {
-    // User -> groups adjacency; groups are appended in ascending id order.
-    std::vector<std::vector<GroupId>> adj(store.num_users());
+    // User -> groups adjacency as one CSR array: user u's groups are
+    // adj[offsets[u], offsets[u + 1]), in ascending group id order. Two
+    // passes (count, then fill) instead of one vector per user.
+    const size_t num_users = store.num_users();
+    std::vector<size_t> offsets(num_users + 1, 0);
     for (GroupId g = 0; g < n; ++g) {
-      store.group(g).members().ForEach(
-          [&](uint32_t u) { adj[u].push_back(g); });
+      store.group(g).members().ForEach([&](uint32_t u) { ++offsets[u + 1]; });
+    }
+    for (size_t u = 0; u < num_users; ++u) offsets[u + 1] += offsets[u];
+    std::vector<GroupId> adj(offsets[num_users]);
+    {
+      std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
+      for (GroupId g = 0; g < n; ++g) {
+        store.group(g).members().ForEach(
+            [&](uint32_t u) { adj[next[u]++] = g; });
+      }
     }
 
     auto build_one = [&](size_t g_idx, std::vector<uint32_t>* counts) {
@@ -72,7 +83,8 @@ Result<InvertedIndex> InvertedIndex::Build(const GroupStore& store,
       // Members are visited in ascending user order, so touched-order — and
       // therefore the posting list — is a pure function of the store.
       gg.members().ForEach([&](uint32_t u) {
-        for (GroupId h : adj[u]) {
+        for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+          const GroupId h = adj[i];
           if (h == g) continue;
           if ((*counts)[h]++ == 0) touched.push_back(h);
         }

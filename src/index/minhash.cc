@@ -18,29 +18,15 @@ MinHasher::MinHasher(size_t num_hashes, uint64_t seed) {
   }
 }
 
-namespace {
-
-template <typename Set>
-std::vector<uint64_t> SignatureOf(const Set& members,
-                                  const std::vector<uint64_t>& salts) {
-  std::vector<uint64_t> sig(salts.size(), MinHasher::kEmptySentinel);
+std::vector<uint64_t> MinHasher::Signature(const Bitset& members) const {
+  std::vector<uint64_t> sig(salts_.size(), kEmptySentinel);
   members.ForEach([&](uint32_t u) {
-    for (size_t i = 0; i < salts.size(); ++i) {
-      uint64_t h = Mix64(salts[i] ^ (static_cast<uint64_t>(u) + 1));
+    for (size_t i = 0; i < salts_.size(); ++i) {
+      uint64_t h = Mix64(salts_[i] ^ (static_cast<uint64_t>(u) + 1));
       if (h < sig[i]) sig[i] = h;
     }
   });
   return sig;
-}
-
-}  // namespace
-
-std::vector<uint64_t> MinHasher::Signature(const Bitset& members) const {
-  return SignatureOf(members, salts_);
-}
-
-std::vector<uint64_t> MinHasher::Signature(const HybridBitset& members) const {
-  return SignatureOf(members, salts_);
 }
 
 std::vector<std::vector<uint64_t>> MinHasher::Signatures(

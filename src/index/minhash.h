@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 #include "common/thread_pool.h"
 #include "mining/group.h"
 
@@ -40,10 +39,8 @@ class MinHasher {
   size_t num_hashes() const { return salts_.size(); }
 
   /// Signature of a user set: per hash function, the min over members of
-  /// h_i(u). Empty sets yield all-kEmptySentinel signatures. Both member
-  /// representations hash identically (ForEach order is ascending in both).
+  /// h_i(u). Empty sets yield all-kEmptySentinel signatures.
   std::vector<uint64_t> Signature(const Bitset& members) const;
-  std::vector<uint64_t> Signature(const HybridBitset& members) const;
 
   /// Signatures of every group in the store, sharded across `pool` when
   /// non-null (groups are independent, so the parallel result is

@@ -8,55 +8,23 @@ double WeightedJaccard(const Bitset& a, const Bitset& b,
                        const std::vector<double>& weights) {
   VEXUS_DCHECK(a.size() == b.size());
   VEXUS_DCHECK(weights.size() >= a.size());
+  const std::vector<uint64_t>& aw = a.words();
+  const std::vector<uint64_t>& bw = b.words();
   double inter = 0, uni = 0;
-  // One pass over the union.
-  Bitset u = a | b;
-  u.ForEach([&](uint32_t user) {
-    double w = weights[user];
-    uni += w;
-    if (a.Test(user) && b.Test(user)) inter += w;
-  });
+  for (size_t w = 0; w < aw.size(); ++w) {
+    uint64_t both = aw[w] & bw[w];
+    uint64_t word = aw[w] | bw[w];
+    while (word != 0) {
+      unsigned bit = static_cast<unsigned>(__builtin_ctzll(word));
+      double weight = weights[w * 64 + bit];
+      uni += weight;
+      if ((both >> bit) & 1) inter += weight;
+      word &= word - 1;
+    }
+  }
   if (uni <= 0) {
     // Zero-weight union: fall back on set semantics.
     return a.UnionCount(b) == 0 ? 1.0 : 0.0;
-  }
-  return inter / uni;
-}
-
-double WeightedJaccard(const HybridBitset& a, const HybridBitset& b,
-                       const std::vector<double>& weights) {
-  VEXUS_DCHECK(a.size() == b.size());
-  VEXUS_DCHECK(weights.size() >= a.size());
-  double inter = 0, uni = 0;
-  // Merged ascending walk over both member streams: weights accumulate in
-  // exactly the per-user order the dense overload's union scan uses, so
-  // the two overloads return bit-identical doubles for equal sets.
-  HybridBitset::Cursor ca(a);
-  HybridBitset::Cursor cb(b);
-  size_t union_count = 0;
-  while (!ca.AtEnd() || !cb.AtEnd()) {
-    uint32_t user;
-    bool in_both = false;
-    if (cb.AtEnd() || (!ca.AtEnd() && ca.Value() < cb.Value())) {
-      user = ca.Value();
-      ca.Next();
-    } else if (ca.AtEnd() || cb.Value() < ca.Value()) {
-      user = cb.Value();
-      cb.Next();
-    } else {
-      user = ca.Value();
-      in_both = true;
-      ca.Next();
-      cb.Next();
-    }
-    ++union_count;
-    double w = weights[user];
-    uni += w;
-    if (in_both) inter += w;
-  }
-  if (uni <= 0) {
-    // Zero-weight union: fall back on set semantics.
-    return union_count == 0 ? 1.0 : 0.0;
   }
   return inter / uni;
 }

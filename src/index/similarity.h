@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 #include "mining/group.h"
 
 namespace vexus::index {
@@ -25,14 +24,9 @@ inline double Jaccard(const mining::UserGroup& a, const mining::UserGroup& b) {
 /// `weights` is indexed by UserId and must cover the universe; weights are
 /// expected non-negative (a uniform vector reduces this to plain Jaccard).
 /// Returns 1.0 when both sets are empty, 0.0 when the union has zero weight.
+/// Weights are summed in ascending user order over the union's words,
+/// without materializing the union.
 double WeightedJaccard(const Bitset& a, const Bitset& b,
-                       const std::vector<double>& weights);
-
-/// Hybrid-container overload. Sums weights over the union in the same
-/// strictly-ascending user order as the dense version (a merged cursor
-/// walk), so the float accumulation — and therefore greedy output — is
-/// bit-identical whatever form the operands happen to be stored in.
-double WeightedJaccard(const HybridBitset& a, const HybridBitset& b,
                        const std::vector<double>& weights);
 
 /// Overlap coefficient |a∩b| / min(|a|,|b|) — used by tests as an

@@ -8,10 +8,6 @@
 namespace vexus::mining {
 
 UserGroup::UserGroup(std::vector<Descriptor> description, Bitset members)
-    : UserGroup(std::move(description),
-                HybridBitset::FromBitset(std::move(members))) {}
-
-UserGroup::UserGroup(std::vector<Descriptor> description, HybridBitset members)
     : description_(std::move(description)), members_(std::move(members)) {
   std::sort(description_.begin(), description_.end());
   description_.erase(std::unique(description_.begin(), description_.end()),
@@ -65,11 +61,15 @@ GroupId GroupStore::Add(UserGroup group) {
       }
     }
   }
+  return Append(std::move(group));
+}
+
+GroupId GroupStore::Append(UserGroup group) {
   GroupId id = static_cast<GroupId>(groups_.size());
   VEXUS_DCHECK(group.members().size() == num_users_)
       << "group universe mismatch";
+  hash_index_[group.DescriptionHash()].push_back(id);
   groups_.push_back(std::move(group));
-  hash_index_[h].push_back(id);
   return id;
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 #include "data/schema.h"
 #include "data/user_table.h"
 
@@ -32,25 +31,21 @@ struct Descriptor {
   }
 };
 
-/// A user group: sorted conjunctive description + member set. Members are
-/// held in the density-switched HybridBitset — sparse id array for the
-/// typical few-hundred-member group, dense SIMD-kernel bitset above ~1/8
-/// density — chosen transparently at construction (common/hybrid_bitset.h).
+/// A user group: sorted conjunctive description + member bitset. Members
+/// are immutable after construction, so the cached size never goes stale.
+/// Every group is dense: the select path's hottest member operation is the
+/// per-token ContainsUser probe in FeedbackVector::GroupPrior, which a
+/// bitset answers with one load (DESIGN.md §14.2).
 class UserGroup {
  public:
   UserGroup() = default;
   UserGroup(std::vector<Descriptor> description, Bitset members);
-  UserGroup(std::vector<Descriptor> description, HybridBitset members);
 
   const std::vector<Descriptor>& description() const { return description_; }
-  const HybridBitset& members() const { return members_; }
-  HybridBitset& mutable_members() { return members_; }
+  const Bitset& members() const { return members_; }
 
-  /// Number of members.
+  /// Number of members (cached at construction).
   size_t size() const { return size_; }
-
-  /// Recomputes the cached size after mutating members.
-  void RefreshSize() { size_ = members_.Count(); }
 
   bool ContainsUser(data::UserId u) const { return members_.Test(u); }
 
@@ -67,7 +62,7 @@ class UserGroup {
 
  private:
   std::vector<Descriptor> description_;  // sorted, unique
-  HybridBitset members_;
+  Bitset members_;
   size_t size_ = 0;
 };
 
@@ -80,6 +75,11 @@ class GroupStore {
   /// Adds a group; returns its id. Duplicate descriptions (same hash and
   /// conjuncts) return the existing id.
   GroupId Add(UserGroup group);
+
+  /// Adds a group at the next id without deduplication. A shard load needs
+  /// this: two groups that share a description (BIRCH labels can) may
+  /// coincide inside one shard's range yet must keep their own ids.
+  GroupId Append(UserGroup group);
 
   size_t size() const { return groups_.size(); }
   size_t num_users() const { return num_users_; }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/hybrid_bitset.h"
 #include "data/dataset.h"
 #include "viz/crossfilter.h"
 
@@ -26,8 +25,6 @@ class StatsView {
   /// Builds the view over the members of a group (records are the members,
   /// in ascending UserId order).
   StatsView(const data::Dataset* dataset, const Bitset& members);
-  StatsView(const data::Dataset* dataset, const HybridBitset& members)
-      : StatsView(dataset, members.ToBitset()) {}
 
   size_t num_members() const { return members_.size(); }
 

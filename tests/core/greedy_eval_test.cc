@@ -119,7 +119,7 @@ void RunOracleSequence(const GroupStore& store, const Bitset* anchor,
 TEST(SwapObjectiveTest, MatchesScratchOracleWithAnchor) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     World w(40, 500, seed);
-    Bitset anchor = w.store.group(0).members().ToBitset();
+    Bitset anchor = w.store.group(0).members();
     RunOracleSequence(w.store, &anchor, seed * 101 + 7);
   }
 }

@@ -47,15 +47,15 @@ GroupStore MakeStore(size_t n_groups, size_t n_users, uint64_t seed) {
   return store;
 }
 
-/// The backend's store shape: full-universe width, members restricted to
-/// the shard's user range — exactly what LoadSnapshotShard produces.
+/// The backend's store shape: a universe of the shard's users only, local
+/// id = global id − begin — exactly what LoadSnapshotShard produces.
 GroupStore SliceStore(const GroupStore& full, uint32_t begin, uint32_t end) {
-  GroupStore slice(full.num_users());
+  GroupStore slice(end - begin);
   for (size_t g = 0; g < full.size(); ++g) {
-    Bitset bits = full.group(g).members().ToBitset();
-    Bitset restricted(full.num_users());
+    const Bitset& bits = full.group(g).members();
+    Bitset restricted(end - begin);
     for (uint32_t u = begin; u < end; ++u) {
-      if (bits.Test(u)) restricted.Set(u);
+      if (bits.Test(u)) restricted.Set(u - begin);
     }
     slice.Add(UserGroup({{0, static_cast<data::ValueId>(g)}},
                         std::move(restricted)));
@@ -73,16 +73,16 @@ uint32_t DirectCount(const GroupStore& store, const PartialEvalInput& in,
   Bitset rest(n);
   for (size_t i = 0; i < k; ++i) {
     if (i == slot) continue;
-    Bitset m = store.group(in.selection[i]).members().ToBitset();
+    const Bitset& m = store.group(in.selection[i]).members();
     for (size_t u = 0; u < n; ++u) {
       if (m.Test(u)) rest.Set(u);
     }
   }
-  Bitset cand = store.group(cand_gid).members().ToBitset();
+  const Bitset& cand = store.group(cand_gid).members();
   Bitset anchor(n);
   anchor.SetAll();
   if (in.anchor.has_value()) {
-    anchor = store.group(*in.anchor).members().ToBitset();
+    anchor = store.group(*in.anchor).members();
   }
   uint32_t count = 0;
   for (size_t u = 0; u < n; ++u) {
@@ -187,7 +187,7 @@ TEST(PartialEvalTest, SliceMatchesInProcessShardPartials) {
     for (bool anchored : {false, true}) {
       SCOPED_TRACE(testing::Message()
                    << "shards=" << num_shards << " anchored=" << anchored);
-      Bitset anchor_bits = store.group(0).members().ToBitset();
+      const Bitset& anchor_bits = store.group(0).members();
       SwapObjective eval(&store, &pool, anchored ? &anchor_bits : nullptr,
                          &affinity, {0.5, 0.2}, &sims);
       eval.Reset(selected);

@@ -12,6 +12,7 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "common/shard_map.h"
+#include "core/partial_eval.h"
 #include "core/session.h"
 #include "data/generators/bookcrossing_gen.h"
 #include "mining/discovery.h"
@@ -245,11 +246,13 @@ std::vector<ShardSpan> ShardSpansOf(const std::string& file) {
   return spans;
 }
 
+/// A full-store group's members inside [begin, end), as the shard-local ids
+/// a shard store holds (global id − begin).
 std::vector<uint32_t> MembersInRange(const mining::UserGroup& g,
                                      uint32_t begin, uint32_t end) {
   std::vector<uint32_t> ids;
   g.members().ForEach([&](uint32_t u) {
-    if (u >= begin && u < end) ids.push_back(u);
+    if (u >= begin && u < end) ids.push_back(u - begin);
   });
   return ids;
 }
@@ -269,16 +272,14 @@ Result<Snapshot> LoadBytes(const std::string& bytes, const char* name) {
 }
 
 TEST(SnapshotFormatTest, SparseGroupEncodedRawRoundTrips) {
-  // 56 members of 448 users sit exactly at the in-RAM sparse threshold, but
-  // the first id (252) needs a two-byte varint: 57 sparse bytes lose to the
-  // 56-byte raw block, so a sparse-in-RAM group takes the raw encoding.
-  // Pre-fix the encoder wrote that block from a destroyed temporary.
+  // 56 members of 448 users, but the first id (252) needs a two-byte
+  // varint: 57 sparse bytes lose to the 56-byte raw block, so a group this
+  // sparse still takes the raw encoding.
   const size_t num_users = 448;
   Bitset members(num_users);
   for (uint32_t u = 252; u < 308; ++u) members.Set(u);
   mining::GroupStore store(num_users);
   store.Add(mining::UserGroup({{0, 0}}, members));
-  ASSERT_TRUE(store.group(0).members().is_sparse());
   index::InvertedIndex index = index::InvertedIndex::FromPostings(
       std::vector<std::vector<index::Neighbor>>(1));
 
@@ -694,46 +695,103 @@ TEST(SnapshotShardedTest, SingleShardOptionStaysByteIdenticalV2) {
 }
 
 TEST(SnapshotShardedTest, ShardLoadRestrictsMembersToOwnedRange) {
+  // A shard store spans only its own users: its universe is the range, each
+  // member sits at its global id minus user_begin, and the shards' words
+  // partition the full store's words.
   auto [store, index] = MixedWorld(1000);
-  std::string path = TempPath("shardload");
+  for (size_t num_shards : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
+    std::string path = TempPath("shardload");
+    SnapshotSaveOptions opts;
+    opts.sync = false;
+    opts.num_shards = num_shards;
+    ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
+
+    size_t total_members = 0;
+    size_t total_bytes = 0;
+    uint32_t prev_end = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      auto shard = LoadSnapshotShard(path, s);
+      ASSERT_TRUE(shard.ok()) << "shard " << s << ": "
+                              << shard.status().ToString();
+      EXPECT_EQ(shard->shard, s);
+      EXPECT_EQ(shard->num_shards, num_shards);
+      EXPECT_EQ(shard->user_begin, prev_end);  // ranges tile the universe
+      prev_end = shard->user_end;
+      EXPECT_EQ(shard->user_begin % 64, 0u);   // word-aligned boundaries
+      ASSERT_EQ(shard->groups.size(), store.size());
+      ASSERT_EQ(shard->groups.num_users(),
+                shard->user_end - shard->user_begin);
+      for (mining::GroupId g = 0; g < store.size(); ++g) {
+        EXPECT_TRUE(shard->groups.group(g).description() ==
+                    store.group(g).description());
+        std::vector<uint32_t> expect = MembersInRange(
+            store.group(g), shard->user_begin, shard->user_end);
+        std::vector<uint32_t> got;
+        shard->groups.group(g).members().ForEach(
+            [&](uint32_t u) { got.push_back(u); });
+        EXPECT_EQ(got, expect) << "shard " << s << " group " << g;
+        EXPECT_EQ(shard->groups.group(g).size(), got.size());
+        total_members += got.size();
+      }
+      total_bytes += shard->groups.MemoryBytes();
+    }
+    EXPECT_EQ(prev_end, store.num_users());
+    size_t expect_members = 0;
+    for (mining::GroupId g = 0; g < store.size(); ++g) {
+      expect_members += store.group(g).size();
+    }
+    EXPECT_EQ(total_members, expect_members);  // shards partition every group
+    EXPECT_EQ(total_bytes, store.MemoryBytes());
+
+    EXPECT_TRUE(
+        LoadSnapshotShard(path, num_shards).status().IsInvalidArgument());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SnapshotShardedTest, SameDescriptionGroupsWithEqualSliceLoad) {
+  // Two groups share a description (BIRCH labels can) and coincide inside
+  // shard 0 but differ inside shard 1. Each shard keeps both at their ids,
+  // and the shards' partials still sum to the full store's.
+  const size_t num_users = 256;  // S = 2: [0, 128) and [128, 256)
+  mining::GroupStore store(num_users);
+  store.Add(mining::UserGroup({{0, 0}},
+                              Bitset::FromVector(num_users, {1, 2, 3, 130})));
+  store.Add(mining::UserGroup({{0, 0}},
+                              Bitset::FromVector(num_users, {1, 2, 3, 200})));
+  store.Add(mining::UserGroup(
+      {{1, 0}}, Bitset::FromVector(num_users, {3, 4, 130, 131, 250})));
+  ASSERT_EQ(store.size(), 3u);
+  std::vector<std::vector<index::Neighbor>> lists(store.size());
+  const index::InvertedIndex index =
+      index::InvertedIndex::FromPostings(std::move(lists));
+  std::string path = TempPath("shard_samedesc");
   SnapshotSaveOptions opts;
   opts.sync = false;
-  opts.num_shards = 4;
+  opts.num_shards = 2;
   ASSERT_TRUE(SaveSnapshot(store, index, path, opts).ok());
 
-  size_t total_members = 0;
-  uint32_t prev_end = 0;
-  for (size_t s = 0; s < 4; ++s) {
-    auto shard = LoadSnapshotShard(path, s);
-    ASSERT_TRUE(shard.ok()) << "shard " << s << ": "
-                            << shard.status().ToString();
-    EXPECT_EQ(shard->shard, s);
-    EXPECT_EQ(shard->num_shards, 4u);
-    EXPECT_EQ(shard->user_begin, prev_end);  // ranges tile the universe
-    prev_end = shard->user_end;
-    EXPECT_EQ(shard->user_begin % 64, 0u);   // word-aligned boundaries
-    ASSERT_EQ(shard->groups.size(), store.size());
-    ASSERT_EQ(shard->groups.num_users(), store.num_users());
-    for (mining::GroupId g = 0; g < store.size(); ++g) {
-      EXPECT_TRUE(shard->groups.group(g).description() ==
-                  store.group(g).description());
-      std::vector<uint32_t> expect = MembersInRange(
-          store.group(g), shard->user_begin, shard->user_end);
-      std::vector<uint32_t> got;
-      shard->groups.group(g).members().ForEach(
-          [&](uint32_t u) { got.push_back(u); });
-      EXPECT_EQ(got, expect) << "shard " << s << " group " << g;
-      total_members += got.size();
+  for (bool anchored : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "anchored=" << anchored);
+    PartialEvalInput in;
+    if (anchored) in.anchor = 2;
+    in.selection = {2, 0};
+    in.trials = {1, 0, 1, 1};
+    auto full = EvalCoveragePartials(store, in);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    std::vector<uint32_t> sum(full->size(), 0);
+    for (size_t s = 0; s < 2; ++s) {
+      auto shard = LoadSnapshotShard(path, s);
+      ASSERT_TRUE(shard.ok()) << "shard " << s << ": "
+                              << shard.status().ToString();
+      ASSERT_EQ(shard->groups.size(), store.size());
+      auto part = EvalCoveragePartials(shard->groups, in);
+      ASSERT_TRUE(part.ok()) << part.status().ToString();
+      for (size_t t = 0; t < part->size(); ++t) sum[t] += (*part)[t];
     }
+    EXPECT_EQ(sum, *full);
   }
-  EXPECT_EQ(prev_end, store.num_users());
-  size_t expect_members = 0;
-  for (mining::GroupId g = 0; g < store.size(); ++g) {
-    expect_members += store.group(g).size();
-  }
-  EXPECT_EQ(total_members, expect_members);  // shards partition every group
-
-  EXPECT_TRUE(LoadSnapshotShard(path, 4).status().IsInvalidArgument());
   std::remove(path.c_str());
 }
 

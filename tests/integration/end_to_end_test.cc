@@ -146,7 +146,7 @@ TEST(EndToEndTest, GranularAnalysisWorkflow) {
       break;
     }
   }
-  const HybridBitset& members = engine->groups().group(focus).members();
+  const Bitset& members = engine->groups().group(focus).members();
 
   // STATS with a brush.
   viz::StatsView stats(&engine->dataset(), members);

@@ -229,13 +229,21 @@ TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
 /// and the dead shard's breaker opens. Revival + probes restore coverage.
 TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
   Fleet fleet = MakeFleet(2);
-  std::atomic<uint64_t> completed{0}, degraded_partial{0}, bad{0};
+  std::atomic<uint64_t> sessions{0}, completed{0}, degraded_partial{0}, bad{0};
+  std::atomic<int> warmed{0};
+  std::atomic<bool> killed{false};
 
+  // The kill lands once every thread has finished one session, and each
+  // thread keeps going until it has run kSessions sessions and at least one
+  // began after the kill — however fast a session is, the storm spans it.
   const int kThreads = 3, kSessions = 6;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < kSessions; ++i) {
+      bool began_after_kill = false;
+      for (int i = 0; i < kSessions || !began_after_kill; ++i) {
+        began_after_kill = killed.load();
+        sessions.fetch_add(1);
         const std::string sid =
             "storm-" + std::to_string(t) + "-" + std::to_string(i);
         Response resp = Start(*fleet.coordinator, sid);
@@ -256,15 +264,17 @@ TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
                    resp.status.code() != StatusCode::kDeadlineExceeded) {
           bad.fetch_add(1);  // faults must degrade, not leak backend errors
         }
+        if (i == 0) warmed.fetch_add(1);
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  while (warmed.load() < kThreads) std::this_thread::yield();
   fleet.transports[0]->Kill();
+  killed.store(true);
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(completed.load(),
-            static_cast<uint64_t>(kThreads) * kSessions);  // zero hangs
+  EXPECT_EQ(completed.load(), sessions.load());  // zero hangs
+  EXPECT_GE(sessions.load(), static_cast<uint64_t>(kThreads) * kSessions);
   EXPECT_EQ(bad.load(), 0u);
   EXPECT_GT(degraded_partial.load(), 0u) << "kill was never observed";
   EXPECT_GT(fleet.transports[0]->resets(), 0u);
