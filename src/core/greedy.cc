@@ -29,6 +29,13 @@ namespace {
 /// Minimum improvement for a swap to count (guards float-noise cycling).
 constexpr double kMinGain = 1e-12;
 
+/// Candidates per parallel scan chunk: small enough to load-balance, large
+/// enough to amortize the atomic chunk cursor.
+constexpr size_t kScanChunk = 16;
+
+/// Trial evaluations between deadline checks inside a position sweep.
+constexpr size_t kDeadlineCheckInterval = 16;
+
 /// Best trial found while scanning a contiguous candidate range, plus the
 /// bookkeeping the deterministic reduction needs. `gain` starts at the
 /// improvement threshold, so `cand == SIZE_MAX` means "nothing above it".
@@ -47,7 +54,7 @@ struct ChunkBest {
 /// range: ascending (cand, pos) order with strict `>` keeps the earliest
 /// argmax, so folding per-chunk results in chunk order reproduces the
 /// serial scan's pick exactly. The deadline is rechecked every
-/// `check_interval` trials *inside* the position sweep (a single
+/// kDeadlineCheckInterval trials *inside* the position sweep (a single
 /// candidate's k-trial sweep must not blow the 100 ms budget), and `stop`
 /// (when non-null) lets parallel chunks cut each other short.
 template <typename TrialFn>
@@ -56,10 +63,9 @@ ChunkBest ScanRange(size_t begin, size_t end,
                     const std::vector<bool>& in_selection,
                     const std::vector<bool>& is_refinement,
                     size_t refinement_count, size_t quota, double current,
-                    const Deadline& deadline, size_t check_interval,
-                    std::atomic<bool>* stop, TrialFn&& trial) {
+                    const Deadline& deadline, std::atomic<bool>* stop,
+                    TrialFn&& trial) {
   ChunkBest best;
-  if (check_interval == 0) check_interval = 1;
   size_t since_check = 0;
   for (size_t cand = begin; cand < end; ++cand) {
     if (in_selection[cand]) continue;
@@ -76,7 +82,7 @@ ChunkBest ScanRange(size_t begin, size_t end,
         best.cand = cand;
         best.pos = pos;
       }
-      if (++since_check >= check_interval) {
+      if (++since_check >= kDeadlineCheckInterval) {
         since_check = 0;
         if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
           best.complete = false;
@@ -100,9 +106,9 @@ ChunkBest ScanRange(size_t begin, size_t end,
 /// RemoteTrialScatterer. Shards the scatterer could not reach are dropped
 /// from the fold — every trial is then scored over the surviving user
 /// ranges (still deterministic given which shards answered), and
-/// `covered_fraction`/`lap_delay` report the degradation. When *no* shard
-/// answered, the pass returns empty-handed with complete=false — the swap
-/// loop then stops with its best-so-far selection instead of hanging.
+/// `covered_fraction` reports the degradation. When *no* shard answered,
+/// the pass returns empty-handed with complete=false — the swap loop then
+/// stops with its best-so-far selection instead of hanging.
 ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
                      const std::vector<GroupId>& pool,
                      std::optional<GroupId> anchor,
@@ -110,8 +116,7 @@ ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
                      const std::vector<bool>& in_selection,
                      const std::vector<bool>& is_refinement,
                      size_t refinement_count, size_t quota, double current,
-                     const Deadline& deadline, double* covered_fraction,
-                     double* lap_delay_ms) {
+                     const Deadline& deadline, double* covered_fraction) {
   std::vector<std::pair<uint32_t, uint32_t>> trials;  // (cand, pos), pool ix
   trials.reserve(pool.size() * selected.size());
   for (size_t cand = 0; cand < pool.size(); ++cand) {
@@ -146,7 +151,6 @@ ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
       anchor.has_value() ? std::optional<uint32_t>(*anchor) : std::nullopt,
       selection_gids, wire, deadline);
   *covered_fraction = std::min(*covered_fraction, outcome.covered_fraction);
-  *lap_delay_ms = std::max(*lap_delay_ms, outcome.lap_delay_ms);
 
   std::vector<size_t> ok_shards;
   for (size_t s = 0; s < outcome.shard_ok.size(); ++s) {
@@ -207,14 +211,8 @@ GreedySelection GreedySelector::SelectNext(GroupId anchor,
   TraceSpan rank =
       options.trace != nullptr ? options.trace->Child("rank") : TraceSpan();
   std::vector<GroupId> pool;
-  const Bitset& anchor_members = store_->group(anchor).members();
   for (const index::Neighbor& nb : index_->Neighbors(anchor)) {
-    if (nb.similarity < options.min_similarity) continue;
-    if (options.exclude_supersets &&
-        anchor_members.IsSubsetOf(store_->group(nb.group).members())) {
-      continue;
-    }
-    pool.push_back(nb.group);
+    if (nb.similarity >= options.min_similarity) pool.push_back(nb.group);
   }
   rank.AddCount(pool.size());
   rank.Close();
@@ -383,24 +381,21 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     if (remote != nullptr) {
       best = RemoteScan(eval, remote, pool, anchor, selected, in_selection,
                         is_refinement, refinement_count, quota, current,
-                        deadline, &result.covered_fraction,
-                        &result.gather_lap_ms);
+                        deadline, &result.covered_fraction);
     } else if (scan_pool != nullptr) {
       // Chunked scan with a deterministic argmax reduction: chunk
-      // boundaries are pure functions of (|pool|, scan_chunk), each chunk
+      // boundaries are pure functions of (|pool|, kScanChunk), each chunk
       // records its earliest argmax, and the fold below walks chunks in
       // ascending order — so the parallel pick is byte-identical to the
       // serial one regardless of thread scheduling.
-      const size_t chunk = std::max<size_t>(1, options.scan_chunk);
-      const size_t num_chunks = (pool.size() + chunk - 1) / chunk;
+      const size_t num_chunks = (pool.size() + kScanChunk - 1) / kScanChunk;
       std::vector<ChunkBest> chunks(num_chunks);
       std::atomic<bool> stop{false};
       scan_pool->ParallelForChunked(
-          pool.size(), chunk, [&](size_t c, size_t begin, size_t end) {
+          pool.size(), kScanChunk, [&](size_t c, size_t begin, size_t end) {
             chunks[c] = ScanRange(begin, end, selected, in_selection,
                                   is_refinement, refinement_count, quota,
-                                  current, deadline,
-                                  options.deadline_check_interval, &stop,
+                                  current, deadline, &stop,
                                   [&eval](size_t pos, size_t cand) {
                                     return eval.Trial(pos, cand);
                                   });
@@ -416,8 +411,8 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       }
     } else {
       best = ScanRange(0, pool.size(), selected, in_selection, is_refinement,
-                       refinement_count, quota, current, deadline,
-                       options.deadline_check_interval, nullptr, trial_fn);
+                       refinement_count, quota, current, deadline, nullptr,
+                       trial_fn);
     }
     result.evaluations += best.evaluations;
     pass_span.AddCount(best.evaluations);

@@ -57,10 +57,6 @@ class RemoteTrialScatterer {
     /// when every shard answered — then the folded integer sums equal the
     /// single-process counts exactly.
     double covered_fraction = 0;
-    /// Wall-clock of the slowest successful lap this scatter waited on —
-    /// the serving layer feeds it to the overload ladder as a gather
-    /// delay source.
-    double lap_delay_ms = 0;
   };
   virtual ~RemoteTrialScatterer() = default;
   /// Scatters one pass. `selection` holds group ids in slot order; `trials`
@@ -97,10 +93,6 @@ struct GreedyOptions {
   /// Cap on the candidate pool for the *initial* step (no anchor), where
   /// every group is a candidate; top groups by prior·size are kept.
   size_t initial_candidate_cap = 512;
-  /// Exclude neighbors whose member set contains the anchor's (supersets,
-  /// including the root). Off by default: supersets are legitimate roll-up
-  /// moves; the refinement quota below is what guarantees drill-down.
-  bool exclude_supersets = false;
   /// Fraction of the k slots reserved for *refinements* — strict subsets of
   /// the anchor. The paper's interaction narrative ("she immediately
   /// receives three subsets of that group") implies screens mix drill-down
@@ -129,16 +121,6 @@ struct GreedyOptions {
   /// participate, so completion never depends on a free worker). Ignored
   /// under kScratch, whose memoizing sim cache is not thread-safe.
   ThreadPool* scan_pool = nullptr;
-
-  /// Candidates per scan chunk when scan_pool is set. Small enough to load-
-  /// balance, large enough to amortize the atomic chunk cursor.
-  size_t scan_chunk = 16;
-
-  /// The deadline is rechecked every this many trial evaluations *inside*
-  /// the per-candidate position sweep. Checking only between candidates
-  /// (the old behaviour) let a single candidate's k-trial sweep blow
-  /// through the 100 ms budget at large k·U.
-  size_t deadline_check_interval = 16;
 
   /// Optional multi-box scatterer (see RemoteTrialScatterer above). When
   /// set (and eval_mode is kIncremental), the candidate scan of every
@@ -181,9 +163,6 @@ struct GreedySelection {
   /// GreedyOptions::remote_scatter). The serving layer answers
   /// degraded:"partial" when this dips below 1.
   double covered_fraction = 1.0;
-  /// Slowest successful remote-gather lap observed, ms (0 when local) —
-  /// the serving layer's overload-ladder input for gather pressure.
-  double gather_lap_ms = 0;
   double elapsed_ms = 0;
   /// Wall-clock of each completed refinement pass, in order. Surfaced so
   /// the serving layer and bench_greedy_incremental can attribute the

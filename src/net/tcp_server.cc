@@ -574,11 +574,10 @@ void TcpServer::EventLoop::StartDrainOnce() {
 }
 
 void TcpServer::EventLoop::Tick() {
-  auto& overload = server->service_->dispatcher().overload();
-  const OverloadRung rung = overload.rung();
+  const OverloadRung rung = server->service_->dispatcher().overload().rung();
   // Under sustained overload the ladder is already sacrificing answer
   // quality; transport-side patience shrinks too, reclaiming fds and write
-  // buffers from clients that aren't keeping up (DESIGN.md §13.4).
+  // buffers from clients that aren't keeping up (DESIGN.md §13.3).
   const double tighten = rung >= OverloadRung::kReduceK ? 0.25 : 1.0;
   const double idle_limit = server->options_.idle_timeout_ms * tighten;
   const double stall_limit =
@@ -587,17 +586,7 @@ void TcpServer::EventLoop::Tick() {
   std::vector<uint64_t> idle, stalled;
   for (auto& [id, entry] : conns) {
     Connection* conn = entry.conn.get();
-    double stall = conn->write_stall_ms();
-    if (stall > 0 && server->options_.overload_write_stall_signal) {
-      // A response aging in a write buffer is end-to-end queueing the
-      // dispatcher cannot see; feed it to the same CoDel signal as this
-      // loop's own source. Min-over-window semantics mean one stalled
-      // reader never escalates the ladder by itself; max-of-mins across
-      // sources means one uniformly stalled loop still does even while
-      // the dispatcher and the other loops run clear.
-      overload.OnQueueDelay(stall, 1 + index);
-    }
-    if (stall > stall_limit) {
+    if (conn->write_stall_ms() > stall_limit) {
       stalled.push_back(id);
     } else if (conn->idle_ms() > idle_limit && conn->in_flight() == 0 &&
                !conn->wants_write()) {

@@ -32,12 +32,11 @@
 // the in-process path behaves.
 //
 // Overload: the Dispatcher's ladder applies unchanged (it is the same
-// Dispatcher). Each loop adds the transport-side signal the in-process path
-// never sees — response bytes stalled in a connection's write buffer — as
-// its own per-loop delay source; the controller aggregates sources as
-// max-of-mins so one hot loop still trips the ladder even while the others
-// idle (server/overload.h). Slow/idle clients are disconnected per loop,
-// aggressively so when the ladder is escalated (§13.4).
+// Dispatcher, fed only by its own queue delay). The loops read the rung but
+// never feed it: a reader that stops draining its socket is bounded by
+// write_buffer_cap and write_stall_timeout_ms, not by degrading everyone
+// else's screens. Slow/idle clients are disconnected per loop, aggressively
+// so when the ladder is escalated (§13.3).
 //
 // Drain (SIGTERM sequence): RequestDrain() is async-signal-safe (one atomic
 // store + one eventfd write per loop). Each loop then independently
@@ -95,9 +94,6 @@ struct TcpServerOptions {
   double tick_ms = 100;
   /// Force-close window of the drain sequence.
   double drain_timeout_ms = 10'000;
-  /// Report write-buffer stall ages to the overload controller as per-loop
-  /// queue delay sources (see the Overload note above).
-  bool overload_write_stall_signal = true;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default. Setting it
   /// locks out kernel autotuning (which otherwise grows send buffers to
   /// megabytes), so the slow-client tests can fill the userspace write

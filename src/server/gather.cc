@@ -245,7 +245,6 @@ GatherCoordinator::Outcome GatherCoordinator::Scatter(
           ? static_cast<double>(covered_users) /
                 static_cast<double>(options_.num_users)
           : 0.0;
-  out.lap_delay_ms = max_lap;
   {
     std::lock_guard<std::mutex> lock(lap_mu_);
     last_lap_delay_ms_ = max_lap;

@@ -187,8 +187,9 @@ class GatherCoordinator : public core::RemoteTrialScatterer {
   /// The get_stats "gather" object: per-shard membership + aggregate laps.
   json::Value MembershipJson() const;
 
-  /// Slowest successful lap of the most recent Scatter, ms — the overload
-  /// ladder's gather-delay signal.
+  /// Slowest successful lap of the most recent Scatter, ms (reported in the
+  /// get_stats "gather" object; service time, so it never feeds the
+  /// overload ladder).
   double last_lap_delay_ms() const;
 
  private:

@@ -25,11 +25,7 @@ OverloadController::OverloadController(OverloadOptions options)
     : options_(options), window_start_us_(NowMicros()) {
   if (options_.target_delay_ms <= 0) options_.target_delay_ms = 5.0;
   if (options_.window_ms <= 0) options_.window_ms = 100.0;
-  options_.effort_factor = std::clamp(options_.effort_factor, 0.05, 1.0);
   if (options_.degraded_k == 0) options_.degraded_k = 1;
-  for (auto& min : window_min_us_) {
-    min.store(UINT64_MAX, std::memory_order_relaxed);
-  }
 }
 
 uint64_t OverloadController::NowMicros() {
@@ -39,17 +35,16 @@ uint64_t OverloadController::NowMicros() {
           .count());
 }
 
-void OverloadController::OnQueueDelay(double delay_ms, size_t source) {
+void OverloadController::OnQueueDelay(double delay_ms) {
   if (!options_.enabled) return;
-  if (source >= kMaxOverloadSources) source = kMaxOverloadSources - 1;
   const auto sample_us =
       static_cast<uint64_t>(std::max(0.0, delay_ms) * 1e3);
 
-  // Fold the sample into this source's open-window min.
-  uint64_t seen = window_min_us_[source].load(std::memory_order_relaxed);
+  // Fold the sample into the open-window min.
+  uint64_t seen = window_min_us_.load(std::memory_order_relaxed);
   while (sample_us < seen &&
-         !window_min_us_[source].compare_exchange_weak(
-             seen, sample_us, std::memory_order_relaxed)) {
+         !window_min_us_.compare_exchange_weak(seen, sample_us,
+                                               std::memory_order_relaxed)) {
   }
 
   // Window close: first sampler past the boundary wins the CAS and applies
@@ -63,21 +58,12 @@ void OverloadController::OnQueueDelay(double delay_ms, size_t source) {
     return;  // another thread is closing this window
   }
 
-  // We own the close. Read-and-reset every source's min and aggregate as
-  // max-of-mins (see overload.h: an idle source must not mask a hot one).
-  // A sample racing in between the exchange and the rung update lands in
-  // the next window — fine, the controller is a trend follower, not an
-  // exact accountant.
-  uint64_t min_us = 0;
-  bool sampled = false;
-  for (auto& min : window_min_us_) {
-    uint64_t m = min.exchange(UINT64_MAX, std::memory_order_relaxed);
-    if (m != UINT64_MAX) {
-      min_us = std::max(min_us, m);
-      sampled = true;
-    }
-  }
-  if (!sampled) min_us = sample_us;  // we *are* a sample
+  // We own the close. Read-and-reset the window min. A sample racing in
+  // between the exchange and the rung update lands in the next window —
+  // fine, the controller is a trend follower, not an exact accountant.
+  uint64_t min_us = window_min_us_.exchange(UINT64_MAX,
+                                            std::memory_order_relaxed);
+  if (min_us == UINT64_MAX) min_us = sample_us;  // we *are* a sample
   last_min_us_.store(min_us, std::memory_order_relaxed);
 
   const auto target_us = static_cast<uint64_t>(options_.target_delay_ms * 1e3);

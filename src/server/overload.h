@@ -10,8 +10,9 @@
 // only sheds when nothing cheaper is left:
 //
 //   rung 0  kNormal        full effort, full k
-//   rung 1  kShrinkEffort  greedy budget × effort_factor, candidate pool
-//                          capped — fewer trial swaps per screen
+//   rung 1  kShrinkEffort  greedy budget × kEffortFactor, candidate pool
+//                          capped at kDegradedCandidateCap — fewer trial
+//                          swaps per screen
 //   rung 2  kReduceK       screens of degraded_k (< the paper's 7) groups
 //   rung 3  kStale         select_group answers the session's *cached*
 //                          current screen (degraded:"stale"), skipping the
@@ -19,13 +20,17 @@
 //   rung 4  kShed          admission control rejects (ResourceExhausted)
 //
 // The signal is CoDel's (Nichols & Jacobson, CACM 2012): the *minimum*
-// queueing delay observed over a sliding window. Minimum, not mean — under
-// bursty-but-healthy load the queue drains at least once per window and the
-// min is ~0; a min that stays above `target_delay_ms` for a whole window
-// means a standing queue that no burst tolerance explains. Each window
-// close moves the ladder at most one rung (up when min > target, down when
-// min < target/2; the hysteresis band in between holds), so the ladder
-// cannot flap screen-to-screen.
+// queueing delay observed over a sliding window, and there is exactly one —
+// the dispatcher's per-request delay between admission and worker pickup.
+// Service time (gather laps) and transport stalls (a slow reader's write
+// buffer) are not queueing and never feed the ladder: one slow shard or
+// stalled reader would otherwise degrade every healthy screen. Minimum, not
+// mean — under bursty-but-healthy load the queue drains at least once per
+// window and the min is ~0; a min that stays above `target_delay_ms` for a
+// whole window means a standing queue that no burst tolerance explains.
+// Each window close moves the ladder at most one rung (up when min >
+// target, down when min < target/2; the hysteresis band in between holds),
+// so the ladder cannot flap screen-to-screen.
 //
 // Mechanics are lock-free: workers call OnQueueDelay(delay) at task pickup;
 // the sample folds into an atomic min, and the thread that notices the
@@ -56,11 +61,6 @@ struct OverloadOptions {
   /// Window length. 100 ms ≈ one request budget: the ladder reacts within
   /// a screen or two, but never mid-request.
   double window_ms = 100.0;
-  /// Rung >= kShrinkEffort: multiply the greedy time budget by this.
-  double effort_factor = 0.5;
-  /// Rung >= kShrinkEffort: cap the greedy candidate pool at this many
-  /// groups (0 = leave the configured cap alone).
-  uint64_t degraded_candidate_cap = 128;
   /// Rung >= kReduceK: serve screens of this many groups (clamped to the
   /// requested k; never raises it).
   uint64_t degraded_k = 3;
@@ -84,12 +84,11 @@ inline constexpr int kNumOverloadRungs = 5;
 /// Stable lowercase name ("normal", "shrink_effort", ...) for health JSON.
 std::string_view OverloadRungName(OverloadRung rung);
 
-/// Distinct delay-signal sources the controller tracks per window: source 0
-/// is the dispatcher's queue-delay samples; the TCP front-end reports each
-/// event loop's write-stall signal as source 1 + loop index (loops beyond
-/// the table share the last slot). Sized for the front-end's practical
-/// loop-count ceiling, not a protocol limit.
-inline constexpr size_t kMaxOverloadSources = 17;
+/// Rung >= kShrinkEffort: the greedy time budget is multiplied by this.
+inline constexpr double kEffortFactor = 0.5;
+/// Rung >= kShrinkEffort: the greedy candidate pool is capped at this many
+/// groups.
+inline constexpr size_t kDegradedCandidateCap = 128;
 
 class OverloadController {
  public:
@@ -99,27 +98,17 @@ class OverloadController {
   OverloadController& operator=(const OverloadController&) = delete;
 
   /// One queue-delay sample (ms a request waited between admission and
-  /// worker pickup). Called by every executing task; lock-free.
-  ///
-  /// `source` attributes the sample to one signal stream (see
-  /// kMaxOverloadSources). Each source keeps its own window minimum and the
-  /// closing window escalates on the MAX of the per-source minimums: CoDel's
-  /// min filters burst noise *within* one stream, but min across streams
-  /// would let nine idle event loops (min ≈ 0) mask one loop whose queue
-  /// never drains — max-of-mins keeps a single hot loop able to trip the
-  /// ladder. Sources that logged no sample this window abstain. With one
-  /// source the aggregate equals that source's min, so single-stream
-  /// callers see the PR 5 semantics unchanged.
-  void OnQueueDelay(double delay_ms, size_t source = 0);
+  /// worker pickup). Called by the dispatcher for every executing task;
+  /// lock-free.
+  void OnQueueDelay(double delay_ms);
 
   /// Current rung; one relaxed load (the admission path reads this).
   OverloadRung rung() const {
     return static_cast<OverloadRung>(rung_.load(std::memory_order_relaxed));
   }
 
-  /// Congestion signal of the last *closed* window, ms (0 before any window
-  /// closed): the max over sources of each source's minimum queue delay.
-  /// Health probes report this.
+  /// Minimum queue delay of the last *closed* window, ms (0 before any
+  /// window closed). Health probes report this.
   double last_window_min_delay_ms() const {
     return last_min_us_.load(std::memory_order_relaxed) / 1e3;
   }
@@ -143,9 +132,8 @@ class OverloadController {
   OverloadOptions options_;
   std::atomic<int> rung_{0};
   std::atomic<uint64_t> window_start_us_;
-  /// Per-source min delay (us) seen in the open window; UINT64_MAX = that
-  /// source has no sample yet.
-  std::atomic<uint64_t> window_min_us_[kMaxOverloadSources];
+  /// Min delay (us) seen in the open window; UINT64_MAX = no sample yet.
+  std::atomic<uint64_t> window_min_us_{UINT64_MAX};
   std::atomic<uint64_t> last_min_us_{0};
   std::atomic<uint64_t> escalations_{0};
 };

@@ -19,12 +19,6 @@ namespace {
 /// screens at 7 by Miller's law; we allow head-room for scripted analysis).
 constexpr uint64_t kMaxScreenK = 64;
 
-/// Overload-source slot for the gather lap delay (DESIGN.md §16.4). The
-/// dispatcher owns slot 0 and the TCP front-end's loops own 1..num_loops;
-/// the last slot only collides with a loop at 16+ event loops, and even
-/// then max-of-mins merely merges the two signals conservatively.
-constexpr size_t kGatherOverloadSource = kMaxOverloadSources - 1;
-
 }  // namespace
 
 ExplorationService::ExplorationService(const core::VexusEngine* engine,
@@ -71,8 +65,7 @@ void ExplorationService::InitRuntime() {
   // their greedy loop *on* a pool worker (the dispatcher executes handlers
   // there); ParallelForChunked's caller-participation makes that safe — a
   // saturated pool degrades to a serial scan instead of deadlocking.
-  options_.session_template.greedy.scan_pool =
-      options_.parallel_greedy_scan ? pool_.get() : nullptr;
+  options_.session_template.greedy.scan_pool = pool_.get();
   trace_log_ = std::make_unique<TraceLog>(options_.trace);
   dispatcher_ = std::make_unique<Dispatcher>(
       pool_.get(),
@@ -337,12 +330,6 @@ void ExplorationService::FillScreen(const core::GreedySelection& selection,
       resp->degraded = "partial";
       resp->covered_fraction = selection.covered_fraction;
     }
-    // Gather lap delay feeds the overload ladder as its own source: slow
-    // shards escalate degradation exactly like a congested queue would.
-    if (selection.gather_lap_ms > 0) {
-      dispatcher_->overload().OnQueueDelay(selection.gather_lap_ms,
-                                           kGatherOverloadSource);
-    }
   }
   const mining::GroupStore& store = engine_->groups();
   const data::Schema& schema = engine_->dataset().schema();
@@ -359,14 +346,52 @@ void ExplorationService::FillScreen(const core::GreedySelection& selection,
   resp->greedy_deadline_hit = selection.deadline_hit;
 }
 
+void ExplorationService::RunScreen(core::ExplorationSession& session,
+                                   std::optional<mining::GroupId> anchor,
+                                   OverloadRung rung, const Deadline& deadline,
+                                   const TraceSpan& span, Response* resp) {
+  // Remaining-budget clamp: the greedy loop may use at most what is left of
+  // the request's end-to-end budget. The overload ladder (DESIGN.md §12.2)
+  // shrinks *this request's* effort (rung 1) and k (rung 2), and the trace
+  // pointer is set for this request only. All of it is undone after the
+  // run: the span dies with the request, and the session keeps the
+  // explorer's requested options for when the overload passes.
+  core::GreedyOptions& live = session.mutable_options().greedy;
+  const core::GreedyOptions configured = live;
+  double limit = configured.time_limit_ms;
+  if (rung >= OverloadRung::kShrinkEffort) {
+    limit *= kEffortFactor;
+    live.initial_candidate_cap =
+        std::min(live.initial_candidate_cap, kDegradedCandidateCap);
+    resp->degraded = "effort";
+  }
+  if (rung >= OverloadRung::kReduceK) {
+    live.k = std::min(
+        live.k,
+        static_cast<size_t>(dispatcher_->overload().options().degraded_k));
+    resp->degraded = "k";  // deepest applied rung wins the flag
+  }
+  live.time_limit_ms = std::min(limit, deadline.RemainingMillis());
+  live.trace = span.enabled() ? &span : nullptr;
+  FillScreen(anchor.has_value() ? session.SelectGroup(*anchor)
+                                : session.Start(),
+             resp, /*fresh_run=*/true, span);
+  live = configured;
+  if (!resp->degraded.has_value()) return;
+  // FillScreen's "partial" outranks the rung flags (see there).
+  if (*resp->degraded == "partial") {
+    metrics_.RecordDegradedPartial();
+  } else if (*resp->degraded == "k") {
+    metrics_.RecordDegradedK();
+  } else {
+    metrics_.RecordDegradedEffort();
+  }
+}
+
 Response ExplorationService::DoStartSession(const Request& req,
                                             const Deadline& deadline,
                                             TraceSpan& span) {
   core::SessionOptions opts = options_.session_template;
-  // Overload ladder (DESIGN.md §12): a new session has no cached screen to
-  // serve stale, so start_session degrades at most to the reduce-k rung.
-  const OverloadRung rung = dispatcher_->overload().rung();
-  const OverloadOptions& oopts = dispatcher_->overload().options();
   if (req.k.has_value()) {
     if (*req.k == 0 || *req.k > kMaxScreenK) {
       return ErrorResponse(
@@ -404,43 +429,10 @@ Response ExplorationService::DoStartSession(const Request& req,
         "budget exhausted before the initial screen was computed");
     return resp;
   }
-  // Remaining-budget clamp: the initial screen's greedy loop may use at
-  // most what is left of the request's end-to-end budget. The trace pointer
-  // is set for this request only and restored with the time limit — the
-  // span dies with the request, the session does not. The overload ladder
-  // degrades *this request's* effort/k the same way: the session keeps the
-  // explorer's requested options for when the overload passes.
-  core::SessionOptions& live = l->mutable_options();
-  double effective_limit = opts.greedy.time_limit_ms;
-  if (rung >= OverloadRung::kShrinkEffort) {
-    effective_limit *= oopts.effort_factor;
-    if (oopts.degraded_candidate_cap > 0) {
-      live.greedy.initial_candidate_cap =
-          std::min(live.greedy.initial_candidate_cap,
-                   static_cast<size_t>(oopts.degraded_candidate_cap));
-    }
-    resp.degraded = "effort";
-  }
-  if (rung >= OverloadRung::kReduceK) {
-    live.greedy.k =
-        std::min(live.greedy.k, static_cast<size_t>(oopts.degraded_k));
-    resp.degraded = "k";  // deepest applied rung wins the flag
-  }
-  live.greedy.time_limit_ms =
-      std::min(effective_limit, deadline.RemainingMillis());
-  live.greedy.trace = span.enabled() ? &span : nullptr;
-  FillScreen(l->Start(), &resp, /*fresh_run=*/true, span);
-  live.greedy = opts.greedy;  // restore the explorer's requested options
-  live.greedy.trace = nullptr;
-  if (resp.degraded.has_value()) {
-    if (*resp.degraded == "partial") {
-      metrics_.RecordDegradedPartial();
-    } else if (*resp.degraded == "k") {
-      metrics_.RecordDegradedK();
-    } else {
-      metrics_.RecordDegradedEffort();
-    }
-  }
+  // A new session has no cached screen to serve stale, so start_session
+  // degrades at most to the reduce-k rung.
+  RunScreen(*l, std::nullopt, dispatcher_->overload().rung(), deadline, span,
+            &resp);
   resp.step = 0;
   resp.num_steps = l->NumSteps();
   return resp;
@@ -491,51 +483,18 @@ Response ExplorationService::DoSessionOp(const Request& req,
             std::to_string(store.size()) + ")");
         return resp;
       }
-      // Overload ladder (DESIGN.md §12). Rung 3 (stale): answer the
+      // Overload ladder (DESIGN.md §12.2). Rung 3 (stale): answer the
       // session's *cached* current screen without running greedy or
       // learning — the explorer sees an instant, slightly stale response
-      // flagged degraded:"stale" instead of a shed. Rungs 1–2 shrink this
-      // request's greedy effort / k; the session's own options survive.
+      // flagged degraded:"stale" instead of a shed.
       const OverloadRung rung = dispatcher_->overload().rung();
-      const OverloadOptions& oopts = dispatcher_->overload().options();
       if (rung >= OverloadRung::kStale && l->NumSteps() > 0) {
         FillScreen(l->Current(), &resp, /*fresh_run=*/false, span);
         resp.degraded = "stale";
         metrics_.RecordDegradedStale();
         break;
       }
-      core::SessionOptions& live = l->mutable_options();
-      const core::GreedyOptions configured = live.greedy;
-      double effective_limit = configured.time_limit_ms;
-      if (rung >= OverloadRung::kShrinkEffort) {
-        effective_limit *= oopts.effort_factor;
-        if (oopts.degraded_candidate_cap > 0) {
-          live.greedy.initial_candidate_cap =
-              std::min(live.greedy.initial_candidate_cap,
-                       static_cast<size_t>(oopts.degraded_candidate_cap));
-        }
-        resp.degraded = "effort";
-      }
-      if (rung >= OverloadRung::kReduceK) {
-        live.greedy.k =
-            std::min(live.greedy.k, static_cast<size_t>(oopts.degraded_k));
-        resp.degraded = "k";  // deepest applied rung wins the flag
-      }
-      live.greedy.time_limit_ms =
-          std::min(effective_limit, deadline.RemainingMillis());
-      live.greedy.trace = span.enabled() ? &span : nullptr;
-      FillScreen(l->SelectGroup(*req.group), &resp, /*fresh_run=*/true, span);
-      live.greedy = configured;  // undo the per-request clamp + degradation
-      live.greedy.trace = nullptr;
-      if (resp.degraded.has_value()) {
-        if (*resp.degraded == "partial") {
-          metrics_.RecordDegradedPartial();
-        } else if (*resp.degraded == "k") {
-          metrics_.RecordDegradedK();
-        } else {
-          metrics_.RecordDegradedEffort();
-        }
-      }
+      RunScreen(*l, *req.group, rung, deadline, span, &resp);
       break;
     }
     case RequestType::kBacktrack: {

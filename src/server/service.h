@@ -44,15 +44,10 @@ struct ServiceOptions {
   /// learning_rate per request. The greedy time budget is always clamped to
   /// the request's remaining deadline at execution time.
   core::SessionOptions session_template;
-  /// Worker threads (0 → hardware concurrency).
+  /// Worker threads (0 → hardware concurrency). Every session's greedy
+  /// candidate scan is chunked across this same pool (overriding any
+  /// scan_pool on session_template.greedy); see InitRuntime.
   size_t num_workers = 0;
-  /// Chunk each session's greedy candidate scan across the service's own
-  /// worker pool (GreedyOptions::scan_pool). Safe even though the greedy
-  /// loop itself runs *on* a pool worker: ParallelForChunked has the caller
-  /// participate, so a busy pool degrades to the serial scan rather than
-  /// deadlocking, and parallel scans select byte-identical swaps. Overrides
-  /// any scan_pool already set on session_template.greedy.
-  bool parallel_greedy_scan = true;
   /// Request-scoped tracing (DESIGN.md §10). Disabled by default: with
   /// trace.enabled == false no Trace is ever allocated and the per-request
   /// cost is one branch per would-be span.
@@ -190,6 +185,15 @@ class ExplorationService {
   /// (backtrack) pass false so a screen is only accounted once.
   void FillScreen(const core::GreedySelection& selection, Response* resp,
                   bool fresh_run, const TraceSpan& span);
+
+  /// Runs this request's fresh screen — `Start()` without an anchor,
+  /// `SelectGroup(*anchor)` with one — at the overload `rung`'s effort and
+  /// k, within the remaining `deadline`; fills `resp` and counts a degraded
+  /// answer. The session's greedy options are restored afterwards.
+  void RunScreen(core::ExplorationSession& session,
+                 std::optional<mining::GroupId> anchor, OverloadRung rung,
+                 const Deadline& deadline, const TraceSpan& span,
+                 Response* resp);
 
   const core::VexusEngine* engine_;  // null while cold
   ServiceOptions options_;

@@ -194,7 +194,6 @@ TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
   opt.k = 32;
   opt.min_similarity = 0.01;
   opt.eval_mode = GreedyOptions::EvalMode::kScratch;  // expensive trials
-  opt.deadline_check_interval = 1;
   opt.time_limit_ms = 3;
 
   Stopwatch watch;
@@ -203,10 +202,11 @@ TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
 
   EXPECT_TRUE(r.deadline_hit);
   EXPECT_EQ(r.groups.size(), 32u) << "anytime: the seed still answers";
-  // A single candidate's sweep is 32 trials; the fix stops within
-  // `deadline_check_interval` trials of expiry, so far fewer evaluations
-  // fit in the budget than one sweep (each trial is memory-bound at ~1.5M
-  // words, so even a fast machine can't squeeze 32 into 3 ms).
+  // A single candidate's sweep is 32 trials; the fix stops within 16
+  // trials of expiry (the selector's fixed check interval), so fewer
+  // evaluations fit in the budget than one sweep (each trial is
+  // memory-bound at ~1.5M words, so even a fast machine can't squeeze 32
+  // into 3 ms).
   EXPECT_LT(r.evaluations, 1u + opt.k)
       << "deadline must interrupt the per-candidate position sweep";
   EXPECT_LT(elapsed, 500.0);
@@ -442,7 +442,10 @@ TEST(GreedyTest, RefinementQuotaReservesSubsetSlots) {
   EXPECT_LE(subsets0, subsets);
 }
 
-TEST(GreedyTest, ExcludeSupersetsDropsAncestors) {
+TEST(GreedyTest, SupersetsStayCandidates) {
+  // Supersets of the anchor are legitimate roll-up moves: the selector
+  // never filters them out (the refinement quota is what guarantees
+  // drill-down).
   GroupStore store(100);
   auto range = [](uint32_t lo, uint32_t hi) {
     std::vector<uint32_t> v;
@@ -451,7 +454,7 @@ TEST(GreedyTest, ExcludeSupersetsDropsAncestors) {
   };
   GroupId anchor = store.Add(UserGroup({{0, 0}}, range(10, 40)));
   GroupId parent = store.Add(UserGroup({{0, 1}}, range(0, 60)));
-  GroupId lateral = store.Add(UserGroup({{0, 2}}, range(30, 80)));
+  store.Add(UserGroup({{0, 2}}, range(30, 80)));  // a lateral
   index::InvertedIndex::Options iopt;
   iopt.materialization_fraction = 1.0;
   iopt.min_neighbors = 1;
@@ -468,19 +471,9 @@ TEST(GreedyTest, ExcludeSupersetsDropsAncestors) {
 
   GreedyOptions opt = Unbounded(5);
   opt.min_similarity = 0.01;
-  opt.exclude_supersets = true;
   auto r = sel.SelectNext(anchor, fb, opt);
-  EXPECT_EQ(std::find(r.groups.begin(), r.groups.end(), parent),
-            r.groups.end())
-      << "strict superset must be excluded";
-  EXPECT_NE(std::find(r.groups.begin(), r.groups.end(), lateral),
-            r.groups.end())
-      << "laterals stay eligible";
-
-  opt.exclude_supersets = false;
-  auto r2 = sel.SelectNext(anchor, fb, opt);
-  EXPECT_NE(std::find(r2.groups.begin(), r2.groups.end(), parent),
-            r2.groups.end());
+  EXPECT_NE(std::find(r.groups.begin(), r.groups.end(), parent),
+            r.groups.end());
 }
 
 TEST(GreedyTest, OutputByteIdenticalAcrossKernelTiers) {

@@ -329,6 +329,39 @@ TEST_F(GatherChaosTest, StalledBackendIsRetriedOrShedNeverHung) {
   EXPECT_GT(failed + retries, 0u) << "stalls never surfaced to the gather";
 }
 
+/// Slow but healthy laps are service time, not queueing: every
+/// eval_partial takes 8 ms — above the ladder's 5 ms target, well inside the
+/// 50 ms lap budget — and the coordinator's ladder (on, as in production)
+/// must stay at normal with every screen full quality.
+TEST_F(GatherChaosTest, SlowHealthyLapsDoNotDegradeScreens) {
+  Fleet fleet = MakeFleet(2);
+  ASSERT_TRUE(fleet.coordinator->dispatcher().overload().options().enabled);
+
+  failpoint::Policy slow;
+  slow.mode = failpoint::Policy::Mode::kAlways;
+  slow.code = StatusCode::kOk;  // sleep only
+  slow.sleep_ms = 8;
+  failpoint::ScopedFailpoint fp("service.eval_partial", slow);
+
+  for (int i = 0; i < 12; ++i) {
+    const std::string sid = "slow-" + std::to_string(i);
+    Response resp = Start(*fleet.coordinator, sid);
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_FALSE(resp.degraded.has_value())
+        << "start " << i << " degraded: " << *resp.degraded;
+    ASSERT_FALSE(resp.groups.empty());
+    resp = Select(*fleet.coordinator, sid, resp.groups[0].id);
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_FALSE(resp.degraded.has_value())
+        << "select " << i << " degraded: " << *resp.degraded;
+    EXPECT_EQ(fleet.coordinator->dispatcher().overload().rung(),
+              server::OverloadRung::kNormal)
+        << "after session " << i;
+  }
+  EXPECT_GT(fp.fires(), 0u) << "slow site never reached";
+  EXPECT_EQ(fleet.coordinator->dispatcher().overload().escalations(), 0u);
+}
+
 /// Corruption chaos: eval_partial randomly answers IOError (seeded, so the
 /// schedule replays). Same liveness bar; after the fault clears, probes
 /// bring every breaker back to closed.

@@ -4,6 +4,7 @@
 // clients, per-line parse errors that never desync the stream, slow-client
 // protection (one stalled reader cannot wedge the loop), and graceful drain
 // under load with request conservation.
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <chrono>
@@ -328,6 +329,98 @@ TEST_F(TcpServerTest, StalledReaderIsDisconnectedOthersUnaffected) {
   EXPECT_TRUE(villain_killed)
       << "stalled reader never disconnected; stats: slow="
       << server.Stats().slow_client_closes;
+}
+
+TEST_F(TcpServerTest, StalledReaderDoesNotDegradeOthers) {
+  // A reader that stops draining its socket is a transport problem, not
+  // queueing: it is bounded by write_buffer_cap and write_stall_timeout_ms,
+  // and must never move the overload ladder — or one stalled reader would
+  // degrade every healthy explorer's screens.
+  ExplorationService svc(engine_, FastOptions());
+  TcpServerOptions opts;
+  opts.num_loops = 1;         // stalled and healthy clients share the loop
+  opts.so_sndbuf = 8 * 1024;  // lock out kernel autotune (see the option)
+  TcpServer server(&svc, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The stalled reader: SO_RCVBUF before connect (see
+  // StalledReaderIsDisconnectedOthersUnaffected), 60 pipelined get_stats,
+  // never a byte read — its responses age in the server's write buffer.
+  Fd stalled(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(stalled.valid());
+  {
+    int tiny = 4096;
+    ::setsockopt(stalled.get(), SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(stalled.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::string burst;
+  for (int i = 0; i < 60; ++i) burst += "{\"op\":\"get_stats\"}\n";
+  ASSERT_EQ(::send(stalled.get(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  // A healthy explorer clicks every 20 ms for well over a second — ten
+  // ladder windows — while the stalled reader stays connected.
+  auto healthy = LineClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(healthy.ok());
+  Request start;
+  start.type = RequestType::kStartSession;
+  start.session_id = "healthy";
+  auto screen = healthy->Call(start);
+  ASSERT_TRUE(screen.ok()) << screen.status().ToString();
+  ASSERT_TRUE(screen->status.ok()) << screen->status.ToString();
+  ASSERT_FALSE(screen->groups.empty());
+  size_t selects = 0, degraded = 0;
+  Stopwatch watch;
+  while (watch.ElapsedMillis() < 1500) {
+    Request select;
+    select.type = RequestType::kSelectGroup;
+    select.session_id = "healthy";
+    select.group = screen->groups[selects % screen->groups.size()].id;
+    auto resp = healthy->Call(select);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
+    ++selects;
+    if (resp->degraded.has_value()) {
+      ++degraded;
+    } else {
+      screen = std::move(resp);
+    }
+    EXPECT_EQ(svc.dispatcher().overload().rung(),
+              server::OverloadRung::kNormal)
+        << "after select " << selects;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_GE(selects, 20u);
+  EXPECT_EQ(degraded, 0u) << "of " << selects << " selects";
+  EXPECT_EQ(svc.dispatcher().overload().escalations(), 0u);
+  // The reader was stalled the whole time, not closed.
+  EXPECT_EQ(server.Stats().slow_client_closes, 0u);
+
+  // ...and all 60 of its responses were still queued for it: reading now
+  // drains more than the two kernel buffers hold (~24 KiB once the kernel
+  // doubles the 8 KiB send and 4 KiB receive sizes), so the server's own
+  // write buffer was holding a stalled response the whole time.
+  size_t received = 0, lines = 0;
+  char buf[16 * 1024];
+  Stopwatch drain;
+  while (lines < 60 && drain.ElapsedMillis() < 5000) {
+    ssize_t n = ::recv(stalled.get(), buf, sizeof(buf), MSG_DONTWAIT);
+    if (n == 0) break;
+    if (n < 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      continue;
+    }
+    received += static_cast<size_t>(n);
+    lines += static_cast<size_t>(std::count(buf, buf + n, '\n'));
+  }
+  EXPECT_EQ(lines, 60u);
+  EXPECT_GT(received, 32u * 1024);
 }
 
 TEST_F(TcpServerTest, DrainUnderLoadConservesEveryAdmittedRequest) {

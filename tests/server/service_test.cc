@@ -179,33 +179,35 @@ TEST_F(ServiceTest, GreedyWorkCountersAccountFreshScreensOnly) {
 
 TEST_F(ServiceTest, ParallelGreedyScanMatchesSerialService) {
   // The service wires its own worker pool into every session's greedy scan;
-  // a service with the flag off must produce the exact same screens (the
-  // sharded argmax reduction is deterministic).
-  ServiceOptions par = FastOptions();
-  par.session_template.greedy.time_limit_ms =
+  // its screens must equal a bare session's poolless serial scan (the
+  // chunked argmax reduction is deterministic). Both runs are unbounded:
+  // the request budget is long enough that the deadline clamp never
+  // truncates the service's run.
+  ServiceOptions opts = FastOptions();
+  opts.session_template.greedy.time_limit_ms =
       core::GreedyOptions::kUnboundedTimeLimit;
-  ServiceOptions ser = par;
-  ser.parallel_greedy_scan = false;
-  ExplorationService svc_par(engine_, par);
-  ExplorationService svc_ser(engine_, ser);
+  opts.dispatcher.default_budget_ms = 10'000;
+  ExplorationService svc(engine_, opts);
+  ASSERT_EQ(opts.session_template.greedy.scan_pool, nullptr);
+  auto bare = engine_->CreateSession(opts.session_template);
 
-  Response a = svc_par.Call(Start("p"));
-  Response b = svc_ser.Call(Start("s"));
-  ASSERT_TRUE(a.status.ok());
-  ASSERT_TRUE(b.status.ok());
-  ASSERT_EQ(a.groups.size(), b.groups.size());
-  for (size_t i = 0; i < a.groups.size(); ++i) {
-    EXPECT_EQ(a.groups[i].id, b.groups[i].id);
-  }
+  auto expect_same = [](const Response& resp,
+                        const core::GreedySelection& serial) {
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_FALSE(resp.greedy_deadline_hit);
+    ASSERT_EQ(resp.groups.size(), serial.groups.size());
+    for (size_t i = 0; i < resp.groups.size(); ++i) {
+      EXPECT_EQ(resp.groups[i].id, serial.groups[i]);
+    }
+    EXPECT_EQ(resp.coverage, serial.quality.coverage);
+    EXPECT_EQ(resp.diversity, serial.quality.diversity);
+  };
 
-  Response a2 = svc_par.Call(Select("p", a.groups[0].id));
-  Response b2 = svc_ser.Call(Select("s", b.groups[0].id));
-  ASSERT_TRUE(a2.status.ok());
-  ASSERT_TRUE(b2.status.ok());
-  ASSERT_EQ(a2.groups.size(), b2.groups.size());
-  for (size_t i = 0; i < a2.groups.size(); ++i) {
-    EXPECT_EQ(a2.groups[i].id, b2.groups[i].id);
-  }
+  Response a = svc.Call(Start("p"));
+  expect_same(a, bare->Start());
+  ASSERT_FALSE(a.groups.empty());
+  const uint32_t pick = a.groups[0].id;
+  expect_same(svc.Call(Select("p", pick)), bare->SelectGroup(pick));
 }
 
 TEST_F(ServiceTest, ZeroBudgetIsDeadlineExceededWithoutTouchingGreedy) {
