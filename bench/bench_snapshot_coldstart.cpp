@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   // --- 4. End-to-end warm-up: dataset + snapshot -> serving engine.
   data::Dataset fresh = data::BookCrossingGenerator::Generate(BxConfig(users));
   sw = Stopwatch();
-  auto warmed = core::VexusEngine::FromSnapshot(&fresh, s1_path);
+  auto warmed = core::VexusEngine::FromSnapshot(std::move(fresh), s1_path);
   double warm_ms = sw.ElapsedMillis();
   VEXUS_CHECK(warmed.ok()) << warmed.status().ToString();
   VEXUS_CHECK(warmed->groups().size() == num_groups);

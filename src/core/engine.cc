@@ -49,24 +49,23 @@ Result<VexusEngine> VexusEngine::Preprocess(
   return engine;
 }
 
-Result<VexusEngine> VexusEngine::FromSnapshot(data::Dataset* dataset,
+Result<VexusEngine> VexusEngine::FromSnapshot(data::Dataset dataset,
                                               const std::string& path,
                                               const TraceSpan* span) {
-  VEXUS_CHECK(dataset != nullptr);
-  VEXUS_RETURN_NOT_OK(dataset->Validate().WithContext("dataset validation"));
+  VEXUS_RETURN_NOT_OK(dataset.Validate().WithContext("dataset validation"));
 
   VEXUS_ASSIGN_OR_RETURN(Snapshot snap, LoadSnapshot(path, span));
-  if (snap.groups.num_users() != dataset->num_users()) {
+  if (snap.groups.num_users() != dataset.num_users()) {
     return Status::FailedPrecondition(
         "snapshot user universe does not match the dataset: snapshot has " +
         std::to_string(snap.groups.num_users()) + " users, dataset has " +
-        std::to_string(dataset->num_users()));
+        std::to_string(dataset.num_users()));
   }
   // The snapshot's structural integrity is already checksum-verified; what
   // remains is cross-validation against *this* dataset — a snapshot from a
   // different schema would otherwise produce descriptions that index out of
   // range when rendered.
-  const data::Schema& schema = dataset->schema();
+  const data::Schema& schema = dataset.schema();
   for (mining::GroupId g = 0; g < snap.groups.size(); ++g) {
     for (const mining::Descriptor& d : snap.groups.group(g).description()) {
       if (d.attribute >= schema.num_attributes()) {
@@ -87,9 +86,8 @@ Result<VexusEngine> VexusEngine::FromSnapshot(data::Dataset* dataset,
     }
   }
 
-  // Everything fallible is behind us — consuming the dataset is now safe.
   VexusEngine engine;
-  engine.dataset_ = std::make_unique<data::Dataset>(std::move(*dataset));
+  engine.dataset_ = std::make_unique<data::Dataset>(std::move(dataset));
 
   // The catalog is derived data (attribute=value bitmaps over the dataset);
   // rebuilding it is linear and keeps the snapshot format independent of

@@ -37,17 +37,15 @@ class VexusEngine {
 
   /// Restores an engine from a snapshot written by core::SaveSnapshot,
   /// skipping discovery and index construction entirely — the serving
-  /// layer's cold-start path. The dataset must be the one the snapshot was
-  /// preprocessed from: the user universe size is checked, and every stored
-  /// description is validated against the dataset schema (FailedPrecondition
-  /// on mismatch). `*dataset` is consumed only on success — on any error it
-  /// is left intact, so a cold service can retry with a different snapshot
-  /// path (Dataset is move-only; a by-value parameter would destroy it on
-  /// the error path). The descriptor catalog is rebuilt from the dataset —
-  /// it is derived data, linear in |U|, and not worth persisting. `span`,
-  /// when non-null, gets a "load" child from LoadSnapshot plus a "graph"
-  /// child for the overlap-graph rebuild.
-  static Result<VexusEngine> FromSnapshot(data::Dataset* dataset,
+  /// layer's cold-start path (load, then construct the service). The
+  /// dataset must be the one the snapshot was preprocessed from: the user
+  /// universe size is checked, and every stored description is validated
+  /// against the dataset schema (FailedPrecondition on mismatch). The
+  /// descriptor catalog is rebuilt from the dataset — it is derived data,
+  /// linear in |U|, and not worth persisting. `span`, when non-null, gets a
+  /// "load" child from LoadSnapshot plus a "graph" child for the
+  /// overlap-graph rebuild.
+  static Result<VexusEngine> FromSnapshot(data::Dataset dataset,
                                           const std::string& path,
                                           const TraceSpan* span = nullptr);
 

@@ -39,8 +39,7 @@ Connection::IoStatus Connection::OnReadable() {
   // power loss) the instant bytes were expected.
   if (VEXUS_FAILPOINT_FIRES("net.conn.read")) return IoStatus::kError;
 
-  char buf[64 * 1024];
-  const size_t chunk = std::min(sizeof(buf), options_.read_chunk);
+  char buf[kReadChunkBytes];
   for (;;) {
     // Emit everything already framed before deciding whether to read more:
     // pausing must count lines buffered this pass, and a paused connection
@@ -48,7 +47,7 @@ Connection::IoStatus Connection::OnReadable() {
     EmitBufferedLines();
     if (paused()) return IoStatus::kOk;
 
-    ssize_t n = ::recv(fd_.get(), buf, chunk, 0);
+    ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_read_ += static_cast<uint64_t>(n);
       last_activity_.Restart();

@@ -41,6 +41,9 @@
 
 namespace vexus::net {
 
+/// recv() chunk size of every connection read.
+inline constexpr size_t kReadChunkBytes = 16 * 1024;
+
 struct ConnectionOptions {
   /// Longest request line buffered before the framer discards and answers
   /// an oversized-line error (server/protocol.h LineFramer).
@@ -51,8 +54,6 @@ struct ConnectionOptions {
   /// In-flight (submitted, uncompleted) requests beyond which reading
   /// pauses.
   size_t max_pipelined = 64;
-  /// recv() chunk size.
-  size_t read_chunk = 16 * 1024;
 };
 
 class Connection {

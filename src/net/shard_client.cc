@@ -8,10 +8,15 @@ namespace vexus::net {
 using server::Request;
 using server::Response;
 
+namespace {
+
+/// Latency samples kept for the p99 estimate.
+constexpr size_t kLatencyWindow = 128;
+
+}  // namespace
+
 ShardClient::ShardClient(std::string host, uint16_t port, Options options)
-    : host_(std::move(host)), port_(port), options_(options) {
-  if (options_.latency_window == 0) options_.latency_window = 1;
-}
+    : host_(std::move(host)), port_(port), options_(options) {}
 
 std::string ShardClient::address() const {
   return host_ + ":" + std::to_string(port_);
@@ -48,7 +53,7 @@ Status ShardClient::EnsureConnected(const Deadline& deadline) {
 }
 
 void ShardClient::RecordLatency(double ms) {
-  if (latency_ring_.size() < options_.latency_window) {
+  if (latency_ring_.size() < kLatencyWindow) {
     latency_ring_.push_back(ms);
   } else {
     latency_ring_[latency_next_ % latency_ring_.size()] = ms;

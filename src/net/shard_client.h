@@ -45,8 +45,6 @@ class ShardClient : public server::ShardTransport {
     double hedge_lap_ms = 2;
     /// 0 disables hedging (single read against the full budget).
     bool hedging = true;
-    /// Latency samples kept for the p99 estimate.
-    size_t latency_window = 128;
   };
 
   ShardClient(std::string host, uint16_t port, Options options);

@@ -109,7 +109,7 @@ Result<Fd> ListenTcp(const std::string& host, uint16_t port, int backlog,
     }
     *bound_port = ntohs(actual.sin_port);
   }
-  return std::move(fd);
+  return fd;
 }
 
 Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
@@ -159,7 +159,7 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
     return ErrnoStatus("fcntl(clear O_NONBLOCK)", errno);
   }
   VEXUS_RETURN_NOT_OK(SetNoDelay(fd.get()));
-  return std::move(fd);
+  return fd;
 }
 
 Result<std::pair<Fd, Fd>> NonBlockingSocketPair() {

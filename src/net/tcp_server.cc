@@ -197,7 +197,7 @@ Status TcpServer::Start() {
   for (size_t i = 0; i < num_loops_; ++i) {
     auto loop = std::make_unique<EventLoop>(this, i);
     const uint16_t want = i == 0 ? options_.port : port_;
-    auto listener = ListenTcp(options_.host, want, options_.backlog,
+    auto listener = ListenTcp(options_.host, want, kListenBacklog,
                               i == 0 ? &port_ : nullptr, reuseport);
     VEXUS_RETURN_NOT_OK(listener.status());
     loop->listener = std::move(listener).ValueOrDie();
@@ -580,8 +580,7 @@ void TcpServer::EventLoop::Tick() {
   // buffers from clients that aren't keeping up (DESIGN.md §13.3).
   const double tighten = rung >= OverloadRung::kReduceK ? 0.25 : 1.0;
   const double idle_limit = server->options_.idle_timeout_ms * tighten;
-  const double stall_limit =
-      server->options_.write_stall_timeout_ms * tighten;
+  const double stall_limit = kWriteStallTimeoutMs * tighten;
 
   std::vector<uint64_t> idle, stalled;
   for (auto& [id, entry] : conns) {

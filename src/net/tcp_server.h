@@ -34,7 +34,7 @@
 // Overload: the Dispatcher's ladder applies unchanged (it is the same
 // Dispatcher, fed only by its own queue delay). The loops read the rung but
 // never feed it: a reader that stops draining its socket is bounded by
-// write_buffer_cap and write_stall_timeout_ms, not by degrading everyone
+// write_buffer_cap and kWriteStallTimeoutMs, not by degrading everyone
 // else's screens. Slow/idle clients are disconnected per loop, aggressively
 // so when the ladder is escalated (§13.3).
 //
@@ -64,13 +64,20 @@
 
 namespace vexus::net {
 
+/// listen(2) backlog of every listener.
+inline constexpr int kListenBacklog = 512;
+/// A response stalled unflushed in the write buffer for this long marks a
+/// dead-slow reader; the connection is closed (quartered under overload).
+/// The write_buffer_cap handles fast-filling buffers; this handles readers
+/// that stop ACKing entirely.
+inline constexpr double kWriteStallTimeoutMs = 10'000;
+
 struct TcpServerOptions {
   /// Bind address. Loopback by default: exposing an unauthenticated
   /// exploration service on a routable interface is an explicit choice.
   std::string host = "127.0.0.1";
   /// 0 = ephemeral (read the actual port from port() after Start()).
   uint16_t port = 0;
-  int backlog = 512;
   /// Event-loop threads, each owning a SO_REUSEPORT listener, an epoll
   /// instance, and a private connection table. 0 = min(4, hw threads).
   /// With 1 the server binds a single plain listener (no SO_REUSEPORT),
@@ -85,11 +92,6 @@ struct TcpServerOptions {
   /// Connections with no traffic and no work in flight for this long are
   /// closed (quartered while the overload ladder is at reduce_k or above).
   double idle_timeout_ms = 60'000;
-  /// A response stalled unflushed in the write buffer for this long marks a
-  /// dead-slow reader; the connection is closed (also quartered under
-  /// overload). The write_buffer_cap handles fast-filling buffers; this
-  /// handles readers that stop ACKing entirely.
-  double write_stall_timeout_ms = 10'000;
   /// Event-loop housekeeping cadence (idle scan, stall scan, drain checks).
   double tick_ms = 100;
   /// Force-close window of the drain sequence.

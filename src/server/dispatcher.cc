@@ -35,7 +35,7 @@ double Dispatcher::EffectiveBudgetMs(const Core& core, const Request& req) {
   double budget = req.budget_ms.value_or(core.options.default_budget_ms);
   // Negative/zero budgets are honored as "already expired" (the
   // Deadline::AfterMillis contract); only the ceiling is clamped here.
-  return std::min(budget, core.options.max_budget_ms);
+  return std::min(budget, kMaxBudgetMs);
 }
 
 std::future<Response> Dispatcher::Submit(Request req) {
@@ -69,7 +69,7 @@ void Dispatcher::SubmitAsync(Request req, Completion done) {
   //         can walk back down (see server/overload.h). ----
   if (core->overload.rung() == OverloadRung::kShed &&
       core->in_flight.load(std::memory_order_relaxed) >
-          core->overload.options().shed_keep_depth) {
+          kShedKeepDepth) {
     if (core->metrics != nullptr) core->metrics->RecordOverloadShed();
     finish(req,
            ErrorResponse(req, Status::ResourceExhausted(

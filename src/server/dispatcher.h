@@ -44,6 +44,10 @@
 
 namespace vexus::server {
 
+/// Client-supplied budgets are clamped to this ceiling so one request
+/// cannot park a worker arbitrarily long.
+inline constexpr double kMaxBudgetMs = 10'000.0;
+
 struct DispatcherOptions {
   /// Shed requests beyond this many admitted-but-unfinished ones. With the
   /// overload ladder enabled this is the hard backstop behind it (the
@@ -51,9 +55,6 @@ struct DispatcherOptions {
   size_t max_queue_depth = 256;
   /// Budget applied when a request carries none (paper P3: 100 ms).
   double default_budget_ms = 100.0;
-  /// Client-supplied budgets are clamped to this ceiling so one request
-  /// cannot park a worker arbitrarily long. +infinity disables the ceiling.
-  double max_budget_ms = 10'000.0;
   /// CoDel-style graceful-degradation ladder (server/overload.h).
   OverloadOptions overload;
 };

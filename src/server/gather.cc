@@ -12,6 +12,13 @@
 
 namespace vexus::server {
 
+namespace {
+
+/// Budget for a ProbeShards health call.
+constexpr double kProbeBudgetMs = 20.0;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // BackoffSchedule
 // ---------------------------------------------------------------------------
@@ -267,7 +274,7 @@ size_t GatherCoordinator::ProbeShards() {
       if (state == CircuitBreaker::State::kClosed) continue;
       if (!st.breaker.AllowRequest(NowMillis())) continue;
     }
-    auto result = st.transport->Call(req, options_.probe_budget_ms);
+    auto result = st.transport->Call(req, kProbeBudgetMs);
     bool ok = result.ok() && result.ValueOrDie().status.ok() &&
               (options_.generation == 0 ||
                result.ValueOrDie().generation == options_.generation);

@@ -156,8 +156,6 @@ class GatherCoordinator : public core::RemoteTrialScatterer {
     size_t max_attempts = 3;
     /// Budget for a single attempt's call, before deadline clamping.
     double lap_budget_ms = 50.0;
-    /// Budget for a ProbeShards health call.
-    double probe_budget_ms = 20.0;
     BackoffSchedule backoff;
     CircuitBreaker::Options breaker;
     /// Scatters shards in parallel when set (caller participates); serial

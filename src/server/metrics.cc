@@ -126,9 +126,6 @@ MetricsSnapshot ServiceMetrics::Snapshot(uint64_t open_sessions) const {
   s.degraded_stale = degraded_stale_.load(kRelaxed);
   s.degraded_partial = degraded_partial_.load(kRelaxed);
   s.overload_sheds = overload_sheds_.load(kRelaxed);
-  s.warm_loads = warm_loads_.load(kRelaxed);
-  s.last_warm_load_ms =
-      static_cast<double>(last_warm_load_us_.load(kRelaxed)) / 1e3;
   s.open_sessions = open_sessions;
   s.latency_all = latency_all_.Read();
   for (size_t i = 0; i < kNumStages; ++i) {
@@ -173,8 +170,6 @@ json::Value MetricsSnapshot::ToJson() const {
   o.emplace_back("degraded_stale", json::Value(degraded_stale));
   o.emplace_back("degraded_partial", json::Value(degraded_partial));
   o.emplace_back("overload_sheds", json::Value(overload_sheds));
-  o.emplace_back("warm_loads", json::Value(warm_loads));
-  o.emplace_back("last_warm_load_ms", json::Value(last_warm_load_ms));
   o.emplace_back("open_sessions", json::Value(open_sessions));
   json::Object by_type;
   for (size_t i = 0; i < kNumRequestTypes; ++i) {
@@ -239,13 +234,6 @@ std::string MetricsSnapshot::ToString() const {
                   static_cast<unsigned long long>(degraded_stale),
                   static_cast<unsigned long long>(degraded_partial),
                   static_cast<unsigned long long>(overload_sheds));
-    out += line;
-  }
-  if (warm_loads > 0) {
-    std::snprintf(line, sizeof(line),
-                  "cold start: warm_loads=%llu last_warm_load_ms=%.3f\n",
-                  static_cast<unsigned long long>(warm_loads),
-                  last_warm_load_ms);
     out += line;
   }
   std::snprintf(line, sizeof(line), "%-14s %10s %10s %10s %10s %10s %10s\n",

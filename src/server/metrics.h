@@ -115,11 +115,6 @@ struct MetricsSnapshot {
   /// gather shards missed their lap (DESIGN.md §16) — degraded:"partial".
   uint64_t degraded_partial = 0;
   uint64_t overload_sheds = 0;
-  /// Cold-start path: successful warm_from_snapshot loads and the wall time
-  /// of the most recent one (0 until the first load) — the operator-visible
-  /// form of the snapshot cold-start claim.
-  uint64_t warm_loads = 0;
-  double last_warm_load_ms = 0;
   /// Live gauge at snapshot time.
   uint64_t open_sessions = 0;
 
@@ -171,12 +166,6 @@ class ServiceMetrics {
   void RecordDegradedPartial() { degraded_partial_.fetch_add(1, kRelaxed); }
   /// Accounts one admission rejected by the ladder's shed rung.
   void RecordOverloadShed() { overload_sheds_.fetch_add(1, kRelaxed); }
-  /// Accounts one successful snapshot warm-up (engine restored from disk).
-  void RecordWarmLoad(double millis) {
-    warm_loads_.fetch_add(1, kRelaxed);
-    last_warm_load_us_.store(
-        millis <= 0 ? 0 : static_cast<uint64_t>(millis * 1e3), kRelaxed);
-  }
 
   /// Records one stage's wall time (microseconds).
   void RecordStage(Stage stage, double micros) {
@@ -214,8 +203,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> degraded_stale_{0};
   std::atomic<uint64_t> degraded_partial_{0};
   std::atomic<uint64_t> overload_sheds_{0};
-  std::atomic<uint64_t> warm_loads_{0};
-  std::atomic<uint64_t> last_warm_load_us_{0};
 
   LatencyHistogram latency_by_type_[kNumRequestTypes];
   LatencyHistogram latency_all_;

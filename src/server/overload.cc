@@ -25,7 +25,6 @@ OverloadController::OverloadController(OverloadOptions options)
     : options_(options), window_start_us_(NowMicros()) {
   if (options_.target_delay_ms <= 0) options_.target_delay_ms = 5.0;
   if (options_.window_ms <= 0) options_.window_ms = 100.0;
-  if (options_.degraded_k == 0) options_.degraded_k = 1;
 }
 
 uint64_t OverloadController::NowMicros() {

@@ -13,7 +13,7 @@
 //   rung 1  kShrinkEffort  greedy budget × kEffortFactor, candidate pool
 //                          capped at kDegradedCandidateCap — fewer trial
 //                          swaps per screen
-//   rung 2  kReduceK       screens of degraded_k (< the paper's 7) groups
+//   rung 2  kReduceK       screens of kDegradedK (< the paper's 7) groups
 //   rung 3  kStale         select_group answers the session's *cached*
 //                          current screen (degraded:"stale"), skipping the
 //                          greedy loop entirely
@@ -40,7 +40,7 @@
 // Recovery from kShed needs care: a rung-4 controller that shed *all*
 // admissions would starve itself of queue-delay samples and stick at 4
 // forever. The dispatcher therefore keeps admitting while the standing
-// queue is at or below `shed_keep_depth` — those probe requests re-measure
+// queue is at or below `kShedKeepDepth` — those probe requests re-measure
 // the queue and walk the ladder back down as the drain completes.
 #pragma once
 
@@ -61,13 +61,6 @@ struct OverloadOptions {
   /// Window length. 100 ms ≈ one request budget: the ladder reacts within
   /// a screen or two, but never mid-request.
   double window_ms = 100.0;
-  /// Rung >= kReduceK: serve screens of this many groups (clamped to the
-  /// requested k; never raises it).
-  uint64_t degraded_k = 3;
-  /// Rung kShed: keep admitting while the standing queue is at or below
-  /// this depth, so the controller still sees fresh delay samples and can
-  /// de-escalate once the drain completes.
-  size_t shed_keep_depth = 4;
 };
 
 /// The ladder's rungs, in escalation order. Plain enum values double as the
@@ -89,6 +82,13 @@ inline constexpr double kEffortFactor = 0.5;
 /// Rung >= kShrinkEffort: the greedy candidate pool is capped at this many
 /// groups.
 inline constexpr size_t kDegradedCandidateCap = 128;
+/// Rung >= kReduceK: screens are served with this many groups (clamped to
+/// the requested k; never raises it).
+inline constexpr size_t kDegradedK = 3;
+/// Rung kShed: the dispatcher keeps admitting while the standing queue is
+/// at or below this depth, so the controller still sees fresh delay samples
+/// and can de-escalate once the drain completes.
+inline constexpr size_t kShedKeepDepth = 4;
 
 class OverloadController {
  public:

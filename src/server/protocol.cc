@@ -9,8 +9,7 @@ namespace {
 constexpr std::string_view kNames[kNumRequestTypes] = {
     "start_session", "select_group", "backtrack",   "bookmark",
     "unlearn",       "get_context",  "get_stats",   "end_session",
-    "get_trace",     "warm_from_snapshot",           "health",
-    "eval_partial",  "shard_info",
+    "get_trace",     "health",       "eval_partial", "shard_info",
 };
 
 /// Reads a non-negative integer field; fails when present but ill-typed.
@@ -112,7 +111,6 @@ json::Value Request::ToJson() const {
   }
   if (n.has_value()) obj.emplace_back("n", json::Value(*n));
   if (slowest) obj.emplace_back("slowest", json::Value(true));
-  if (path.has_value()) obj.emplace_back("path", json::Value(*path));
   if (shard.has_value()) obj.emplace_back("shard", json::Value(*shard));
   if (num_shards.has_value()) {
     obj.emplace_back("num_shards", json::Value(*num_shards));
@@ -180,13 +178,6 @@ Result<Request> Request::FromJson(const json::Value& v) {
     }
     req.slowest = slowest->AsBool();
   }
-  const json::Value* path = v.Find("path");
-  if (path != nullptr) {
-    if (!path->is_string()) {
-      return Status::InvalidArgument("path must be a string");
-    }
-    req.path = path->AsString();
-  }
 
   // Per-op required fields.
   auto require_session = [&]() -> Status {
@@ -226,12 +217,6 @@ Result<Request> Request::FromJson(const json::Value& v) {
       VEXUS_RETURN_NOT_OK(require_session());
       if (!req.token.has_value()) {
         return Status::InvalidArgument("unlearn requires \"token\"");
-      }
-      break;
-    case RequestType::kWarmFromSnapshot:
-      if (!req.path.has_value() || req.path->empty()) {
-        return Status::InvalidArgument(
-            "warm_from_snapshot requires a non-empty \"path\"");
       }
       break;
     case RequestType::kEvalPartial:

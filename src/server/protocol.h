@@ -16,7 +16,6 @@
 //   {"op":"get_stats"}
 //   {"op":"get_trace","n":5,"slowest":true}
 //   {"op":"end_session","session":"alice"}
-//   {"op":"warm_from_snapshot","path":"/var/lib/vexus/bx.snapshot"}
 //   {"op":"health"}
 //
 // Every session-scoped request may also carry:
@@ -55,17 +54,16 @@ enum class RequestType : int {
   kGetStats = 6,
   kEndSession = 7,
   kGetTrace = 8,
-  kWarmFromSnapshot = 9,
-  kHealth = 10,
+  kHealth = 9,
   /// Shard-backend op (DESIGN.md §16): a batch of greedy trial-coverage
   /// partials over this backend's user range. The gather coordinator is the
   /// only intended client.
-  kEvalPartial = 11,
+  kEvalPartial = 10,
   /// Shard-backend identity probe: shard index, shard count, user range,
   /// and store generation — what the coordinator's membership table tracks.
-  kShardInfo = 12,
+  kShardInfo = 11,
 };
-inline constexpr size_t kNumRequestTypes = 13;
+inline constexpr size_t kNumRequestTypes = 12;
 
 /// Wire name of an op ("start_session", ...).
 std::string_view RequestTypeName(RequestType t);
@@ -92,7 +90,6 @@ struct Request {
   std::optional<double> learning_rate; // start_session
   std::optional<uint64_t> n;           // get_trace: how many traces
   bool slowest = false;                // get_trace: slowest-N vs last-N
-  std::optional<std::string> path;     // warm_from_snapshot: snapshot file
 
   // --- eval_partial payload (DESIGN.md §16) ---
   /// Expected shard identity; a backend serving a different (shard,

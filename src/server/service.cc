@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "core/partial_eval.h"
 #include "server/gather.h"
 #include "server/overload.h"
@@ -28,17 +28,6 @@ ExplorationService::ExplorationService(const core::VexusEngine* engine,
   InitRuntime();
   sessions_ =
       std::make_unique<SessionManager>(engine_, options_.sessions, &metrics_);
-  warm_state_.store(static_cast<int>(WarmState::kWarm),
-                    std::memory_order_release);
-}
-
-ExplorationService::ExplorationService(data::Dataset dataset,
-                                       ServiceOptions options)
-    : engine_(nullptr), options_(std::move(options)) {
-  cold_dataset_ = std::make_unique<data::Dataset>(std::move(dataset));
-  InitRuntime();
-  // Cold: no engine, no session manager. get_stats and warm_from_snapshot
-  // are the only ops that succeed until WarmFromSnapshot() flips warm_.
 }
 
 ExplorationService::ExplorationService(core::SnapshotShard shard,
@@ -48,9 +37,9 @@ ExplorationService::ExplorationService(core::SnapshotShard shard,
   backend_shard_ = std::make_unique<core::SnapshotShard>(std::move(shard));
   backend_generation_ = generation;
   InitRuntime();
-  // The service stays "cold" on purpose: session ops answer
-  // FailedPrecondition, while eval_partial / shard_info / health /
-  // get_stats — everything a gather coordinator needs — serve immediately.
+  // No engine on purpose: session ops answer FailedPrecondition, while
+  // eval_partial / shard_info / health / get_stats — everything a gather
+  // coordinator needs — serve immediately.
 }
 
 void ExplorationService::ConfigureGather(
@@ -79,92 +68,13 @@ ExplorationService::~ExplorationService() { Shutdown(); }
 
 void ExplorationService::Shutdown() { pool_->Shutdown(); }
 
-Status ExplorationService::WarmFromSnapshot(const std::string& path) {
-  // Exactly one warmer: CAS kCold -> kWarming. Losers return immediately —
-  // a concurrent warm attempt must not park a pool worker behind a
-  // multi-second snapshot load (with a small pool that stalls every other
-  // request past its deadline).
-  if (shard_backend()) {
-    return Status::FailedPrecondition(
-        "a shard backend serves one snapshot section for life; restart it "
-        "to change stores");
-  }
-  int expected = static_cast<int>(WarmState::kCold);
-  if (!warm_state_.compare_exchange_strong(
-          expected, static_cast<int>(WarmState::kWarming),
-          std::memory_order_acquire, std::memory_order_acquire)) {
-    return expected == static_cast<int>(WarmState::kWarming)
-               ? Status::FailedPrecondition(
-                     "a warm_from_snapshot is already in flight")
-               : Status::FailedPrecondition("service is already warm");
-  }
-  VEXUS_CHECK(cold_dataset_ != nullptr);  // cold ctor is the only cold path
-
-  // From here on every failure path must roll the state back to kCold so the
-  // warm-up stays retryable with another snapshot path.
-  auto rollback = [this] {
-    warm_state_.store(static_cast<int>(WarmState::kCold),
-                      std::memory_order_release);
-  };
-
-  // Chaos site: the warm-up failing after winning the race (a snapshot
-  // fetch layer erroring before the local load even starts).
-  if (Status injected = failpoint::Inject("service.warm"); !injected.ok()) {
-    rollback();
-    return injected;
-  }
-
-  Stopwatch watch;
-  // FromSnapshot consumes the dataset only on success, so a failed load
-  // (missing file, corruption, wrong universe) leaves the service cold and
-  // retryable with a different path.
-  auto engine = core::VexusEngine::FromSnapshot(cold_dataset_.get(), path);
-  if (!engine.ok()) {
-    rollback();
-    return engine.status().WithContext("warm_from_snapshot(" + path + ")");
-  }
-  owned_engine_ = std::make_unique<core::VexusEngine>(
-      std::move(engine).ValueOrDie());
-  cold_dataset_.reset();
-  engine_ = owned_engine_.get();
-  sessions_ =
-      std::make_unique<SessionManager>(engine_, options_.sessions, &metrics_);
-  metrics_.RecordWarmLoad(watch.ElapsedMillis());
-  // Chaos site: a sleep here holds the service in kWarming with the engine
-  // already built — the window the concurrent-warm regression test uses to
-  // prove the loser neither double-warms nor observes a torn pointer.
-  VEXUS_FAILPOINT_HIT("service.warm.built");
-  // Release: request handlers acquire-load warm_state_ before touching
-  // engine_ / sessions_, so the stores above are visible once this flips.
-  warm_state_.store(static_cast<int>(WarmState::kWarm),
-                    std::memory_order_release);
-  return Status::OK();
-}
-
-std::future<Response> ExplorationService::Dispatch(Request req) {
+void ExplorationService::DispatchAsync(Request req,
+                                       Dispatcher::Completion done) {
   // Health probes are answered inline, never queued: an orchestrator must
   // be able to tell "overloaded" from "dead", which requires the probe to
   // bypass the very queue whose congestion it reports (and to never be
-  // shed by the ladder it observes).
-  if (req.type == RequestType::kHealth) {
-    std::promise<Response> ready;
-    ready.set_value(DoHealth(req));
-    return ready.get_future();
-  }
-  // shard_info is probe-class (the gather coordinator's breaker probe):
-  // inline for the same reason as health.
-  if (req.type == RequestType::kShardInfo) {
-    std::promise<Response> ready;
-    ready.set_value(DoShardInfo(req));
-    return ready.get_future();
-  }
-  return dispatcher_->Submit(std::move(req));
-}
-
-void ExplorationService::DispatchAsync(Request req,
-                                       Dispatcher::Completion done) {
-  // Same health-probe bypass as Dispatch(): answered inline, never queued,
-  // never shed (see the comment there).
+  // shed by the ladder it observes). shard_info is probe-class (the gather
+  // coordinator's breaker probe): inline for the same reason.
   if (req.type == RequestType::kHealth) {
     done(DoHealth(req));
     return;
@@ -177,7 +87,14 @@ void ExplorationService::DispatchAsync(Request req,
 }
 
 Response ExplorationService::Call(Request req) {
-  return Dispatch(std::move(req)).get();
+  // Shared, not on this stack: the worker may still be inside set_value
+  // when get() returns.
+  auto result = std::make_shared<std::promise<Response>>();
+  std::future<Response> ready = result->get_future();
+  DispatchAsync(std::move(req), [result](Response resp) {
+    result->set_value(std::move(resp));
+  });
+  return ready.get();
 }
 
 std::string ExplorationService::HandleLine(const std::string& line) {
@@ -191,10 +108,8 @@ std::string ExplorationService::HandleLine(const std::string& line) {
 }
 
 MetricsSnapshot ExplorationService::Stats() const {
-  // The acquire on warm_ orders the sessions_ read against the warm-up's
-  // release store; while cold the open-session gauge is simply 0.
-  if (!warm()) return metrics_.Snapshot(0);
-  return metrics_.Snapshot(sessions_->size());
+  // A shard backend has no sessions: its open-session gauge is simply 0.
+  return metrics_.Snapshot(sessions_ != nullptr ? sessions_->size() : 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,28 +124,25 @@ Response ExplorationService::Execute(const Request& req,
       return DoGetStats(req);
     case RequestType::kGetTrace:
       return DoGetTrace(req);
-    case RequestType::kWarmFromSnapshot:
-      return DoWarmFromSnapshot(req, span);
     case RequestType::kHealth:
-      // Normally intercepted by Dispatch(); kept here so a health request
-      // routed through the dispatcher directly still answers.
+      // Normally intercepted by DispatchAsync(); kept here so a health
+      // request routed through the dispatcher directly still answers.
       return DoHealth(req);
     case RequestType::kShardInfo:
-      // Likewise normally inlined by Dispatch/DispatchAsync.
+      // Likewise normally inlined by DispatchAsync().
       return DoShardInfo(req);
     case RequestType::kEvalPartial:
       return DoEvalPartial(req, deadline);
     default:
       break;
   }
-  // Every remaining op needs the engine and the session manager; while the
-  // service is cold neither exists. The acquire pairs with the warm-up's
-  // release store, making engine_/sessions_ safe to dereference below.
-  if (!warm()) {
+  // Every remaining op needs the engine and the session manager; a shard
+  // backend has neither.
+  if (engine_ == nullptr) {
     return ErrorResponse(
         req, Status::FailedPrecondition(
-                 "service is cold: no engine loaded yet "
-                 "(send warm_from_snapshot first)"));
+                 "a shard backend serves no sessions (only eval_partial, "
+                 "shard_info, health and get_stats)"));
   }
   if (req.type == RequestType::kStartSession) {
     return DoStartSession(req, deadline, span);
@@ -366,9 +278,7 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
     resp->degraded = "effort";
   }
   if (rung >= OverloadRung::kReduceK) {
-    live.k = std::min(
-        live.k,
-        static_cast<size_t>(dispatcher_->overload().options().degraded_k));
+    live.k = std::min(live.k, kDegradedK);
     resp->degraded = "k";  // deepest applied rung wins the flag
   }
   live.time_limit_ms = std::min(limit, deadline.RemainingMillis());
@@ -560,9 +470,8 @@ Response ExplorationService::DoSessionOp(const Request& req,
 Response ExplorationService::DoGetStats(const Request& req) {
   // Ride the stats poll for TTL progress: monitoring traffic alone keeps
   // expired sessions from accumulating even when no explorer is active.
-  // While cold there is no session manager (and nothing to sweep) — stats
-  // still answer, so monitoring works before the first warm-up.
-  if (warm()) sessions_->SweepExpired();
+  // A shard backend has no session manager (and nothing to sweep).
+  if (sessions_ != nullptr) sessions_->SweepExpired();
   Response resp;
   resp.type = req.type;
   resp.stats = Stats().ToJson();
@@ -576,38 +485,18 @@ Response ExplorationService::DoGetStats(const Request& req) {
   return resp;
 }
 
-Response ExplorationService::DoWarmFromSnapshot(const Request& req,
-                                                TraceSpan& span) {
-  Response resp;
-  resp.type = req.type;
-  TraceSpan warm_span = span.Child("warm");
-  resp.status = WarmFromSnapshot(*req.path);
-  return resp;
-}
-
 Response ExplorationService::DoHealth(const Request& req) {
   const OverloadController& overload = dispatcher_->overload();
-  const bool warm_ready = warm();
-  // A shard backend is "ready" the moment it is up: it never warms (there
-  // is no engine), and its one job — eval_partial — serves immediately.
-  const bool ready = warm_ready || shard_backend();
-  const int state = warm_state_.load(std::memory_order_relaxed);
   const OverloadRung rung = overload.rung();
 
   json::Object h;
   h.emplace_back("alive", json::Value(true));
-  // Readiness = warm: a cold replica can answer health/stats/warm ops but
-  // no session traffic, so orchestrators should not route explorers to it.
-  // (Shard backends are the exception above — their readiness means "the
-  // gather fleet may route eval_partial here".)
-  h.emplace_back("ready", json::Value(ready));
-  h.emplace_back(
-      "state",
-      json::Value(shard_backend() ? "shard_backend"
-                  : state == static_cast<int>(WarmState::kWarm) ? "warm"
-                  : state == static_cast<int>(WarmState::kWarming)
-                      ? "warming"
-                      : "cold"));
+  // Every service is complete at construction, so both shapes are ready
+  // the moment they answer; "ready" stays on the wire as the documented
+  // probe contract (DESIGN.md §11.4).
+  h.emplace_back("ready", json::Value(true));
+  h.emplace_back("state",
+                 json::Value(shard_backend() ? "shard_backend" : "serving"));
   if (shard_backend()) {
     h.emplace_back("shard", json::Value(backend_shard_->shard));
     h.emplace_back("num_shards", json::Value(backend_shard_->num_shards));
@@ -622,7 +511,7 @@ Response ExplorationService::DoHealth(const Request& req) {
   h.emplace_back("overload_escalations", json::Value(overload.escalations()));
   // Degraded/shed counters from one relaxed snapshot — no quantile math,
   // no per-op JSON table, so the probe stays cheap for high-rate polling.
-  MetricsSnapshot snap = metrics_.Snapshot(warm_ready ? sessions_->size() : 0);
+  MetricsSnapshot snap = Stats();
   json::Object degraded;
   degraded.emplace_back("effort", json::Value(snap.degraded_effort));
   degraded.emplace_back("k", json::Value(snap.degraded_k));

@@ -17,10 +17,7 @@
 // without touching the exploration core.
 #pragma once
 
-#include <atomic>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -56,17 +53,11 @@ struct ServiceOptions {
 
 class ExplorationService {
  public:
-  /// Warm construction: `engine` must outlive the service.
+  /// Engine construction (standalone or gather coordinator): `engine` must
+  /// outlive the service. To serve from a snapshot, restore the engine with
+  /// core::VexusEngine::FromSnapshot first (DESIGN.md §11.4): the service
+  /// is complete, and ready, from construction on.
   explicit ExplorationService(const core::VexusEngine* engine,
-                              ServiceOptions options = {});
-
-  /// Cold construction for the snapshot cold-start path: the service owns
-  /// the dataset and accepts connections immediately, but only get_stats
-  /// and warm_from_snapshot succeed until WarmFromSnapshot() (or the wire
-  /// op) restores an engine from disk; every other op fails with
-  /// FailedPrecondition. This is the deployment shape in DESIGN.md §11:
-  /// mine once, snapshot, then bring serving processes up in seconds.
-  explicit ExplorationService(data::Dataset dataset,
                               ServiceOptions options = {});
 
   /// Shard-backend construction (DESIGN.md §16): the service owns one
@@ -82,18 +73,15 @@ class ExplorationService {
   ExplorationService(const ExplorationService&) = delete;
   ExplorationService& operator=(const ExplorationService&) = delete;
 
-  /// Asynchronous entry point: admit/shed now, complete later.
-  std::future<Response> Dispatch(Request req);
-
-  /// Callback-shaped asynchronous entry point — what the socket front-end
-  /// (src/net) uses so worker threads can complete responses back onto the
-  /// owning connection's event loop instead of parking a thread on a
-  /// future. `done` fires exactly once, on a pool worker for executed
-  /// requests or inline on the calling thread for health probes and
-  /// requests shed at admission; it must be cheap and non-blocking.
+  /// Asynchronous entry point: admit/shed now, complete later. The socket
+  /// front-end (src/net) uses it so worker threads can complete responses
+  /// back onto the owning connection's event loop instead of parking a
+  /// thread. `done` fires exactly once, on a pool worker for executed
+  /// requests or inline on the calling thread for health/shard_info probes
+  /// and requests shed at admission; it must be cheap and non-blocking.
   void DispatchAsync(Request req, Dispatcher::Completion done);
 
-  /// Synchronous entry point (dispatch + wait).
+  /// Synchronous entry point (DispatchAsync + wait).
   Response Call(Request req);
 
   /// Wire-level entry point: one request line in, one response line out
@@ -108,16 +96,6 @@ class ExplorationService {
   /// shed with ResourceExhausted.
   void Shutdown();
 
-  /// Restores the engine from a snapshot and opens the service for session
-  /// traffic (also reachable over the wire as the warm_from_snapshot op).
-  /// Only valid on a cold-constructed service, exactly once:
-  /// FailedPrecondition if already warm (including warm construction) or if
-  /// another warm-up is in flight (the loser returns immediately instead of
-  /// blocking a pool worker behind a multi-second load), Corruption /
-  /// IOError etc. from the snapshot load — in which case the service goes
-  /// back to cold and the call may be retried with another path.
-  Status WarmFromSnapshot(const std::string& path);
-
   /// Wires a gather coordinator (owned) into every *future* session's
   /// greedy options as the remote trial scatterer. Must be called before
   /// any session is created — sessions snapshot the template at Create
@@ -131,16 +109,10 @@ class ExplorationService {
   /// True for the shard-backend constructor's shape.
   bool shard_backend() const { return backend_shard_ != nullptr; }
 
-  /// False between cold construction and a successful WarmFromSnapshot.
-  bool warm() const {
-    return warm_state_.load(std::memory_order_acquire) ==
-           static_cast<int>(WarmState::kWarm);
-  }
-
   const ServiceMetrics& metrics() const { return metrics_; }
-  /// Valid only when warm().
+  /// Valid only over an engine (not on a shard backend).
   SessionManager& sessions() { return *sessions_; }
-  /// Valid only when warm().
+  /// Valid only over an engine (not on a shard backend).
   const core::VexusEngine& engine() const { return *engine_; }
   const TraceLog& trace_log() const { return *trace_log_; }
   /// Admission/queue layer. Exposed so embedders and tests can read the
@@ -163,9 +135,8 @@ class ExplorationService {
                        TraceSpan& span);
   Response DoGetStats(const Request& req);
   Response DoGetTrace(const Request& req);
-  Response DoWarmFromSnapshot(const Request& req, TraceSpan& span);
   /// Liveness/readiness probe, built from atomics only (no histogram
-  /// serialization). Answered inline by Dispatch() so orchestrator probes
+  /// serialization). Answered inline by DispatchAsync() so orchestrator probes
   /// never queue behind session traffic and are never shed.
   Response DoHealth(const Request& req);
   /// Shard-backend ops (DESIGN.md §16). eval_partial runs on a worker with
@@ -195,7 +166,7 @@ class ExplorationService {
                  const Deadline& deadline, const TraceSpan& span,
                  Response* resp);
 
-  const core::VexusEngine* engine_;  // null while cold
+  const core::VexusEngine* engine_;  // null on a shard backend
   ServiceOptions options_;
   /// Shard-backend state (null in coordinator/standalone shapes).
   std::unique_ptr<core::SnapshotShard> backend_shard_;
@@ -204,24 +175,9 @@ class ExplorationService {
   std::unique_ptr<GatherCoordinator> gather_;
   ServiceMetrics metrics_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<SessionManager> sessions_;  // null while cold
+  std::unique_ptr<SessionManager> sessions_;  // null on a shard backend
   std::unique_ptr<TraceLog> trace_log_;
   std::unique_ptr<Dispatcher> dispatcher_;
-
-  /// Cold-start state machine: kCold -(CAS)-> kWarming -> kWarm on success,
-  /// back to kCold on a failed load (retryable). The CAS admits exactly one
-  /// warmer; concurrent attempts lose the CAS and return FailedPrecondition
-  /// *immediately* instead of blocking a pool worker behind a multi-second
-  /// snapshot load (the old mutex serialized them — correct outcomes, but
-  /// the loser parked a worker for the whole load; regression-tested in
-  /// service_test.cc ConcurrentWarmLoserReturnsImmediately). kWarm is stored
-  /// with release ordering after engine_/sessions_ are fully built; request
-  /// handlers read it with acquire before touching either — there is never a
-  /// torn engine pointer.
-  enum class WarmState : int { kCold = 0, kWarming = 1, kWarm = 2 };
-  std::atomic<int> warm_state_{static_cast<int>(WarmState::kCold)};
-  std::unique_ptr<data::Dataset> cold_dataset_;  // consumed by the warm-up
-  std::unique_ptr<core::VexusEngine> owned_engine_;
 };
 
 }  // namespace vexus::server

@@ -75,7 +75,9 @@ TEST(BitsetTest, ResizeShrinkThenGrowClearsStaleTailBits) {
     SCOPED_TRACE(testing::Message() << "mid=" << mid);
     EXPECT_EQ(b.Count(), mid);
     EXPECT_TRUE(b.Test(mid - 1));
-    if (mid < big) EXPECT_FALSE(b.Test(mid));
+    if (mid < big) {
+      EXPECT_FALSE(b.Test(mid));
+    }
     EXPECT_FALSE(b.Test(big - 1));
     // The tail must also be invisible to the kernels, not just Test().
     Bitset all(big);

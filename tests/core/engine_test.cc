@@ -148,8 +148,7 @@ TEST(EngineSnapshotTest, FromSnapshotServesSessionsLikePreprocess) {
 
   // The generator is deterministic: a fresh dataset from the same config is
   // the one the snapshot was preprocessed from.
-  data::Dataset same = SmallBx();
-  auto warmed = VexusEngine::FromSnapshot(&same, path);
+  auto warmed = VexusEngine::FromSnapshot(SmallBx(), path);
   ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
   EXPECT_EQ(warmed->groups().size(), mined->groups().size());
   EXPECT_EQ(warmed->index().num_groups(), mined->index().num_groups());
@@ -169,28 +168,16 @@ TEST(EngineSnapshotTest, FromSnapshotServesSessionsLikePreprocess) {
 TEST(EngineSnapshotTest, FromSnapshotRejectsWrongUniverse) {
   const std::string path = TempPath("engine_universe.snap");
   WriteEngineSnapshot(path);  // 500-user universe
-  data::Dataset other = SmallBx(400);
-  auto r = VexusEngine::FromSnapshot(&other, path);
+  auto r = VexusEngine::FromSnapshot(SmallBx(400), path);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
-  // The mismatched dataset is untouched — move-only Dataset is consumed
-  // only on success.
-  EXPECT_EQ(other.num_users(), 400u);
   std::remove(path.c_str());
 }
 
-TEST(EngineSnapshotTest, FailedLoadLeavesDatasetIntactForRetry) {
-  const std::string path = TempPath("engine_retry.snap");
-  WriteEngineSnapshot(path);
-  data::Dataset ds = SmallBx();
-  auto miss = VexusEngine::FromSnapshot(&ds, TempPath("no_such_file.snap"));
+TEST(EngineSnapshotTest, FromSnapshotFailsOnMissingFile) {
+  auto miss =
+      VexusEngine::FromSnapshot(SmallBx(), TempPath("no_such_file.snap"));
   ASSERT_FALSE(miss.ok());
-  EXPECT_EQ(ds.num_users(), 500u);
-  // A cold service retries the same dataset against the correct path.
-  auto retry = VexusEngine::FromSnapshot(&ds, path);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_EQ(retry->dataset().num_users(), 500u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,15 +2,14 @@
 // serving stack (ISSUE 5 tentpole, DESIGN.md §12).
 //
 // Each test arms a set of failpoints with deterministic policies derived
-// from one seed, drives concurrent explorer traffic (or snapshot/warm-up
+// from one seed, drives concurrent explorer traffic (or the snapshot
 // machinery) through the *production* code paths, and asserts the
 // robustness invariants that must survive any fault mix:
 //
 //   * conservation — every request submitted is retired exactly once and
 //     lands in exactly one outcome counter; the in-flight gauge drains;
 //   * no torn state — a failed snapshot save never destroys the previous
-//     good snapshot, a corrupted payload is *detected* at load, a failed
-//     warm-up leaves the service cold and retryable;
+//     good snapshot, and a corrupted payload is *detected* at load;
 //   * liveness — the service keeps answering (possibly degraded) and shuts
 //     down cleanly with faults still armed.
 //
@@ -402,39 +401,6 @@ TEST_F(ChaosTest, CorruptedSnapshotIsDetectedNeverTrusted) {
     EXPECT_FALSE(loaded.ok());
   }
   EXPECT_TRUE(core::LoadSnapshot(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(ChaosTest, WarmUpFaultsLeaveColdServiceRetryable) {
-  const std::string path = SnapshotPath("chaos_warm.snap");
-  core::SnapshotSaveOptions save;
-  save.sync = false;
-  ASSERT_TRUE(
-      core::SaveSnapshot(engine_->groups(), engine_->index(), path, save)
-          .ok());
-
-  data::BookCrossingGenerator::Config cfg;
-  cfg.num_users = 400;
-  cfg.num_books = 500;
-  cfg.num_ratings = 2400;
-  ExplorationService svc(data::BookCrossingGenerator::Generate(cfg),
-                         FastOptions());
-
-  // First attempt is fault-killed inside WarmFromSnapshot; the CAS state
-  // machine must roll back to cold so the retry can win.
-  {
-    failpoint::ScopedFailpoint fp("service.warm", Once(StatusCode::kIOError));
-    Status st = svc.WarmFromSnapshot(path);
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(fp.fires(), 1u);
-    EXPECT_FALSE(svc.warm());
-  }
-  EXPECT_TRUE(svc.WarmFromSnapshot(path).ok());
-  EXPECT_TRUE(svc.warm());
-  Request start;
-  start.type = RequestType::kStartSession;
-  start.session_id = "post_chaos";
-  EXPECT_TRUE(svc.Call(std::move(start)).status.ok());
   std::remove(path.c_str());
 }
 

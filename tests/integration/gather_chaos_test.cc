@@ -130,8 +130,12 @@ class GatherChaosTest : public ::testing::Test {
 
   Fleet MakeFleet(size_t num_shards,
                   std::vector<uint64_t> generations = {}) {
-    const std::string path = ::testing::TempDir() + "gather_chaos_s" +
-                             std::to_string(num_shards) + ".snap";
+    // One file per test: ctest runs tests as parallel processes, and a
+    // shared name let one test remove the file while another loaded it.
+    const std::string path =
+        ::testing::TempDir() + "gather_chaos_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_s" + std::to_string(num_shards) + ".snap";
     core::SnapshotSaveOptions save;
     save.num_shards = num_shards;
     save.sync = false;

@@ -158,8 +158,9 @@ TEST(DispatcherOverloadTest, ShedRungRejectsAtAdmission) {
   // Fill the queue past the probe floor so the shed rung actually rejects.
   double inf = std::numeric_limits<double>::infinity();
   std::vector<std::future<Response>> held;
-  size_t floor = d.overload().options().shed_keep_depth;
-  for (size_t i = 0; i <= floor; ++i) held.push_back(d.Submit(MakeRequest(inf)));
+  for (size_t i = 0; i <= kShedKeepDepth; ++i) {
+    held.push_back(d.Submit(MakeRequest(inf)));
+  }
 
   Response shed = d.Call(MakeRequest(inf));
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);

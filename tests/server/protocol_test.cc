@@ -89,29 +89,13 @@ TEST(RequestDecodeTest, IllTypedFieldsFail) {
       Request::Decode("{\"op\":\"get_stats\",\"budget_ms\":\"fast\"}").ok());
 }
 
-TEST(RequestDecodeTest, WarmFromSnapshotRequiresNonEmptyPath) {
-  EXPECT_FALSE(Request::Decode("{\"op\":\"warm_from_snapshot\"}").ok());
-  EXPECT_FALSE(
-      Request::Decode("{\"op\":\"warm_from_snapshot\",\"path\":\"\"}").ok());
-  EXPECT_FALSE(
-      Request::Decode("{\"op\":\"warm_from_snapshot\",\"path\":7}").ok());
+TEST(RequestDecodeTest, WarmFromSnapshotIsUnknownOp) {
+  // Services are complete at construction; there is no warm-up op.
   auto r = Request::Decode(
       "{\"op\":\"warm_from_snapshot\",\"path\":\"/var/lib/vexus/bx.snap\"}");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->type, RequestType::kWarmFromSnapshot);
-  ASSERT_TRUE(r->path.has_value());
-  EXPECT_EQ(*r->path, "/var/lib/vexus/bx.snap");
-}
-
-TEST(RequestCodecTest, WarmFromSnapshotRoundTrips) {
-  Request req;
-  req.type = RequestType::kWarmFromSnapshot;
-  req.path = "/tmp/warm me.snap";  // space survives JSON encoding
-  auto back = Request::Decode(req.Encode());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->type, RequestType::kWarmFromSnapshot);
-  ASSERT_TRUE(back->path.has_value());
-  EXPECT_EQ(*back->path, "/tmp/warm me.snap");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("unknown op"), std::string::npos);
 }
 
 TEST(RequestCodecTest, EncodeDecodeRoundTrip) {

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -12,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/failpoint.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
@@ -423,7 +424,11 @@ TEST_F(ServiceTest, BackpressureShedsBeyondQueueDepth) {
       req.type = RequestType::kGetContext;
       req.session_id = "bp";
       req.budget_ms = 10'000;
-      futs.push_back(svc.Dispatch(req));
+      auto done = std::make_shared<std::promise<Response>>();
+      futs.push_back(done->get_future());
+      svc.DispatchAsync(req, [done](Response r) {
+        done->set_value(std::move(r));
+      });
     }
     // max_queue_depth = 2: at most 2 admitted, the rest shed immediately.
     // lease drops here; the admitted requests drain.
@@ -691,12 +696,12 @@ TEST_F(ServiceTest, ConcurrentExplorersSixteenThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Cold start: a service constructed with only a dataset, warmed by the
-// warm_from_snapshot wire op (DESIGN.md §11).
+// Snapshot cold start: restore the engine with FromSnapshot, then construct
+// the service over it (DESIGN.md §11.4).
 // ---------------------------------------------------------------------------
 
 /// The same dataset the shared engine_ was preprocessed from (the generator
-/// is deterministic), so engine_'s snapshot warms a service over it.
+/// is deterministic), so engine_'s snapshot restores an engine over it.
 data::Dataset FreshDataset() {
   data::BookCrossingGenerator::Config cfg;
   cfg.num_users = 500;
@@ -716,126 +721,43 @@ std::string WriteServiceSnapshot(const char* name) {
   return path;
 }
 
-Request WarmRequest(const std::string& path) {
-  Request req;
-  req.type = RequestType::kWarmFromSnapshot;
-  req.path = path;
-  return req;
-}
-
-TEST_F(ServiceTest, ColdServiceWarmsFromSnapshotOverTheWire) {
-  const std::string path = WriteServiceSnapshot("svc_warm.snap");
-  ExplorationService svc(FreshDataset(), FastOptions());
-  EXPECT_FALSE(svc.warm());
-
-  // While cold, session traffic is refused but observability answers.
-  Response refused = svc.Call(Start("early"));
-  EXPECT_TRUE(refused.status.IsFailedPrecondition())
-      << refused.status.ToString();
-  Request gs;
-  gs.type = RequestType::kGetStats;
-  EXPECT_TRUE(svc.Call(gs).status.ok());
-
-  // Warm over the wire, exactly as an operator would.
-  std::string out = svc.HandleLine(
-      "{\"op\":\"warm_from_snapshot\",\"path\":\"" + path + "\"}");
-  auto resp = Response::Decode(out);
-  ASSERT_TRUE(resp.ok()) << out;
-  ASSERT_TRUE(resp->status.ok()) << out;
-  EXPECT_TRUE(svc.warm());
-
-  // Session ops now run end to end on the restored engine.
-  Response started = svc.Call(Start("thawed"));
-  ASSERT_TRUE(started.status.ok()) << started.status.ToString();
-  ASSERT_FALSE(started.groups.empty());
-  ASSERT_TRUE(svc.Call(Select("thawed", started.groups[0].id)).status.ok());
-  ASSERT_TRUE(svc.Call(End("thawed")).status.ok());
-
-  // Warming is exactly-once.
-  Response again = svc.Call(WarmRequest(path));
-  EXPECT_TRUE(again.status.IsFailedPrecondition()) << again.status.ToString();
-
-  MetricsSnapshot s = svc.Stats();
-  EXPECT_EQ(s.warm_loads, 1u);
-  EXPECT_GT(s.last_warm_load_ms, 0.0);
+TEST_F(ServiceTest, SnapshotRestoredEngineServesSessions) {
+  const std::string path = WriteServiceSnapshot("svc_restored.snap");
+  auto loaded = core::VexusEngine::FromSnapshot(FreshDataset(), path);
   std::remove(path.c_str());
-}
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const core::VexusEngine restored = std::move(loaded).ValueOrDie();
 
-TEST_F(ServiceTest, FailedWarmLeavesServiceColdAndRetryable) {
-  const std::string path = WriteServiceSnapshot("svc_retry.snap");
-  ExplorationService svc(FreshDataset(), FastOptions());
+  // Unbounded greedy on both sides, so the deadline never truncates a run
+  // and the screens are a pure function of the group store.
+  ServiceOptions opts = FastOptions();
+  opts.session_template.greedy.time_limit_ms =
+      core::GreedyOptions::kUnboundedTimeLimit;
+  opts.dispatcher.default_budget_ms = 10'000;
+  ExplorationService svc(&restored, opts);
+  ExplorationService reference(SharedEngine(), opts);
 
-  // Missing file: the service stays cold, the dataset is preserved...
-  Response miss =
-      svc.Call(WarmRequest(::testing::TempDir() + "no_such.snap"));
-  EXPECT_FALSE(miss.status.ok());
-  EXPECT_FALSE(svc.warm());
-  EXPECT_EQ(svc.Stats().warm_loads, 0u);
-
-  // ...so a retry against the correct path succeeds.
-  ASSERT_TRUE(svc.Call(WarmRequest(path)).status.ok());
-  EXPECT_TRUE(svc.warm());
-  EXPECT_TRUE(svc.Call(Start("second_try")).status.ok());
-  EXPECT_EQ(svc.Stats().warm_loads, 1u);
-  std::remove(path.c_str());
-}
-
-TEST_F(ServiceTest, WarmConstructedServiceRefusesWarmOp) {
-  ExplorationService svc(SharedEngine(), FastOptions());
-  EXPECT_TRUE(svc.warm());
-  Response resp = svc.Call(WarmRequest("/irrelevant.snap"));
-  EXPECT_TRUE(resp.status.IsFailedPrecondition()) << resp.status.ToString();
-  EXPECT_EQ(svc.Stats().warm_loads, 0u);
-}
-
-// Regression for the old mutex-serialized warm-up: the loser used to park a
-// pool worker for the entire multi-second snapshot load. With the CAS state
-// machine the loser must return FailedPrecondition *while the winner is
-// still loading* (service.h documents this test by name).
-TEST_F(ServiceTest, ConcurrentWarmLoserReturnsImmediately) {
-  const std::string path = WriteServiceSnapshot("svc_race.snap");
-  ExplorationService svc(FreshDataset(), FastOptions());
-
-  // Stretch the winner's load so the race window is wide: the
-  // service.warm.built site sits after the engine is rebuilt but before the
-  // kWarm store, so the winner holds kWarming for >= sleep_ms.
-  failpoint::Policy slow;
-  slow.mode = failpoint::Policy::Mode::kAlways;
-  slow.sleep_ms = 150.0;
-  failpoint::ScopedFailpoint fp("service.warm.built", slow);
-
-  std::atomic<int> oks{0}, losers{0};
-  std::atomic<double> loser_ms{-1.0};
-  auto attempt = [&] {
-    auto t0 = std::chrono::steady_clock::now();
-    Status s = svc.WarmFromSnapshot(path);
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    if (s.ok()) {
-      ++oks;
-    } else {
-      EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
-      ++losers;
-      loser_ms.store(ms);
+  auto expect_same = [](const Response& got, const Response& want) {
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+    EXPECT_FALSE(got.greedy_deadline_hit);
+    ASSERT_EQ(got.groups.size(), want.groups.size());
+    for (size_t i = 0; i < got.groups.size(); ++i) {
+      EXPECT_EQ(got.groups[i].id, want.groups[i].id);
     }
+    EXPECT_EQ(got.coverage, want.coverage);
+    EXPECT_EQ(got.diversity, want.diversity);
   };
-  std::thread a(attempt), b(attempt);
-  a.join();
-  b.join();
 
-  EXPECT_EQ(oks.load(), 1);
-  EXPECT_EQ(losers.load(), 1);
-  // The loser returned without waiting out the winner's load. Generous
-  // bound: well under the 150 ms the winner provably spent inside the CS.
-  EXPECT_LT(loser_ms.load(), 100.0)
-      << "loser blocked behind the winner's snapshot load";
-  EXPECT_GE(fp.fires(), 1u) << "winner must have crossed the slow site";
-
-  EXPECT_TRUE(svc.warm());
-  EXPECT_EQ(svc.Stats().warm_loads, 1u);
-  EXPECT_TRUE(svc.Call(Start("after_race")).status.ok());
-  std::remove(path.c_str());
+  Response started = svc.Call(Start("thawed"));
+  expect_same(started, reference.Call(Start("thawed")));
+  ASSERT_FALSE(started.groups.empty());
+  const uint32_t pick = started.groups[0].id;
+  expect_same(svc.Call(Select("thawed", pick)),
+              reference.Call(Select("thawed", pick)));
+  Response ended = svc.Call(End("thawed"));
+  ASSERT_TRUE(ended.status.ok()) << ended.status.ToString();
+  EXPECT_EQ(ended.num_steps, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -848,33 +770,49 @@ Request Health() {
   return req;
 }
 
-TEST_F(ServiceTest, HealthAnswersColdAndWarm) {
-  // Cold replica: alive but not ready — orchestrators keep it out of the
-  // explorer-facing rotation while it can still be warmed and monitored.
-  ExplorationService cold(FreshDataset(), FastOptions());
-  Response cr = cold.Call(Health());
-  ASSERT_TRUE(cr.status.ok()) << cr.status.ToString();
-  ASSERT_TRUE(cr.health.has_value());
-  EXPECT_TRUE(cr.health->GetBool("alive", false));
-  EXPECT_FALSE(cr.health->GetBool("ready", true));
-  EXPECT_EQ(cr.health->GetString("state", ""), "cold");
-
-  // Warm replica over the wire, like a probe would.
-  ExplorationService warm(SharedEngine(), FastOptions());
-  auto resp = Response::Decode(warm.HandleLine("{\"op\":\"health\"}"));
+TEST_F(ServiceTest, HealthReportsBothShapes) {
+  // Engine service over the wire, like a probe would.
+  ExplorationService svc(SharedEngine(), FastOptions());
+  auto resp = Response::Decode(svc.HandleLine("{\"op\":\"health\"}"));
   ASSERT_TRUE(resp.ok());
   ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
   ASSERT_TRUE(resp->health.has_value());
+  EXPECT_TRUE(resp->health->GetBool("alive", false));
   EXPECT_TRUE(resp->health->GetBool("ready", false));
-  EXPECT_EQ(resp->health->GetString("state", ""), "warm");
+  EXPECT_EQ(resp->health->GetString("state", ""), "serving");
   EXPECT_EQ(resp->health->GetNumber("overload_rung", -1), 0.0);
   EXPECT_EQ(resp->health->GetString("overload_rung_name", ""), "normal");
+
+  // Shard backend: ready from construction too, and it says which shape
+  // it is. Session ops still fail — it has no engine.
+  const std::string path = WriteServiceSnapshot("svc_health.snap");
+  auto shard = core::LoadSnapshotShard(path, 0);
+  std::remove(path.c_str());
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  ExplorationService backend(std::move(shard).ValueOrDie(), /*generation=*/7,
+                             FastOptions());
+  Response br = backend.Call(Health());
+  ASSERT_TRUE(br.status.ok()) << br.status.ToString();
+  ASSERT_TRUE(br.health.has_value());
+  EXPECT_TRUE(br.health->GetBool("alive", false));
+  EXPECT_TRUE(br.health->GetBool("ready", false));
+  EXPECT_EQ(br.health->GetString("state", ""), "shard_backend");
+  EXPECT_EQ(br.health->GetNumber("generation", -1), 7.0);
+  Response refused = backend.Call(Start("no_engine"));
+  EXPECT_TRUE(refused.status.IsFailedPrecondition())
+      << refused.status.ToString();
 }
 
 TEST_F(ServiceTest, HealthBypassesTheQueueEvenAtShedRung) {
   ExplorationService svc(SharedEngine(), FastOptions());
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kShed);
-  Response resp = svc.Call(Health());
+  // The probe is answered inline: the callback has fired before
+  // DispatchAsync returns, without a pool worker or the queue.
+  std::optional<Response> answered;
+  svc.DispatchAsync(Health(),
+                    [&answered](Response r) { answered = std::move(r); });
+  ASSERT_TRUE(answered.has_value()) << "health must be answered inline";
+  const Response& resp = *answered;
   ASSERT_TRUE(resp.status.ok())
       << "health must never be shed by the ladder it reports: "
       << resp.status.ToString();
@@ -897,22 +835,20 @@ TEST_F(ServiceTest, LadderShrinkEffortAndReduceKDegradeOnlyTheRequest) {
   ASSERT_TRUE(effort.degraded.has_value());
   EXPECT_EQ(*effort.degraded, "effort");
 
-  // Rung 2: k clamps to degraded_k for this request only.
+  // Rung 2: k clamps to kDegradedK for this request only.
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kReduceK);
   Response reduced = svc.Call(Select("laddered", effort.groups[0].id));
   ASSERT_TRUE(reduced.status.ok()) << reduced.status.ToString();
   ASSERT_TRUE(reduced.degraded.has_value());
   EXPECT_EQ(*reduced.degraded, "k");
-  size_t degraded_k =
-      svc.dispatcher().overload().options().degraded_k;
-  EXPECT_LE(reduced.groups.size(), degraded_k);
+  EXPECT_LE(reduced.groups.size(), kDegradedK);
 
   // Back to normal: the session's own k was preserved, not the clamp.
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kNormal);
   Response healed = svc.Call(Select("laddered", reduced.groups[0].id));
   ASSERT_TRUE(healed.status.ok()) << healed.status.ToString();
   EXPECT_FALSE(healed.degraded.has_value());
-  EXPECT_GT(healed.groups.size(), degraded_k)
+  EXPECT_GT(healed.groups.size(), kDegradedK)
       << "degraded k stuck to the session";
 
   MetricsSnapshot snap = svc.Stats();
