@@ -24,6 +24,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/greedy.h"
 #include "server/json.h"
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
                     server::json::Value(speedup));
     kj.emplace_back("objective_delta_at_budget",
                     server::json::Value(obj_delta));
-    by_k_json.emplace_back("k" + std::to_string(k),
+    by_k_json.emplace_back(StrCat("k", k),
                            server::json::Value(std::move(kj)));
   }
 

@@ -18,6 +18,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "mining/apriori.h"
 #include "mining/descriptor_catalog.h"
 #include "mining/lcm.h"
@@ -32,15 +33,14 @@ data::Dataset RandomWorld(size_t n_users, size_t n_attrs, size_t n_values,
   data::Dataset ds;
   Rng rng(seed);
   for (size_t a = 0; a < n_attrs; ++a) {
-    ds.schema().AddCategorical("a" + std::to_string(a));
+    ds.schema().AddCategorical(StrCat("a", a));
   }
   for (size_t u = 0; u < n_users; ++u) {
-    data::UserId uid = ds.users().AddUser("u" + std::to_string(u));
+    data::UserId uid = ds.users().AddUser(StrCat("u", u));
     for (size_t a = 0; a < n_attrs; ++a) {
       ds.users().SetValueByName(
           uid, static_cast<data::AttributeId>(a),
-          "v" + std::to_string(rng.UniformU32(
-                    static_cast<uint32_t>(n_values))));
+          StrCat("v", rng.UniformU32(static_cast<uint32_t>(n_values))));
     }
   }
   return ds;
@@ -107,13 +107,13 @@ int main() {
     auto coarse = bx.schema().AddCategorical("region");
     auto indep = bx.schema().AddCategorical("occupation");
     for (size_t u = 0; u < 5000; ++u) {
-      data::UserId uid = bx.users().AddUser("u" + std::to_string(u));
+      data::UserId uid = bx.users().AddUser(StrCat("u", u));
       uint32_t c = hrng.UniformU32(20);
-      bx.users().SetValueByName(uid, fine, "city" + std::to_string(c));
+      bx.users().SetValueByName(uid, fine, StrCat("city", c));
       bx.users().SetValueByName(uid, coarse,
-                                "region" + std::to_string(c / 4));
+                                StrCat("region", c / 4));
       bx.users().SetValueByName(
-          uid, indep, "occ" + std::to_string(hrng.UniformU32(6)));
+          uid, indep, StrCat("occ", hrng.UniformU32(6)));
     }
   }
   auto bx_cat = mining::DescriptorCatalog::Build(bx);

@@ -14,6 +14,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/greedy.h"
 
 using namespace vexus;
@@ -50,7 +51,7 @@ int main() {
   // Reference end-task quality with the full index.
   data::Dataset token_world;  // minimal token space over the same universe
   for (size_t u = 0; u < store.num_users(); ++u) {
-    token_world.users().AddUser("u" + std::to_string(u));
+    token_world.users().AddUser(StrCat("u", u));
   }
   core::TokenSpace tokens(token_world);
   core::FeedbackVector feedback(&tokens);

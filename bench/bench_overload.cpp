@@ -31,6 +31,7 @@
 #include "bench_util.h"
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "server/service.h"
 
 using namespace vexus;
@@ -157,7 +158,7 @@ PhaseResult RunPhase(core::VexusEngine* engine, bool ladder, int workers,
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(explorers));
   for (int i = 0; i < explorers; ++i) {
-    threads.emplace_back(OverloadExplorer, &svc, "ex" + std::to_string(i),
+    threads.emplace_back(OverloadExplorer, &svc, StrCat("ex", i),
                          run_ms, kThinkMs, &stats, &lat, &lat_mu);
   }
   for (auto& t : threads) t.join();

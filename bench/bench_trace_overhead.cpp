@@ -26,6 +26,7 @@
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "common/trace.h"
 #include "server/service.h"
 
@@ -142,7 +143,7 @@ RunResult RunWorkload(core::VexusEngine& engine, bool traced, int sessions,
   explorers.reserve(static_cast<size_t>(sessions));
   for (int s = 0; s < sessions; ++s) {
     explorers.emplace_back([&svc, s, rounds, &errors] {
-      ExplorerLoop(svc, "explorer" + std::to_string(s), rounds, &errors);
+      ExplorerLoop(svc, StrCat("explorer", s), rounds, &errors);
     });
   }
   for (auto& t : explorers) t.join();

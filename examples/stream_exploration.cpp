@@ -106,7 +106,10 @@ int main() {
     std::fprintf(stderr, "%s\n", idx.status().ToString().c_str());
     return 1;
   }
-  core::ExplorationSession session(&world, &groups, &*idx, {});
+  core::TokenSpace tokens(world);
+  core::FirstScreenMemo first_screens;
+  core::ExplorationSession session(&world, &groups, &*idx, &tokens,
+                                   &first_screens, {});
   const auto& shown = session.Start();
   std::printf("\nfirst screen over the streamed group space:\n");
   for (auto g : shown.groups) {

@@ -411,13 +411,23 @@ int RunGatherSelfTest(VexusEngine& engine) {
   ExplorationService reference(&engine, copts);
 
   // 1. Healthy fleet: the gathered screen must be byte-identical to the
-  //    local (single-process) run over the same engine.
+  //    local (single-process) run over the same engine. Each probe starts
+  //    a session and clicks its first group: both services share the
+  //    engine's first-screen memo, so only the click is sure to run greedy
+  //    (over the fleet on the coordinator).
   auto screen_of = [](ExplorationService& svc, const std::string& id) {
     Request start;
     start.type = RequestType::kStartSession;
     start.session_id = id;
     start.budget_ms = 2000;
-    return svc.Call(start);
+    Response first = svc.Call(start);
+    if (!first.status.ok() || first.groups.empty()) return first;
+    Request click;
+    click.type = RequestType::kSelectGroup;
+    click.session_id = id;
+    click.group = first.groups[0].id;
+    click.budget_ms = 2000;
+    return svc.Call(click);
   };
   Response gathered = screen_of(coordinator, "gather-a");
   Response local = screen_of(reference, "local-a");

@@ -327,13 +327,25 @@ VEXUS_TARGET_AVX2 void Avx2AndOrCount(const uint64_t* a, const uint64_t* b,
 #define VEXUS_TARGET_AVX512 \
   __attribute__((target("avx512f,avx512vpopcntdq")))
 
+// Horizontal sum of the eight 64-bit lanes. Spelled as a store and a scalar
+// fold rather than _mm512_reduce_add_epi64: GCC 12's header implements that
+// reduction with _mm256_undefined_si256(), which trips -Wuninitialized at
+// every call site. It runs once per kernel call, outside the word loop.
+VEXUS_TARGET_AVX512 inline size_t Hsum512(__m512i acc) {
+  alignas(64) uint64_t lanes[8];
+  _mm512_store_si512(lanes, acc);
+  size_t sum = 0;
+  for (uint64_t lane : lanes) sum += static_cast<size_t>(lane);
+  return sum;
+}
+
 VEXUS_TARGET_AVX512 size_t Avx512Count(const uint64_t* a, size_t n) {
   __m512i acc = _mm512_setzero_si512();
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_loadu_si512(a + i)));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) c += static_cast<size_t>(__builtin_popcountll(a[i]));
   return c;
 }
@@ -347,7 +359,7 @@ VEXUS_TARGET_AVX512 size_t Avx512AndCount(const uint64_t* a, const uint64_t* b,
         _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) {
     c += static_cast<size_t>(__builtin_popcountll(a[i] & b[i]));
   }
@@ -363,7 +375,7 @@ VEXUS_TARGET_AVX512 size_t Avx512AndNotCount(const uint64_t* a,
                                     _mm512_loadu_si512(a + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) {
     c += static_cast<size_t>(__builtin_popcountll(a[i] & ~b[i]));
   }
@@ -381,7 +393,7 @@ VEXUS_TARGET_AVX512 size_t Avx512AndAndNotCount(const uint64_t* a,
         _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i)));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t count = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t count = Hsum512(acc);
   for (; i < n; ++i) {
     count += static_cast<size_t>(__builtin_popcountll(a[i] & b[i] & ~c[i]));
   }
@@ -397,7 +409,7 @@ VEXUS_TARGET_AVX512 size_t Avx512OrCount(const uint64_t* a, const uint64_t* b,
         _mm512_or_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) {
     c += static_cast<size_t>(__builtin_popcountll(a[i] | b[i]));
   }
@@ -415,7 +427,7 @@ VEXUS_TARGET_AVX512 size_t Avx512AndCountInto(const uint64_t* a,
     _mm512_storeu_si512(out + i, w);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) {
     uint64_t w = a[i] & b[i];
     out[i] = w;
@@ -445,7 +457,7 @@ VEXUS_TARGET_AVX512 size_t Avx512OrCountInto(const uint64_t* a,
     _mm512_storeu_si512(out + i, w);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) {
     uint64_t w = a[i] | b[i];
     out[i] = w;
@@ -467,7 +479,7 @@ VEXUS_TARGET_AVX512 size_t Avx512OrAndCountInto(const uint64_t* a,
     _mm512_storeu_si512(out + i, w);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
   }
-  size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
+  size_t c = Hsum512(acc);
   for (; i < n; ++i) {
     uint64_t w = (a[i] | b[i]) & mask[i];
     out[i] = w;
@@ -490,8 +502,8 @@ VEXUS_TARGET_AVX512 void Avx512AndOrCount(const uint64_t* a, const uint64_t* b,
     acc_u =
         _mm512_add_epi64(acc_u, _mm512_popcnt_epi64(_mm512_or_si512(va, vb)));
   }
-  size_t ci = static_cast<size_t>(_mm512_reduce_add_epi64(acc_i));
-  size_t cu = static_cast<size_t>(_mm512_reduce_add_epi64(acc_u));
+  size_t ci = Hsum512(acc_i);
+  size_t cu = Hsum512(acc_u);
   for (; i < n; ++i) {
     ci += static_cast<size_t>(__builtin_popcountll(a[i] & b[i]));
     cu += static_cast<size_t>(__builtin_popcountll(a[i] | b[i]));

@@ -46,6 +46,7 @@ Result<VexusEngine> VexusEngine::Preprocess(
     engine.graph_ = std::make_unique<index::GroupGraph>(
         index::GroupGraph::FromIndex(*engine.index_));
   }
+  engine.InitSessionState();
   return engine;
 }
 
@@ -105,7 +106,13 @@ Result<VexusEngine> VexusEngine::FromSnapshot(data::Dataset dataset,
     engine.graph_ = std::make_unique<index::GroupGraph>(
         index::GroupGraph::FromIndex(*engine.index_));
   }
+  engine.InitSessionState();
   return engine;
+}
+
+void VexusEngine::InitSessionState() {
+  tokens_ = std::make_unique<TokenSpace>(*dataset_);
+  first_screens_ = std::make_unique<FirstScreenMemo>();
 }
 
 std::optional<mining::GroupId> VexusEngine::RootGroup() const {
@@ -122,7 +129,8 @@ std::optional<mining::GroupId> VexusEngine::RootGroup() const {
 std::unique_ptr<ExplorationSession> VexusEngine::CreateSession(
     SessionOptions options) const {
   return std::make_unique<ExplorationSession>(
-      dataset_.get(), &discovery_->groups, index_.get(), options);
+      dataset_.get(), &discovery_->groups, index_.get(), tokens_.get(),
+      first_screens_.get(), options);
 }
 
 std::string VexusEngine::Summary() const {

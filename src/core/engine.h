@@ -15,6 +15,8 @@
 
 #include "common/result.h"
 #include "common/trace.h"
+#include "core/feedback.h"
+#include "core/first_screen_memo.h"
 #include "core/session.h"
 #include "data/dataset.h"
 #include "index/group_graph.h"
@@ -60,13 +62,19 @@ class VexusEngine {
   const index::InvertedIndex& index() const { return *index_; }
   const index::GroupGraph& graph() const { return *graph_; }
   const mining::DiscoveryResult& discovery() const { return *discovery_; }
+  /// The token space every session's feedback is over (one per engine).
+  const TokenSpace& tokens() const { return *tokens_; }
+  /// First screens, filled lazily by the sessions' starts (see
+  /// core/first_screen_memo.h); empty right after construction.
+  const FirstScreenMemo& first_screens() const { return *first_screens_; }
 
   /// Id of the root group (empty description, all users) if discovery
   /// emitted one; used as a neutral exploration start.
   std::optional<mining::GroupId> RootGroup() const;
 
-  /// A fresh interactive session over the preprocessed structures. The
-  /// engine must outlive its sessions.
+  /// A fresh interactive session over the preprocessed structures, sharing
+  /// the engine's token space and first-screen memo. The engine must
+  /// outlive its sessions.
   std::unique_ptr<ExplorationSession> CreateSession(
       SessionOptions options = {}) const;
 
@@ -76,10 +84,17 @@ class VexusEngine {
  private:
   VexusEngine() = default;
 
+  /// Builds the per-engine session state over `dataset_`: the token space
+  /// and an empty first-screen memo.
+  void InitSessionState();
+
   std::unique_ptr<data::Dataset> dataset_;
   std::unique_ptr<mining::DiscoveryResult> discovery_;
   std::unique_ptr<index::InvertedIndex> index_;
   std::unique_ptr<index::GroupGraph> graph_;
+  // Behind pointers so a moved engine keeps the addresses its sessions hold.
+  std::unique_ptr<TokenSpace> tokens_;
+  std::unique_ptr<FirstScreenMemo> first_screens_;
 };
 
 }  // namespace vexus::core

@@ -164,6 +164,10 @@ struct GreedySelection {
   /// degraded:"partial" when this dips below 1.
   double covered_fraction = 1.0;
   double elapsed_ms = 0;
+  /// True when the screen came from the engine's first-screen memo
+  /// (core/first_screen_memo.h) instead of a greedy run: passes, swaps and
+  /// evaluations are then 0 and elapsed_ms is the lookup's own time.
+  bool memoized = false;
   /// Wall-clock of each completed refinement pass, in order. Surfaced so
   /// the serving layer and bench_greedy_incremental can attribute the
   /// anytime budget to passes (pass 1 dominates: it fills the sim rows).

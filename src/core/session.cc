@@ -3,35 +3,59 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
+#include "common/trace.h"
 
 namespace vexus::core {
 
 ExplorationSession::ExplorationSession(const data::Dataset* dataset,
                                        const mining::GroupStore* store,
                                        const index::InvertedIndex* index,
+                                       const TokenSpace* tokens,
+                                       FirstScreenMemo* first_screens,
                                        SessionOptions options)
     : dataset_(dataset),
       store_(store),
       index_(index),
+      tokens_(tokens),
+      first_screens_(first_screens),
       options_(options),
-      tokens_(*dataset),
-      feedback_(&tokens_),
+      feedback_(tokens),
       selector_(store, index) {
-  VEXUS_CHECK(dataset != nullptr && store != nullptr && index != nullptr);
+  VEXUS_CHECK(dataset != nullptr && store != nullptr && index != nullptr &&
+              first_screens != nullptr);
   VEXUS_CHECK(store->num_users() == dataset->num_users())
       << "group store universe does not match the dataset";
+  VEXUS_CHECK(&tokens->dataset() == dataset)
+      << "token space is over a different dataset";
 }
 
 const GreedySelection& ExplorationSession::Start() {
   history_.clear();
   memo_ = Memo{};
-  feedback_ = FeedbackVector(&tokens_);
+  feedback_ = FeedbackVector(tokens_);
 
-  ExplorationStep step{std::nullopt,
-                       selector_.SelectInitial(feedback_, options_.greedy),
-                       feedback_};
+  ExplorationStep step{std::nullopt, FirstScreen(), feedback_};
   history_.push_back(std::move(step));
   return history_.back().shown;
+}
+
+GreedySelection ExplorationSession::FirstScreen() const {
+  Stopwatch watch;
+  const GreedyOptions& greedy = options_.greedy;
+  TraceSpan lookup = greedy.trace != nullptr
+                         ? greedy.trace->Child("first_screen")
+                         : TraceSpan();
+  std::optional<GreedySelection> hit = first_screens_->Find(greedy);
+  if (hit.has_value()) {
+    lookup.AddCount(1);
+    hit->elapsed_ms = watch.ElapsedMillis();
+    return std::move(*hit);
+  }
+  lookup.Close();
+  GreedySelection computed = selector_.SelectInitial(feedback_, greedy);
+  first_screens_->Store(greedy, computed);
+  return computed;
 }
 
 const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/feedback.h"
+#include "core/first_screen_memo.h"
 #include "core/greedy.h"
 #include "index/inverted_index.h"
 #include "mining/group.h"
@@ -61,13 +62,21 @@ struct SessionDigest {
 
 class ExplorationSession {
  public:
-  /// All pointers must outlive the session.
+  /// All pointers must outlive the session. `tokens` is the token space
+  /// over `dataset`, and `first_screens` the memo of first screens over
+  /// `store`; both are shared by every session of one engine
+  /// (VexusEngine::CreateSession passes its own).
   ExplorationSession(const data::Dataset* dataset,
                      const mining::GroupStore* store,
                      const index::InvertedIndex* index,
+                     const TokenSpace* tokens, FirstScreenMemo* first_screens,
                      SessionOptions options);
 
-  /// Step 0: the initial GROUPVIZ screen. Resets any previous state.
+  /// Step 0: the initial GROUPVIZ screen. Resets any previous state. The
+  /// screen comes from the first-screen memo when it holds one for these
+  /// greedy options; otherwise SelectInitial runs, and a run that reached
+  /// its local optimum over the whole universe is stored for later starts.
+  /// With a trace set, opens one `first_screen` span (count 1 on a hit).
   const GreedySelection& Start();
 
   /// The explorer clicks group g (implicit positive feedback, P-learning),
@@ -109,7 +118,7 @@ class ExplorationSession {
   /// Cheap state summary (see SessionDigest).
   SessionDigest Digest() const;
 
-  const TokenSpace& tokens() const { return tokens_; }
+  const TokenSpace& tokens() const { return *tokens_; }
   const SessionOptions& options() const { return options_; }
   /// Serving-layer hook: the dispatcher clamps the greedy time budget to a
   /// request's *remaining* deadline before each Start/SelectGroup, so queue
@@ -121,11 +130,15 @@ class ExplorationSession {
   const data::Dataset& dataset() const { return *dataset_; }
 
  private:
+  /// Step 0's screen: a memo hit, or a fresh SelectInitial (see Start).
+  GreedySelection FirstScreen() const;
+
   const data::Dataset* dataset_;
   const mining::GroupStore* store_;
   const index::InvertedIndex* index_;
+  const TokenSpace* tokens_;
+  FirstScreenMemo* first_screens_;
   SessionOptions options_;
-  TokenSpace tokens_;
   FeedbackVector feedback_;
   GreedySelector selector_;
   std::deque<ExplorationStep> history_;

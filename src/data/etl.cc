@@ -127,7 +127,7 @@ Result<Dataset> EtlPipeline::Run(std::istream* users_csv,
   std::vector<AttributeId> attr_ids(n_cols, 0);
   for (size_t c = 1; c < n_cols; ++c) {
     std::string name(Trim(header[c]));
-    if (name.empty()) name = "col" + std::to_string(c);
+    if (name.empty()) name = StrCat("col", c);
     if (ds.schema().Find(name).has_value()) {
       return Status::InvalidArgument("duplicate attribute name '" + name +
                                      "' in users CSV header");

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/etl.h"
 
 namespace vexus::data {
@@ -60,7 +61,7 @@ Dataset BookCrossingGenerator::Generate(const Config& config) {
   std::vector<std::array<uint8_t, 3>> favorites(config.num_users);
   std::vector<uint8_t> num_favorites(config.num_users);
   for (uint32_t u = 0; u < config.num_users; ++u) {
-    UserId uid = ds.users().AddUser("u" + std::to_string(u));
+    UserId uid = ds.users().AddUser(StrCat("u", u));
     double age = std::clamp(rng.Normal(36.0, 14.0), 10.0, 95.0);
     ds.users().SetNumeric(uid, age_attr, age);
     size_t country = rng.Categorical(country_w);
@@ -97,7 +98,7 @@ Dataset BookCrossingGenerator::Generate(const Config& config) {
   for (uint32_t b = 0; b < config.num_books; ++b) {
     uint8_t g = static_cast<uint8_t>(rng.UniformU32(kNumGenres));
     book_genre[b] = g;
-    ds.actions().AddItem("book" + std::to_string(b), kGenres[g]);
+    ds.actions().AddItem(StrCat("book", b), kGenres[g]);
   }
 
   // ---- Ratings. ----

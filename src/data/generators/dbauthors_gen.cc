@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/etl.h"
 
 namespace vexus::data {
@@ -102,7 +103,7 @@ Dataset DbAuthorsGenerator::Generate(const Config& config) {
   }
 
   for (uint32_t i = 0; i < config.num_authors; ++i) {
-    UserId u = ds.users().AddUser("author" + std::to_string(i));
+    UserId u = ds.users().AddUser(StrCat("author", i));
 
     size_t topic = rng.UniformU32(kNumTopics);
     ds.users().SetValueByName(u, topic_attr, kTopics[topic].name);

@@ -19,9 +19,10 @@ void Attribute::SetBinEdges(std::vector<double> edges) {
   }
   bin_edges_ = std::move(edges);
   for (size_t i = 0; i + 1 < bin_edges_.size(); ++i) {
-    std::string label = "[" + vexus::FormatDouble(bin_edges_[i], 3) + "," +
-                        vexus::FormatDouble(bin_edges_[i + 1], 3) + ")";
-    values_.GetOrAdd(label);
+    values_.GetOrAdd(vexus::StrCat("[", vexus::FormatDouble(bin_edges_[i], 3),
+                                   ",",
+                                   vexus::FormatDouble(bin_edges_[i + 1], 3),
+                                   ")"));
   }
 }
 

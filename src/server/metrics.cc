@@ -121,6 +121,8 @@ MetricsSnapshot ServiceMetrics::Snapshot(uint64_t open_sessions) const {
   s.greedy_evaluations = greedy_evaluations_.load(kRelaxed);
   s.greedy_passes = greedy_passes_.load(kRelaxed);
   s.greedy_swaps = greedy_swaps_.load(kRelaxed);
+  s.first_screen_hits = first_screen_hits_.load(kRelaxed);
+  s.first_screen_misses = first_screen_misses_.load(kRelaxed);
   s.degraded_effort = degraded_effort_.load(kRelaxed);
   s.degraded_k = degraded_k_.load(kRelaxed);
   s.degraded_stale = degraded_stale_.load(kRelaxed);
@@ -165,6 +167,10 @@ json::Value MetricsSnapshot::ToJson() const {
   o.emplace_back("greedy_evaluations", json::Value(greedy_evaluations));
   o.emplace_back("greedy_passes", json::Value(greedy_passes));
   o.emplace_back("greedy_swaps", json::Value(greedy_swaps));
+  json::Object first_screen;
+  first_screen.emplace_back("hits", json::Value(first_screen_hits));
+  first_screen.emplace_back("misses", json::Value(first_screen_misses));
+  o.emplace_back("first_screen", json::Value(std::move(first_screen)));
   o.emplace_back("degraded_effort", json::Value(degraded_effort));
   o.emplace_back("degraded_k", json::Value(degraded_k));
   o.emplace_back("degraded_stale", json::Value(degraded_stale));
@@ -218,11 +224,14 @@ std::string MetricsSnapshot::ToString() const {
                 static_cast<unsigned long long>(greedy_deadline_hits));
   out += line;
   std::snprintf(line, sizeof(line),
-                "greedy: runs=%llu evaluations=%llu passes=%llu swaps=%llu\n",
+                "greedy: runs=%llu evaluations=%llu passes=%llu swaps=%llu "
+                "first_screen_hits=%llu first_screen_misses=%llu\n",
                 static_cast<unsigned long long>(greedy_runs),
                 static_cast<unsigned long long>(greedy_evaluations),
                 static_cast<unsigned long long>(greedy_passes),
-                static_cast<unsigned long long>(greedy_swaps));
+                static_cast<unsigned long long>(greedy_swaps),
+                static_cast<unsigned long long>(first_screen_hits),
+                static_cast<unsigned long long>(first_screen_misses));
   out += line;
   if (DegradedTotal() > 0 || overload_sheds > 0) {
     std::snprintf(line, sizeof(line),

@@ -104,6 +104,10 @@ struct MetricsSnapshot {
   uint64_t greedy_evaluations = 0;
   uint64_t greedy_passes = 0;
   uint64_t greedy_swaps = 0;
+  /// start_session screens served from the engine's first-screen memo
+  /// (hits, no greedy run) and computed by SelectInitial (misses).
+  uint64_t first_screen_hits = 0;
+  uint64_t first_screen_misses = 0;
   /// Overload ladder (DESIGN.md §12): answers whose quality the controller
   /// reduced to stay inside the latency budget, by rung, plus admissions
   /// rejected *by the ladder's shed rung* (a subset of `shed`, which also
@@ -159,6 +163,11 @@ class ServiceMetrics {
     greedy_passes_.fetch_add(passes, kRelaxed);
     greedy_swaps_.fetch_add(swaps, kRelaxed);
   }
+  /// Accounts one start_session screen: from the first-screen memo (`hit`)
+  /// or computed.
+  void RecordFirstScreen(bool hit) {
+    (hit ? first_screen_hits_ : first_screen_misses_).fetch_add(1, kRelaxed);
+  }
   /// Accounts one degraded answer, by the deepest ladder rung applied.
   void RecordDegradedEffort() { degraded_effort_.fetch_add(1, kRelaxed); }
   void RecordDegradedK() { degraded_k_.fetch_add(1, kRelaxed); }
@@ -198,6 +207,8 @@ class ServiceMetrics {
   std::atomic<uint64_t> greedy_evaluations_{0};
   std::atomic<uint64_t> greedy_passes_{0};
   std::atomic<uint64_t> greedy_swaps_{0};
+  std::atomic<uint64_t> first_screen_hits_{0};
+  std::atomic<uint64_t> first_screen_misses_{0};
   std::atomic<uint64_t> degraded_effort_{0};
   std::atomic<uint64_t> degraded_k_{0};
   std::atomic<uint64_t> degraded_stale_{0};

@@ -283,9 +283,11 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
   }
   live.time_limit_ms = std::min(limit, deadline.RemainingMillis());
   live.trace = span.enabled() ? &span : nullptr;
-  FillScreen(anchor.has_value() ? session.SelectGroup(*anchor)
-                                : session.Start(),
-             resp, /*fresh_run=*/true, span);
+  const core::GreedySelection& screen =
+      anchor.has_value() ? session.SelectGroup(*anchor) : session.Start();
+  if (!anchor.has_value()) metrics_.RecordFirstScreen(screen.memoized);
+  // A first screen served from the engine's memo ran no greedy here.
+  FillScreen(screen, resp, /*fresh_run=*/!screen.memoized, span);
   live = configured;
   if (!resp->degraded.has_value()) return;
   // FillScreen's "partial" outranks the rung flags (see there).

@@ -113,8 +113,9 @@ Result<uint64_t> SessionManager::Create(const std::string& id,
     }
   }
 
-  // Build the session outside the shard lock: TokenSpace construction walks
-  // the dataset schema and is the expensive part of admission.
+  // Build the session outside the shard lock. It is cheap (it points at
+  // the engine's token space and first-screen memo), but its allocation
+  // has no business under a lock every lookup of this shard takes.
   auto entry = std::make_shared<Lease::Entry>();
   entry->session = engine_->CreateSession(session_options);
   entry->generation =

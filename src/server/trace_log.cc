@@ -63,20 +63,23 @@ std::vector<TraceRecord> TraceLog::SlowestN(size_t n) const {
 }
 
 json::Value TraceLog::ToJson(const TraceRecord& record) {
-  json::Object o;
-  o.emplace_back("seq", json::Value(record.seq));
-  o.emplace_back("op", json::Value(record.op));
+  // Members go in through the out-of-line Set: GCC 12 reports a false
+  // -Warray-bounds when vector<pair<string, Value>>::emplace_back is
+  // inlined here.
+  json::Value out{json::Object{}};
+  out.Set("seq", json::Value(record.seq));
+  out.Set("op", json::Value(record.op));
   if (!record.session_id.empty()) {
-    o.emplace_back("session", json::Value(record.session_id));
+    out.Set("session", json::Value(record.session_id));
   }
-  o.emplace_back("status", json::Value(record.status));
-  o.emplace_back("budget_ms", json::Value(record.budget_ms));
-  o.emplace_back("total_ms", json::Value(record.total_ms));
-  o.emplace_back("queue_ms", json::Value(record.queue_ms));
+  out.Set("status", json::Value(record.status));
+  out.Set("budget_ms", json::Value(record.budget_ms));
+  out.Set("total_ms", json::Value(record.total_ms));
+  out.Set("queue_ms", json::Value(record.queue_ms));
   json::Array spans;
   if (record.trace != nullptr) {
     uint64_t dropped = record.trace->dropped();
-    if (dropped > 0) o.emplace_back("dropped_spans", json::Value(dropped));
+    if (dropped > 0) out.Set("dropped_spans", json::Value(dropped));
     for (const Trace::Span& s : record.trace->spans()) {
       json::Object so;
       so.emplace_back("name", json::Value(std::string(s.name)));
@@ -87,8 +90,8 @@ json::Value TraceLog::ToJson(const TraceRecord& record) {
       spans.push_back(json::Value(std::move(so)));
     }
   }
-  o.emplace_back("spans", json::Value(std::move(spans)));
-  return json::Value(std::move(o));
+  out.Set("spans", json::Value(std::move(spans)));
+  return out;
 }
 
 }  // namespace vexus::server

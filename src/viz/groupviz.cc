@@ -67,8 +67,7 @@ Result<GroupVizScene> GroupVizScene::Build(
     c.x = layout.nodes()[i].x;
     c.y = layout.nodes()[i].y;
     c.radius = layout.nodes()[i].radius;
-    c.label = "g" + std::to_string(shown[i]) + " (" +
-              WithThousands(g.size()) + ")";
+    c.label = StrCat("g", shown[i], " (", WithThousands(g.size()), ")");
     c.description = g.DescriptionString(dataset.schema());
 
     if (color_attr.has_value()) {
@@ -118,7 +117,7 @@ std::string GroupVizScene::ToAscii(size_t cols, size_t rows) const {
     const CircleSpec& c = circles_[i];
     char glyph = static_cast<char>('A' + (i % 26));
     canvas.Circle(c.x * sx, c.y * sy, c.radius * sx, glyph,
-                  "g" + std::to_string(c.group));
+                  StrCat("g", c.group));
   }
   return canvas.ToString();
 }

@@ -80,8 +80,8 @@ StatsView::Distribution StatsView::BuildDistribution(
     double width = (b.hi - b.lo) / static_cast<double>(b.bins);
     for (size_t i = 0; i < b.bins; ++i) {
       d.labels.push_back(
-          "[" + vexus::FormatDouble(b.lo + width * i, 2) + "," +
-          vexus::FormatDouble(b.lo + width * (i + 1), 2) + ")");
+          vexus::StrCat("[", vexus::FormatDouble(b.lo + width * i, 2), ",",
+                        vexus::FormatDouble(b.lo + width * (i + 1), 2), ")"));
     }
   } else {
     for (data::ValueId v = 0; v < attr.values().size(); ++v) {

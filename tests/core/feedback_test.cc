@@ -1,9 +1,13 @@
 #include "core/feedback.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/string_util.h"
 
 namespace vexus::core {
 namespace {
@@ -13,7 +17,7 @@ data::Dataset MakeDataset() {
   data::Dataset ds;
   data::AttributeId g = ds.schema().AddCategorical("gender");
   for (int i = 0; i < 4; ++i) {
-    data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+    data::UserId u = ds.users().AddUser(StrCat("u", i));
     ds.users().SetValueByName(u, g, i < 2 ? "m" : "f");
   }
   return ds;
@@ -268,7 +272,7 @@ TEST(FeedbackUnlearnWeights, UnlearningValueTokenDropsNonMemberCarriers) {
   data::Dataset ds;
   data::AttributeId g = ds.schema().AddCategorical("gender");
   for (int i = 0; i < 6; ++i) {
-    data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+    data::UserId u = ds.users().AddUser(StrCat("u", i));
     ds.users().SetValueByName(u, g, i < 3 ? "m" : "f");
   }
   TokenSpace ts(ds);
@@ -285,6 +289,52 @@ TEST(FeedbackUnlearnWeights, UnlearningValueTokenDropsNonMemberCarriers) {
   EXPECT_NEAR(after[2], floor, 1e-12);            // spread mass gone
   EXPECT_GT(after[0], after[2]);                  // members keep premium
   EXPECT_LT(after[2] - after[3], before[2] - before[3]);
+}
+
+TEST(FeedbackTopTokensTest, TiedScoresMatchTheFullSort) {
+  // Learned groups spread one equal share over all their members, so most
+  // scores tie. TopTokens must return exactly the full sort's prefix under
+  // (score descending, token ascending) for every k.
+  data::Dataset ds;
+  data::AttributeId g = ds.schema().AddCategorical("gender");
+  data::AttributeId c = ds.schema().AddCategorical("city");
+  constexpr uint32_t kUsers = 40;
+  for (uint32_t i = 0; i < kUsers; ++i) {
+    data::UserId u = ds.users().AddUser(StrCat("u", i));
+    ds.users().SetValueByName(u, g, i % 2 == 0 ? "m" : "f");
+    ds.users().SetValueByName(u, c, i % 3 == 0 ? "x" : "y");
+  }
+  TokenSpace ts(ds);
+  FeedbackVector fb(&ts);
+  std::vector<uint32_t> evens, thirds, all;
+  for (uint32_t u = 0; u < kUsers; ++u) {
+    if (u % 2 == 0) evens.push_back(u);
+    if (u % 3 == 0) thirds.push_back(u);
+    all.push_back(u);
+  }
+  fb.Learn(mining::UserGroup({{g, 0}}, Bitset::FromVector(kUsers, evens)));
+  fb.Learn(mining::UserGroup({{c, 0}}, Bitset::FromVector(kUsers, thirds)));
+  fb.Learn(mining::UserGroup({}, Bitset::FromVector(kUsers, all)));
+
+  std::vector<FeedbackVector::TokenScore> full;
+  for (Token t = 0; t < ts.num_tokens(); ++t) {
+    if (fb.Score(t) > 0) full.push_back({t, fb.Score(t)});
+  }
+  ASSERT_EQ(full.size(), fb.nonzero_count());
+  std::sort(full.begin(), full.end(), [](const auto& a, const auto& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.token < b.token;
+  });
+
+  for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{8}, size_t{17},
+                   full.size(), full.size() + 5}) {
+    auto top = fb.TopTokens(k);
+    ASSERT_EQ(top.size(), std::min(k, full.size())) << "k=" << k;
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].token, full[i].token) << "k=" << k << " rank " << i;
+      EXPECT_EQ(top[i].score, full[i].score) << "k=" << k << " rank " << i;
+    }
+  }
 }
 
 TEST(TokenSpaceCarrierTest, CountsAndDecode) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/greedy.h"
 #include "index/similarity.h"
@@ -44,10 +45,10 @@ struct World {
         std::move(index::InvertedIndex::Build(store, opt)).ValueOrDie());
     data::AttributeId a0 = ds.schema().AddCategorical("a0");
     for (size_t g = 0; g < n_groups; ++g) {
-      ds.schema().attribute(a0).values().GetOrAdd("v" + std::to_string(g));
+      ds.schema().attribute(a0).values().GetOrAdd(StrCat("v", g));
     }
     for (size_t u = 0; u < n_users; ++u) {
-      ds.users().AddUser("u" + std::to_string(u));
+      ds.users().AddUser(StrCat("u", u));
     }
     tokens = std::make_unique<TokenSpace>(ds);
   }

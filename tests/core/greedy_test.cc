@@ -10,6 +10,7 @@
 #include "common/bitset_kernels.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 
 namespace vexus::core {
 namespace {
@@ -39,10 +40,10 @@ struct World {
     // tokens the groups reference (attribute 0, one value per group).
     data::AttributeId a0 = ds.schema().AddCategorical("a0");
     for (size_t g = 0; g < n_groups; ++g) {
-      ds.schema().attribute(a0).values().GetOrAdd("v" + std::to_string(g));
+      ds.schema().attribute(a0).values().GetOrAdd(StrCat("v", g));
     }
     for (size_t u = 0; u < n_users; ++u) {
-      ds.users().AddUser("u" + std::to_string(u));
+      ds.users().AddUser(StrCat("u", u));
     }
     tokens = std::make_unique<TokenSpace>(ds);
   }
@@ -314,9 +315,9 @@ TEST(GreedyTest, FeedbackBiasesSelection) {
   data::Dataset ds;
   auto a0 = ds.schema().AddCategorical("a0");
   for (int v = 0; v < 4; ++v) {
-    ds.schema().attribute(a0).values().GetOrAdd("v" + std::to_string(v));
+    ds.schema().attribute(a0).values().GetOrAdd(StrCat("v", v));
   }
-  for (int u = 0; u < 400; ++u) ds.users().AddUser("u" + std::to_string(u));
+  for (int u = 0; u < 400; ++u) ds.users().AddUser(StrCat("u", u));
   TokenSpace ts(ds);
 
   GreedySelector sel(&store, &idx);
@@ -386,7 +387,7 @@ TEST(GreedyTest, NoCandidatesYieldsEmptySelection) {
   iopt.materialization_fraction = 1.0;
   auto idx = InvertedIndex_BuildOrDie(store, iopt);
   data::Dataset ds;
-  for (int i = 0; i < 50; ++i) ds.users().AddUser("u" + std::to_string(i));
+  for (int i = 0; i < 50; ++i) ds.users().AddUser(StrCat("u", i));
   TokenSpace ts(ds);
   FeedbackVector fb(&ts);
   GreedySelector sel(&store, &idx);
@@ -420,9 +421,9 @@ TEST(GreedyTest, RefinementQuotaReservesSubsetSlots) {
   data::Dataset ds;
   auto a0 = ds.schema().AddCategorical("a0");
   for (int v = 0; v < 9; ++v) {
-    ds.schema().attribute(a0).values().GetOrAdd("v" + std::to_string(v));
+    ds.schema().attribute(a0).values().GetOrAdd(StrCat("v", v));
   }
-  for (int u = 0; u < 300; ++u) ds.users().AddUser("u" + std::to_string(u));
+  for (int u = 0; u < 300; ++u) ds.users().AddUser(StrCat("u", u));
   TokenSpace ts(ds);
   FeedbackVector fb(&ts);
   GreedySelector sel(&store, &idx);
@@ -462,9 +463,9 @@ TEST(GreedyTest, SupersetsStayCandidates) {
   data::Dataset ds;
   auto a0 = ds.schema().AddCategorical("a0");
   for (int v = 0; v < 3; ++v) {
-    ds.schema().attribute(a0).values().GetOrAdd("v" + std::to_string(v));
+    ds.schema().attribute(a0).values().GetOrAdd(StrCat("v", v));
   }
-  for (int u = 0; u < 100; ++u) ds.users().AddUser("u" + std::to_string(u));
+  for (int u = 0; u < 100; ++u) ds.users().AddUser(StrCat("u", u));
   TokenSpace ts(ds);
   FeedbackVector fb(&ts);
   GreedySelector sel(&store, &idx);

@@ -85,8 +85,10 @@ TEST(SnapshotTest, LoadedSnapshotServesSessions) {
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());
 
+  TokenSpace tokens(w.dataset);
+  FirstScreenMemo first_screens;
   ExplorationSession session(&w.dataset, &loaded->groups, &loaded->index,
-                             {});
+                             &tokens, &first_screens, {});
   const auto& shown = session.Start();
   EXPECT_FALSE(shown.groups.empty());
   session.SelectGroup(shown.groups.front());

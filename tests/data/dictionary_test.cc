@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace vexus::data {
 namespace {
 
@@ -59,12 +61,12 @@ TEST(DictionaryTest, NamesVectorMatchesIds) {
 TEST(DictionaryTest, ManyEntriesStayConsistent) {
   Dictionary d;
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(d.GetOrAdd("key" + std::to_string(i)),
+    EXPECT_EQ(d.GetOrAdd(StrCat("key", i)),
               static_cast<uint32_t>(i));
   }
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(d.Find("key" + std::to_string(i)), static_cast<uint32_t>(i));
-    EXPECT_EQ(d.Name(static_cast<uint32_t>(i)), "key" + std::to_string(i));
+    EXPECT_EQ(d.Find(StrCat("key", i)), static_cast<uint32_t>(i));
+    EXPECT_EQ(d.Name(static_cast<uint32_t>(i)), StrCat("key", i));
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace vexus::data {
 namespace {
 
@@ -81,7 +83,7 @@ TEST(EtlTest, NumericColumnsGetBinned) {
 TEST(EtlTest, QuantileBinsBalancePopulation) {
   std::string users = "user_id,v\n";
   for (int i = 0; i < 100; ++i) {
-    users += "u" + std::to_string(i) + "," + std::to_string(i) + "\n";
+    users += StrCat("u", i, ",", i, "\n");
   }
   EtlOptions opt;
   opt.num_bins = 4;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace vexus::data {
 namespace {
 
@@ -114,7 +116,7 @@ TEST_F(UserTableTest, AttributesAddedAfterUsers) {
 TEST_F(UserTableTest, ManyUsersColumnsStayAligned) {
   schema_.attribute(age_).SetBinEdges({0, 50, 100});
   for (int i = 0; i < 1000; ++i) {
-    UserId u = table_.AddUser("u" + std::to_string(i));
+    UserId u = table_.AddUser(StrCat("u", i));
     table_.SetNumeric(u, age_, static_cast<double>(i % 100));
     table_.SetValueByName(u, gender_, i % 2 == 0 ? "m" : "f");
   }

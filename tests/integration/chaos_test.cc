@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
@@ -118,7 +119,7 @@ void ChaosExplorer(ExplorationService* svc, uint64_t seed, int id, int rounds,
     }
     return resp;
   };
-  const std::string sid = "chaos" + std::to_string(id);
+  const std::string sid = StrCat("chaos", id);
   // Cheap per-thread LCG: the schedule stays a function of (seed, id).
   uint64_t x = seed * 6364136223846793005ULL + static_cast<uint64_t>(id) + 1;
   auto next = [&x] {
@@ -289,7 +290,7 @@ TEST_F(ChaosTest, SessionEvictionUnderChaosKeepsCountsConsistent) {
     for (int i = 0; i < 8; ++i) {
       Request start;
       start.type = RequestType::kStartSession;
-      start.session_id = "ttl" + std::to_string(round) + "_" +
+      start.session_id = StrCat("ttl", round) + "_" +
                          std::to_string(i);
       EXPECT_TRUE(svc.Call(std::move(start)).status.ok());
     }

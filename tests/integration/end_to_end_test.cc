@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/simulated_explorer.h"
 #include "data/etl.h"
@@ -26,12 +27,12 @@ TEST(EndToEndTest, CsvToExplorationViaEtl) {
   std::string actions = "user,item,value,category\n";
   for (int i = 0; i < 120; ++i) {
     bool young_f = i < 60;
-    users += "u" + std::to_string(i) + "," + (young_f ? "F" : "M") + "," +
+    users += StrCat("u", i) + "," + (young_f ? "F" : "M") + "," +
              std::to_string(young_f ? 20 + i % 5 : 50 + i % 9) + "\n";
     // Disjoint book pools per cohort: an item has one category, so cohorts
     // must not share books with conflicting genres.
     int book = (i % 10) + (young_f ? 0 : 10);
-    actions += "u" + std::to_string(i) + ",book" + std::to_string(book) +
+    actions += StrCat("u", i) + ",book" + std::to_string(book) +
                ",8," + (young_f ? "romance" : "history") + "\n";
   }
   std::istringstream u(users), a(actions);

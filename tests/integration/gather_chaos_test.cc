@@ -27,6 +27,7 @@
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
@@ -135,7 +136,7 @@ class GatherChaosTest : public ::testing::Test {
     const std::string path =
         ::testing::TempDir() + "gather_chaos_" +
         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        "_s" + std::to_string(num_shards) + ".snap";
+        StrCat("_s", num_shards) + ".snap";
     core::SnapshotSaveOptions save;
     save.num_shards = num_shards;
     save.sync = false;
@@ -190,6 +191,17 @@ class GatherChaosTest : public ::testing::Test {
     return svc.Call(std::move(req));
   }
 
+  /// Starts a session and clicks its first group; returns the click's
+  /// answer (or the start's, if it failed). A start may be served from the
+  /// engine's first-screen memo without a gather lap, but a click always
+  /// runs greedy over the fleet.
+  static Response StartAndClick(ExplorationService& svc,
+                                const std::string& id) {
+    Response resp = Start(svc, id);
+    if (!resp.status.ok() || resp.groups.empty()) return resp;
+    return Select(svc, id, resp.groups[0].id);
+  }
+
   static std::vector<uint32_t> Ids(const Response& resp) {
     std::vector<uint32_t> ids;
     for (const auto& g : resp.groups) ids.push_back(g.id);
@@ -204,6 +216,15 @@ core::VexusEngine* GatherChaosTest::engine_ = nullptr;
 /// Byte-identity: gathered screens vs the plain single-process run, over a
 /// 3-step walk.
 TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
+  // Once a start has stored the first screen in the engine's memo, later
+  // starts (the plain service's included) are served from there. So the
+  // gathered start is also held to an unbounded local SelectInitial: in a
+  // fresh process the S=2 coordinator's start is the one that computes it.
+  core::GreedyOptions unbounded = SessionOptions().session_template.greedy;
+  unbounded.time_limit_ms = core::GreedyOptions::kUnboundedTimeLimit;
+  const core::GreedySelection initial =
+      core::GreedySelector(&engine_->groups(), &engine_->index())
+          .SelectInitial(core::FeedbackVector(&engine_->tokens()), unbounded);
   for (size_t num_shards : {2u, 4u}) {
     Fleet fleet = MakeFleet(num_shards);
     ExplorationService plain(engine_, SessionOptions());
@@ -211,6 +232,10 @@ TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
     const std::string sid = "identity-" + std::to_string(num_shards);
     Response g = Start(*fleet.coordinator, sid);
     Response p = Start(plain, sid);
+    ASSERT_TRUE(g.status.ok()) << g.status.ToString();
+    EXPECT_EQ(Ids(g), initial.groups) << "shards=" << num_shards;
+    EXPECT_EQ(g.coverage, initial.quality.coverage);
+    EXPECT_EQ(g.diversity, initial.quality.diversity);
     for (int step = 0; step < 4; ++step) {
       ASSERT_TRUE(g.status.ok()) << g.status.ToString();
       ASSERT_TRUE(p.status.ok()) << p.status.ToString();
@@ -294,7 +319,8 @@ TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
   for (int i = 0; i < 100 && !recovered; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     fleet.coordinator->gather()->ProbeShards();
-    Response resp = Start(*fleet.coordinator, "recovered-" + std::to_string(i));
+    Response resp =
+        StartAndClick(*fleet.coordinator, "recovered-" + std::to_string(i));
     recovered = resp.status.ok() && !resp.degraded.has_value();
   }
   EXPECT_TRUE(recovered) << "fleet never returned to full coverage";
@@ -317,7 +343,7 @@ TEST_F(GatherChaosTest, StalledBackendIsRetriedOrShedNeverHung) {
 
   for (int i = 0; i < 6; ++i) {
     const std::string sid = "stall-" + std::to_string(i);
-    Response resp = Start(*fleet.coordinator, sid);
+    Response resp = StartAndClick(*fleet.coordinator, sid);
     ASSERT_TRUE(resp.status.ok() ||
                 resp.status.code() == StatusCode::kDeadlineExceeded ||
                 resp.status.code() == StatusCode::kResourceExhausted)
@@ -381,7 +407,7 @@ TEST_F(GatherChaosTest, CorruptBackendAnswersAreDroppedFromTheFold) {
 
     for (int i = 0; i < 8; ++i) {
       const std::string sid = "corrupt-" + std::to_string(i);
-      Response resp = Start(*fleet.coordinator, sid);
+      Response resp = StartAndClick(*fleet.coordinator, sid);
       ASSERT_TRUE(resp.status.ok() ||
                   resp.status.code() == StatusCode::kDeadlineExceeded ||
                   resp.status.code() == StatusCode::kResourceExhausted)
@@ -398,7 +424,7 @@ TEST_F(GatherChaosTest, CorruptBackendAnswersAreDroppedFromTheFold) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     fleet.coordinator->gather()->ProbeShards();
     Response resp =
-        Start(*fleet.coordinator, "post-corrupt-" + std::to_string(i));
+        StartAndClick(*fleet.coordinator, "post-corrupt-" + std::to_string(i));
     recovered = resp.status.ok() && !resp.degraded.has_value();
   }
   EXPECT_TRUE(recovered);
@@ -410,7 +436,7 @@ TEST_F(GatherChaosTest, CorruptBackendAnswersAreDroppedFromTheFold) {
 TEST_F(GatherChaosTest, StaleGenerationShardIsNeverFolded) {
   Fleet fleet = MakeFleet(2, /*generations=*/{kGeneration, kGeneration + 1});
 
-  Response resp = Start(*fleet.coordinator, "stale");
+  Response resp = StartAndClick(*fleet.coordinator, "stale");
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   ASSERT_TRUE(resp.degraded.has_value()) << "stale shard was folded";
   EXPECT_EQ(*resp.degraded, "partial");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "mining/descriptor_catalog.h"
 #include "mining/lcm.h"
 
@@ -16,15 +17,14 @@ data::Dataset RandomDataset(size_t n_users, size_t n_attrs, size_t n_values,
   data::Dataset ds;
   vexus::Rng rng(seed);
   for (size_t a = 0; a < n_attrs; ++a) {
-    ds.schema().AddCategorical("a" + std::to_string(a));
+    ds.schema().AddCategorical(StrCat("a", a));
   }
   for (size_t u = 0; u < n_users; ++u) {
-    data::UserId uid = ds.users().AddUser("u" + std::to_string(u));
+    data::UserId uid = ds.users().AddUser(StrCat("u", u));
     for (size_t a = 0; a < n_attrs; ++a) {
       ds.users().SetValueByName(
           uid, static_cast<data::AttributeId>(a),
-          "v" + std::to_string(rng.UniformU32(
-                    static_cast<uint32_t>(n_values))));
+          StrCat("v", rng.UniformU32(static_cast<uint32_t>(n_values))));
     }
   }
   return ds;

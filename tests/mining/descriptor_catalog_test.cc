@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace vexus::mining {
 namespace {
 
@@ -13,7 +15,7 @@ data::Dataset MakeDataset() {
   const char* genders[] = {"m", "m", "m", "f", "f", "m"};
   const char* colors[] = {"r", "r", "g", "g", "b", "r"};
   for (int i = 0; i < 6; ++i) {
-    data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+    data::UserId u = ds.users().AddUser(StrCat("u", i));
     ds.users().SetValueByName(u, g, genders[i]);
     ds.users().SetValueByName(u, c, colors[i]);
   }

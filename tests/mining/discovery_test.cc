@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "data/generators/bookcrossing_gen.h"
 
 namespace vexus::mining {
@@ -206,7 +207,7 @@ TEST(LabelClusterTest, FindsHighPurityDescriptors) {
   data::Dataset ds;
   auto g = ds.schema().AddCategorical("g");
   for (int i = 0; i < 10; ++i) {
-    data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+    data::UserId u = ds.users().AddUser(StrCat("u", i));
     ds.users().SetValueByName(u, g, i < 9 ? "x" : "y");
   }
   Bitset members(10);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "mining/descriptor_catalog.h"
 
 namespace vexus::mining {
@@ -19,15 +20,14 @@ data::Dataset RandomDataset(size_t n_users, size_t n_attrs, size_t n_values,
   vexus::Rng rng(seed);
   std::vector<data::AttributeId> attrs;
   for (size_t a = 0; a < n_attrs; ++a) {
-    attrs.push_back(ds.schema().AddCategorical("a" + std::to_string(a)));
+    attrs.push_back(ds.schema().AddCategorical(StrCat("a", a)));
   }
   for (size_t u = 0; u < n_users; ++u) {
-    data::UserId uid = ds.users().AddUser("u" + std::to_string(u));
+    data::UserId uid = ds.users().AddUser(StrCat("u", u));
     for (data::AttributeId a : attrs) {
       ds.users().SetValueByName(
           uid, a,
-          "v" + std::to_string(rng.UniformU32(
-                    static_cast<uint32_t>(n_values))));
+          StrCat("v", rng.UniformU32(static_cast<uint32_t>(n_values))));
     }
   }
   return ds;
@@ -78,7 +78,7 @@ TEST(LcmTest, TinyHandExample) {
   data::Dataset ds;
   auto x = ds.schema().AddCategorical("x");
   auto y = ds.schema().AddCategorical("y");
-  for (int i = 0; i < 3; ++i) ds.users().AddUser("u" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) ds.users().AddUser(StrCat("u", i));
   ds.users().SetValueByName(0, x, "A");
   ds.users().SetValueByName(1, x, "A");
   ds.users().SetValueByName(2, x, "A");

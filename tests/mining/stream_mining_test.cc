@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 
 namespace vexus::mining {
 namespace {
@@ -118,7 +119,7 @@ TEST(StreamMinerTest, ExportGroupsResolvesExtents) {
   // Build a tiny catalog-compatible world: 4 users, 2 descriptors.
   data::Dataset ds;
   auto a = ds.schema().AddCategorical("a");
-  for (int i = 0; i < 4; ++i) ds.users().AddUser("u" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) ds.users().AddUser(StrCat("u", i));
   ds.users().SetValueByName(0, a, "x");
   ds.users().SetValueByName(1, a, "x");
   ds.users().SetValueByName(2, a, "x");

@@ -483,26 +483,38 @@ TEST_F(TcpServerTest, DrainSettlesStragglersWithoutSleepingTheTimeout) {
   TcpServer server(&svc, opts);
   ASSERT_TRUE(server.Start().ok());
 
+  auto connected = LineClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok());
+  auto client =
+      std::make_unique<LineClient>(std::move(connected).ValueOrDie());
+  // The parked request is a click: a start may be served from the engine's
+  // first-screen memo without reaching a greedy pass.
+  server::Request start;
+  start.type = server::RequestType::kStartSession;
+  start.session_id = "straggler";
+  auto started = client->Call(start);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  ASSERT_TRUE(started->status.ok()) << started->status.ToString();
+  ASSERT_FALSE(started->groups.empty());
+
   failpoint::Policy stall;
   stall.mode = failpoint::Policy::Mode::kOnce;
   stall.code = StatusCode::kOk;  // sleep only, no injected error
   stall.sleep_ms = 400;
   failpoint::ScopedFailpoint fp("greedy.pass", stall);
-
-  {
-    auto client = LineClient::Connect("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(
-        client->SendLine(R"({"op":"start_session","session":"straggler"})")
-            .ok());
-    // Wait until the request is actually admitted onto a worker (the sleep
-    // begins), then drop the connection: the worker is now a straggler whose
-    // response has nowhere to go.
-    for (int i = 0; i < 200 && fp.hits() == 0; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ASSERT_GT(fp.hits(), 0u) << "request never reached the greedy pass";
-  }  // ~LineClient closes the connection
+  ASSERT_TRUE(client
+                  ->SendLine(R"({"op":"select_group","session":"straggler",)"
+                             R"("group":)" +
+                             std::to_string(started->groups[0].id) + "}")
+                  .ok());
+  // Wait until the request is actually admitted onto a worker (the sleep
+  // begins), then drop the connection: the worker is now a straggler whose
+  // response has nowhere to go.
+  for (int i = 0; i < 200 && fp.hits() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(fp.hits(), 0u) << "request never reached the greedy pass";
+  client.reset();  // closes the connection
 
   Stopwatch watch;
   server.RequestDrain();
@@ -652,7 +664,12 @@ std::string MaskTimingFields(std::string line) {
     size_t start = at + std::string(key).size();
     size_t end = line.find_first_of(",}", start);
     if (end == std::string::npos) continue;
-    line.replace(start, end - start, "X");
+    // Rebuilt rather than replace()d in place: GCC 12 misreports the
+    // in-place shift as an overlapping memcpy (-Wrestrict).
+    std::string masked = line.substr(0, start);
+    masked += 'X';
+    masked.append(line, end, std::string::npos);
+    line = std::move(masked);
   }
   return line;
 }

@@ -86,6 +86,9 @@ TEST(ServiceMetricsTest, OutcomeCountersRouteByCode) {
   m.RecordGreedyDeadlineHit();
   m.RecordGreedyRun(/*evaluations=*/120, /*passes=*/3, /*swaps=*/2);
   m.RecordGreedyRun(/*evaluations=*/80, /*passes=*/1, /*swaps=*/0);
+  m.RecordFirstScreen(/*hit=*/true);
+  m.RecordFirstScreen(/*hit=*/true);
+  m.RecordFirstScreen(/*hit=*/false);
 
   auto s = m.Snapshot(/*open_sessions=*/5);
   EXPECT_EQ(s.TotalRequests(), 6u);
@@ -102,6 +105,8 @@ TEST(ServiceMetricsTest, OutcomeCountersRouteByCode) {
   EXPECT_EQ(s.greedy_evaluations, 200u);
   EXPECT_EQ(s.greedy_passes, 4u);
   EXPECT_EQ(s.greedy_swaps, 2u);
+  EXPECT_EQ(s.first_screen_hits, 2u);
+  EXPECT_EQ(s.first_screen_misses, 1u);
   EXPECT_EQ(s.open_sessions, 5u);
   EXPECT_EQ(
       s.requests_by_type[static_cast<size_t>(RequestType::kSelectGroup)], 3u);
@@ -135,6 +140,7 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   ServiceMetrics m;
   m.RecordRequest(RequestType::kStartSession, StatusCode::kOk, 1.5);
   m.RecordGreedyRun(42, 3, 1);
+  m.RecordFirstScreen(/*hit=*/true);
   auto s = m.Snapshot(1);
   std::string table = s.ToString();
   EXPECT_NE(table.find("start_session"), std::string::npos);
@@ -149,6 +155,11 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   EXPECT_EQ(j.GetNumber("greedy_passes", -1), 3);
   EXPECT_EQ(j.GetNumber("greedy_swaps", -1), 1);
   EXPECT_NE(s.ToString().find("greedy: runs=1"), std::string::npos);
+  EXPECT_NE(s.ToString().find("first_screen_hits=1"), std::string::npos);
+  const json::Value* first_screen = j.Find("first_screen");
+  ASSERT_NE(first_screen, nullptr);
+  EXPECT_EQ(first_screen->GetNumber("hits", -1), 1);
+  EXPECT_EQ(first_screen->GetNumber("misses", -1), 0);
   const json::Value* by_op = j.Find("by_op");
   ASSERT_NE(by_op, nullptr);
   EXPECT_NE(by_op->Find("start_session"), nullptr);

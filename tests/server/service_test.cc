@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
@@ -145,17 +146,23 @@ TEST_F(ServiceTest, GreedyWorkCountersAccountFreshScreensOnly) {
 
   ASSERT_TRUE(svc.Call(Start("ana")).status.ok());
   MetricsSnapshot after_start = svc.Stats();
-  // start_session computes one fresh screen.
-  EXPECT_EQ(after_start.greedy_runs, 1u);
-  EXPECT_GE(after_start.greedy_evaluations, 1u);
+  // start_session serves one first screen: from the engine's memo (no
+  // greedy run) or computed (one run). The shared engine's memo may hold
+  // this k's screen already, from an earlier test in this process.
+  EXPECT_EQ(after_start.first_screen_hits + after_start.first_screen_misses,
+            1u);
+  EXPECT_EQ(after_start.greedy_runs, after_start.first_screen_misses);
 
   Response first = svc.Call(Start("ana2"));
   ASSERT_TRUE(first.status.ok());
   Response sel = svc.Call(Select("ana2", first.groups[0].id));
   ASSERT_TRUE(sel.status.ok());
   MetricsSnapshot after_select = svc.Stats();
-  // Two starts + one select_group = three fresh greedy runs.
-  EXPECT_EQ(after_select.greedy_runs, 3u);
+  // Two starts + one select_group: one greedy run per computed first
+  // screen, plus the select's.
+  EXPECT_EQ(after_select.first_screen_hits + after_select.first_screen_misses,
+            2u);
+  EXPECT_EQ(after_select.greedy_runs, after_select.first_screen_misses + 1);
   EXPECT_GT(after_select.greedy_evaluations, after_start.greedy_evaluations);
 
   // Backtrack replays a cached screen — no new greedy run may be counted.
@@ -165,7 +172,7 @@ TEST_F(ServiceTest, GreedyWorkCountersAccountFreshScreensOnly) {
   bt.step = 0;
   ASSERT_TRUE(svc.Call(bt).status.ok());
   MetricsSnapshot after_back = svc.Stats();
-  EXPECT_EQ(after_back.greedy_runs, 3u);
+  EXPECT_EQ(after_back.greedy_runs, after_select.greedy_runs);
   EXPECT_EQ(after_back.greedy_evaluations, after_select.greedy_evaluations);
 
   // The counters ride the wire through get_stats.
@@ -174,8 +181,46 @@ TEST_F(ServiceTest, GreedyWorkCountersAccountFreshScreensOnly) {
   Response sresp = svc.Call(stats);
   ASSERT_TRUE(sresp.status.ok());
   ASSERT_TRUE(sresp.stats.has_value());
-  EXPECT_EQ(sresp.stats->GetNumber("greedy_runs", -1), 3);
-  EXPECT_GE(sresp.stats->GetNumber("greedy_evaluations", -1), 3);
+  EXPECT_EQ(sresp.stats->GetNumber("greedy_runs", -1),
+            static_cast<double>(after_back.greedy_runs));
+  EXPECT_GE(sresp.stats->GetNumber("greedy_evaluations", -1), 1);
+  const json::Value* first_screen = sresp.stats->Find("first_screen");
+  ASSERT_NE(first_screen, nullptr) << "get_stats lacks first_screen";
+  EXPECT_EQ(first_screen->GetNumber("hits", -1),
+            static_cast<double>(after_back.first_screen_hits));
+  EXPECT_EQ(first_screen->GetNumber("misses", -1),
+            static_cast<double>(after_back.first_screen_misses));
+}
+
+TEST_F(ServiceTest, RepeatedStartIsAFirstScreenMemoHit) {
+  // Unbounded greedy and a long budget: the first start (if the memo does
+  // not hold its screen yet) runs to its local optimum and is stored, so
+  // the second start must be a hit that runs no greedy.
+  ServiceOptions opts = FastOptions();
+  opts.session_template.greedy.time_limit_ms =
+      core::GreedyOptions::kUnboundedTimeLimit;
+  opts.dispatcher.default_budget_ms = 10'000;
+  ExplorationService svc(engine_, opts);
+
+  Response a = svc.Call(Start("memo-a"));
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  const MetricsSnapshot before = svc.Stats();
+  Response b = svc.Call(Start("memo-b"));
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  const MetricsSnapshot after = svc.Stats();
+
+  EXPECT_EQ(after.first_screen_hits, before.first_screen_hits + 1);
+  EXPECT_EQ(after.first_screen_misses, before.first_screen_misses);
+  EXPECT_EQ(after.greedy_runs, before.greedy_runs);
+  EXPECT_EQ(after.greedy_evaluations, before.greedy_evaluations);
+  EXPECT_FALSE(b.greedy_deadline_hit);
+  EXPECT_FALSE(b.degraded.has_value());
+  ASSERT_EQ(b.groups.size(), a.groups.size());
+  for (size_t i = 0; i < a.groups.size(); ++i) {
+    EXPECT_EQ(b.groups[i].id, a.groups[i].id);
+  }
+  EXPECT_EQ(b.coverage, a.coverage);
+  EXPECT_EQ(b.diversity, a.diversity);
 }
 
 TEST_F(ServiceTest, ParallelGreedyScanMatchesSerialService) {
@@ -484,9 +529,9 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
   EXPECT_EQ(arr[0].GetString("op", ""), "select_group");
   EXPECT_EQ(arr[1].GetString("op", ""), "start_session");
 
-  const std::set<std::string> taxonomy = {"request", "queue",  "admit",
-                                          "session", "rank",   "greedy",
-                                          "seed",    "pass",   "serialize"};
+  const std::set<std::string> taxonomy = {
+      "request", "queue", "admit", "session",   "first_screen",
+      "rank",    "greedy", "seed", "pass",      "serialize"};
   for (const json::Value& rec : arr) {
     EXPECT_EQ(rec.GetString("session", ""), "traced");
     EXPECT_EQ(rec.GetString("status", ""), "OK");
@@ -507,9 +552,14 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
 
     std::set<std::string> seen;
     double root_children_us = 0;
+    double first_screen_count = -1;
     for (size_t i = 0; i < sp.size(); ++i) {
       std::string name = sp[i].GetString("name", "");
       EXPECT_TRUE(taxonomy.count(name)) << "unknown span '" << name << "'";
+      if (name == "first_screen") {
+        EXPECT_FALSE(seen.count(name)) << "two first_screen spans";
+        first_screen_count = sp[i].GetNumber("count", 0);
+      }
       seen.insert(name);
       double parent = sp[i].GetNumber("parent", -99);
       double dur = sp[i].GetNumber("duration_us", -1);
@@ -527,14 +577,24 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
     // cannot exceed the root's wall time (small µs slack for clock reads
     // between a child's close and its parent's).
     EXPECT_LE(root_children_us, root_us + 50.0);
-    // A fresh-screen op traverses the full pipeline.
     EXPECT_TRUE(seen.count("queue"));
     EXPECT_TRUE(seen.count("session"));
-    EXPECT_TRUE(seen.count("rank"));
-    EXPECT_TRUE(seen.count("greedy"));
     EXPECT_TRUE(seen.count("serialize"));
     if (rec.GetString("op", "") == "start_session") {
       EXPECT_TRUE(seen.count("admit"));
+      // One memo lookup: a hit (count 1) runs no greedy; a miss (count 0)
+      // runs SelectInitial. The shared engine's memo may already hold this
+      // screen, so either is correct here.
+      ASSERT_TRUE(seen.count("first_screen"));
+      const bool hit = first_screen_count == 1.0;
+      EXPECT_TRUE(hit || first_screen_count == 0.0) << first_screen_count;
+      EXPECT_EQ(seen.count("rank"), hit ? 0u : 1u);
+      EXPECT_EQ(seen.count("greedy"), hit ? 0u : 1u);
+    } else {
+      // A select traverses the full greedy pipeline.
+      EXPECT_FALSE(seen.count("first_screen"));
+      EXPECT_TRUE(seen.count("rank"));
+      EXPECT_TRUE(seen.count("greedy"));
     }
   }
 
@@ -568,7 +628,10 @@ TEST_F(ServiceTest, GetStatsIncludesStageQuantiles) {
   ServiceOptions opts = FastOptions();
   opts.trace.enabled = true;
   ExplorationService svc(engine_, opts);
-  ASSERT_TRUE(svc.Call(Start("staged")).status.ok());
+  Response started = svc.Call(Start("staged"));
+  ASSERT_TRUE(started.status.ok());
+  // The start may be a first-screen memo hit; the select runs greedy.
+  ASSERT_TRUE(svc.Call(Select("staged", started.groups[0].id)).status.ok());
 
   Request gs;
   gs.type = RequestType::kGetStats;
@@ -633,7 +696,7 @@ TEST_F(ServiceTest, ConcurrentExplorersSixteenThreads) {
 
   std::vector<uint32_t> first_groups(kSessions);
   for (int s = 0; s < kSessions; ++s) {
-    Response started = svc.Call(Start("shared" + std::to_string(s)));
+    Response started = svc.Call(Start(StrCat("shared", s)));
     ASSERT_TRUE(started.status.ok()) << started.status.ToString();
     first_groups[s] = started.groups[0].id;
   }
@@ -645,7 +708,7 @@ TEST_F(ServiceTest, ConcurrentExplorersSixteenThreads) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kRequestsPerThread; ++i) {
         int s = (t * kRequestsPerThread + i) % kSessions;
-        std::string id = "shared" + std::to_string(s);
+        std::string id = StrCat("shared", s);
         Request req;
         switch (i % 4) {
           case 0:
@@ -688,7 +751,7 @@ TEST_F(ServiceTest, ConcurrentExplorersSixteenThreads) {
 
   // Sessions are still coherent afterwards.
   for (int i = 0; i < kSessions; ++i) {
-    Response ended = svc.Call(End("shared" + std::to_string(i)));
+    Response ended = svc.Call(End(StrCat("shared", i)));
     EXPECT_TRUE(ended.status.ok());
     EXPECT_GE(ended.num_steps, 1u);
   }

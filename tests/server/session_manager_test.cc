@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "data/generators/bookcrossing_gen.h"
 
@@ -171,7 +172,7 @@ TEST_F(SessionManagerTest, LazyTtlSweepReachesColdShards) {
   SessionManager mgr(engine_, opts, &metrics);
   constexpr int kCold = 16;  // spread over all 8 shards
   for (int i = 0; i < kCold; ++i) {
-    ASSERT_TRUE(mgr.Create("cold" + std::to_string(i), FastSession()).ok());
+    ASSERT_TRUE(mgr.Create(StrCat("cold", i), FastSession()).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   // Created *after* the cold sessions expired: stays live throughout.
@@ -266,14 +267,14 @@ TEST_F(SessionManagerTest, ManySessionsAcrossShards) {
   opts.num_shards = 4;
   SessionManager mgr(engine_, opts);
   for (int i = 0; i < 48; ++i) {
-    ASSERT_TRUE(mgr.Create("s" + std::to_string(i), FastSession()).ok());
+    ASSERT_TRUE(mgr.Create(StrCat("s", i), FastSession()).ok());
   }
   EXPECT_EQ(mgr.size(), 48u);
   for (int i = 0; i < 48; ++i) {
-    EXPECT_TRUE(mgr.Acquire("s" + std::to_string(i)).ok());
+    EXPECT_TRUE(mgr.Acquire(StrCat("s", i)).ok());
   }
   for (int i = 0; i < 48; ++i) {
-    EXPECT_TRUE(mgr.Remove("s" + std::to_string(i)).ok());
+    EXPECT_TRUE(mgr.Remove(StrCat("s", i)).ok());
   }
   EXPECT_EQ(mgr.size(), 0u);
 }

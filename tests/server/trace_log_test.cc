@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace vexus::server {
 namespace {
 
@@ -76,7 +78,7 @@ TEST(TraceLogTest, RingWrapsKeepingTheNewestRecords) {
   opts.capacity = 4;
   TraceLog log(opts);
   for (int i = 1; i <= 10; ++i) {
-    log.Record(MakeRecord("op" + std::to_string(i), /*total_ms=*/i));
+    log.Record(MakeRecord(StrCat("op", i), /*total_ms=*/i));
   }
   EXPECT_EQ(log.recorded(), 10u);
   std::vector<TraceRecord> last = log.LastN(10);
@@ -150,7 +152,7 @@ TEST(TraceLogTest, ConcurrentWritersNeverTearOrLoseSequence) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&log, w] {
       for (int i = 0; i < kPerWriter; ++i) {
-        log.Record(MakeRecord("w" + std::to_string(w), /*total_ms=*/i));
+        log.Record(MakeRecord(StrCat("w", w), /*total_ms=*/i));
       }
     });
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace vexus::viz {
 namespace {
 
@@ -9,7 +11,7 @@ struct World {
   World() : store(100) {
     gender = ds.schema().AddCategorical("gender");
     for (int i = 0; i < 100; ++i) {
-      data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+      data::UserId u = ds.users().AddUser(StrCat("u", i));
       ds.users().SetValueByName(u, gender, i % 3 == 0 ? "f" : "m");
     }
     auto range = [](uint32_t lo, uint32_t hi) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "data/generators/bookcrossing_gen.h"
 
@@ -58,7 +59,7 @@ TEST_F(SessionViewsTest, HistoryShowsTrailAndTruncatesOnBacktrack) {
   const auto& second = s->SelectGroup(g0);
   std::string h = RenderHistory(*s);
   EXPECT_NE(h.find("start"), std::string::npos);
-  EXPECT_NE(h.find("g" + std::to_string(g0)), std::string::npos);
+  EXPECT_NE(h.find(StrCat("g", g0)), std::string::npos);
   EXPECT_NE(h.find("(current)"), std::string::npos);
 
   if (!second.groups.empty()) {
@@ -78,7 +79,7 @@ TEST_F(SessionViewsTest, MemoListsBookmarks) {
   s->BookmarkUser(7);
   std::string memo = RenderMemo(*s);
   EXPECT_NE(memo.find("1 group(s), 1 user(s)"), std::string::npos);
-  EXPECT_NE(memo.find("g" + std::to_string(first.groups[0])),
+  EXPECT_NE(memo.find(StrCat("g", first.groups[0])),
             std::string::npos);
   EXPECT_NE(memo.find(engine_->dataset().users().ExternalId(7)),
             std::string::npos);

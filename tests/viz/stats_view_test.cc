@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 
 namespace vexus::viz {
 namespace {
@@ -19,7 +20,7 @@ struct World {
     gender = ds.schema().AddCategorical("gender");
     score = ds.schema().AddNumeric("score");
     for (int i = 0; i < 8; ++i) {
-      data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+      data::UserId u = ds.users().AddUser(StrCat("u", i));
       ds.users().SetValueByName(u, gender, i % 2 == 0 ? "m" : "f");
       ds.users().SetNumeric(u, score, i);
     }
@@ -185,7 +186,7 @@ TEST(StatsViewTest, FullDomainBrushPropertyOverRandomDomains) {
     std::vector<double> vals(n);
     for (size_t i = 0; i < n; ++i) {
       vals[i] = lo_domain + rng.UniformDouble(0, width);
-      data::UserId u = ds.users().AddUser("u" + std::to_string(i));
+      data::UserId u = ds.users().AddUser(StrCat("u", i));
       ds.users().SetNumeric(u, score, vals[i]);
     }
     // Force at least one user to sit exactly on the maximum (the bug's
