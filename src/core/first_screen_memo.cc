@@ -45,6 +45,8 @@ bool FirstScreenMemo::Store(const GreedyOptions& options,
   stored.passes = 0;
   stored.swaps = 0;
   stored.evaluations = 0;
+  stored.seed_scored = 0;
+  stored.seed_millis = {};
   stored.pass_millis.clear();
   stored.elapsed_ms = 0;
   stored.memoized = true;

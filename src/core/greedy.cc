@@ -261,27 +261,80 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   // explorer's interest (experiment E10).
   std::vector<double> seed_score(pool.size());
   std::vector<double> affinity(pool.size(), 0.0);
-  const std::vector<double> weights = feedback.UserWeights();
-  for (size_t i = 0; i < pool.size(); ++i) {
-    const mining::UserGroup& g = store_->group(pool[i]);
-    double prior = feedback.GroupPrior(g);
-    if (anchor.has_value()) {
-      // The objective's affinity term is the weighted similarity alone;
-      // the prior (description-token channel) enters through *seeding*.
-      // Folding the prior into the objective reinforces already-visited
-      // groups and collapses exploration into a loop; both channels still
-      // react to CONTEXT deletion (experiment E10) because rewarded users'
-      // weights also carry the demographic tokens' spread mass.
-      affinity[i] = index::WeightedJaccard(
-          g.members(), store_->group(*anchor).members(), weights);
-      seed_score[i] = affinity[i] * prior;
-    } else {
-      affinity[i] = prior - 1.0;
-      seed_score[i] =
-          prior * std::log1p(static_cast<double>(g.size()));
+  const Bitset* anchor_members =
+      anchor.has_value() ? &store_->group(*anchor).members() : nullptr;
+  Stopwatch phase;
+  if (anchor.has_value()) {
+    TraceSpan weights_span = seed_span.Child("weights");
+    const std::vector<double> weights = feedback.UserWeights();
+    weights_span.Close();
+    result.seed_millis.weights = phase.ElapsedMillis();
+
+    TraceSpan affinity_span = seed_span.Child("affinity");
+    phase.Restart();
+    for (size_t i = 0; i < pool.size(); ++i) {
+      affinity[i] = index::WeightedJaccard(store_->group(pool[i]).members(),
+                                           *anchor_members, weights);
     }
+    affinity_span.AddCount(pool.size());
+    affinity_span.Close();
+    result.seed_millis.affinity = phase.ElapsedMillis();
+
+    // The objective's affinity term is the weighted similarity alone; the
+    // prior (description-token channel) enters through *seeding*. Folding
+    // the prior into the objective reinforces already-visited groups and
+    // collapses exploration into a loop; both channels still react to
+    // CONTEXT deletion (experiment E10) because rewarded users' weights
+    // also carry the demographic tokens' spread mass.
+    //
+    // Priors are the seed's cost (one walk over the feedback map each), so
+    // they are computed in descending-affinity order and stop at the
+    // deadline once min(k, |pool|) are in. An unscored candidate takes
+    // prior = 1, the prior's exact lower bound, so its seed score is its
+    // affinity. With time to score them all, every value and the sort
+    // below equal an unbounded run's.
+    TraceSpan prior_span = seed_span.Child("prior");
+    phase.Restart();
+    std::vector<size_t> visit(pool.size());
+    std::iota(visit.begin(), visit.end(), size_t{0});
+    std::sort(visit.begin(), visit.end(), [&](size_t a, size_t b) {
+      if (affinity[a] != affinity[b]) return affinity[a] > affinity[b];
+      return a < b;
+    });
+    const size_t must_score = std::min(options.k, pool.size());
+    size_t r = 0;
+    for (; r < visit.size(); ++r) {
+      if (r >= must_score && deadline.Expired()) break;
+      // Chaos site: a sleep here burns the budget mid-seed, forcing a
+      // truncated seed.
+      VEXUS_FAILPOINT_HIT("greedy.seed");
+      const size_t i = visit[r];
+      seed_score[i] = affinity[i] * feedback.GroupPrior(store_->group(pool[i]));
+    }
+    result.seed_scored = r;
+    result.seed_truncated = r < visit.size();
+    for (; r < visit.size(); ++r) seed_score[visit[r]] = affinity[visit[r]];
+    prior_span.AddCount(result.seed_scored);
+    prior_span.Close();
+    result.seed_millis.prior = phase.ElapsedMillis();
+  } else {
+    // The first screen: no anchor, so the prior ranks by size. Start()'s
+    // feedback is empty, which makes every prior O(1).
+    TraceSpan prior_span = seed_span.Child("prior");
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const mining::UserGroup& g = store_->group(pool[i]);
+      double prior = feedback.GroupPrior(g);
+      affinity[i] = prior - 1.0;
+      seed_score[i] = prior * std::log1p(static_cast<double>(g.size()));
+    }
+    result.seed_scored = pool.size();
+    prior_span.AddCount(result.seed_scored);
+    prior_span.Close();
+    result.seed_millis.prior = phase.ElapsedMillis();
   }
 
+  TraceSpan setup_span = seed_span.Child("setup");
+  phase.Restart();
   std::vector<size_t> order(pool.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -324,9 +377,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     }
   }
 
-  const Bitset* anchor_members =
-      anchor.has_value() ? &store_->group(*anchor).members() : nullptr;
-
   const bool incremental =
       options.eval_mode == GreedyOptions::EvalMode::kIncremental;
   // The parallel scan reads pass-frozen delta state; the scratch evaluator
@@ -349,6 +399,8 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     current = eval.EvaluateScratch(selected);
   }
   ++result.evaluations;
+  setup_span.Close();
+  result.seed_millis.setup = phase.ElapsedMillis();
   seed_span.Close();
 
   // ---- Anytime best-improving swap loop. ----
@@ -439,10 +491,10 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       }
     }
   }
-  // The flag reports *why the loop stopped*, not whether the clock happens
+  // The flag reports *why the run stopped*, not whether the clock happens
   // to read expired at return time: a run that converged before expiry is
   // not deadline-truncated (the old check here mislabeled that case).
-  result.deadline_hit = !converged;
+  result.deadline_hit = result.seed_truncated || !converged;
   greedy.AddCount(result.evaluations);
   greedy.Close();
 

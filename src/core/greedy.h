@@ -14,8 +14,14 @@
 // best-improving swaps on the objective
 //     λ·coverage(S|anchor) + (1−λ)·diversity(S) + μ·affinity(S)
 // until the deadline expires or a local optimum is reached. Every data
-// structure the loop touches is O(k²) or O(k·|candidates|); the anytime loop
-// is what the 100 ms budget truncates (experiment E1 sweeps it).
+// structure the loop touches is O(k²) or O(k·|candidates|).
+//
+// The deadline bounds the whole run, seed included. The anchored seed
+// computes every candidate's affinity, then its priors in descending-affinity
+// order, and stops at the deadline once min(k, |candidates|) priors are in;
+// an unscored candidate seeds with prior 1, the prior's exact lower bound.
+// A run with time to score every prior computes exactly the values an
+// unbounded run does (DESIGN.md §9.3; experiment E1 sweeps the budget).
 #pragma once
 
 #include <cstdint>
@@ -76,7 +82,9 @@ struct GreedyOptions {
   /// Lower bound σ on (plain) similarity to the anchor (P2's relevance
   /// guard); candidates below it are not considered.
   double min_similarity = 0.05;
-  /// The P3 time budget for the refinement loop, in milliseconds.
+  /// The P3 time budget for the whole run — seed and refinement loop — in
+  /// milliseconds. The seed always scores min(k, |candidates|) priors, so a
+  /// run can overshoot by that much work.
   ///
   /// Budget semantics match Deadline::AfterMillis everywhere: zero, negative
   /// or NaN budgets *expire immediately* (seed-only selection, deadline_hit
@@ -136,10 +144,12 @@ struct GreedyOptions {
   /// Optional parent span for stage attribution (the serving layer points
   /// this at the request's root span). The selector opens `rank` around
   /// candidate-pool construction and `greedy` → {`seed`, `pass` ×N, with
-  /// per-pass trial-evaluation counts} inside Run. Null (the default) means
-  /// no tracing; the per-span overhead is then a single branch. The spans
-  /// are opened from the calling thread only — the parallel scan's shards
-  /// never touch the tracer, so a shared TraceSpan is safe here.
+  /// per-pass trial-evaluation counts} inside Run; `seed` has children
+  /// {`weights`, `affinity`, `prior`, `setup`} (DESIGN.md §10.1). Null (the
+  /// default) means no tracing; the per-span overhead is then a single
+  /// branch. The spans are opened from the calling thread only — the
+  /// parallel scan's shards never touch the tracer, so a shared TraceSpan is
+  /// safe here.
   const TraceSpan* trace = nullptr;
 };
 
@@ -153,11 +163,29 @@ struct GreedySelection {
   size_t passes = 0;
   size_t swaps = 0;
   size_t evaluations = 0;
-  /// True iff the refinement loop stopped *because of* the deadline — i.e.
-  /// it had not reached (or trivially started at) a local optimum when time
-  /// ran out. A run that converges and only then observes an expired clock
-  /// is NOT deadline-hit (this used to be mislabeled).
+  /// True iff the run stopped *because of* the deadline: the seed stopped
+  /// before scoring every prior (seed_truncated), or the refinement loop had
+  /// not reached (or trivially started at) a local optimum when time ran
+  /// out. A run that converges and only then observes an expired clock is
+  /// NOT deadline-hit (this used to be mislabeled).
   bool deadline_hit = false;
+  /// True iff the deadline stopped the seed before every candidate's prior
+  /// was computed; the unscored candidates seeded with prior 1.
+  bool seed_truncated = false;
+  /// Group priors the seed computed: the pool size, or at least
+  /// min(k, candidates) when the seed was truncated.
+  size_t seed_scored = 0;
+  /// Wall-clock of the seed's phases, in milliseconds: user weights, the
+  /// affinity of every candidate, the priors, and the set-up (seed sort,
+  /// refinement test, evaluator reset). An initial screen computes no
+  /// weights or affinity, so those stay 0.
+  struct SeedMillis {
+    double weights = 0;
+    double affinity = 0;
+    double prior = 0;
+    double setup = 0;
+  };
+  SeedMillis seed_millis;
   /// Minimum over passes of the user-universe fraction the folded shards
   /// covered (1.0 unless a remote scatter degraded; see
   /// GreedyOptions::remote_scatter). The serving layer answers
@@ -165,8 +193,9 @@ struct GreedySelection {
   double covered_fraction = 1.0;
   double elapsed_ms = 0;
   /// True when the screen came from the engine's first-screen memo
-  /// (core/first_screen_memo.h) instead of a greedy run: passes, swaps and
-  /// evaluations are then 0 and elapsed_ms is the lookup's own time.
+  /// (core/first_screen_memo.h) instead of a greedy run: passes, swaps,
+  /// evaluations, seed_scored and the seed and pass timings are then 0, and
+  /// elapsed_ms is the lookup's own time.
   bool memoized = false;
   /// Wall-clock of each completed refinement pass, in order. Surfaced so
   /// the serving layer and bench_greedy_incremental can attribute the

@@ -62,12 +62,18 @@ const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {
   VEXUS_CHECK(g < store_->size()) << "unknown group " << g;
   VEXUS_CHECK(!history_.empty()) << "call Start() before SelectGroup()";
 
+  const TraceSpan* trace = options_.greedy.trace;
   // Implicit positive feedback for the clicked group.
+  TraceSpan learn = trace != nullptr ? trace->Child("learn") : TraceSpan();
   feedback_.Learn(store_->group(g), options_.learning_rate);
+  learn.Close();
 
-  ExplorationStep step{g, selector_.SelectNext(g, feedback_, options_.greedy),
-                       feedback_};
+  GreedySelection shown = selector_.SelectNext(g, feedback_, options_.greedy);
+  // The HISTORY snapshot: copies of the whole feedback map.
+  TraceSpan snapshot = trace != nullptr ? trace->Child("history") : TraceSpan();
+  ExplorationStep step{g, std::move(shown), feedback_};
   history_.push_back(std::move(step));
+  snapshot.Close();
   return history_.back().shown;
 }
 

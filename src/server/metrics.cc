@@ -117,6 +117,7 @@ MetricsSnapshot ServiceMetrics::Snapshot(uint64_t open_sessions) const {
   s.evictions_lru = evictions_lru_.load(kRelaxed);
   s.admission_rejected = admission_rejected_.load(kRelaxed);
   s.greedy_deadline_hits = greedy_deadline_hits_.load(kRelaxed);
+  s.greedy_seed_truncations = greedy_seed_truncations_.load(kRelaxed);
   s.greedy_runs = greedy_runs_.load(kRelaxed);
   s.greedy_evaluations = greedy_evaluations_.load(kRelaxed);
   s.greedy_passes = greedy_passes_.load(kRelaxed);
@@ -163,6 +164,8 @@ json::Value MetricsSnapshot::ToJson() const {
   o.emplace_back("evictions_lru", json::Value(evictions_lru));
   o.emplace_back("admission_rejected", json::Value(admission_rejected));
   o.emplace_back("greedy_deadline_hits", json::Value(greedy_deadline_hits));
+  o.emplace_back("greedy_seed_truncations",
+                 json::Value(greedy_seed_truncations));
   o.emplace_back("greedy_runs", json::Value(greedy_runs));
   o.emplace_back("greedy_evaluations", json::Value(greedy_evaluations));
   o.emplace_back("greedy_passes", json::Value(greedy_passes));
@@ -217,11 +220,12 @@ std::string MetricsSnapshot::ToString() const {
   out += line;
   std::snprintf(line, sizeof(line),
                 "evictions: ttl=%llu lru=%llu admission_rejected=%llu "
-                "greedy_deadline_hits=%llu\n",
+                "greedy_deadline_hits=%llu greedy_seed_truncations=%llu\n",
                 static_cast<unsigned long long>(evictions_ttl),
                 static_cast<unsigned long long>(evictions_lru),
                 static_cast<unsigned long long>(admission_rejected),
-                static_cast<unsigned long long>(greedy_deadline_hits));
+                static_cast<unsigned long long>(greedy_deadline_hits),
+                static_cast<unsigned long long>(greedy_seed_truncations));
   out += line;
   std::snprintf(line, sizeof(line),
                 "greedy: runs=%llu evaluations=%llu passes=%llu swaps=%llu "

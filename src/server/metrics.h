@@ -95,6 +95,9 @@ struct MetricsSnapshot {
   uint64_t admission_rejected = 0;
   /// Anytime-greedy truncations observed (paper P3 anytime behaviour).
   uint64_t greedy_deadline_hits = 0;
+  /// The subset of those runs whose seed stopped at the deadline before
+  /// every candidate's prior was computed (GreedySelection::seed_truncated).
+  uint64_t greedy_seed_truncations = 0;
   /// Anytime-greedy work counters, summed over every screen computed: runs
   /// (one per screen), trial-swap objective evaluations, completed
   /// refinement passes, and applied swaps. evaluations/run is the live
@@ -154,6 +157,9 @@ class ServiceMetrics {
   void RecordGreedyDeadlineHit() {
     greedy_deadline_hits_.fetch_add(1, kRelaxed);
   }
+  void RecordGreedySeedTruncation() {
+    greedy_seed_truncations_.fetch_add(1, kRelaxed);
+  }
   /// Accounts one completed greedy run (one screen): its trial-swap
   /// evaluations, completed refinement passes, and applied swaps.
   void RecordGreedyRun(uint64_t evaluations, uint64_t passes,
@@ -203,6 +209,7 @@ class ServiceMetrics {
   std::atomic<uint64_t> evictions_lru_{0};
   std::atomic<uint64_t> admission_rejected_{0};
   std::atomic<uint64_t> greedy_deadline_hits_{0};
+  std::atomic<uint64_t> greedy_seed_truncations_{0};
   std::atomic<uint64_t> greedy_runs_{0};
   std::atomic<uint64_t> greedy_evaluations_{0};
   std::atomic<uint64_t> greedy_passes_{0};

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitset_kernels.h"
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -236,6 +237,126 @@ TEST(GreedyTest, ConvergedRunIsNotDeadlineHit) {
   GreedyOptions opt2 = Unbounded(4);
   opt2.time_limit_ms = 0;
   EXPECT_TRUE(sel2.SelectNext(0, fb2, opt2).deadline_hit);
+}
+
+// Weighted Jaccard written out user by user, independent of the index's
+// word-walking kernel.
+double LocalWeightedJaccard(const Bitset& a, const Bitset& b,
+                            const std::vector<double>& weights) {
+  double inter = 0, uni = 0;
+  for (uint32_t u = 0; u < a.size(); ++u) {
+    const bool in_a = a.Test(u), in_b = b.Test(u);
+    if (in_a || in_b) uni += weights[u];
+    if (in_a && in_b) inter += weights[u];
+  }
+  return uni > 0 ? inter / uni : 0.0;
+}
+
+// The anchor's candidate pool as SelectNext builds it.
+std::vector<GroupId> PoolOf(const World& w, GroupId anchor,
+                            const GreedyOptions& opt) {
+  std::vector<GroupId> pool;
+  for (const index::Neighbor& nb : w.index->Neighbors(anchor)) {
+    if (nb.similarity >= opt.min_similarity) pool.push_back(nb.group);
+  }
+  return pool;
+}
+
+TEST(GreedyTest, ZeroBudgetSeedsTheHighestAffinityCandidates) {
+  // An expired deadline stops the seed once k priors are in. The k scored
+  // candidates are the k highest by affinity, and every unscored one seeds
+  // at its affinity (prior 1), which no scored candidate falls below. With
+  // no refinement quota and no pass, the screen is those k.
+  World w(60, 500, 21);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(3));
+  fb.Learn(w.store.group(7));
+  GreedySelector sel(&w.store, w.index.get());
+  GreedyOptions opt = Unbounded(4);
+  opt.time_limit_ms = 0;
+  opt.refinement_quota = 0;
+  const GroupId anchor = 0;
+
+  auto r = sel.SelectNext(anchor, fb, opt);
+  ASSERT_GT(r.candidates, opt.k);
+  EXPECT_EQ(r.seed_scored, opt.k);
+  EXPECT_TRUE(r.seed_truncated);
+  EXPECT_TRUE(r.deadline_hit);
+  EXPECT_EQ(r.passes, 0u);
+
+  const std::vector<GroupId> pool = PoolOf(w, anchor, opt);
+  ASSERT_EQ(pool.size(), r.candidates);
+  const std::vector<double> weights = fb.UserWeights();
+  std::vector<std::pair<double, GroupId>> ranked;
+  for (GroupId g : pool) {
+    ranked.emplace_back(
+        LocalWeightedJaccard(w.store.group(g).members(),
+                             w.store.group(anchor).members(), weights),
+        g);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  // A tie across the k-th place would make "the k highest" ambiguous.
+  ASSERT_GT(ranked[opt.k - 1].first, ranked[opt.k].first + 1e-12);
+  std::vector<GroupId> expected;
+  for (size_t i = 0; i < opt.k; ++i) expected.push_back(ranked[i].second);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(r.groups, expected);
+}
+
+TEST(GreedyTest, SeedFailpointTruncatesTheSeedMidway) {
+  // A sleep before every prior burns the budget partway through the seed:
+  // the first k priors are always computed, the rest stop at the deadline,
+  // and the run still answers k groups, flagged deadline-hit.
+  World w(60, 500, 22);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(5));
+  GreedySelector sel(&w.store, w.index.get());
+  GreedyOptions opt = Unbounded(4);
+  opt.time_limit_ms = 20;
+
+  failpoint::Policy slow;
+  slow.mode = failpoint::Policy::Mode::kAlways;
+  slow.code = StatusCode::kOk;
+  slow.sleep_ms = 3.0;
+  failpoint::ScopedFailpoint fp("greedy.seed", slow);
+  auto r = sel.SelectNext(0, fb, opt);
+
+  // 20 ms at >= 3 ms per prior admits at most 8 priors.
+  ASSERT_GT(r.candidates, 12u);
+  EXPECT_GE(r.seed_scored, opt.k);
+  EXPECT_LT(r.seed_scored, r.candidates);
+  EXPECT_EQ(fp.hits(), r.seed_scored) << "one hit per computed prior";
+  EXPECT_TRUE(r.seed_truncated);
+  EXPECT_TRUE(r.deadline_hit);
+  EXPECT_EQ(r.groups.size(), opt.k);
+  EXPECT_EQ(r.passes, 0u);
+}
+
+TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
+  World w(60, 500, 23);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(2));
+  GreedySelector sel(&w.store, w.index.get());
+
+  auto next = sel.SelectNext(0, fb, Unbounded(4));
+  EXPECT_EQ(next.seed_scored, next.candidates);
+  EXPECT_FALSE(next.seed_truncated);
+  EXPECT_FALSE(next.deadline_hit);
+  EXPECT_GE(next.seed_millis.weights, 0.0);
+  EXPECT_GE(next.seed_millis.affinity, 0.0);
+  EXPECT_GE(next.seed_millis.prior, 0.0);
+  EXPECT_GE(next.seed_millis.setup, 0.0);
+  const double seed_ms = next.seed_millis.weights + next.seed_millis.affinity +
+                         next.seed_millis.prior + next.seed_millis.setup;
+  EXPECT_LE(seed_ms, next.elapsed_ms);
+
+  auto initial = sel.SelectInitial(fb, Unbounded(4));
+  EXPECT_EQ(initial.seed_scored, initial.candidates);
+  EXPECT_FALSE(initial.seed_truncated);
+  EXPECT_FALSE(initial.deadline_hit);
+  EXPECT_EQ(initial.seed_millis.weights, 0.0) << "a first screen has no anchor";
+  EXPECT_EQ(initial.seed_millis.affinity, 0.0);
 }
 
 TEST(GreedyTest, RankPoolByPriorIsPermutationInvariant) {

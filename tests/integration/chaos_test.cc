@@ -197,6 +197,11 @@ TEST_F(ChaosTest, ServingPathSurvivesSeededFaultSchedule) {
   failpoint::ScopedFailpoint fp_greedy(
       "greedy.pass", Prob(0.10, seed * 11 + 6, StatusCode::kOk,
                           /*sleep_ms=*/2.0));
+  // The same before each prior of the seed: a run that burns its budget
+  // there truncates the seed (k priors, then the deadline).
+  failpoint::ScopedFailpoint fp_seed(
+      "greedy.seed", Prob(0.10, seed * 11 + 7, StatusCode::kOk,
+                          /*sleep_ms=*/2.0));
   failpoint::ScopedFailpoint fp_teardown("dispatcher.teardown",
                                          Once(StatusCode::kOk));
 
@@ -249,6 +254,7 @@ TEST_F(ChaosTest, ServingPathSurvivesSeededFaultSchedule) {
       {"session_manager.create", &fp_create},
       {"session_manager.acquire", &fp_acquire},
       {"threadpool.submit", &fp_submit},   {"greedy.pass", &fp_greedy},
+      {"greedy.seed", &fp_seed},
       {"dispatcher.teardown", &fp_teardown},
   };
   int reached = 0;
@@ -267,9 +273,9 @@ TEST_F(ChaosTest, ServingPathSurvivesSeededFaultSchedule) {
         << fp->hits() << " reaches";
   }
   EXPECT_EQ(fp_teardown.hits(), 1u) << "teardown site must fire exactly once";
-  // The snapshot chaos test below covers 7 more sites; together the harness
-  // demonstrably reaches >= 8 distinct sites even in isolation:
-  EXPECT_GE(reached, 7);
+  // The snapshot chaos test below covers 7 more sites; this storm alone
+  // reaches 8 distinct sites:
+  EXPECT_GE(reached, 8);
 }
 
 TEST_F(ChaosTest, SessionEvictionUnderChaosKeepsCountsConsistent) {

@@ -84,6 +84,8 @@ TEST(ServiceMetricsTest, OutcomeCountersRouteByCode) {
   m.RecordEvictionLru();
   m.RecordAdmissionRejected();
   m.RecordGreedyDeadlineHit();
+  m.RecordGreedyDeadlineHit();
+  m.RecordGreedySeedTruncation();
   m.RecordGreedyRun(/*evaluations=*/120, /*passes=*/3, /*swaps=*/2);
   m.RecordGreedyRun(/*evaluations=*/80, /*passes=*/1, /*swaps=*/0);
   m.RecordFirstScreen(/*hit=*/true);
@@ -100,7 +102,8 @@ TEST(ServiceMetricsTest, OutcomeCountersRouteByCode) {
   EXPECT_EQ(s.evictions_ttl, 1u);
   EXPECT_EQ(s.evictions_lru, 2u);
   EXPECT_EQ(s.admission_rejected, 1u);
-  EXPECT_EQ(s.greedy_deadline_hits, 1u);
+  EXPECT_EQ(s.greedy_deadline_hits, 2u);
+  EXPECT_EQ(s.greedy_seed_truncations, 1u);
   EXPECT_EQ(s.greedy_runs, 2u);
   EXPECT_EQ(s.greedy_evaluations, 200u);
   EXPECT_EQ(s.greedy_passes, 4u);
@@ -140,6 +143,8 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   ServiceMetrics m;
   m.RecordRequest(RequestType::kStartSession, StatusCode::kOk, 1.5);
   m.RecordGreedyRun(42, 3, 1);
+  m.RecordGreedyDeadlineHit();
+  m.RecordGreedySeedTruncation();
   m.RecordFirstScreen(/*hit=*/true);
   auto s = m.Snapshot(1);
   std::string table = s.ToString();
@@ -154,6 +159,9 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   EXPECT_EQ(j.GetNumber("greedy_evaluations", -1), 42);
   EXPECT_EQ(j.GetNumber("greedy_passes", -1), 3);
   EXPECT_EQ(j.GetNumber("greedy_swaps", -1), 1);
+  EXPECT_EQ(j.GetNumber("greedy_deadline_hits", -1), 1);
+  EXPECT_EQ(j.GetNumber("greedy_seed_truncations", -1), 1);
+  EXPECT_NE(s.ToString().find("greedy_seed_truncations=1"), std::string::npos);
   EXPECT_NE(s.ToString().find("greedy: runs=1"), std::string::npos);
   EXPECT_NE(s.ToString().find("first_screen_hits=1"), std::string::npos);
   const json::Value* first_screen = j.Find("first_screen");

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
@@ -254,6 +256,71 @@ TEST_F(ServiceTest, ParallelGreedyScanMatchesSerialService) {
   ASSERT_FALSE(a.groups.empty());
   const uint32_t pick = a.groups[0].id;
   expect_same(svc.Call(Select("p", pick)), bare->SelectGroup(pick));
+}
+
+TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
+  // A sleep before every prior outlasts a 5 ms greedy budget: the seed
+  // stops after k priors, the select still answers k groups flagged
+  // greedy_deadline_hit, and get_stats counts one seed truncation. The same
+  // select without the sleep and without a greedy limit counts none.
+  ServiceOptions bounded = FastOptions();
+  bounded.session_template.greedy.time_limit_ms = 5;
+  bounded.dispatcher.default_budget_ms = 10'000;
+  ServiceOptions unbounded = bounded;
+  unbounded.session_template.greedy.time_limit_ms =
+      core::GreedyOptions::kUnboundedTimeLimit;
+  const size_t k = bounded.session_template.greedy.k;
+  const double min_sim = bounded.session_template.greedy.min_similarity;
+
+  auto pool_size = [&](mining::GroupId g) {
+    size_t n = 0;
+    for (const index::Neighbor& nb : engine_->index().Neighbors(g)) {
+      n += nb.similarity >= min_sim;
+    }
+    return n;
+  };
+  auto run = [&](const ServiceOptions& opts, const std::string& id) {
+    ExplorationService svc(engine_, opts);
+    Response started = svc.Call(Start(id));
+    EXPECT_TRUE(started.status.ok()) << started.status.ToString();
+    // Click a shown group whose candidate pool leaves priors to skip.
+    std::optional<uint32_t> pick;
+    for (const GroupView& g : started.groups) {
+      if (pool_size(g.id) > k + 1) {
+        pick = g.id;
+        break;
+      }
+    }
+    EXPECT_TRUE(pick.has_value()) << "no shown group has a pool above k+1";
+    if (!pick.has_value()) return std::make_pair(Response(), svc.Stats());
+    const MetricsSnapshot before = svc.Stats();
+    EXPECT_EQ(before.greedy_seed_truncations, 0u) << "a start truncated";
+    Response selected = svc.Call(Select(id, *pick));
+    return std::make_pair(std::move(selected), svc.Stats());
+  };
+
+  {
+    failpoint::Policy slow;
+    slow.mode = failpoint::Policy::Mode::kAlways;
+    slow.code = StatusCode::kOk;
+    slow.sleep_ms = 3.0;
+    failpoint::ScopedFailpoint fp("greedy.seed", slow);
+    auto [resp, stats] = run(bounded, "seed-cut");
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_EQ(fp.hits(), k) << "the deadline stops the seed at k priors";
+    EXPECT_TRUE(resp.greedy_deadline_hit);
+    EXPECT_EQ(resp.groups.size(), k);
+    EXPECT_EQ(stats.greedy_seed_truncations, 1u);
+    EXPECT_GE(stats.greedy_deadline_hits, 1u);
+    EXPECT_NE(stats.ToString().find("greedy_seed_truncations=1"),
+              std::string::npos);
+    EXPECT_EQ(stats.ToJson().GetNumber("greedy_seed_truncations", -1), 1);
+  }
+  auto [resp, stats] = run(unbounded, "seed-full");
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.greedy_deadline_hit);
+  EXPECT_EQ(resp.groups.size(), k);
+  EXPECT_EQ(stats.greedy_seed_truncations, 0u);
 }
 
 TEST_F(ServiceTest, ZeroBudgetIsDeadlineExceededWithoutTouchingGreedy) {
@@ -530,8 +597,10 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
   EXPECT_EQ(arr[1].GetString("op", ""), "start_session");
 
   const std::set<std::string> taxonomy = {
-      "request", "queue", "admit", "session",   "first_screen",
-      "rank",    "greedy", "seed", "pass",      "serialize"};
+      "request", "queue",  "admit",   "session",  "first_screen",
+      "learn",   "rank",   "greedy",  "seed",     "weights",
+      "affinity", "prior", "setup",   "pass",     "history",
+      "serialize"};
   for (const json::Value& rec : arr) {
     EXPECT_EQ(rec.GetString("session", ""), "traced");
     EXPECT_EQ(rec.GetString("status", ""), "OK");
@@ -553,12 +622,21 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
     std::set<std::string> seen;
     double root_children_us = 0;
     double first_screen_count = -1;
+    double seed_index = -1;
+    std::map<std::string, double> seed_child_counts;
     for (size_t i = 0; i < sp.size(); ++i) {
       std::string name = sp[i].GetString("name", "");
       EXPECT_TRUE(taxonomy.count(name)) << "unknown span '" << name << "'";
       if (name == "first_screen") {
         EXPECT_FALSE(seen.count(name)) << "two first_screen spans";
         first_screen_count = sp[i].GetNumber("count", 0);
+      }
+      if (name == "seed") seed_index = static_cast<double>(i);
+      if (name == "weights" || name == "affinity" || name == "prior" ||
+          name == "setup") {
+        EXPECT_EQ(sp[i].GetNumber("parent", -99), seed_index)
+            << name << " is not a child of seed";
+        seed_child_counts[name] = sp[i].GetNumber("count", 0);
       }
       seen.insert(name);
       double parent = sp[i].GetNumber("parent", -99);
@@ -591,10 +669,18 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
       EXPECT_EQ(seen.count("rank"), hit ? 0u : 1u);
       EXPECT_EQ(seen.count("greedy"), hit ? 0u : 1u);
     } else {
-      // A select traverses the full greedy pipeline.
+      // A select learns, traverses the full greedy pipeline and snapshots
+      // its feedback; its seed has all four phases: `affinity` counts the
+      // pool, `prior` the priors computed (all of them unless the deadline
+      // stopped the seed).
       EXPECT_FALSE(seen.count("first_screen"));
+      EXPECT_TRUE(seen.count("learn"));
       EXPECT_TRUE(seen.count("rank"));
       EXPECT_TRUE(seen.count("greedy"));
+      EXPECT_TRUE(seen.count("history"));
+      ASSERT_EQ(seed_child_counts.size(), 4u);
+      EXPECT_GE(seed_child_counts["prior"], 1.0);
+      EXPECT_LE(seed_child_counts["prior"], seed_child_counts["affinity"]);
     }
   }
 
