@@ -2,8 +2,7 @@
 // path (ROADMAP item 4). Every trial swap of the incremental evaluator is
 // one pass over ceil(U/64) words of the 278,858-user universe — popcounts
 // fused with AND/OR — so these loops are where the 100 ms interaction
-// budget is actually spent (BENCH_greedy_incremental: evals/sec is the
-// currency).
+// budget is actually spent (trial evaluations per second is the currency).
 //
 // Dispatch follows the pattern common/crc32 established: the vector
 // bodies live in one translation unit (bitset_kernels.cc) compiled with

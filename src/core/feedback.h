@@ -67,6 +67,9 @@ class TokenSpace {
   std::vector<uint32_t> carrier_count_;  // users per value token
 };
 
+/// HISTORY snapshots are plain copies. Declare no copy or move members
+/// (rule of zero): a step pushed into HISTORY must move its vector, not copy
+/// the map again.
 class FeedbackVector {
  public:
   explicit FeedbackVector(const TokenSpace* tokens);
@@ -105,10 +108,6 @@ class FeedbackVector {
     double score;
   };
   std::vector<TokenScore> TopTokens(size_t k) const;
-
-  /// HISTORY support: snapshots are plain copies.
-  FeedbackVector(const FeedbackVector&) = default;
-  FeedbackVector& operator=(const FeedbackVector&) = default;
 
   size_t nonzero_count() const { return scores_.size(); }
 

@@ -17,14 +17,13 @@ uint64_t Bits(double v) {
 // A new GreedyOptions field changes this size. Decide whether the field
 // changes what a complete SelectInitial returns; if it does, add it to
 // KeyOf, then update the size here.
-static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 88,
+static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 80,
               "GreedyOptions changed: decide whether the new field belongs "
               "in the first-screen key (FirstScreenMemo::KeyOf)");
 
 FirstScreenMemo::Key FirstScreenMemo::KeyOf(const GreedyOptions& options) {
   return Key{options.k, Bits(options.lambda), Bits(options.feedback_weight),
-             options.initial_candidate_cap,
-             static_cast<int>(options.eval_mode)};
+             options.initial_candidate_cap};
 }
 
 std::optional<GreedySelection> FirstScreenMemo::Find(

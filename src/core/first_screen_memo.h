@@ -47,13 +47,12 @@ class FirstScreenMemo {
   size_t size() const;
 
  private:
-  /// The options that decide a first screen: k, λ, μ, the candidate cap
-  /// and the evaluator mode. Without an anchor, min_similarity and the
-  /// refinement quota are unused; the time limit, scan pool, remote
-  /// scatterer and trace change how a run executes, not what a complete
-  /// run returns. The doubles are keyed by their bits, so NaN cannot break
-  /// the map's ordering.
-  using Key = std::tuple<size_t, uint64_t, uint64_t, size_t, int>;
+  /// The options that decide a first screen: k, λ, μ and the candidate
+  /// cap. Without an anchor, min_similarity and the refinement quota are
+  /// unused; the time limit, scan pool, remote scatterer and trace change
+  /// how a run executes, not what a complete run returns. The doubles are
+  /// keyed by their bits, so NaN cannot break the map's ordering.
+  using Key = std::tuple<size_t, uint64_t, uint64_t, size_t>;
   static Key KeyOf(const GreedyOptions& options);
 
   mutable std::mutex mu_;

@@ -29,8 +29,8 @@ namespace {
 /// Minimum improvement for a swap to count (guards float-noise cycling).
 constexpr double kMinGain = 1e-12;
 
-/// Candidates per parallel scan chunk: small enough to load-balance, large
-/// enough to amortize the atomic chunk cursor.
+/// Candidates per scan chunk: small enough to load-balance a pooled scan,
+/// large enough to amortize the atomic chunk cursor.
 constexpr size_t kScanChunk = 16;
 
 /// Trial evaluations between deadline checks inside a position sweep.
@@ -52,20 +52,24 @@ struct ChunkBest {
 
 /// Scans candidates [begin, end) × all positions. Deterministic within the
 /// range: ascending (cand, pos) order with strict `>` keeps the earliest
-/// argmax, so folding per-chunk results in chunk order reproduces the
-/// serial scan's pick exactly. The deadline is rechecked every
+/// argmax, so folding per-chunk results in chunk order gives the same pick
+/// however the chunks were dealt. The deadline is rechecked every
 /// kDeadlineCheckInterval trials *inside* the position sweep (a single
-/// candidate's k-trial sweep must not blow the 100 ms budget), and `stop`
-/// (when non-null) lets parallel chunks cut each other short.
-template <typename TrialFn>
-ChunkBest ScanRange(size_t begin, size_t end,
+/// candidate's k-trial sweep must not blow the 100 ms budget); a chunk that
+/// sees it expire sets `stop`, and a chunk that starts after `stop` is set
+/// returns at entry without a trial.
+ChunkBest ScanRange(const SwapObjective& eval, size_t begin, size_t end,
                     const std::vector<size_t>& selected,
                     const std::vector<bool>& in_selection,
                     const std::vector<bool>& is_refinement,
-                    size_t refinement_count, size_t quota, double current,
-                    const Deadline& deadline, std::atomic<bool>* stop,
-                    TrialFn&& trial) {
+                    size_t refinement_count, size_t quota,
+                    const Deadline& deadline, std::atomic<bool>* stop) {
   ChunkBest best;
+  if (stop->load(std::memory_order_relaxed)) {
+    best.complete = false;
+    return best;
+  }
+  const double current = eval.Current();
   size_t since_check = 0;
   for (size_t cand = begin; cand < end; ++cand) {
     if (in_selection[cand]) continue;
@@ -75,7 +79,7 @@ ChunkBest ScanRange(size_t begin, size_t end,
                      (is_refinement[selected[pos]] ? 1 : 0) +
                      (is_refinement[cand] ? 1 : 0);
       if (after < quota) continue;
-      double v = trial(pos, cand);
+      double v = eval.Trial(pos, cand);
       ++best.evaluations;
       if (v - current > best.gain) {
         best.gain = v - current;
@@ -84,12 +88,12 @@ ChunkBest ScanRange(size_t begin, size_t end,
       }
       if (++since_check >= kDeadlineCheckInterval) {
         since_check = 0;
-        if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+        if (stop->load(std::memory_order_relaxed)) {
           best.complete = false;
           return best;
         }
         if (deadline.Expired()) {
-          if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
+          stop->store(true, std::memory_order_relaxed);
           best.complete = false;
           return best;
         }
@@ -115,7 +119,7 @@ ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
                      const std::vector<size_t>& selected,
                      const std::vector<bool>& in_selection,
                      const std::vector<bool>& is_refinement,
-                     size_t refinement_count, size_t quota, double current,
+                     size_t refinement_count, size_t quota,
                      const Deadline& deadline, double* covered_fraction) {
   std::vector<std::pair<uint32_t, uint32_t>> trials;  // (cand, pos), pool ix
   trials.reserve(pool.size() * selected.size());
@@ -164,6 +168,7 @@ ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
     return best;
   }
 
+  const double current = eval.Current();
   for (size_t t = 0; t < trials.size(); ++t) {
     size_t newly = 0;
     for (size_t s : ok_shards) newly += outcome.partials[s][t];
@@ -356,8 +361,11 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
           g.size() < ag.size() && g.members().IsSubsetOf(ag.members());
       total_refinements += is_refinement[i];
     }
+    // Clamped before the cast: a fraction above 1 would reserve more slots
+    // than k (and +inf makes the cast undefined).
     quota = std::min(total_refinements,
-                     static_cast<size_t>(options.refinement_quota *
+                     static_cast<size_t>(std::min(options.refinement_quota,
+                                                  1.0) *
                                          static_cast<double>(k)));
   }
 
@@ -377,27 +385,10 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     }
   }
 
-  const bool incremental =
-      options.eval_mode == GreedyOptions::EvalMode::kIncremental;
-  // The parallel scan reads pass-frozen delta state; the scratch evaluator
-  // memoizes into its sim cache mid-trial, so it must stay serial.
-  ThreadPool* scan_pool = incremental ? options.scan_pool : nullptr;
-  // Remote scatter needs the incremental evaluator's pass-frozen rest
-  // tables; kScratch stays whole-universe (it is the serial oracle).
-  RemoteTrialScatterer* remote =
-      incremental ? options.remote_scatter : nullptr;
-
   index::PairwiseSimCache sims(store_, &pool);
   SwapObjective eval(store_, &pool, anchor_members, &affinity,
                      {options.lambda, options.feedback_weight}, &sims);
-
-  double current;
-  if (incremental) {
-    eval.Reset(selected);
-    current = eval.Current();
-  } else {
-    current = eval.EvaluateScratch(selected);
-  }
+  eval.Reset(selected);
   ++result.evaluations;
   setup_span.Close();
   result.seed_millis.setup = phase.ElapsedMillis();
@@ -406,14 +397,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   // ---- Anytime best-improving swap loop. ----
   std::vector<bool> in_selection(pool.size(), false);
   for (size_t i : selected) in_selection[i] = true;
-
-  std::vector<size_t> scratch_trial;  // reused buffer (kScratch only)
-  auto trial_fn = [&](size_t pos, size_t cand) {
-    if (incremental) return eval.Trial(pos, cand);
-    scratch_trial = selected;
-    scratch_trial[pos] = cand;
-    return eval.EvaluateScratch(scratch_trial);
-  };
 
   // With every candidate already selected there is no swap to try: the
   // selection is trivially a local optimum, whatever the clock says.
@@ -430,28 +413,33 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     for (size_t i : selected) refinement_count += is_refinement[i];
 
     ChunkBest best;
-    if (remote != nullptr) {
-      best = RemoteScan(eval, remote, pool, anchor, selected, in_selection,
-                        is_refinement, refinement_count, quota, current,
+    if (options.remote_scatter != nullptr) {
+      best = RemoteScan(eval, options.remote_scatter, pool, anchor, selected,
+                        in_selection, is_refinement, refinement_count, quota,
                         deadline, &result.covered_fraction);
-    } else if (scan_pool != nullptr) {
+    } else {
       // Chunked scan with a deterministic argmax reduction: chunk
       // boundaries are pure functions of (|pool|, kScanChunk), each chunk
       // records its earliest argmax, and the fold below walks chunks in
-      // ascending order — so the parallel pick is byte-identical to the
-      // serial one regardless of thread scheduling.
+      // ascending order — so a pooled pick is byte-identical to the
+      // in-order one regardless of thread scheduling.
       const size_t num_chunks = (pool.size() + kScanChunk - 1) / kScanChunk;
       std::vector<ChunkBest> chunks(num_chunks);
       std::atomic<bool> stop{false};
-      scan_pool->ParallelForChunked(
-          pool.size(), kScanChunk, [&](size_t c, size_t begin, size_t end) {
-            chunks[c] = ScanRange(begin, end, selected, in_selection,
-                                  is_refinement, refinement_count, quota,
-                                  current, deadline, &stop,
-                                  [&eval](size_t pos, size_t cand) {
-                                    return eval.Trial(pos, cand);
-                                  });
-          });
+      auto scan_chunk = [&](size_t c, size_t begin, size_t end) {
+        chunks[c] = ScanRange(eval, begin, end, selected, in_selection,
+                              is_refinement, refinement_count, quota,
+                              deadline, &stop);
+      };
+      if (options.scan_pool != nullptr) {
+        options.scan_pool->ParallelForChunked(pool.size(), kScanChunk,
+                                              scan_chunk);
+      } else {
+        for (size_t c = 0; c < num_chunks; ++c) {
+          scan_chunk(c, c * kScanChunk,
+                     std::min(pool.size(), (c + 1) * kScanChunk));
+        }
+      }
       for (const ChunkBest& r : chunks) {
         best.evaluations += r.evaluations;
         best.complete = best.complete && r.complete;
@@ -461,10 +449,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
           best.pos = r.pos;
         }
       }
-    } else {
-      best = ScanRange(0, pool.size(), selected, in_selection, is_refinement,
-                       refinement_count, quota, current, deadline, nullptr,
-                       trial_fn);
     }
     result.evaluations += best.evaluations;
     pass_span.AddCount(best.evaluations);
@@ -474,12 +458,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       in_selection[selected[best.pos]] = false;
       in_selection[best.cand] = true;
       selected[best.pos] = best.cand;
-      if (incremental) {
-        eval.ApplySwap(best.pos, best.cand);
-        current = eval.Current();
-      } else {
-        current += best.gain;
-      }
+      eval.ApplySwap(best.pos, best.cand);
       ++result.swaps;
     }
     result.pass_millis.push_back(pass_watch.ElapsedMillis());

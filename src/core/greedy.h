@@ -106,39 +106,30 @@ struct GreedyOptions {
   /// receives three subsets of that group") implies screens mix drill-down
   /// options with lateral moves; without the quota, large lateral/ancestor
   /// groups dominate the coverage objective and exploration cycles among
-  /// the same few big groups (ablation A1/D-quota measures this).
+  /// the same few big groups (ablation A1/D-quota measures this). Values
+  /// outside [0, 1] (and NaN, as 0) are clamped: at most k slots.
   double refinement_quota = 0.5;
 
-  /// How trial swaps are scored. kIncremental maintains the selection's
-  /// coverage/diversity/affinity state so a trial costs one bitset pass +
-  /// O(1) (see core/greedy_eval.h); kScratch re-evaluates the objective
-  /// from scratch per trial (the pre-incremental behaviour, kept as the
-  /// oracle for tests and the baseline for bench_greedy_incremental). Both
-  /// modes pick identical swaps up to floating-point reassociation noise
-  /// (~1e-15 per trial, pinned at 1e-9 by the oracle test).
-  enum class EvalMode { kIncremental, kScratch };
-  EvalMode eval_mode = EvalMode::kIncremental;
-
-  /// Optional pool for chunking the candidate scan. Null → serial scan.
-  /// Parallel and serial scans select byte-identical swaps: trials compute
-  /// identical doubles in either mode, and the argmax reduction folds
-  /// per-chunk results in deterministic chunk order with ties broken by
-  /// smallest (candidate, position). Safe to point at a *shared* pool —
-  /// including the serving layer's own worker pool, from whose workers this
-  /// loop is invoked (ThreadPool::ParallelForChunked has the caller
-  /// participate, so completion never depends on a free worker). Ignored
-  /// under kScratch, whose memoizing sim cache is not thread-safe.
+  /// Optional pool for dealing the candidate scan's chunks. Null → the same
+  /// chunks run in order on the calling thread. Pooled and serial scans
+  /// select byte-identical swaps: trials compute identical doubles either
+  /// way, and the argmax reduction folds per-chunk results in deterministic
+  /// chunk order with ties broken by smallest (candidate, position). Safe to
+  /// point at a *shared* pool — including the serving layer's own worker
+  /// pool, from whose workers this loop is invoked
+  /// (ThreadPool::ParallelForChunked has the caller participate, so
+  /// completion never depends on a free worker).
   ThreadPool* scan_pool = nullptr;
 
   /// Optional multi-box scatterer (see RemoteTrialScatterer above). When
-  /// set (and eval_mode is kIncremental), the candidate scan of every
-  /// refinement pass goes out to the remote shards instead of the local
-  /// scan; the coordinator folds integer partials in shard order with the
-  /// earliest-(cand, pos) argmax, so an all-healthy fleet selects
-  /// byte-identically to the single-process run. Shards
-  /// that miss the lap (open circuit, exhausted retries) are dropped from
-  /// the fold — the pass scores trials over the surviving user ranges and
-  /// GreedySelection::covered_fraction records the degradation. Not owned.
+  /// set, the candidate scan of every refinement pass goes out to the
+  /// remote shards instead of the local scan; the coordinator folds integer
+  /// partials in shard order with the earliest-(cand, pos) argmax, so an
+  /// all-healthy fleet selects byte-identically to the single-process run.
+  /// Shards that miss the lap (open circuit, exhausted retries) are dropped
+  /// from the fold — the pass scores trials over the surviving user ranges
+  /// and GreedySelection::covered_fraction records the degradation. Not
+  /// owned.
   RemoteTrialScatterer* remote_scatter = nullptr;
 
   /// Optional parent span for stage attribution (the serving layer points
@@ -198,8 +189,8 @@ struct GreedySelection {
   /// elapsed_ms is the lookup's own time.
   bool memoized = false;
   /// Wall-clock of each completed refinement pass, in order. Surfaced so
-  /// the serving layer and bench_greedy_incremental can attribute the
-  /// anytime budget to passes (pass 1 dominates: it fills the sim rows).
+  /// the serving layer can attribute the anytime budget to passes (pass 1
+  /// dominates: it fills the sim rows).
   std::vector<double> pass_millis;
 };
 

@@ -167,41 +167,4 @@ double SwapObjective::TrialFromCovered(size_t pos, size_t cand,
          cfg_.feedback_weight * aff;
 }
 
-double SwapObjective::EvaluateScratch(const std::vector<size_t>& sel) {
-  const size_t n_users = store_->num_users();
-  // Coverage (full union rebuild — the pre-incremental hot path).
-  scratch_covered_.Resize(n_users);
-  scratch_covered_.ClearAll();
-  for (size_t i : sel) {
-    scratch_covered_ |= store_->group((*pool_)[i]).members();
-  }
-  double cov =
-      cov_denom_ == 0
-          ? 0.0
-          : (anchor_ != nullptr
-                 ? static_cast<double>(
-                       scratch_covered_.IntersectCount(*anchor_)) /
-                       cov_denom_
-                 : static_cast<double>(scratch_covered_.Count()) / cov_denom_);
-  // Diversity (O(k²) pair sum).
-  double div = 1.0;
-  if (sel.size() >= 2) {
-    double sim_sum = 0;
-    for (size_t i = 0; i < sel.size(); ++i) {
-      for (size_t j = i + 1; j < sel.size(); ++j) {
-        sim_sum += sims_->Sim(sel[i], sel[j]);
-      }
-    }
-    div = 1.0 -
-          sim_sum / (static_cast<double>(sel.size()) * (sel.size() - 1) / 2);
-  }
-  // Affinity.
-  double aff = 0;
-  for (size_t i : sel) aff += (*affinity_)[i];
-  aff /= static_cast<double>(sel.size());
-
-  return cfg_.lambda * cov + (1 - cfg_.lambda) * div +
-         cfg_.feedback_weight * aff;
-}
-
 }  // namespace vexus::core

@@ -32,9 +32,9 @@
 // thread; Trial() is a pure read of pass-frozen state and is safe to call
 // concurrently from the chunked candidate scan.
 //
-// EvaluateScratch() keeps the pre-incremental evaluator alive verbatim — it
-// is the oracle the delta path is tested against (|Δ| ≤ 1e-9 over random
-// swap sequences) and the baseline bench_greedy_incremental measures.
+// The from-scratch evaluator lives on only as a test oracle
+// (tests/core/greedy_eval_test.cc): Current() and Trial() track it within
+// 1e-9 over random swap sequences.
 #pragma once
 
 #include <cstddef>
@@ -92,11 +92,6 @@ class SwapObjective {
   /// recomputed from the rebuilt structures (no additive drift).
   void ApplySwap(size_t pos, size_t cand);
 
-  /// The pre-incremental from-scratch evaluator over an arbitrary selection
-  /// (coverage union rebuild + O(k²) pair sum). Shares the memoizing sim
-  /// cache, so it is NOT thread-safe. Oracle + bench baseline.
-  double EvaluateScratch(const std::vector<size_t>& sel);
-
   const std::vector<size_t>& selected() const { return selected_; }
 
  private:
@@ -134,9 +129,6 @@ class SwapObjective {
   double sim_sum_ = 0;   // Σ_{i<j} Sim(S[i], S[j])
   double aff_sum_ = 0;   // Σ affinity(S)
   double current_ = 0;
-
-  // Scratch buffer for EvaluateScratch's coverage union.
-  Bitset scratch_covered_;
 };
 
 }  // namespace vexus::core

@@ -101,8 +101,8 @@ struct MetricsSnapshot {
   /// Anytime-greedy work counters, summed over every screen computed: runs
   /// (one per screen), trial-swap objective evaluations, completed
   /// refinement passes, and applied swaps. evaluations/run is the live
-  /// analogue of bench_greedy_incremental's headline metric — a deploy that
-  /// regresses the incremental evaluator shows up here without a bench run.
+  /// throughput of the incremental evaluator — a deploy that regresses it
+  /// shows up here without a bench run.
   uint64_t greedy_runs = 0;
   uint64_t greedy_evaluations = 0;
   uint64_t greedy_passes = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,9 @@
 
 namespace vexus::core {
 namespace {
+
+// HISTORY moves each step into its list: a move must not copy the map.
+static_assert(std::is_nothrow_move_constructible_v<FeedbackVector>);
 
 /// 4 users with one gender attribute (m,m,f,f).
 data::Dataset MakeDataset() {

@@ -185,9 +185,6 @@ TEST_F(FirstScreenMemoTest, KeyIgnoresExecutionOnlyOptions) {
   other = stored;
   other.initial_candidate_cap = 128;
   EXPECT_FALSE(memo.Find(other).has_value());
-  other = stored;
-  other.eval_mode = GreedyOptions::EvalMode::kScratch;
-  EXPECT_FALSE(memo.Find(other).has_value());
 }
 
 TEST_F(FirstScreenMemoTest, DeadlineHitStartIsNeverStored) {

@@ -1,14 +1,17 @@
 // SwapObjective oracle tests + greedy determinism tests.
 //
-// The incremental evaluator is only allowed to differ from the from-scratch
-// oracle by float reassociation (the coverage counts are exact integers in
-// both paths; the diversity/affinity sums re-add the same cached floats in a
-// different order), so the pinned tolerance is 1e-9 — six orders of
-// magnitude above the observed noise, six below any real bug.
+// The oracle is ScratchObjective below: the objective recomputed from
+// scratch for an arbitrary selection. The incremental evaluator is only
+// allowed to differ from it by float reassociation (the coverage counts are
+// exact integers in both paths; the diversity/affinity sums re-add the same
+// float similarities in a different order), so the pinned tolerance is
+// 1e-9 — six orders of magnitude above the observed noise, six below any
+// real bug.
 #include "core/greedy_eval.h"
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,8 +70,51 @@ GreedyOptions Unbounded(size_t k = 4) {
   return opt;
 }
 
+/// The objective of `selection` (pool positions), recomputed from scratch:
+/// a coverage-union rebuild plus the O(k²) pair sum. Each pair similarity is
+/// rounded through float, as PairwiseSimCache stores it, so SwapObjective
+/// differs from this only by the order its sums add the same values.
+double ScratchObjective(const GroupStore& store,
+                        const std::vector<GroupId>& pool, const Bitset* anchor,
+                        const std::vector<double>& affinity,
+                        SwapObjective::Config config,
+                        const std::vector<size_t>& selection) {
+  auto members = [&](size_t i) -> const Bitset& {
+    return store.group(pool[i]).members();
+  };
+  Bitset covered(store.num_users());
+  for (size_t i : selection) covered |= members(i);
+  const double denom = anchor != nullptr
+                           ? static_cast<double>(anchor->Count())
+                           : static_cast<double>(store.num_users());
+  const double hits = anchor != nullptr
+                          ? static_cast<double>(covered.IntersectCount(*anchor))
+                          : static_cast<double>(covered.Count());
+  const double cov = denom == 0 ? 0.0 : hits / denom;
+
+  const size_t k = selection.size();
+  double div = 1.0;
+  if (k >= 2) {
+    double sim_sum = 0;
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = i + 1; j < k; ++j) {
+        sim_sum += static_cast<float>(
+            members(selection[i]).Jaccard(members(selection[j])));
+      }
+    }
+    div = 1.0 - sim_sum / (static_cast<double>(k) * (k - 1) / 2);
+  }
+
+  double aff = 0;
+  for (size_t i : selection) aff += affinity[i];
+  aff /= static_cast<double>(k);
+
+  return config.lambda * cov + (1 - config.lambda) * div +
+         config.feedback_weight * aff;
+}
+
 /// Randomized swap-sequence oracle: Current()/Trial() must track
-/// EvaluateScratch() through arbitrary Reset/Trial/ApplySwap interleavings.
+/// ScratchObjective() through arbitrary Reset/Trial/ApplySwap interleavings.
 void RunOracleSequence(const GroupStore& store, const Bitset* anchor,
                        uint64_t seed) {
   const size_t n = store.size();
@@ -80,8 +126,11 @@ void RunOracleSequence(const GroupStore& store, const Bitset* anchor,
   for (double& a : affinity) a = rng.UniformDouble();
 
   index::PairwiseSimCache sims(&store, &pool);
-  SwapObjective eval(&store, &pool, anchor, &affinity,
-                     {/*lambda=*/0.6, /*feedback_weight=*/0.3}, &sims);
+  const SwapObjective::Config config{/*lambda=*/0.6, /*feedback_weight=*/0.3};
+  SwapObjective eval(&store, &pool, anchor, &affinity, config, &sims);
+  auto oracle = [&](const std::vector<size_t>& sel) {
+    return ScratchObjective(store, pool, anchor, affinity, config, sel);
+  };
 
   const size_t k = 5;
   ASSERT_GT(n, k + 2);
@@ -92,7 +141,7 @@ void RunOracleSequence(const GroupStore& store, const Bitset* anchor,
     in_selection[i] = true;
   }
   eval.Reset(selected);
-  EXPECT_NEAR(eval.Current(), eval.EvaluateScratch(selected), 1e-9);
+  EXPECT_NEAR(eval.Current(), oracle(selected), 1e-9);
 
   for (int iter = 0; iter < 200; ++iter) {
     size_t pos = rng.UniformU32(static_cast<uint32_t>(k));
@@ -102,8 +151,7 @@ void RunOracleSequence(const GroupStore& store, const Bitset* anchor,
     double delta = eval.Trial(pos, cand);
     std::vector<size_t> trial_sel = selected;
     trial_sel[pos] = cand;
-    double oracle = eval.EvaluateScratch(trial_sel);
-    EXPECT_NEAR(delta, oracle, 1e-9)
+    EXPECT_NEAR(delta, oracle(trial_sel), 1e-9)
         << "iter=" << iter << " pos=" << pos << " cand=" << cand;
 
     if (rng.Bernoulli(0.3)) {
@@ -111,7 +159,7 @@ void RunOracleSequence(const GroupStore& store, const Bitset* anchor,
       in_selection[cand] = true;
       eval.ApplySwap(pos, cand);
       selected = trial_sel;
-      EXPECT_NEAR(eval.Current(), eval.EvaluateScratch(selected), 1e-9)
+      EXPECT_NEAR(eval.Current(), oracle(selected), 1e-9)
           << "after applied swap, iter=" << iter;
     }
   }
@@ -138,45 +186,127 @@ TEST(SwapObjectiveTest, ResetRebindsAfterKChange) {
   for (size_t i = 0; i < pool.size(); ++i) pool[i] = static_cast<GroupId>(i);
   std::vector<double> affinity(pool.size(), 0.25);
   index::PairwiseSimCache sims(&w.store, &pool);
-  SwapObjective eval(&w.store, &pool, nullptr, &affinity, {0.5, 0.2}, &sims);
+  const SwapObjective::Config config{0.5, 0.2};
+  SwapObjective eval(&w.store, &pool, nullptr, &affinity, config, &sims);
+  auto oracle = [&](const std::vector<size_t>& sel) {
+    return ScratchObjective(w.store, pool, nullptr, affinity, config, sel);
+  };
 
   std::vector<size_t> small = {0, 1, 2};
   eval.Reset(small);
-  EXPECT_NEAR(eval.Current(), eval.EvaluateScratch(small), 1e-9);
+  EXPECT_NEAR(eval.Current(), oracle(small), 1e-9);
 
   std::vector<size_t> large = {3, 4, 5, 6, 7, 8};
   eval.Reset(large);  // k changed: row matrix must re-key cleanly
-  EXPECT_NEAR(eval.Current(), eval.EvaluateScratch(large), 1e-9);
-  EXPECT_NEAR(eval.Trial(0, 10), [&] {
-    std::vector<size_t> t = large;
-    t[0] = 10;
-    return eval.EvaluateScratch(t);
-  }(), 1e-9);
+  EXPECT_NEAR(eval.Current(), oracle(large), 1e-9);
+  std::vector<size_t> trial = large;
+  trial[0] = 10;
+  EXPECT_NEAR(eval.Trial(0, 10), oracle(trial), 1e-9);
 }
 
-TEST(GreedyDeterminismTest, IncrementalSelectsSameGroupsAsScratch) {
-  // Same seeds, same swaps: the incremental evaluator computes trial values
-  // that differ from scratch only by reassociation noise, far below any
-  // real gain gap, so the selected groups must be identical.
+/// No admissible single swap of `groups` — one that keeps at least `quota`
+/// refinements of `anchor` in the selection, as the greedy's scan requires
+/// — raises ScratchObjective over `pool` by more than 1e-9.
+void ExpectScratchLocalOptimum(const GroupStore& store,
+                               const std::vector<GroupId>& pool,
+                               std::optional<GroupId> anchor,
+                               const std::vector<double>& affinity,
+                               const GreedyOptions& opt,
+                               const std::vector<GroupId>& groups) {
+  const Bitset* anchor_members =
+      anchor.has_value() ? &store.group(*anchor).members() : nullptr;
+  std::vector<bool> is_refinement(pool.size(), false);
+  size_t quota = 0;
+  if (anchor.has_value()) {
+    const UserGroup& ag = store.group(*anchor);
+    size_t total = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const UserGroup& g = store.group(pool[i]);
+      is_refinement[i] =
+          g.size() < ag.size() && g.members().IsSubsetOf(ag.members());
+      total += is_refinement[i];
+    }
+    const size_t k = std::min(opt.k, pool.size());
+    quota = std::min(total, static_cast<size_t>(opt.refinement_quota *
+                                                static_cast<double>(k)));
+  }
+  std::vector<size_t> selection;
+  for (GroupId g : groups) {
+    auto it = std::find(pool.begin(), pool.end(), g);
+    ASSERT_NE(it, pool.end()) << "group " << g << " is not a candidate";
+    selection.push_back(static_cast<size_t>(it - pool.begin()));
+  }
+  size_t refinements = 0;
+  for (size_t i : selection) refinements += is_refinement[i];
+  ASSERT_GE(refinements, quota);
+
+  const SwapObjective::Config config{opt.lambda, opt.feedback_weight};
+  const double current = ScratchObjective(store, pool, anchor_members,
+                                          affinity, config, selection);
+  for (size_t cand = 0; cand < pool.size(); ++cand) {
+    if (std::find(selection.begin(), selection.end(), cand) !=
+        selection.end()) {
+      continue;
+    }
+    for (size_t pos = 0; pos < selection.size(); ++pos) {
+      if (refinements - is_refinement[selection[pos]] + is_refinement[cand] <
+          quota) {
+        continue;
+      }
+      std::vector<size_t> trial = selection;
+      trial[pos] = cand;
+      EXPECT_LE(ScratchObjective(store, pool, anchor_members, affinity,
+                                 config, trial),
+                current + 1e-9)
+          << "swap slot " << pos << " for candidate " << pool[cand];
+    }
+  }
+}
+
+TEST(GreedyDeterminismTest, UnboundedRunIsALocalOptimumOfTheScratchObjective) {
+  // The incremental trial values differ from the scratch objective only by
+  // reassociation noise, far below any real gain gap, so a converged run
+  // must leave no swap that the oracle scores as an improvement.
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     World w(45, 450, seed);
     FeedbackVector fb(w.tokens.get());
     GreedySelector sel(&w.store, w.index.get());
     for (size_t k : {3u, 5u, 7u}) {
-      GreedyOptions inc = Unbounded(k);
-      inc.eval_mode = GreedyOptions::EvalMode::kIncremental;
-      GreedyOptions scr = Unbounded(k);
-      scr.eval_mode = GreedyOptions::EvalMode::kScratch;
+      SCOPED_TRACE(StrCat("seed=", seed, " k=", k));
+      const GreedyOptions opt = Unbounded(k);
 
-      auto ri = sel.SelectNext(1, fb, inc);
-      auto rs = sel.SelectNext(1, fb, scr);
-      EXPECT_EQ(ri.groups, rs.groups) << "seed=" << seed << " k=" << k;
-      EXPECT_EQ(ri.swaps, rs.swaps);
-      EXPECT_NEAR(ri.quality.objective, rs.quality.objective, 1e-9);
+      // SelectNext's candidates: the anchor's neighbors above σ, with the
+      // feedback-weighted similarity to the anchor as affinity.
+      const GroupId anchor = 1;
+      std::vector<GroupId> pool;
+      for (const index::Neighbor& nb : w.index->Neighbors(anchor)) {
+        if (nb.similarity >= opt.min_similarity) pool.push_back(nb.group);
+      }
+      const std::vector<double> weights = fb.UserWeights();
+      std::vector<double> affinity;
+      for (GroupId g : pool) {
+        affinity.push_back(index::WeightedJaccard(
+            w.store.group(g).members(), w.store.group(anchor).members(),
+            weights));
+      }
+      auto next = sel.SelectNext(anchor, fb, opt);
+      ASSERT_FALSE(next.deadline_hit);
+      ExpectScratchLocalOptimum(w.store, pool, anchor, affinity, opt,
+                                next.groups);
 
-      auto ii = sel.SelectInitial(fb, inc);
-      auto is = sel.SelectInitial(fb, scr);
-      EXPECT_EQ(ii.groups, is.groups) << "seed=" << seed << " k=" << k;
+      // SelectInitial's candidates: every group ranked by prior, with
+      // prior − 1 as affinity.
+      std::vector<GroupId> all(w.store.size());
+      for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<GroupId>(i);
+      RankPoolByPrior(w.store, fb, opt.initial_candidate_cap, &all);
+      std::vector<double> prior_affinity;
+      for (GroupId g : all) {
+        prior_affinity.push_back(fb.GroupPrior(w.store.group(g)) - 1.0);
+      }
+      auto initial = sel.SelectInitial(fb, opt);
+      ASSERT_FALSE(initial.deadline_hit);
+      ExpectScratchLocalOptimum(w.store, all, std::nullopt, prior_affinity,
+                                opt, initial.groups);
     }
   }
 }
@@ -212,24 +342,6 @@ TEST(GreedyDeterminismTest, ParallelScanIsByteIdenticalToSerial) {
       }
     }
   }
-}
-
-TEST(GreedyDeterminismTest, ScratchModeIgnoresScanPool) {
-  // The scratch evaluator memoizes into the sim cache mid-trial and is not
-  // thread-safe; the selector must keep its scan serial even when a pool is
-  // supplied, and still match the poolless run exactly.
-  ThreadPool pool(3);
-  World w(40, 400, 21);
-  FeedbackVector fb(w.tokens.get());
-  GreedySelector sel(&w.store, w.index.get());
-  GreedyOptions a = Unbounded(5);
-  a.eval_mode = GreedyOptions::EvalMode::kScratch;
-  GreedyOptions b = a;
-  b.scan_pool = &pool;
-  auto ra = sel.SelectNext(2, fb, a);
-  auto rb = sel.SelectNext(2, fb, b);
-  EXPECT_EQ(ra.groups, rb.groups);
-  EXPECT_EQ(ra.evaluations, rb.evaluations);
 }
 
 TEST(GreedyStatsTest, PassTimingsMatchPassCount) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -12,6 +13,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace vexus::core {
 namespace {
@@ -184,34 +186,41 @@ TEST(GreedyTest, ZeroAndNegativeBudgetsExpireImmediately) {
 TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
   // Regression for the P3 budget overrun: the deadline used to be checked
   // only *between* candidates, so one candidate's k-trial sweep could blow
-  // far past the budget once k·U got large. With scratch trials (~k·U/64
-  // words each) on a big universe, a single candidate sweep here costs tens
-  // of milliseconds — the pinned evaluation count can only hold if the
-  // deadline is observed every few trials inside the sweep.
-  World w(48, 1'500'000, 13);
+  // far past the budget once k·U got large. A sleep at the start of the
+  // first pass burns the budget, so the scan begins past the deadline: it
+  // must stop at its first check, 16 trials in, not after a candidate's
+  // 32-trial sweep. A pooled scan stops every participant at its first
+  // check too (1 caller + 4 workers), and a chunk dealt after the stop
+  // scores no trial at all — with 10 chunks of 16 candidates, that is what
+  // keeps the count under 1 + 16·5.
+  World w(160, 2000, 13);
   FeedbackVector fb(w.tokens.get());
   GreedySelector sel(&w.store, w.index.get());
 
   GreedyOptions opt;
   opt.k = 32;
-  opt.min_similarity = 0.01;
-  opt.eval_mode = GreedyOptions::EvalMode::kScratch;  // expensive trials
-  opt.time_limit_ms = 3;
+  opt.time_limit_ms = 40;
 
-  Stopwatch watch;
-  auto r = sel.SelectInitial(fb, opt);
-  double elapsed = watch.ElapsedMillis();
+  failpoint::Policy slow;
+  slow.mode = failpoint::Policy::Mode::kAlways;
+  slow.code = StatusCode::kOk;
+  slow.sleep_ms = 80.0;
+  ThreadPool pool(4);
+  for (ThreadPool* scan_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(scan_pool == nullptr ? "serial" : "4-thread pool");
+    failpoint::ScopedFailpoint fp("greedy.pass", slow);
+    opt.scan_pool = scan_pool;
+    auto r = sel.SelectInitial(fb, opt);
 
-  EXPECT_TRUE(r.deadline_hit);
-  EXPECT_EQ(r.groups.size(), 32u) << "anytime: the seed still answers";
-  // A single candidate's sweep is 32 trials; the fix stops within 16
-  // trials of expiry (the selector's fixed check interval), so fewer
-  // evaluations fit in the budget than one sweep (each trial is
-  // memory-bound at ~1.5M words, so even a fast machine can't squeeze 32
-  // into 3 ms).
-  EXPECT_LT(r.evaluations, 1u + opt.k)
-      << "deadline must interrupt the per-candidate position sweep";
-  EXPECT_LT(elapsed, 500.0);
+    ASSERT_GE(r.candidates, 48u);
+    EXPECT_EQ(r.passes, 1u);
+    EXPECT_TRUE(r.deadline_hit);
+    EXPECT_EQ(r.groups.size(), 32u) << "anytime: the seed still answers";
+    const size_t participants = scan_pool == nullptr ? 1 : 5;
+    EXPECT_LE(r.evaluations, 1u + 16 * participants)
+        << "deadline must interrupt the per-candidate position sweep";
+    EXPECT_GE(r.evaluations, 1u + 16) << "the first check comes 16 trials in";
+  }
 }
 
 TEST(GreedyTest, ConvergedRunIsNotDeadlineHit) {
@@ -562,6 +571,56 @@ TEST(GreedyTest, RefinementQuotaReservesSubsetSlots) {
   size_t subsets0 = 0;
   for (GroupId g : r0.groups) subsets0 += (g == sub1 || g == sub2);
   EXPECT_LE(subsets0, subsets);
+}
+
+TEST(GreedyTest, RefinementQuotaAboveOneFillsExactlyK) {
+  // Regression: the quota fraction was cast to a slot count unclamped, and
+  // the seed takes `quota` refinements before it checks k, so a quota of 2
+  // returned 2k groups (and +inf made the cast undefined). Both now clamp
+  // to a quota of 1: every slot a refinement, exactly k groups.
+  GroupStore store(300);
+  auto range = [](uint32_t lo, uint32_t hi) {
+    std::vector<uint32_t> v;
+    for (uint32_t i = lo; i < hi; ++i) v.push_back(i);
+    return Bitset::FromVector(300, v);
+  };
+  GroupId anchor = store.Add(UserGroup({{0, 0}}, range(0, 200)));
+  // Ten strict subsets of the anchor, more than 2k for k = 4.
+  for (uint32_t i = 0; i < 10; ++i) {
+    store.Add(UserGroup({{0, static_cast<data::ValueId>(1 + i)}},
+                        range(i * 15, i * 15 + 40)));
+  }
+  for (uint32_t i = 0; i < 4; ++i) {
+    store.Add(UserGroup({{0, static_cast<data::ValueId>(11 + i)}},
+                        range(150 + i * 10, 250 + i * 10)));
+  }
+  index::InvertedIndex::Options iopt;
+  iopt.materialization_fraction = 1.0;
+  iopt.min_neighbors = 1;
+  auto idx = InvertedIndex_BuildOrDie(store, iopt);
+  data::Dataset ds;
+  auto a0 = ds.schema().AddCategorical("a0");
+  for (int v = 0; v < 15; ++v) {
+    ds.schema().attribute(a0).values().GetOrAdd(StrCat("v", v));
+  }
+  for (int u = 0; u < 300; ++u) ds.users().AddUser(StrCat("u", u));
+  TokenSpace ts(ds);
+  FeedbackVector fb(&ts);
+  GreedySelector sel(&store, &idx);
+
+  GreedyOptions one = Unbounded(4);
+  one.refinement_quota = 1.0;
+  auto r1 = sel.SelectNext(anchor, fb, one);
+  ASSERT_EQ(r1.groups.size(), 4u);
+  for (GroupId g : r1.groups) {
+    EXPECT_TRUE(g >= 1 && g <= 10) << "quota 1 shows only refinements";
+  }
+  for (double quota : {2.0, std::numeric_limits<double>::infinity()}) {
+    GreedyOptions over = one;
+    over.refinement_quota = quota;
+    auto r = sel.SelectNext(anchor, fb, over);
+    EXPECT_EQ(r.groups, r1.groups) << "quota=" << quota;
+  }
 }
 
 TEST(GreedyTest, SupersetsStayCandidates) {
