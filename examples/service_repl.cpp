@@ -25,9 +25,7 @@
 //
 // Run:  ./build/examples/service_repl
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -36,6 +34,7 @@
 #include "core/engine.h"
 #include "data/generators/bookcrossing_gen.h"
 #include "net/client.h"
+#include "net/socket.h"
 #include "server/service.h"
 
 using vexus::core::VexusEngine;
@@ -102,62 +101,21 @@ Response Exchange(ExplorationService& svc, const std::string& line) {
 
 constexpr char kConnectUsage[] =
     "usage: service_repl --connect HOST:PORT\n"
-    "  HOST must be non-empty (use 127.0.0.1 for local); IPv6 literals\n"
-    "  take the bracketed form [::1]:PORT. PORT is 1..65535.\n";
-
-/// Splits --connect's HOST:PORT target, mirroring vexus_server's strict
-/// flag validation. Accepts "host:port" and the bracketed "[literal]:port"
-/// form — a bare rfind(':') used to mis-split colon-rich IPv6 literals and
-/// happily passed an empty host (":8080") straight to LineClient::Connect,
-/// which silently rewrote it to loopback instead of rejecting the typo.
-bool ParseConnectTarget(const std::string& target, std::string* host,
-                        uint16_t* port) {
-  std::string h;
-  std::string p;
-  if (!target.empty() && target.front() == '[') {
-    // Bracketed literal: the colons inside belong to the address; the
-    // separator is the one right after ']'.
-    auto close = target.find(']');
-    if (close == std::string::npos || close + 1 >= target.size() ||
-        target[close + 1] != ':') {
-      return false;
-    }
-    h = target.substr(1, close - 1);
-    p = target.substr(close + 2);
-  } else {
-    auto colon = target.rfind(':');
-    if (colon == std::string::npos) return false;
-    h = target.substr(0, colon);
-    p = target.substr(colon + 1);
-  }
-  if (h.empty() || p.empty() ||
-      p.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long v = std::strtoul(p.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0' || v == 0 || v > 65535) {
-    return false;
-  }
-  *host = std::move(h);
-  *port = static_cast<uint16_t>(v);
-  return true;
-}
+    "  HOST is an IPv4 address or name (use 127.0.0.1 for local);\n"
+    "  PORT is 1..65535.\n";
 
 /// --connect mode: a pure network REPL. No engine, no service — every line
 /// of stdin crosses the wire to a running vexus_server and every response
 /// line is printed. Overload hints still apply (they decode the same
 /// Response shapes the in-process path produces).
 int RunConnected(const std::string& target) {
-  std::string host;
-  uint16_t port = 0;
-  if (!ParseConnectTarget(target, &host, &port)) {
-    std::fprintf(stderr, "--connect: bad target \"%s\"\n%s", target.c_str(),
-                 kConnectUsage);
+  auto endpoint = vexus::net::ParseHostPort(target);
+  if (!endpoint.ok()) {
+    std::fprintf(stderr, "--connect: %s\n%s",
+                 endpoint.status().ToString().c_str(), kConnectUsage);
     return 2;
   }
-  auto client = vexus::net::LineClient::Connect(host, port);
+  auto client = vexus::net::LineClient::Connect(endpoint->host, endpoint->port);
   if (!client.ok()) {
     std::fprintf(stderr, "connect %s failed: %s\n", target.c_str(),
                  client.status().ToString().c_str());
@@ -199,20 +157,6 @@ int main(int argc, char** argv) {
     }
     return RunConnected(argv[2]);
   }
-  if (argc > 2 && std::strcmp(argv[1], "--parse-connect") == 0) {
-    // Test hook: exercise the --connect target parser without opening a
-    // socket (the regression tests for empty hosts and bracketed IPv6).
-    std::string host;
-    uint16_t port = 0;
-    if (!ParseConnectTarget(argv[2], &host, &port)) {
-      std::fprintf(stderr, "--connect: bad target \"%s\"\n%s", argv[2],
-                   kConnectUsage);
-      return 2;
-    }
-    std::printf("host=%s port=%u\n", host.c_str(), port);
-    return 0;
-  }
-
   // ---- 1. Engine. ----
   BookCrossingGenerator::Config data_cfg;
   data_cfg.num_users = 1500;

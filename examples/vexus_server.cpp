@@ -8,34 +8,28 @@
 //   ./build/examples/vexus_server --port 7788
 //   echo '{"op":"health"}' | nc -q1 127.0.0.1 7788
 //
-// Flags:
-//   --host A      bind address            (default 127.0.0.1)
-//   --port N      listen port, 0=ephemeral (default 7788)
-//   --loops N     event-loop threads (SO_REUSEPORT listener group);
-//                 0 = min(4, hw threads)  (default 0)
-//   --users N     synthetic dataset size   (default 1500)
-//   --shards N    group sections in the --save-snapshot file (default 1,
-//                 one section over every user); a usage error without
-//                 --save-snapshot — a single process never shards.
-//   --selftest    bind an ephemeral port with two loops, run a scripted
-//                 client against ourselves (including a SIGTERM drain),
-//                 and exit — the mode the example smoke test runs in CI.
-//   --help        print usage and exit.
+// One store file, every role (DESIGN.md §16). Discovery runs once, in the
+// bootstrap; every other role reads its store from --snapshot PATH, and
+// the coordinator and standalone server rebuild only the generated --users
+// dataset around it, so a --users that does not match the file fails at
+// start-up with FailedPrecondition instead of serving another universe:
 //
-// Multi-box scatter-gather (DESIGN.md §16) adds three shapes:
-//
-//   backend:      vexus_server --shard-backend --shard-index 0/2
-//                     --snapshot store.snap --generation 7 --port 7801
-//                 cold-starts from ONE snapshot section and serves
-//                 eval_partial / shard_info / health / get_stats.
-//   coordinator:  vexus_server --backends 127.0.0.1:7801,127.0.0.1:7802
-//                     --generation 7
+//   bootstrap:    vexus_server --users 1500 --shards 2 --save-snapshot F
+//                 runs discovery and writes one group section per shard.
+//   backend:      vexus_server --shard 0 --snapshot F --port 7801
+//                 serves section 0 (eval_partial / shard_info / health /
+//                 get_stats); the fleet width comes from the file.
+//   coordinator:  vexus_server --users 1500 --snapshot F
+//                     --backends 127.0.0.1:7801,127.0.0.1:7802
 //                 full engine + gather client: every session's greedy
 //                 refinement scatters trial batches across the backends.
-//   smoke:        vexus_server --selftest-gather
-//                 in-process 2-backend fleet over real sockets: healthy
-//                 identity vs a local run, a mid-run backend kill (answers
-//                 degrade to "partial", never hang), and recovery.
+//   standalone:   vexus_server [--users N] [--snapshot F]
+//                 one process; without --snapshot it runs discovery itself.
+//
+// --selftest binds an ephemeral port with two loops, drives a scripted
+// client against itself (including a SIGTERM drain) and exits 0/1 — the
+// mode the example smoke test runs in CI. The gather fleet's real-socket
+// coverage lives in tests/integration/gather_chaos_test.cc.
 
 #include <atomic>
 #include <cerrno>
@@ -43,15 +37,14 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
@@ -63,6 +56,7 @@
 #include "server/gather.h"
 #include "server/service.h"
 
+using vexus::Status;
 using vexus::ThreadPool;
 using vexus::core::VexusEngine;
 using vexus::data::BookCrossingGenerator;
@@ -74,7 +68,6 @@ using vexus::server::ExplorationService;
 using vexus::server::GatherCoordinator;
 using vexus::server::Request;
 using vexus::server::RequestType;
-using vexus::server::Response;
 using vexus::server::ServiceOptions;
 using vexus::server::ShardTransport;
 
@@ -91,22 +84,20 @@ void PrintUsage(FILE* out) {
       "              kernel steers each connect to one of them.\n"
       "              0 = min(4, hw threads) (default 0)\n"
       "  --users N   synthetic dataset size (default 1500)\n"
+      "  --snapshot PATH     the store file: a coordinator or standalone\n"
+      "                      server loads its groups from it (--users must\n"
+      "                      match), a --shard backend serves one section\n"
+      "  --save-snapshot PATH  run discovery over --users, write the store\n"
+      "                      (one group section per --shards shard), exit\n"
       "  --shards N  group sections in the --save-snapshot file (default 1,\n"
       "              one section over every user); only valid with\n"
       "              --save-snapshot\n"
-      "  --selftest  scripted self-check on an ephemeral port, then exit\n"
-      "  --shard-backend     serve one snapshot shard section (needs\n"
-      "                      --shard-index and --snapshot)\n"
-      "  --shard-index i/S   this backend's shard id and fleet width\n"
-      "  --snapshot PATH     snapshot to cold-start the shard from\n"
-      "  --save-snapshot PATH  write the generated store as a snapshot\n"
-      "                      (one group section per --shards shard) and\n"
-      "                      exit — the file shard backends cold-start from\n"
+      "  --shard i   backend mode: serve section i of --snapshot\n"
+      "  --backends H:P,...  coordinator mode (needs --snapshot): scatter\n"
+      "                      greedy trial batches across these backends\n"
       "  --generation N      store generation fenced by eval_partial\n"
       "                      (default 1)\n"
-      "  --backends H:P,...  coordinator mode: scatter greedy trial\n"
-      "                      batches across these shard backends\n"
-      "  --selftest-gather   in-process 2-backend gather smoke, then exit\n"
+      "  --selftest  scripted self-check on an ephemeral port, then exit\n"
       "  --help      this message\n");
 }
 
@@ -250,89 +241,15 @@ int ServeForever(ExplorationService& svc, const std::string& host,
   return 0;
 }
 
-/// Parses "host:port,host:port,..." and fail-fast resolves every host
-/// (numeric or named) before any socket is opened.
-bool ParseBackendList(const std::string& list,
-                      std::vector<std::pair<std::string, uint16_t>>* out) {
-  size_t pos = 0;
-  while (pos < list.size()) {
-    size_t comma = list.find(',', pos);
-    std::string entry = list.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? list.size() : comma + 1;
-    size_t colon = entry.rfind(':');
-    if (entry.empty() || colon == std::string::npos || colon == 0 ||
-        colon + 1 >= entry.size()) {
-      std::fprintf(stderr, "--backends entry '%s' is not host:port\n",
-                   entry.c_str());
-      return false;
-    }
-    std::string host = entry.substr(0, colon);
-    std::string port_text = entry.substr(colon + 1);
-    if (port_text.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr, "--backends port '%s' is not numeric\n",
-                   port_text.c_str());
-      return false;
-    }
-    unsigned long port_value = std::strtoul(port_text.c_str(), nullptr, 10);
-    if (port_value == 0 || port_value > 65535) {
-      std::fprintf(stderr, "--backends port '%s' out of range\n",
-                   port_text.c_str());
-      return false;
-    }
-    auto addr = vexus::net::ResolveHost(host, static_cast<uint16_t>(port_value));
-    if (!addr.ok()) {
-      std::fprintf(stderr, "--backends: cannot resolve '%s': %s\n",
-                   host.c_str(), addr.status().ToString().c_str());
-      return false;
-    }
-    out->emplace_back(std::move(host), static_cast<uint16_t>(port_value));
-  }
-  if (out->empty()) {
-    std::fprintf(stderr, "--backends needs at least one host:port\n");
-    return false;
-  }
-  return true;
-}
-
-/// Wires a gather coordinator over TCP shard clients into `svc`. Must run
-/// before any session is created.
-void ConfigureGatherOverTcp(
-    ExplorationService& svc,
-    const std::vector<std::pair<std::string, uint16_t>>& backends,
-    size_t num_users, uint64_t generation, ThreadPool* pool) {
-  std::vector<std::unique_ptr<ShardTransport>> transports;
-  transports.reserve(backends.size());
-  for (const auto& [host, port] : backends) {
-    transports.push_back(std::make_unique<ShardClient>(host, port));
-  }
-  GatherCoordinator::Options gopts;
-  gopts.num_users = num_users;
-  gopts.generation = generation;
-  gopts.pool = pool;
-  svc.ConfigureGather(
-      std::make_unique<GatherCoordinator>(std::move(transports), gopts));
-}
-
-int RunShardBackend(const std::string& snapshot_path, uint64_t shard_index,
-                    uint64_t fleet_width, uint64_t generation,
-                    const std::string& host, uint16_t port, uint64_t loops) {
-  if (snapshot_path.empty()) {
-    std::fprintf(stderr, "--shard-backend needs --snapshot PATH\n");
-    return 2;
-  }
+/// --shard i: serves section i of the snapshot file; the fleet width and
+/// this shard's user range come from the file itself.
+int RunShardBackend(const std::string& snapshot_path, size_t shard_index,
+                    uint64_t generation, const std::string& host,
+                    uint16_t port, uint64_t loops) {
   auto shard = vexus::core::LoadSnapshotShard(snapshot_path, shard_index);
   if (!shard.ok()) {
     std::fprintf(stderr, "shard load failed: %s\n",
                  shard.status().ToString().c_str());
-    return 1;
-  }
-  if (shard->num_shards != fleet_width) {
-    std::fprintf(stderr,
-                 "snapshot %s holds %zu shard sections, --shard-index "
-                 "declared a fleet of %llu\n",
-                 snapshot_path.c_str(), shard->num_shards,
-                 static_cast<unsigned long long>(fleet_width));
     return 1;
   }
   std::printf("shard backend %zu/%zu: users [%u, %u) of %zu groups\n",
@@ -342,211 +259,6 @@ int RunShardBackend(const std::string& snapshot_path, uint64_t shard_index,
   options.num_workers = 4;
   ExplorationService svc(std::move(shard).ValueOrDie(), generation, options);
   return ServeForever(svc, host, port, loops, "vexus shard backend");
-}
-
-/// --selftest-gather: a 2-backend fleet over real loopback sockets, driven
-/// in-process. Proves the three load-bearing behaviors end to end: healthy
-/// gather answers byte-identical to a local run, a killed backend degrades
-/// answers to "partial" within the deadline (never a hang), and a restarted
-/// backend is folded back in by the breaker's half-open probe.
-int RunGatherSelfTest(VexusEngine& engine) {
-  constexpr uint64_t kGeneration = 7;
-  const std::string snap_path =
-      "vexus_gather_selftest.snap." + std::to_string(::getpid());
-  vexus::core::SnapshotSaveOptions save;
-  save.num_shards = 2;
-  save.sync = false;  // a throwaway smoke file does not need crash durability
-  auto saved =
-      vexus::core::SaveSnapshot(engine.groups(), engine.index(), snap_path, save);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "selftest-gather: snapshot save failed: %s\n",
-                 saved.ToString().c_str());
-    return 1;
-  }
-  auto cleanup = [&] { std::remove(snap_path.c_str()); };
-
-  // Two shard backends, each cold-started from its own snapshot section.
-  std::vector<std::unique_ptr<ExplorationService>> backends;
-  std::vector<std::unique_ptr<TcpServer>> servers;
-  std::vector<uint16_t> ports;
-  for (size_t s = 0; s < 2; ++s) {
-    auto shard = vexus::core::LoadSnapshotShard(snap_path, s);
-    if (!shard.ok()) {
-      std::fprintf(stderr, "selftest-gather: shard %zu load failed: %s\n", s,
-                   shard.status().ToString().c_str());
-      cleanup();
-      return 1;
-    }
-    ServiceOptions bopts;
-    bopts.num_workers = 2;
-    backends.push_back(std::make_unique<ExplorationService>(
-        std::move(shard).ValueOrDie(), kGeneration, bopts));
-    TcpServerOptions nopts;
-    nopts.port = 0;
-    nopts.num_loops = 1;
-    servers.push_back(std::make_unique<TcpServer>(backends[s].get(), nopts));
-    auto status = servers[s]->Start();
-    if (!status.ok()) {
-      std::fprintf(stderr, "selftest-gather: backend %zu listen failed: %s\n",
-                   s, status.ToString().c_str());
-      cleanup();
-      return 1;
-    }
-    ports.push_back(servers[s]->port());
-    std::printf("selftest-gather: backend %zu on 127.0.0.1:%u\n", s, ports[s]);
-  }
-
-  ThreadPool gather_pool(2);
-  ServiceOptions copts;
-  copts.session_template.greedy.k = 5;
-  copts.session_template.greedy.time_limit_ms = 500;
-  copts.num_workers = 2;
-  ExplorationService coordinator(&engine, copts);
-  {
-    std::vector<std::pair<std::string, uint16_t>> addrs;
-    for (uint16_t p : ports) addrs.emplace_back("127.0.0.1", p);
-    ConfigureGatherOverTcp(coordinator, addrs, engine.groups().num_users(),
-                           kGeneration, &gather_pool);
-  }
-  ExplorationService reference(&engine, copts);
-
-  // 1. Healthy fleet: the gathered screen must be byte-identical to the
-  //    local (single-process) run over the same engine. Each probe starts
-  //    a session and clicks its first group: both services share the
-  //    engine's first-screen memo, so only the click is sure to run greedy
-  //    (over the fleet on the coordinator).
-  auto screen_of = [](ExplorationService& svc, const std::string& id) {
-    Request start;
-    start.type = RequestType::kStartSession;
-    start.session_id = id;
-    start.budget_ms = 2000;
-    Response first = svc.Call(start);
-    if (!first.status.ok() || first.groups.empty()) return first;
-    Request click;
-    click.type = RequestType::kSelectGroup;
-    click.session_id = id;
-    click.group = first.groups[0].id;
-    click.budget_ms = 2000;
-    return svc.Call(click);
-  };
-  Response gathered = screen_of(coordinator, "gather-a");
-  Response local = screen_of(reference, "local-a");
-  if (!gathered.status.ok() || !local.status.ok() ||
-      gathered.groups.size() != local.groups.size() ||
-      gathered.groups.empty()) {
-    std::fprintf(stderr, "selftest-gather: healthy screens failed (%s / %s)\n",
-                 gathered.status.ToString().c_str(),
-                 local.status.ToString().c_str());
-    cleanup();
-    return 1;
-  }
-  for (size_t i = 0; i < gathered.groups.size(); ++i) {
-    if (gathered.groups[i].id != local.groups[i].id) {
-      std::fprintf(stderr,
-                   "selftest-gather: identity violated at slot %zu "
-                   "(gathered %llu vs local %llu)\n",
-                   i,
-                   static_cast<unsigned long long>(gathered.groups[i].id),
-                   static_cast<unsigned long long>(local.groups[i].id));
-      cleanup();
-      return 1;
-    }
-  }
-  if (gathered.degraded.has_value()) {
-    std::fprintf(stderr, "selftest-gather: healthy run reported degraded\n");
-    cleanup();
-    return 1;
-  }
-  std::printf("selftest-gather: healthy identity OK (%zu groups)\n",
-              gathered.groups.size());
-
-  // 2. Kill backend 0. The next screen must still complete within its
-  //    budget, answered as degraded:"partial" over the surviving shard.
-  servers[0]->RequestDrain();
-  servers[0]->Drain();
-  servers[0].reset();
-  backends[0].reset();
-  Response degraded = screen_of(coordinator, "gather-b");
-  if (!degraded.status.ok()) {
-    std::fprintf(stderr, "selftest-gather: post-kill screen failed: %s\n",
-                 degraded.status.ToString().c_str());
-    cleanup();
-    return 1;
-  }
-  if (!degraded.degraded.has_value() || *degraded.degraded != "partial" ||
-      !degraded.covered_fraction.has_value() ||
-      !(*degraded.covered_fraction < 1.0)) {
-    std::fprintf(stderr,
-                 "selftest-gather: expected degraded:\"partial\" after the "
-                 "kill, got %s\n",
-                 degraded.degraded.value_or("<unset>").c_str());
-    cleanup();
-    return 1;
-  }
-  std::printf("selftest-gather: backend kill degraded to partial "
-              "(covered %.2f) OK\n",
-              *degraded.covered_fraction);
-
-  // 3. Recovery: restart shard 0 on its old port, wait out the breaker
-  //    cooldown, probe, and expect full-coverage answers again.
-  {
-    auto shard = vexus::core::LoadSnapshotShard(snap_path, 0);
-    if (!shard.ok()) {
-      cleanup();
-      return 1;
-    }
-    ServiceOptions bopts;
-    bopts.num_workers = 2;
-    backends[0] = std::make_unique<ExplorationService>(
-        std::move(shard).ValueOrDie(), kGeneration, bopts);
-    TcpServerOptions nopts;
-    nopts.port = ports[0];
-    nopts.num_loops = 1;
-    bool bound = false;
-    for (int attempt = 0; attempt < 50 && !bound; ++attempt) {
-      servers[0] = std::make_unique<TcpServer>(backends[0].get(), nopts);
-      bound = servers[0]->Start().ok();
-      if (!bound) {
-        servers[0].reset();
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    }
-    if (!bound) {
-      std::fprintf(stderr,
-                   "selftest-gather: could not rebind 127.0.0.1:%u for the "
-                   "recovery leg\n",
-                   ports[0]);
-      cleanup();
-      return 1;
-    }
-  }
-  // The breaker opens during the kill leg; ProbeShards flips it half-open
-  // after the cooldown and the successful probe closes it again.
-  size_t recovered = 0;
-  for (int attempt = 0; attempt < 50 && recovered == 0; ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    recovered = coordinator.gather()->ProbeShards();
-  }
-  if (recovered == 0) {
-    std::fprintf(stderr, "selftest-gather: breaker never recovered\n");
-    cleanup();
-    return 1;
-  }
-  Response healed = screen_of(coordinator, "gather-c");
-  if (!healed.status.ok() || healed.degraded.has_value()) {
-    std::fprintf(stderr, "selftest-gather: post-recovery screen degraded\n");
-    cleanup();
-    return 1;
-  }
-  for (auto& server : servers) {
-    if (server) {
-      server->RequestDrain();
-      server->Drain();
-    }
-  }
-  cleanup();
-  std::printf("selftest-gather: OK\n");
-  return 0;
 }
 
 }  // namespace
@@ -559,10 +271,7 @@ int main(int argc, char** argv) {
   uint64_t shards = 1;
   bool shards_given = false;
   bool selftest = false;
-  bool selftest_gather = false;
-  bool shard_backend = false;
-  uint64_t shard_index = 0;
-  uint64_t fleet_width = 0;
+  std::optional<size_t> shard;  // --shard i: backend mode
   uint64_t generation = 1;
   std::string snapshot_path;
   std::string save_snapshot_path;
@@ -615,34 +324,15 @@ int main(int argc, char** argv) {
       if (!parse_uint(arg, 100'000'000, &value)) return 2;
       users = value;
     } else if (arg == "--shards") {
-      // Bounded like --shard-index's fleet width S.
       if (!parse_uint(arg, 64, &value)) return 2;
       shards = value;
       shards_given = true;
     } else if (arg == "--selftest") {
       selftest = true;
-    } else if (arg == "--selftest-gather") {
-      selftest_gather = true;
-    } else if (arg == "--shard-backend") {
-      shard_backend = true;
-    } else if (arg == "--shard-index") {
-      std::string value = next();
-      size_t slash = value.find('/');
-      // "i/S": both parts decimal, S > i, S bounded like --shards.
-      bool ok = slash != std::string::npos && slash > 0 &&
-                slash + 1 < value.size() &&
-                value.find_first_not_of("0123456789/") == std::string::npos &&
-                value.find('/', slash + 1) == std::string::npos;
-      if (ok) {
-        shard_index = std::strtoull(value.substr(0, slash).c_str(), nullptr, 10);
-        fleet_width = std::strtoull(value.substr(slash + 1).c_str(), nullptr, 10);
-        ok = fleet_width > 0 && fleet_width <= 64 && shard_index < fleet_width;
-      }
-      if (!ok) {
-        std::fprintf(stderr, "--shard-index wants i/S (i < S <= 64), got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
+    } else if (arg == "--shard") {
+      // A snapshot holds at most 64 sections (the --shards bound).
+      if (!parse_uint(arg, 63, &value)) return 2;
+      shard = value;
     } else if (arg == "--snapshot") {
       snapshot_path = next();
       if (snapshot_path.empty()) {
@@ -677,47 +367,82 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--users must be positive\n");
     return 2;
   }
-  if (shards_given && save_snapshot_path.empty()) {
-    std::fprintf(stderr,
-                 "--shards sets the snapshot section count and needs "
-                 "--save-snapshot; a single process never shards\n");
+  // Every flag either shapes the chosen role or is a usage error: none is
+  // silently ignored.
+  const bool save = !save_snapshot_path.empty();
+  const bool coordinator = !backends_list.empty();
+  const char* conflict = nullptr;
+  if (shards_given && !save) {
+    conflict = "--shards sets the snapshot section count and needs "
+               "--save-snapshot; a single process never shards";
+  } else if (save && (shard || coordinator || selftest ||
+                      !snapshot_path.empty())) {
+    conflict = "--save-snapshot writes a new store file and exits; it takes "
+               "no --shard, --backends, --snapshot or --selftest";
+  } else if (shard && (coordinator || selftest)) {
+    conflict = "--shard serves one snapshot section; it takes neither "
+               "--backends nor --selftest";
+  } else if ((shard || coordinator) && snapshot_path.empty()) {
+    conflict = "--shard and --backends need --snapshot PATH, the fleet's "
+               "store file";
+  }
+  if (conflict != nullptr) {
+    std::fprintf(stderr, "%s\n", conflict);
     PrintUsage(stderr);
     return 2;
   }
-  if (shard_backend) {
-    if (fleet_width == 0) {
-      std::fprintf(stderr, "--shard-backend needs --shard-index i/S\n");
-      return 2;
-    }
-    return RunShardBackend(snapshot_path, shard_index, fleet_width, generation,
-                           host, port, loops);
+  if (shard) {
+    return RunShardBackend(snapshot_path, *shard, generation, host, port,
+                           loops);
   }
 
+  // Coordinator targets are checked (syntax and resolution) before the
+  // engine is built; a ShardClient connects only on its first call.
+  std::vector<std::unique_ptr<ShardTransport>> transports;
+  if (coordinator) {
+    for (const std::string& entry : vexus::Split(backends_list, ',')) {
+      auto target = vexus::net::ParseHostPort(entry);
+      Status status =
+          target.ok()
+              ? vexus::net::ResolveHost(target->host, target->port).status()
+              : target.status();
+      if (!status.ok()) {
+        std::fprintf(stderr, "--backends: %s\n", status.ToString().c_str());
+        return 2;
+      }
+      transports.push_back(
+          std::make_unique<ShardClient>(target->host, target->port));
+    }
+  }
+
+  // Discovery runs only without a store file; with one, the generated
+  // dataset must match the file's user universe or the load fails.
   BookCrossingGenerator::Config data_cfg;
   data_cfg.num_users = users;
   data_cfg.num_books = users * 4 / 3;
   data_cfg.num_ratings = users * 7;
   vexus::mining::DiscoveryOptions discovery;
   discovery.min_support_fraction = 0.02;
-  auto engine_result = VexusEngine::Preprocess(
-      BookCrossingGenerator::Generate(data_cfg), discovery);
+  vexus::data::Dataset dataset = BookCrossingGenerator::Generate(data_cfg);
+  auto engine_result =
+      snapshot_path.empty()
+          ? VexusEngine::Preprocess(std::move(dataset), discovery)
+          : VexusEngine::FromSnapshot(std::move(dataset), snapshot_path);
   if (!engine_result.ok()) {
-    std::fprintf(stderr, "preprocess failed: %s\n",
+    std::fprintf(stderr, "engine build failed: %s\n",
                  engine_result.status().ToString().c_str());
     return 1;
   }
   VexusEngine engine = std::move(engine_result).ValueOrDie();
   std::printf("%s\n", engine.Summary().c_str());
 
-  // Fleet bootstrap: write the generated store as a snapshot (one group
-  // section per --shards shard) and exit — the file a --shard-backend
-  // cold-starts from. The same --users invocation then serves as the
-  // coordinator over those backends.
-  if (!save_snapshot_path.empty()) {
-    vexus::core::SnapshotSaveOptions save;
-    save.num_shards = shards;
+  // Fleet bootstrap: write the store as a snapshot (one group section per
+  // --shards shard) and exit — the file every other role starts from.
+  if (save) {
+    vexus::core::SnapshotSaveOptions save_options;
+    save_options.num_shards = shards;
     auto saved = vexus::core::SaveSnapshot(engine.groups(), engine.index(),
-                                           save_snapshot_path, save);
+                                           save_snapshot_path, save_options);
     if (!saved.ok()) {
       std::fprintf(stderr, "snapshot save failed: %s\n",
                    saved.ToString().c_str());
@@ -728,8 +453,6 @@ int main(int argc, char** argv) {
                 save_snapshot_path.c_str());
     return 0;
   }
-
-  if (selftest_gather) return RunGatherSelfTest(engine);
 
   ServiceOptions options;
   options.session_template.greedy.k = 5;
@@ -742,14 +465,17 @@ int main(int argc, char** argv) {
 
   // Coordinator mode: scatter every session's greedy refinement across the
   // backend fleet. Must be wired before the first session is created.
-  if (!backends_list.empty()) {
-    std::vector<std::pair<std::string, uint16_t>> backends;
-    if (!ParseBackendList(backends_list, &backends)) return 2;
-    gather_pool = std::make_unique<ThreadPool>(backends.size());
-    ConfigureGatherOverTcp(svc, backends, engine.groups().num_users(),
-                           generation, gather_pool.get());
+  if (coordinator) {
+    const size_t num_backends = transports.size();
+    gather_pool = std::make_unique<ThreadPool>(num_backends);
+    GatherCoordinator::Options gopts;
+    gopts.num_users = engine.groups().num_users();
+    gopts.generation = generation;
+    gopts.pool = gather_pool.get();
+    svc.ConfigureGather(
+        std::make_unique<GatherCoordinator>(std::move(transports), gopts));
     std::printf("gather coordinator over %zu backends (generation %llu)\n",
-                backends.size(),
+                num_backends,
                 static_cast<unsigned long long>(generation));
   }
 

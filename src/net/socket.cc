@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <netdb.h>
@@ -44,6 +45,27 @@ Status SetNoDelay(int fd) {
     return ErrnoStatus("setsockopt(TCP_NODELAY)", errno);
   }
   return Status::OK();
+}
+
+Result<HostPort> ParseHostPort(const std::string& target) {
+  const size_t colon = target.find(':');
+  if (colon == std::string::npos || colon == 0 ||
+      target.find(':', colon + 1) != std::string::npos) {
+    return Status::InvalidArgument(
+        "\"" + target + "\" is not HOST:PORT (HOST an IPv4 address or name)");
+  }
+  const std::string port = target.substr(colon + 1);
+  // At most five digits, so strtoul cannot overflow before the range check.
+  const unsigned long value =
+      !port.empty() && port.size() <= 5 &&
+              port.find_first_not_of("0123456789") == std::string::npos
+          ? std::strtoul(port.c_str(), nullptr, 10)
+          : 0;
+  if (value == 0 || value > 65535) {
+    return Status::InvalidArgument("\"" + target + "\": port \"" + port +
+                                   "\" is not in 1..65535");
+  }
+  return HostPort{target.substr(0, colon), static_cast<uint16_t>(value)};
 }
 
 Result<sockaddr_in> ResolveHost(const std::string& host, uint16_t port) {

@@ -74,6 +74,19 @@ Status SetNoDelay(int fd);
 Result<Fd> ListenTcp(const std::string& host, uint16_t port, int backlog,
                      uint16_t* bound_port, bool reuseport = false);
 
+/// A "HOST:PORT" endpoint as written on a command line.
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// Splits "HOST:PORT" at its only colon — the one parser behind every
+/// address flag (`--backends`, `--connect`). HOST must be non-empty and
+/// colon-free (an IPv4 address or a name: ResolveHost is AF_INET-only, so
+/// IPv6 literals are rejected here rather than at connect time); PORT is
+/// decimal in 1..65535. InvalidArgument otherwise. Does not resolve HOST.
+Result<HostPort> ParseHostPort(const std::string& target);
+
 /// Resolves `host` to an IPv4 socket address. Numeric dotted-quads go
 /// through inet_pton (never blocks, never consults the resolver); anything
 /// else falls back to getaddrinfo(AF_INET), so "localhost" and DNS names

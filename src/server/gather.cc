@@ -164,13 +164,15 @@ bool GatherCoordinator::CallShard(size_t shard, const Request& req,
     bool ok = false;
     if (result.ok()) {
       const Response& resp = result.ValueOrDie();
-      // Generation fencing: a backend mid-reload answers with a different
-      // store generation — its partials would mix universes, so it is a
-      // failed lap, not a fold input.
+      // Store fencing: a backend mid-reload answers with a different
+      // generation, and one cold-started from a snapshot with another user
+      // count owns a different user range. Either way its partials would
+      // mix universes, so it is a failed lap, not a fold input.
       ok = resp.status.ok() &&
            (options_.generation == 0 ||
             resp.generation == options_.generation) &&
-           (!resp.shard.has_value() || *resp.shard == shard);
+           (!resp.shard.has_value() || *resp.shard == shard) &&
+           resp.user_begin == st.user_begin && resp.user_end == st.user_end;
     }
     if (ok) {
       std::lock_guard<std::mutex> lock(st.mu);
@@ -277,7 +279,9 @@ size_t GatherCoordinator::ProbeShards() {
     auto result = st.transport->Call(req, kProbeBudgetMs);
     bool ok = result.ok() && result.ValueOrDie().status.ok() &&
               (options_.generation == 0 ||
-               result.ValueOrDie().generation == options_.generation);
+               result.ValueOrDie().generation == options_.generation) &&
+              result.ValueOrDie().user_begin == st.user_begin &&
+              result.ValueOrDie().user_end == st.user_end;
     std::lock_guard<std::mutex> lock(st.mu);
     if (ok) {
       st.breaker.RecordSuccess(NowMillis());

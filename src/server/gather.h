@@ -114,8 +114,8 @@ class CircuitBreaker {
 
 /// One shard backend as the coordinator sees it: a blocking call with a
 /// millisecond budget. Implementations: net::ShardClient (TCP with
-/// reconnect + hedging), in-process adapters (selftest), scripted stubs
-/// (gather_test). Calls for different shards run concurrently; the
+/// reconnect + hedging), in-process adapters (gather_chaos_test), scripted
+/// stubs (gather_test). Calls for different shards run concurrently; the
 /// coordinator never calls one shard's transport from two threads at once.
 class ShardTransport {
  public:
@@ -150,7 +150,8 @@ class GatherCoordinator : public core::RemoteTrialScatterer {
     /// S), word-aligned exactly like the backends' snapshot sections.
     size_t num_users = 0;
     /// Expected backend store generation; a response carrying a different
-    /// one is a *stale* shard (mid-reload) and counts as a failure.
+    /// one is a *stale* shard (mid-reload) and counts as a failure, as does
+    /// one whose user range is not this shard's ShardMap range.
     uint64_t generation = 0;
     /// Attempts per shard per scatter (1 = no retry).
     size_t max_attempts = 3;

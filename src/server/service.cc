@@ -156,7 +156,8 @@ Response ExplorationService::DoEvalPartial(const Request& req,
   resp.type = req.type;
   if (!shard_backend()) {
     resp.status = Status::FailedPrecondition(
-        "eval_partial is a shard-backend op (start with --shard-backend)");
+        "eval_partial is a shard-backend op (start the daemon with "
+        "--shard i)");
     return resp;
   }
   const core::SnapshotShard& shard = *backend_shard_;
@@ -215,7 +216,8 @@ Response ExplorationService::DoShardInfo(const Request& req) {
   resp.type = req.type;
   if (!shard_backend()) {
     resp.status = Status::FailedPrecondition(
-        "shard_info is a shard-backend op (start with --shard-backend)");
+        "shard_info is a shard-backend op (start the daemon with "
+        "--shard i)");
     return resp;
   }
   const core::SnapshotShard& shard = *backend_shard_;

@@ -1,14 +1,18 @@
-// Multi-box scatter-gather integration tests (ISSUE 10 acceptance,
-// DESIGN.md §16) — in-process transports, real everything else: real
+// Multi-box scatter-gather integration tests (DESIGN.md §16): real
 // snapshot round-trip into shard-backend services, real GatherCoordinator
-// with retry/backoff/breaker, real greedy sessions on the coordinator.
+// with retry/backoff/breaker, real greedy sessions on the coordinator. The
+// fleet has two transports: an in-process one (every leg), and
+// net::ShardClient over loopback to a TcpServer per backend (the identity
+// and kill/recover legs), where a kill drains that server and a revive
+// rebinds its port.
 //
 // The invariants:
 //   * identity    — a healthy S-shard fleet answers byte-identically to the
 //                   single-process run, S ∈ {2, 4};
-//   * degradation — killed / stalled / corrupted / stale backends turn into
-//                   degraded:"partial" answers (or clean errors), never
-//                   hung requests: every storm request completes;
+//   * degradation — killed / stalled / corrupted / stale / foreign-universe
+//                   backends turn into degraded:"partial" answers (or clean
+//                   errors), never hung requests: every storm request
+//                   completes;
 //   * recovery    — once the fault clears, breaker probes flip the shard
 //                   closed and full-coverage answers come back.
 //
@@ -31,6 +35,8 @@
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "data/generators/bookcrossing_gen.h"
+#include "net/shard_client.h"
+#include "net/tcp_server.h"
 #include "server/gather.h"
 #include "server/service.h"
 
@@ -52,6 +58,8 @@ uint64_t ChaosSeed() {
 }
 
 constexpr uint64_t kGeneration = 7;
+
+enum class Transport { kLocal, kTcp };
 
 /// In-process shard transport: forwards to a backend service's synchronous
 /// entry point. Kill() simulates the box vanishing (every call errors
@@ -92,17 +100,20 @@ class LocalTransport : public ShardTransport {
 
 class GatherChaosTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  static core::VexusEngine MakeEngine(size_t num_users,
+                                      double min_support_fraction) {
     data::BookCrossingGenerator::Config cfg;
-    cfg.num_users = 400;
-    cfg.num_books = 500;
-    cfg.num_ratings = 2400;
+    cfg.num_users = num_users;
+    cfg.num_books = num_users * 5 / 4;
+    cfg.num_ratings = num_users * 6;
     mining::DiscoveryOptions opt;
-    opt.min_support_fraction = 0.03;
-    engine_ = new core::VexusEngine(std::move(
-        core::VexusEngine::Preprocess(
-            data::BookCrossingGenerator::Generate(cfg), opt, {})
-            .ValueOrDie()));
+    opt.min_support_fraction = min_support_fraction;
+    return core::VexusEngine::Preprocess(
+               data::BookCrossingGenerator::Generate(cfg), opt, {})
+        .ValueOrDie();
+  }
+  static void SetUpTestSuite() {
+    engine_ = new core::VexusEngine(MakeEngine(400, 0.03));
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -120,47 +131,96 @@ class GatherChaosTest : public ::testing::Test {
     return opts;
   }
 
-  /// Saves an S-section snapshot and cold-starts one backend service per
-  /// section. `generations[s]` (when provided) builds shard s with that
-  /// store generation — the stale-shard leg.
-  struct Fleet {
-    std::vector<std::unique_ptr<ExplorationService>> backends;
-    std::vector<LocalTransport*> transports;  // borrowed, coordinator owns
-    std::unique_ptr<ExplorationService> coordinator;
+  struct FleetSpec {
+    size_t num_shards = 2;
+    Transport transport = Transport::kLocal;
+    /// Store generation of shard s (default kGeneration) — the stale leg.
+    std::vector<uint64_t> generations;
+    /// Engine whose snapshot shard s cold-starts from (default engine_) —
+    /// the foreign-universe leg.
+    std::vector<const core::VexusEngine*> stores;
   };
 
-  Fleet MakeFleet(size_t num_shards,
-                  std::vector<uint64_t> generations = {}) {
+  /// S backend services, each cold-started from its section of an
+  /// S-section snapshot, behind a gather coordinator over engine_.
+  struct Fleet {
+    Transport transport = Transport::kLocal;
+    std::vector<std::unique_ptr<ExplorationService>> backends;
+    std::vector<LocalTransport*> local;  // kLocal: borrowed, coordinator owns
+    std::vector<std::unique_ptr<net::TcpServer>> servers;  // kTcp
+    std::vector<uint16_t> ports;                           // kTcp
+    std::unique_ptr<ExplorationService> coordinator;
+
+    /// Backend s vanishes: the in-process transport fails every call, or
+    /// the backend's server drains and its port closes.
+    void Kill(size_t s) {
+      if (transport == Transport::kLocal) return local[s]->Kill();
+      servers[s]->Drain();
+      servers[s].reset();
+    }
+    /// Backend s comes back: over TCP, a new server rebinds its old port.
+    void Revive(size_t s) {
+      if (transport == Transport::kLocal) return local[s]->Revive();
+      for (int attempt = 0; attempt < 50; ++attempt) {
+        if (Serve(s, ports[s])) return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+      ADD_FAILURE() << "could not rebind 127.0.0.1:" << ports[s];
+    }
+    /// Starts a one-loop server for backend s on `port` (0 = ephemeral).
+    bool Serve(size_t s, uint16_t port) {
+      net::TcpServerOptions opts;
+      opts.port = port;
+      opts.num_loops = 1;
+      servers[s] = std::make_unique<net::TcpServer>(backends[s].get(), opts);
+      if (servers[s]->Start().ok()) return true;
+      servers[s].reset();
+      return false;
+    }
+  };
+
+  Fleet MakeFleet(const FleetSpec& spec) {
     // One file per test: ctest runs tests as parallel processes, and a
     // shared name let one test remove the file while another loaded it.
     const std::string path =
         ::testing::TempDir() + "gather_chaos_" +
         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        StrCat("_s", num_shards) + ".snap";
+        StrCat("_s", spec.num_shards) + ".snap";
     core::SnapshotSaveOptions save;
-    save.num_shards = num_shards;
+    save.num_shards = spec.num_shards;
     save.sync = false;
-    EXPECT_TRUE(
-        core::SaveSnapshot(engine_->groups(), engine_->index(), path, save)
-            .ok());
 
     Fleet fleet;
+    fleet.transport = spec.transport;
     std::vector<std::unique_ptr<ShardTransport>> transports;
-    for (size_t s = 0; s < num_shards; ++s) {
+    for (size_t s = 0; s < spec.num_shards; ++s) {
+      const core::VexusEngine* store =
+          s < spec.stores.size() ? spec.stores[s] : engine_;
+      EXPECT_TRUE(
+          core::SaveSnapshot(store->groups(), store->index(), path, save)
+              .ok());
       auto shard = core::LoadSnapshotShard(path, s);
+      std::remove(path.c_str());  // the section is in memory now
       EXPECT_TRUE(shard.ok()) << shard.status().ToString();
       ServiceOptions bopts;
       bopts.num_workers = 2;
       const uint64_t gen =
-          s < generations.size() ? generations[s] : kGeneration;
+          s < spec.generations.size() ? spec.generations[s] : kGeneration;
       fleet.backends.push_back(std::make_unique<ExplorationService>(
           std::move(shard).ValueOrDie(), gen, bopts));
-      auto transport = std::make_unique<LocalTransport>(
-          fleet.backends.back().get(), "local-shard-" + std::to_string(s));
-      fleet.transports.push_back(transport.get());
-      transports.push_back(std::move(transport));
+      if (spec.transport == Transport::kLocal) {
+        auto transport = std::make_unique<LocalTransport>(
+            fleet.backends.back().get(), "local-shard-" + std::to_string(s));
+        fleet.local.push_back(transport.get());
+        transports.push_back(std::move(transport));
+      } else {
+        fleet.servers.emplace_back();
+        EXPECT_TRUE(fleet.Serve(s, 0)) << "backend " << s << " cannot listen";
+        fleet.ports.push_back(fleet.servers[s] ? fleet.servers[s]->port() : 0);
+        transports.push_back(
+            std::make_unique<net::ShardClient>("127.0.0.1", fleet.ports[s]));
+      }
     }
-    std::remove(path.c_str());  // sections are in memory now
 
     fleet.coordinator =
         std::make_unique<ExplorationService>(engine_, SessionOptions());
@@ -173,6 +233,9 @@ class GatherChaosTest : public ::testing::Test {
         std::move(transports), gopts));
     return fleet;
   }
+
+  void ExpectHealthyFleetIsByteIdenticalToLocal(Transport transport);
+  void ExpectKilledBackendDegradesThenRecovers(Transport transport);
 
   static Response Start(ExplorationService& svc, const std::string& id) {
     Request req;
@@ -215,7 +278,8 @@ core::VexusEngine* GatherChaosTest::engine_ = nullptr;
 
 /// Byte-identity: gathered screens vs the plain single-process run, over a
 /// 3-step walk.
-TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
+void GatherChaosTest::ExpectHealthyFleetIsByteIdenticalToLocal(
+    Transport transport) {
   // Once a start has stored the first screen in the engine's memo, later
   // starts (the plain service's included) are served from there. So the
   // gathered start is also held to an unbounded local SelectInitial: in a
@@ -226,7 +290,10 @@ TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
       core::GreedySelector(&engine_->groups(), &engine_->index())
           .SelectInitial(core::FeedbackVector(&engine_->tokens()), unbounded);
   for (size_t num_shards : {2u, 4u}) {
-    Fleet fleet = MakeFleet(num_shards);
+    FleetSpec spec;
+    spec.num_shards = num_shards;
+    spec.transport = transport;
+    Fleet fleet = MakeFleet(spec);
     ExplorationService plain(engine_, SessionOptions());
 
     const std::string sid = "identity-" + std::to_string(num_shards);
@@ -253,11 +320,22 @@ TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
   }
 }
 
+TEST_F(GatherChaosTest, HealthyFleetIsByteIdenticalToLocal) {
+  ExpectHealthyFleetIsByteIdenticalToLocal(Transport::kLocal);
+}
+
+TEST_F(GatherChaosTest, HealthyTcpFleetIsByteIdenticalToLocal) {
+  ExpectHealthyFleetIsByteIdenticalToLocal(Transport::kTcp);
+}
+
 /// Kill a backend mid-storm: every request still completes — ok (possibly
 /// degraded:"partial" with covered_fraction < 1) or a clean overload code —
 /// and the dead shard's breaker opens. Revival + probes restore coverage.
-TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
-  Fleet fleet = MakeFleet(2);
+void GatherChaosTest::ExpectKilledBackendDegradesThenRecovers(
+    Transport transport) {
+  FleetSpec spec;
+  spec.transport = transport;
+  Fleet fleet = MakeFleet(spec);
   std::atomic<uint64_t> sessions{0}, completed{0}, degraded_partial{0}, bad{0};
   std::atomic<int> warmed{0};
   std::atomic<bool> killed{false};
@@ -298,7 +376,7 @@ TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
     });
   }
   while (warmed.load() < kThreads) std::this_thread::yield();
-  fleet.transports[0]->Kill();
+  fleet.Kill(0);
   killed.store(true);
   for (auto& th : threads) th.join();
 
@@ -306,7 +384,9 @@ TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
   EXPECT_GE(sessions.load(), static_cast<uint64_t>(kThreads) * kSessions);
   EXPECT_EQ(bad.load(), 0u);
   EXPECT_GT(degraded_partial.load(), 0u) << "kill was never observed";
-  EXPECT_GT(fleet.transports[0]->resets(), 0u);
+  if (transport == Transport::kLocal) {
+    EXPECT_GT(fleet.local[0]->resets(), 0u);
+  }
 
   auto membership = fleet.coordinator->gather()->Membership();
   ASSERT_EQ(membership.size(), 2u);
@@ -314,7 +394,7 @@ TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
 
   // Recovery: revive, let the breaker cool down, probe, and expect a
   // full-coverage answer again.
-  fleet.transports[0]->Revive();
+  fleet.Revive(0);
   bool recovered = false;
   for (int i = 0; i < 100 && !recovered; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -328,11 +408,19 @@ TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
   EXPECT_EQ(after[0].state, server::CircuitBreaker::State::kClosed);
 }
 
+TEST_F(GatherChaosTest, KilledBackendDegradesThenRecovers) {
+  ExpectKilledBackendDegradesThenRecovers(Transport::kLocal);
+}
+
+TEST_F(GatherChaosTest, KilledTcpBackendDegradesThenRecovers) {
+  ExpectKilledBackendDegradesThenRecovers(Transport::kTcp);
+}
+
 /// Stall chaos: every other eval_partial burns most of the lap budget. The
 /// retry/backoff path must absorb it — requests complete (ok or degraded),
 /// and the coordinator's counters show the faults actually landed.
 TEST_F(GatherChaosTest, StalledBackendIsRetriedOrShedNeverHung) {
-  Fleet fleet = MakeFleet(2);
+  Fleet fleet = MakeFleet(FleetSpec());
 
   failpoint::Policy stall;
   stall.mode = failpoint::Policy::Mode::kEveryNth;
@@ -364,7 +452,7 @@ TEST_F(GatherChaosTest, StalledBackendIsRetriedOrShedNeverHung) {
 /// 50 ms lap budget — and the coordinator's ladder (on, as in production)
 /// must stay at normal with every screen full quality.
 TEST_F(GatherChaosTest, SlowHealthyLapsDoNotDegradeScreens) {
-  Fleet fleet = MakeFleet(2);
+  Fleet fleet = MakeFleet(FleetSpec());
   ASSERT_TRUE(fleet.coordinator->dispatcher().overload().options().enabled);
 
   failpoint::Policy slow;
@@ -396,7 +484,7 @@ TEST_F(GatherChaosTest, SlowHealthyLapsDoNotDegradeScreens) {
 /// schedule replays). Same liveness bar; after the fault clears, probes
 /// bring every breaker back to closed.
 TEST_F(GatherChaosTest, CorruptBackendAnswersAreDroppedFromTheFold) {
-  Fleet fleet = MakeFleet(2);
+  Fleet fleet = MakeFleet(FleetSpec());
   {
     failpoint::Policy flaky;
     flaky.mode = failpoint::Policy::Mode::kProbability;
@@ -434,7 +522,9 @@ TEST_F(GatherChaosTest, CorruptBackendAnswersAreDroppedFromTheFold) {
 /// folded: its shard counts as failed, the answer degrades to partial with
 /// the surviving shard's fraction.
 TEST_F(GatherChaosTest, StaleGenerationShardIsNeverFolded) {
-  Fleet fleet = MakeFleet(2, /*generations=*/{kGeneration, kGeneration + 1});
+  FleetSpec spec;
+  spec.generations = {kGeneration, kGeneration + 1};
+  Fleet fleet = MakeFleet(spec);
 
   Response resp = StartAndClick(*fleet.coordinator, "stale");
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
@@ -445,6 +535,31 @@ TEST_F(GatherChaosTest, StaleGenerationShardIsNeverFolded) {
   EXPECT_LT(*resp.covered_fraction, 1.0);
 
   auto membership = fleet.coordinator->gather()->Membership();
+  EXPECT_GT(membership[1].failed_laps, 0u);
+  EXPECT_EQ(membership[0].failed_laps, 0u);
+}
+
+/// A backend cold-started from a snapshot with another user count owns
+/// another user range, so its partials count another universe. It must
+/// never be folded, although its generation matches and every group id the
+/// coordinator sends exists in its (larger) store.
+TEST_F(GatherChaosTest, ForeignUniverseShardIsNeverFolded) {
+  const core::VexusEngine foreign = MakeEngine(600, 0.02);
+  ASSERT_GE(foreign.groups().size(), engine_->groups().size());
+  FleetSpec spec;
+  spec.stores = {engine_, &foreign};
+  Fleet fleet = MakeFleet(spec);
+
+  Response resp = StartAndClick(*fleet.coordinator, "foreign");
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  ASSERT_TRUE(resp.degraded.has_value()) << "foreign shard was folded";
+  EXPECT_EQ(*resp.degraded, "partial");
+  ASSERT_TRUE(resp.covered_fraction.has_value());
+  EXPECT_GT(*resp.covered_fraction, 0.0);
+  EXPECT_LT(*resp.covered_fraction, 1.0);
+
+  auto membership = fleet.coordinator->gather()->Membership();
+  EXPECT_EQ(membership[1].ok_laps, 0u) << "a foreign reply was folded";
   EXPECT_GT(membership[1].failed_laps, 0u);
   EXPECT_EQ(membership[0].failed_laps, 0u);
 }

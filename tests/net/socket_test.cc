@@ -9,6 +9,10 @@
 // ResolveHost is the numeric-first resolver the gather client's reconnect
 // laps and the --backends flag share: dotted quads must never touch the
 // resolver; names go through getaddrinfo(AF_INET).
+//
+// ParseHostPort is the one HOST:PORT parser behind --backends and
+// --connect: an empty host, a non-numeric or out-of-range port and any
+// IPv6 literal are typed errors, never a silent rewrite to loopback.
 #include "net/socket.h"
 
 #include <arpa/inet.h>
@@ -61,6 +65,46 @@ TEST(ResolveHostTest, GarbageHostFailsWithInvalidArgument) {
 
   // A malformed dotted quad must not be "close enough" for inet_pton.
   EXPECT_FALSE(ResolveHost("300.0.0.1.", 1).ok());
+}
+
+TEST(ParseHostPortTest, SplitsHostAndPort) {
+  auto numeric = ParseHostPort("127.0.0.1:9090");
+  ASSERT_TRUE(numeric.ok()) << numeric.status().ToString();
+  EXPECT_EQ(numeric->host, "127.0.0.1");
+  EXPECT_EQ(numeric->port, 9090);
+
+  auto named = ParseHostPort("localhost:65535");
+  ASSERT_TRUE(named.ok()) << named.status().ToString();
+  EXPECT_EQ(named->host, "localhost");
+  EXPECT_EQ(named->port, 65535);
+}
+
+TEST(ParseHostPortTest, RejectsEmptyHostAndMissingPort) {
+  for (const char* bad : {":8080", "", "127.0.0.1", "127.0.0.1:", ":"}) {
+    auto parsed = ParseHostPort(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(ParseHostPortTest, RejectsGarbageAndOutOfRangePorts) {
+  for (const char* bad :
+       {"127.0.0.1:http", "127.0.0.1:0", "127.0.0.1:65536",
+        "127.0.0.1:99999999999999999999", "127.0.0.1:-1", "127.0.0.1:80 "}) {
+    auto parsed = ParseHostPort(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(ParseHostPortTest, RejectsIpv6Literals) {
+  // ResolveHost is AF_INET-only: a bracketed literal used to parse here and
+  // then fail at connect time with "not an IPv4 address".
+  for (const char* bad : {"[::1]:9090", "[::1]", "::1:9090"}) {
+    auto parsed = ParseHostPort(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 /// A listener whose accept queue is intentionally full: backlog 1, never

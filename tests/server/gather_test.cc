@@ -8,8 +8,9 @@
 //     the scripted failure/success sequence, admits one half-open probe;
 //   · a scatter's retries + backoff sleeps never push past the deadline
 //     (property-tested over random budgets);
-//   · failed / stale-generation / misrouted shards drop out of the fold and
-//     covered_fraction reports exactly the surviving user range.
+//   · failed / stale-generation / misrouted / foreign-range shards drop out
+//     of the fold and covered_fraction reports exactly the surviving user
+//     range.
 #include "server/gather.h"
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/shard_map.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
@@ -53,6 +55,15 @@ class ScriptedTransport : public ShardTransport {
   std::atomic<size_t> resets_{0};
 };
 
+/// Stamps `resp` with the user range a backend cold-started from a
+/// `num_users` snapshot owns for the shard `req` addresses.
+void OwnRange(const Request& req, size_t num_users, Response* resp) {
+  const ShardMap::Range range =
+      ShardMap(num_users, *req.num_shards).shard(*req.shard);
+  resp->user_begin = range.user_begin;
+  resp->user_end = range.user_end;
+}
+
 /// A healthy backend for shard `expect_shard`: echoes identity and returns
 /// `value` for every trial.
 ScriptedTransport::Script Healthy(uint64_t generation, uint32_t expect_shard,
@@ -62,6 +73,7 @@ ScriptedTransport::Script Healthy(uint64_t generation, uint32_t expect_shard,
     resp.type = req.type;
     resp.generation = generation;
     resp.shard = req.shard;
+    OwnRange(req, kUsers, &resp);
     EXPECT_EQ(*req.shard, expect_shard);
     resp.partials.assign(req.trials.size() / 2, value);
     return resp;
@@ -293,6 +305,40 @@ TEST(GatherCoordinatorTest, StaleGenerationIsAFailedLap) {
   EXPECT_TRUE(out.shard_ok[1]);
 }
 
+// A backend loaded from a snapshot with another user count owns another
+// range; its partials count a different universe and must not be folded,
+// nor may its health probe close the breaker the failed laps opened.
+TEST(GatherCoordinatorTest, ForeignUserRangeIsAFailedLapAndProbe) {
+  std::vector<std::unique_ptr<ShardTransport>> transports;
+  transports.push_back(std::make_unique<ScriptedTransport>(Healthy(3, 0)));
+  transports.push_back(std::make_unique<ScriptedTransport>(
+      [](const Request& req, double) -> Result<Response> {
+        Response resp;
+        resp.type = req.type;
+        resp.generation = 3;
+        // Shard 1 of 2 over kUsers + 128 users; the coordinator expects
+        // [512, 1024).
+        resp.user_begin = 576;
+        resp.user_end = kUsers + 128;
+        resp.partials.assign(req.trials.size() / 2, 1);
+        return resp;
+      }));
+  GatherCoordinator::Options opts = FastOptions();
+  opts.breaker.cooldown_ms = 20;
+  GatherCoordinator coord(std::move(transports), opts);
+
+  auto out = coord.Scatter(std::nullopt, {1, 2}, SomeTrials(),
+                           Deadline::AfterMillis(500));
+  EXPECT_TRUE(out.shard_ok[0]);
+  EXPECT_FALSE(out.shard_ok[1]);
+  EXPECT_NEAR(out.covered_fraction, 0.5, 1e-9);
+  EXPECT_EQ(coord.Membership()[1].failed_laps, 3u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(coord.ProbeShards(), 0u);
+  EXPECT_NE(coord.Membership()[1].state, CircuitBreaker::State::kClosed);
+}
+
 TEST(GatherCoordinatorTest, MisroutedShardEchoIsAFailedLap) {
   std::vector<std::unique_ptr<ShardTransport>> transports;
   // A backend that thinks it is shard 1 answering shard 0's lap.
@@ -365,6 +411,7 @@ TEST(GatherCoordinatorTest, HalfOpenProbeRecoversThroughScatter) {
         resp.type = req.type;
         resp.generation = 3;
         resp.shard = req.shard;
+        OwnRange(req, 64, &resp);
         resp.partials.assign(req.trials.size() / 2, 1);
         return resp;
       });
@@ -397,9 +444,11 @@ TEST(GatherCoordinatorTest, ProbeShardsRecoversWithoutTraffic) {
   transports.push_back(std::make_unique<ScriptedTransport>(
       [&healthy](const Request& req, double) -> Result<Response> {
         if (!healthy.load()) return Status::IOError("down");
-        Response resp;
+        Response resp;  // shard_info: the backend's identity, no partials
         resp.type = req.type;
         resp.generation = 3;
+        resp.user_begin = 0;
+        resp.user_end = 64;
         return resp;
       }));
   GatherCoordinator::Options opts = FastOptions();
