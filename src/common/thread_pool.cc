@@ -62,24 +62,6 @@ void ThreadPool::Wait() {
   done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  size_t chunks = std::min(n, workers_.size() * 4);
-  size_t per = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = c * per;
-    size_t end = std::min(n, begin + per);
-    if (begin >= end) break;
-    auto task = [begin, end, &fn] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    };
-    // A ParallelFor racing Shutdown() falls back to inline execution so the
-    // loop body still runs exactly once per index.
-    if (!Submit(task)) task();
-  }
-  Wait();
-}
-
 void ThreadPool::ParallelForChunked(
     size_t n, size_t chunk_size,
     const std::function<void(size_t chunk, size_t begin, size_t end)>& fn) {

@@ -1,9 +1,9 @@
-// Fixed-size thread pool used by offline pre-processing (index construction
-// parallelizes per-group neighbor computation; experiment E7), by the
-// serving layer's dispatcher (src/server/dispatcher.h), which routes
-// per-request work onto the pool, and by the greedy swap loop's sharded
-// candidate scan (ParallelForChunked — safe to call from *inside* a pool
-// worker, which is exactly what a dispatched request does).
+// Fixed-size thread pool used by offline pre-processing (mining, index
+// construction and MinHash banding fan out through ParallelForChunked;
+// experiment E7), by the serving layer's dispatcher
+// (src/server/dispatcher.h), which routes per-request work onto the pool,
+// and by the gather coordinator, which fans one lap out to its shards from
+// concurrent request handlers (src/server/gather.h).
 #pragma once
 
 #include <atomic>
@@ -44,21 +44,11 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void Wait();
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Work is chunked to limit queue overhead.
-  ///
-  /// NOT safe on a pool that is shared with other producers: the final wait
-  /// is pool-global (Wait()), and calling it from inside a pool worker can
-  /// deadlock. Offline preprocessing owns its pool, so it uses this one;
-  /// request-path code must use ParallelForChunked below.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
   /// Runs fn(chunk, begin, end) for contiguous chunks of `chunk_size`
   /// indices covering [0, n), then returns once every index has run.
   ///
-  /// Unlike ParallelFor this is safe on a *shared* pool and from within a
-  /// pool worker (the serving dispatcher executes request handlers on this
-  /// very pool, and the greedy candidate scan fans out from there): chunks
+  /// Safe on a *shared* pool (the gather coordinator's pool serves every
+  /// request handler's lap at once) and from within a pool worker: chunks
   /// are dealt through an atomic cursor and the *calling thread
   /// participates* in the chunk loop, so completion never depends on a free
   /// worker, and the final wait is scoped to this call's chunks rather than
@@ -66,7 +56,7 @@ class ThreadPool {
   /// chunk_size); which thread runs a chunk is not — callers that need a
   /// deterministic reduction should write per-chunk results into a
   /// chunk-indexed array and fold it in chunk order afterwards (this is how
-  /// the greedy scan keeps parallel and serial argmax byte-identical).
+  /// LCM mining and the index build stay byte-identical to serial).
   void ParallelForChunked(
       size_t n, size_t chunk_size,
       const std::function<void(size_t chunk, size_t begin, size_t end)>& fn);

@@ -20,11 +20,10 @@
 //     operation starts with `if (trace_ == nullptr) return;`, and when
 //     tracing is off no Trace object is ever allocated
 //     (bench/bench_trace_overhead pins the cost).
-//   * Span creation is thread-safe: the parallel greedy scan (and any other
-//     fan-out) may open child spans from pool workers concurrently. Spans
-//     live in a flat, mutex-guarded arena of parent-indexed records; a
-//     span handle is (trace, index), so handles stay valid as the arena
-//     grows.
+//   * Span creation is thread-safe: a fan-out may open child spans from
+//     pool workers concurrently. Spans live in a flat, mutex-guarded arena
+//     of parent-indexed records; a span handle is (trace, index), so
+//     handles stay valid as the arena grows.
 //   * Bounded memory: a trace holds at most `max_spans` records; once full,
 //     Open() returns the null handle and the subtree is silently dropped
 //     (the enclosing spans still measure their time).

@@ -17,7 +17,7 @@ uint64_t Bits(double v) {
 // A new GreedyOptions field changes this size. Decide whether the field
 // changes what a complete SelectInitial returns; if it does, add it to
 // KeyOf, then update the size here.
-static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 80,
+static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 72,
               "GreedyOptions changed: decide whether the new field belongs "
               "in the first-screen key (FirstScreenMemo::KeyOf)");
 

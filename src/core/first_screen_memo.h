@@ -10,9 +10,9 @@
 // Only a run that equals an unbounded SelectInitial is stored: the swap
 // loop converged (no deadline hit) and every pass scored the whole user
 // universe (covered_fraction == 1). Such a run makes the same passes as an
-// unbounded one, and the parallel scan and an all-healthy gather fold are
-// identity-tested against the serial scan, so the stored screen is the same
-// bytes whichever session computed it.
+// unbounded one, and an all-healthy gather fold is identity-tested against
+// the local scan, so the stored screen is the same bytes whichever session
+// computed it.
 //
 // Not to be confused with the session's MEMO (the explorer's bookmarks).
 #pragma once
@@ -49,7 +49,7 @@ class FirstScreenMemo {
  private:
   /// The options that decide a first screen: k, λ, μ and the candidate
   /// cap. Without an anchor, min_similarity and the refinement quota are
-  /// unused; the time limit, scan pool, remote scatterer and trace change
+  /// unused; the time limit, remote scatterer and trace change
   /// how a run executes, not what a complete run returns. The doubles are
   /// keyed by their bits, so NaN cannot break the map's ordering.
   using Key = std::tuple<size_t, uint64_t, uint64_t, size_t>;

@@ -1,14 +1,12 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/greedy_eval.h"
 #include "index/similarity.h"
@@ -29,49 +27,36 @@ namespace {
 /// Minimum improvement for a swap to count (guards float-noise cycling).
 constexpr double kMinGain = 1e-12;
 
-/// Candidates per scan chunk: small enough to load-balance a pooled scan,
-/// large enough to amortize the atomic chunk cursor.
-constexpr size_t kScanChunk = 16;
-
-/// Trial evaluations between deadline checks inside a position sweep.
+/// Trial evaluations between deadline checks during the candidate scan.
 constexpr size_t kDeadlineCheckInterval = 16;
 
-/// Best trial found while scanning a contiguous candidate range, plus the
-/// bookkeeping the deterministic reduction needs. `gain` starts at the
-/// improvement threshold, so `cand == SIZE_MAX` means "nothing above it".
-struct ChunkBest {
+/// Best trial a pass found. `gain` starts at the improvement threshold, so
+/// `cand == SIZE_MAX` means "nothing above it".
+struct ScanBest {
   double gain = kMinGain;
   size_t cand = SIZE_MAX;
   size_t pos = SIZE_MAX;
   size_t evaluations = 0;
-  /// False when the deadline (or a peer chunk's stop flag) truncated the
-  /// range before every trial was scored — the pass cannot prove a local
-  /// optimum from an incomplete scan.
+  /// False when the deadline truncated the scan before every trial was
+  /// scored — the pass cannot prove a local optimum from an incomplete scan.
   bool complete = true;
 };
 
-/// Scans candidates [begin, end) × all positions. Deterministic within the
-/// range: ascending (cand, pos) order with strict `>` keeps the earliest
-/// argmax, so folding per-chunk results in chunk order gives the same pick
-/// however the chunks were dealt. The deadline is rechecked every
-/// kDeadlineCheckInterval trials *inside* the position sweep (a single
-/// candidate's k-trial sweep must not blow the 100 ms budget); a chunk that
-/// sees it expire sets `stop`, and a chunk that starts after `stop` is set
-/// returns at entry without a trial.
-ChunkBest ScanRange(const SwapObjective& eval, size_t begin, size_t end,
-                    const std::vector<size_t>& selected,
-                    const std::vector<bool>& in_selection,
-                    const std::vector<bool>& is_refinement,
-                    size_t refinement_count, size_t quota,
-                    const Deadline& deadline, std::atomic<bool>* stop) {
-  ChunkBest best;
-  if (stop->load(std::memory_order_relaxed)) {
-    best.complete = false;
-    return best;
-  }
+/// Scans every candidate × position once, in ascending (cand, pos) order;
+/// strict `>` keeps the earliest argmax. The deadline is rechecked every
+/// kDeadlineCheckInterval trials, counted across candidate boundaries, so
+/// neither one candidate's k-trial sweep nor a run of short sweeps can blow
+/// the 100 ms budget.
+ScanBest ScanRange(const SwapObjective& eval,
+                   const std::vector<size_t>& selected,
+                   const std::vector<bool>& in_selection,
+                   const std::vector<bool>& is_refinement,
+                   size_t refinement_count, size_t quota,
+                   const Deadline& deadline) {
+  ScanBest best;
   const double current = eval.Current();
   size_t since_check = 0;
-  for (size_t cand = begin; cand < end; ++cand) {
+  for (size_t cand = 0; cand < in_selection.size(); ++cand) {
     if (in_selection[cand]) continue;
     for (size_t pos = 0; pos < selected.size(); ++pos) {
       // The swap must keep the refinement quota satisfied.
@@ -88,12 +73,7 @@ ChunkBest ScanRange(const SwapObjective& eval, size_t begin, size_t end,
       }
       if (++since_check >= kDeadlineCheckInterval) {
         since_check = 0;
-        if (stop->load(std::memory_order_relaxed)) {
-          best.complete = false;
-          return best;
-        }
         if (deadline.Expired()) {
-          stop->store(true, std::memory_order_relaxed);
           best.complete = false;
           return best;
         }
@@ -113,14 +93,14 @@ ChunkBest ScanRange(const SwapObjective& eval, size_t begin, size_t end,
 /// `covered_fraction` reports the degradation. When *no* shard answered,
 /// the pass returns empty-handed with complete=false — the swap loop then
 /// stops with its best-so-far selection instead of hanging.
-ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
-                     const std::vector<GroupId>& pool,
-                     std::optional<GroupId> anchor,
-                     const std::vector<size_t>& selected,
-                     const std::vector<bool>& in_selection,
-                     const std::vector<bool>& is_refinement,
-                     size_t refinement_count, size_t quota,
-                     const Deadline& deadline, double* covered_fraction) {
+ScanBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
+                    const std::vector<GroupId>& pool,
+                    std::optional<GroupId> anchor,
+                    const std::vector<size_t>& selected,
+                    const std::vector<bool>& in_selection,
+                    const std::vector<bool>& is_refinement,
+                    size_t refinement_count, size_t quota,
+                    const Deadline& deadline, double* covered_fraction) {
   std::vector<std::pair<uint32_t, uint32_t>> trials;  // (cand, pos), pool ix
   trials.reserve(pool.size() * selected.size());
   for (size_t cand = 0; cand < pool.size(); ++cand) {
@@ -134,7 +114,7 @@ ChunkBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
                           static_cast<uint32_t>(pos));
     }
   }
-  ChunkBest best;
+  ScanBest best;
   if (trials.empty()) return best;
 
   // Wire form: group ids, not pool positions — backends hold a slice store
@@ -412,44 +392,13 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     size_t refinement_count = 0;
     for (size_t i : selected) refinement_count += is_refinement[i];
 
-    ChunkBest best;
-    if (options.remote_scatter != nullptr) {
-      best = RemoteScan(eval, options.remote_scatter, pool, anchor, selected,
-                        in_selection, is_refinement, refinement_count, quota,
-                        deadline, &result.covered_fraction);
-    } else {
-      // Chunked scan with a deterministic argmax reduction: chunk
-      // boundaries are pure functions of (|pool|, kScanChunk), each chunk
-      // records its earliest argmax, and the fold below walks chunks in
-      // ascending order — so a pooled pick is byte-identical to the
-      // in-order one regardless of thread scheduling.
-      const size_t num_chunks = (pool.size() + kScanChunk - 1) / kScanChunk;
-      std::vector<ChunkBest> chunks(num_chunks);
-      std::atomic<bool> stop{false};
-      auto scan_chunk = [&](size_t c, size_t begin, size_t end) {
-        chunks[c] = ScanRange(eval, begin, end, selected, in_selection,
-                              is_refinement, refinement_count, quota,
-                              deadline, &stop);
-      };
-      if (options.scan_pool != nullptr) {
-        options.scan_pool->ParallelForChunked(pool.size(), kScanChunk,
-                                              scan_chunk);
-      } else {
-        for (size_t c = 0; c < num_chunks; ++c) {
-          scan_chunk(c, c * kScanChunk,
-                     std::min(pool.size(), (c + 1) * kScanChunk));
-        }
-      }
-      for (const ChunkBest& r : chunks) {
-        best.evaluations += r.evaluations;
-        best.complete = best.complete && r.complete;
-        if (r.gain > best.gain) {
-          best.gain = r.gain;
-          best.cand = r.cand;
-          best.pos = r.pos;
-        }
-      }
-    }
+    const ScanBest best =
+        options.remote_scatter != nullptr
+            ? RemoteScan(eval, options.remote_scatter, pool, anchor, selected,
+                         in_selection, is_refinement, refinement_count, quota,
+                         deadline, &result.covered_fraction)
+            : ScanRange(eval, selected, in_selection, is_refinement,
+                        refinement_count, quota, deadline);
     result.evaluations += best.evaluations;
     pass_span.AddCount(best.evaluations);
 

@@ -36,7 +36,6 @@
 #include "mining/group.h"
 
 namespace vexus {
-class ThreadPool;
 class TraceSpan;
 }  // namespace vexus
 
@@ -110,17 +109,6 @@ struct GreedyOptions {
   /// outside [0, 1] (and NaN, as 0) are clamped: at most k slots.
   double refinement_quota = 0.5;
 
-  /// Optional pool for dealing the candidate scan's chunks. Null → the same
-  /// chunks run in order on the calling thread. Pooled and serial scans
-  /// select byte-identical swaps: trials compute identical doubles either
-  /// way, and the argmax reduction folds per-chunk results in deterministic
-  /// chunk order with ties broken by smallest (candidate, position). Safe to
-  /// point at a *shared* pool — including the serving layer's own worker
-  /// pool, from whose workers this loop is invoked
-  /// (ThreadPool::ParallelForChunked has the caller participate, so
-  /// completion never depends on a free worker).
-  ThreadPool* scan_pool = nullptr;
-
   /// Optional multi-box scatterer (see RemoteTrialScatterer above). When
   /// set, the candidate scan of every refinement pass goes out to the
   /// remote shards instead of the local scan; the coordinator folds integer
@@ -138,9 +126,7 @@ struct GreedyOptions {
   /// per-pass trial-evaluation counts} inside Run; `seed` has children
   /// {`weights`, `affinity`, `prior`, `setup`} (DESIGN.md §10.1). Null (the
   /// default) means no tracing; the per-span overhead is then a single
-  /// branch. The spans are opened from the calling thread only — the
-  /// parallel scan's shards never touch the tracer, so a shared TraceSpan is
-  /// safe here.
+  /// branch.
   const TraceSpan* trace = nullptr;
 };
 
@@ -188,9 +174,9 @@ struct GreedySelection {
   /// evaluations, seed_scored and the seed and pass timings are then 0, and
   /// elapsed_ms is the lookup's own time.
   bool memoized = false;
-  /// Wall-clock of each completed refinement pass, in order. Surfaced so
-  /// the serving layer can attribute the anytime budget to passes (pass 1
-  /// dominates: it fills the sim rows).
+  /// Wall-clock of each refinement pass, the deadline-cut one included, in
+  /// order. Surfaced so the serving layer can attribute the anytime budget
+  /// to passes (pass 1 dominates: it fills the sim rows).
   std::vector<double> pass_millis;
 };
 

@@ -29,8 +29,7 @@
 //   · aff_sum          = Σ affinity(S) for an O(1) affinity delta.
 //
 // Threading contract: Reset/ApplySwap mutate and must run on the owning
-// thread; Trial() is a pure read of pass-frozen state and is safe to call
-// concurrently from the chunked candidate scan.
+// thread; Trial() is a pure read of pass-frozen state.
 //
 // The from-scratch evaluator lives on only as a test oracle
 // (tests/core/greedy_eval_test.cc): Current() and Trial() track it within

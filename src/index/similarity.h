@@ -46,8 +46,7 @@ double Dice(const Bitset& a, const Bitset& b);
 /// Threading contract: Sim() memoizes lazily and is single-writer — call it
 /// only from the thread that owns the cache (the greedy loop fills its
 /// candidate×selected similarity rows through Sim() *between* scan passes).
-/// The parallel candidate scan never calls Sim(); it reads the dense row
-/// matrix the owner filled, so no synchronization is needed on this class.
+/// The candidate scan never calls Sim(); it reads the dense row matrix.
 class PairwiseSimCache {
  public:
   PairwiseSimCache(const mining::GroupStore* store,

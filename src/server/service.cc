@@ -50,11 +50,6 @@ void ExplorationService::ConfigureGather(
 
 void ExplorationService::InitRuntime() {
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  // Point every session's greedy scan at our own worker pool. Sessions run
-  // their greedy loop *on* a pool worker (the dispatcher executes handlers
-  // there); ParallelForChunked's caller-participation makes that safe — a
-  // saturated pool degrades to a serial scan instead of deadlocking.
-  options_.session_template.greedy.scan_pool = pool_.get();
   trace_log_ = std::make_unique<TraceLog>(options_.trace);
   dispatcher_ = std::make_unique<Dispatcher>(
       pool_.get(),

@@ -41,9 +41,7 @@ struct ServiceOptions {
   /// learning_rate per request. The greedy time budget is always clamped to
   /// the request's remaining deadline at execution time.
   core::SessionOptions session_template;
-  /// Worker threads (0 → hardware concurrency). Every session's greedy
-  /// candidate scan is chunked across this same pool (overriding any
-  /// scan_pool on session_template.greedy); see InitRuntime.
+  /// Worker threads (0 → hardware concurrency).
   size_t num_workers = 0;
   /// Request-scoped tracing (DESIGN.md §10). Disabled by default: with
   /// trace.enabled == false no Trace is ever allocated and the per-request

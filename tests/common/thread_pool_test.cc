@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,25 +22,6 @@ TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
   ThreadPool pool(2);
   pool.Wait();
   SUCCEED();
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&hits](size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "should not run"; });
-}
-
-TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
-  ThreadPool pool(8);
-  std::atomic<int> sum{0};
-  pool.ParallelFor(3, [&sum](size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum.load(), 3);  // 0+1+2
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountPositive) {
@@ -217,19 +197,6 @@ TEST(ThreadPoolTest, ParallelForChunkedAfterShutdownRunsInline) {
     covered += static_cast<int>(end - begin);
   });
   EXPECT_EQ(covered.load(), 37);
-}
-
-TEST(ThreadPoolTest, ParallelForStillWorksAfterHeavyChurn) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit([&counter] { ++counter; }));
-  }
-  std::vector<std::atomic<int>> hits(256);
-  pool.ParallelFor(256, [&hits](size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
 }
 
 }  // namespace

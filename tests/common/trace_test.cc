@@ -178,8 +178,8 @@ TEST(TraceTest, AddCountAccumulates) {
 }
 
 TEST(TraceTest, ConcurrentChildCreationIsSafe) {
-  // The parallel greedy scan opens spans from pool workers; creation and
-  // close must be data-race-free (run under TSan in CI).
+  // A fan-out may open spans from pool workers; creation and close must be
+  // data-race-free (run under TSan in CI).
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 50;
   Trace trace("request", /*max_spans=*/1 + kThreads * kSpansPerThread);

@@ -158,7 +158,7 @@ TEST_F(FirstScreenMemoTest, KeyIgnoresExecutionOnlyOptions) {
   GreedyOptions stored = Unbounded(5);
   ASSERT_TRUE(memo.Store(stored, ReferenceInitial(stored)));
 
-  // Budget, scan pool, scatterer and trace change how a run executes, not
+  // Budget, scatterer and trace change how a run executes, not
   // what a complete run returns.
   GreedyOptions same = stored;
   same.time_limit_ms = 0;

@@ -18,7 +18,6 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/greedy.h"
 #include "index/similarity.h"
 
@@ -307,39 +306,6 @@ TEST(GreedyDeterminismTest, UnboundedRunIsALocalOptimumOfTheScratchObjective) {
       ASSERT_FALSE(initial.deadline_hit);
       ExpectScratchLocalOptimum(w.store, all, std::nullopt, prior_affinity,
                                 opt, initial.groups);
-    }
-  }
-}
-
-TEST(GreedyDeterminismTest, ParallelScanIsByteIdenticalToSerial) {
-  // Chunk boundaries are fixed by |pool| alone, so the pick must not depend
-  // on how many threads deal the chunks.
-  for (uint64_t seed : {11u, 12u, 13u}) {
-    World w(60, 500, seed);
-    FeedbackVector fb(w.tokens.get());
-    GreedySelector sel(&w.store, w.index.get());
-    for (size_t threads : {1u, 2u, 4u}) {
-      ThreadPool pool(threads);
-      for (size_t k : {2u, 5u, 7u}) {
-        GreedyOptions serial = Unbounded(k);
-        GreedyOptions parallel = Unbounded(k);
-        parallel.scan_pool = &pool;
-
-        auto rs = sel.SelectNext(0, fb, serial);
-        auto rp = sel.SelectNext(0, fb, parallel);
-        EXPECT_EQ(rs.groups, rp.groups)
-            << "seed=" << seed << " k=" << k << " threads=" << threads;
-        EXPECT_EQ(rs.swaps, rp.swaps);
-        EXPECT_EQ(rs.passes, rp.passes);
-        // Unbounded: both scans are complete, so trial counts match too.
-        EXPECT_EQ(rs.evaluations, rp.evaluations);
-        // Identical groups → bit-identical reported quality.
-        EXPECT_EQ(rs.quality.objective, rp.quality.objective);
-
-        auto is = sel.SelectInitial(fb, serial);
-        auto ip = sel.SelectInitial(fb, parallel);
-        EXPECT_EQ(is.groups, ip.groups);
-      }
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace vexus::core {
 namespace {
@@ -183,44 +182,54 @@ TEST(GreedyTest, ZeroAndNegativeBudgetsExpireImmediately) {
             sel.SelectNext(0, fb, negative).groups);
 }
 
-TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
-  // Regression for the P3 budget overrun: the deadline used to be checked
-  // only *between* candidates, so one candidate's k-trial sweep could blow
-  // far past the budget once k·U got large. A sleep at the start of the
-  // first pass burns the budget, so the scan begins past the deadline: it
-  // must stop at its first check, 16 trials in, not after a candidate's
-  // 32-trial sweep. A pooled scan stops every participant at its first
-  // check too (1 caller + 4 workers), and a chunk dealt after the stop
-  // scores no trial at all — with 10 chunks of 16 candidates, that is what
-  // keeps the count under 1 + 16·5.
-  World w(160, 2000, 13);
+/// SelectInitial at k under a 40 ms budget while the `greedy.pass`
+/// failpoint sleeps 80 ms, so the first pass's scan starts past the
+/// deadline.
+GreedySelection InitialWithExpiredScan(const World& w, size_t k) {
   FeedbackVector fb(w.tokens.get());
   GreedySelector sel(&w.store, w.index.get());
-
   GreedyOptions opt;
-  opt.k = 32;
+  opt.k = k;
   opt.time_limit_ms = 40;
 
   failpoint::Policy slow;
   slow.mode = failpoint::Policy::Mode::kAlways;
   slow.code = StatusCode::kOk;
   slow.sleep_ms = 80.0;
-  ThreadPool pool(4);
-  for (ThreadPool* scan_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    SCOPED_TRACE(scan_pool == nullptr ? "serial" : "4-thread pool");
-    failpoint::ScopedFailpoint fp("greedy.pass", slow);
-    opt.scan_pool = scan_pool;
-    auto r = sel.SelectInitial(fb, opt);
+  failpoint::ScopedFailpoint fp("greedy.pass", slow);
+  return sel.SelectInitial(fb, opt);
+}
 
-    ASSERT_GE(r.candidates, 48u);
-    EXPECT_EQ(r.passes, 1u);
-    EXPECT_TRUE(r.deadline_hit);
-    EXPECT_EQ(r.groups.size(), 32u) << "anytime: the seed still answers";
-    const size_t participants = scan_pool == nullptr ? 1 : 5;
-    EXPECT_LE(r.evaluations, 1u + 16 * participants)
-        << "deadline must interrupt the per-candidate position sweep";
-    EXPECT_GE(r.evaluations, 1u + 16) << "the first check comes 16 trials in";
-  }
+TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
+  // Regression for the P3 budget overrun: the deadline used to be checked
+  // only *between* candidates, so one candidate's k-trial sweep could blow
+  // far past the budget once k·U got large. The scan must stop at its
+  // first check, 16 trials in, not after a candidate's 32-trial sweep.
+  World w(160, 2000, 13);
+  auto r = InitialWithExpiredScan(w, 32);
+
+  ASSERT_GE(r.candidates, 48u);
+  EXPECT_EQ(r.passes, 1u);
+  EXPECT_TRUE(r.deadline_hit);
+  EXPECT_EQ(r.groups.size(), 32u) << "anytime: the seed still answers";
+  EXPECT_EQ(r.evaluations, 1u + 16)
+      << "deadline must interrupt the per-candidate position sweep at its "
+         "first check, 16 trials in";
+}
+
+TEST(GreedyTest, DeadlineCheckSpansCandidates) {
+  // With k = 2 each candidate's sweep is 2 trials, so a trial counter that
+  // restarted per candidate would never reach 16 and the scan would run all
+  // of its 2·(|pool| − 2) trials past the deadline. The counter carries
+  // across candidates: the scan stops at its first check, 16 trials in.
+  World w(120, 2000, 14);
+  auto r = InitialWithExpiredScan(w, 2);
+
+  ASSERT_GE(r.candidates, 100u);
+  EXPECT_EQ(r.passes, 1u);
+  EXPECT_TRUE(r.deadline_hit);
+  EXPECT_EQ(r.groups.size(), 2u);
+  EXPECT_EQ(r.evaluations, 1u + 16);
 }
 
 TEST(GreedyTest, ConvergedRunIsNotDeadlineHit) {

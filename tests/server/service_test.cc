@@ -225,18 +225,15 @@ TEST_F(ServiceTest, RepeatedStartIsAFirstScreenMemoHit) {
   EXPECT_EQ(b.diversity, a.diversity);
 }
 
-TEST_F(ServiceTest, ParallelGreedyScanMatchesSerialService) {
-  // The service wires its own worker pool into every session's greedy scan;
-  // its screens must equal a bare session's poolless serial scan (the
-  // chunked argmax reduction is deterministic). Both runs are unbounded:
-  // the request budget is long enough that the deadline clamp never
-  // truncates the service's run.
+TEST_F(ServiceTest, ServiceScreensMatchBareSession) {
+  // The service's screens must equal a bare session's. Both runs are
+  // unbounded: the request budget is long enough that the deadline clamp
+  // never truncates the service's run.
   ServiceOptions opts = FastOptions();
   opts.session_template.greedy.time_limit_ms =
       core::GreedyOptions::kUnboundedTimeLimit;
   opts.dispatcher.default_budget_ms = 10'000;
   ExplorationService svc(engine_, opts);
-  ASSERT_EQ(opts.session_template.greedy.scan_pool, nullptr);
   auto bare = engine_->CreateSession(opts.session_template);
 
   auto expect_same = [](const Response& resp,
