@@ -37,8 +37,8 @@ struct ScanBest {
   size_t cand = SIZE_MAX;
   size_t pos = SIZE_MAX;
   size_t evaluations = 0;
-  /// False when the deadline truncated the scan before every trial was
-  /// scored — the pass cannot prove a local optimum from an incomplete scan.
+  /// False when the deadline cut the scan before every trial was scored;
+  /// Run then discards the pass, whatever it found.
   bool complete = true;
 };
 
@@ -91,8 +91,7 @@ ScanBest ScanRange(const SwapObjective& eval,
 /// from the fold — every trial is then scored over the surviving user
 /// ranges (still deterministic given which shards answered), and
 /// `covered_fraction` reports the degradation. When *no* shard answered,
-/// the pass returns empty-handed with complete=false — the swap loop then
-/// stops with its best-so-far selection instead of hanging.
+/// the pass is incomplete, like a deadline-cut scan.
 ScanBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
                     const std::vector<GroupId>& pool,
                     std::optional<GroupId> anchor,
@@ -385,7 +384,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   while (!converged && !deadline.Expired()) {
     ++result.passes;
     // Chaos site: a sleep here burns the remaining budget mid-run, forcing
-    // the anytime path (deadline_hit with the best-so-far selection).
+    // the anytime path (deadline_hit with the last complete pass's screen).
     VEXUS_FAILPOINT_HIT("greedy.pass");
     TraceSpan pass_span = greedy.Child("pass");
     Stopwatch pass_watch;
@@ -402,8 +401,10 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     result.evaluations += best.evaluations;
     pass_span.AddCount(best.evaluations);
 
-    const bool found = best.cand != SIZE_MAX;
-    if (found) {
+    // A pass completes or changes nothing: a deadline-cut scan applies no
+    // swap, so the clock never picks the screen (DESIGN.md §9.3).
+    const bool apply = best.complete && best.cand != SIZE_MAX;
+    if (apply) {
       in_selection[selected[best.pos]] = false;
       in_selection[best.cand] = true;
       selected[best.pos] = best.cand;
@@ -411,17 +412,9 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       ++result.swaps;
     }
     result.pass_millis.push_back(pass_watch.ElapsedMillis());
-    if (!found) {
-      if (best.complete) {
-        converged = true;  // full scan, nothing improves: local optimum
-      } else {
-        break;  // the deadline truncated the scan with nothing found
-      }
-    }
+    if (!best.complete) break;
+    converged = !apply;  // full scan, nothing improves: local optimum
   }
-  // The flag reports *why the run stopped*, not whether the clock happens
-  // to read expired at return time: a run that converged before expiry is
-  // not deadline-truncated (the old check here mislabeled that case).
   result.deadline_hit = result.seed_truncated || !converged;
   greedy.AddCount(result.evaluations);
   greedy.Close();

@@ -21,7 +21,9 @@
 // order, and stops at the deadline once min(k, |candidates|) priors are in;
 // an unscored candidate seeds with prior 1, the prior's exact lower bound.
 // A run with time to score every prior computes exactly the values an
-// unbounded run does (DESIGN.md §9.3; experiment E1 sweeps the budget).
+// unbounded run does. A refine pass either completes or changes nothing, so
+// a screen is a pure function of the pre-step state, the options,
+// `seed_scored` and `swaps` (DESIGN.md §9.3; E1 sweeps the budget).
 #pragma once
 
 #include <cstdint>
@@ -137,14 +139,18 @@ struct GreedySelection {
   /// Mean feedback-weighted similarity of the selection to the anchor.
   double weighted_affinity = 0;
   size_t candidates = 0;
+  /// Refinement passes started, the deadline-cut one included.
   size_t passes = 0;
+  /// Complete passes that applied a swap; with seed_scored, the work record
+  /// that, given the same inputs, decides the screen.
   size_t swaps = 0;
   size_t evaluations = 0;
   /// True iff the run stopped *because of* the deadline: the seed stopped
   /// before scoring every prior (seed_truncated), or the refinement loop had
   /// not reached (or trivially started at) a local optimum when time ran
-  /// out. A run that converges and only then observes an expired clock is
-  /// NOT deadline-hit (this used to be mislabeled).
+  /// out. The screen is then the seed plus `swaps` complete passes: a pass
+  /// the deadline cut applied nothing. Converging and only then observing
+  /// an expired clock does not set it.
   bool deadline_hit = false;
   /// True iff the deadline stopped the seed before every candidate's prior
   /// was computed; the unscored candidates seeded with prior 1.

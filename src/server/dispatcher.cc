@@ -57,7 +57,6 @@ void Dispatcher::SubmitAsync(Request req, Completion done) {
     if (admitted) core->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (core->metrics != nullptr) {
       core->metrics->RecordRequest(r.type, resp.status.code(), latency_ms);
-      if (resp.greedy_deadline_hit) core->metrics->RecordGreedyDeadlineHit();
     }
     resp.elapsed_ms = latency_ms;
     done(std::move(resp));

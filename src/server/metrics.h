@@ -93,16 +93,16 @@ struct MetricsSnapshot {
   uint64_t evictions_ttl = 0;
   uint64_t evictions_lru = 0;
   uint64_t admission_rejected = 0;
-  /// Anytime-greedy truncations observed (paper P3 anytime behaviour).
+  /// Fresh greedy runs the deadline stopped; re-served screens not counted.
   uint64_t greedy_deadline_hits = 0;
   /// The subset of those runs whose seed stopped at the deadline before
   /// every candidate's prior was computed (GreedySelection::seed_truncated).
   uint64_t greedy_seed_truncations = 0;
   /// Anytime-greedy work counters, summed over every screen computed: runs
-  /// (one per screen), trial-swap objective evaluations, completed
-  /// refinement passes, and applied swaps. evaluations/run is the live
-  /// throughput of the incremental evaluator — a deploy that regresses it
-  /// shows up here without a bench run.
+  /// (one per screen), trial-swap objective evaluations, refinement passes
+  /// started (a deadline-cut one included), and applied swaps.
+  /// evaluations/run is the live throughput of the incremental evaluator —
+  /// a deploy that regresses it shows up here without a bench run.
   uint64_t greedy_runs = 0;
   uint64_t greedy_evaluations = 0;
   uint64_t greedy_passes = 0;
@@ -161,7 +161,7 @@ class ServiceMetrics {
     greedy_seed_truncations_.fetch_add(1, kRelaxed);
   }
   /// Accounts one completed greedy run (one screen): its trial-swap
-  /// evaluations, completed refinement passes, and applied swaps.
+  /// evaluations, refinement passes started, and applied swaps.
   void RecordGreedyRun(uint64_t evaluations, uint64_t passes,
                        uint64_t swaps) {
     greedy_runs_.fetch_add(1, kRelaxed);

@@ -232,6 +232,7 @@ void ExplorationService::FillScreen(const core::GreedySelection& selection,
   if (fresh_run) {
     metrics_.RecordGreedyRun(selection.evaluations, selection.passes,
                              selection.swaps);
+    if (selection.deadline_hit) metrics_.RecordGreedyDeadlineHit();
     if (selection.seed_truncated) metrics_.RecordGreedySeedTruncation();
     // Multi-box gather degradation (DESIGN.md §16): a screen scored over a
     // subset of the user universe outranks the effort/k rung flags — the

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/greedy.h"
@@ -306,6 +307,55 @@ TEST(GreedyDeterminismTest, UnboundedRunIsALocalOptimumOfTheScratchObjective) {
       ASSERT_FALSE(initial.deadline_hit);
       ExpectScratchLocalOptimum(w.store, all, std::nullopt, prior_affinity,
                                 opt, initial.groups);
+    }
+  }
+}
+
+TEST(GreedyDeterminismTest, CutRunKeepsItsCompletePasses) {
+  // A pass the deadline cuts applies nothing, so a deadline-hit screen is
+  // the seed plus its complete passes. For each p, a sleep past the budget
+  // at the start of pass p + 1 leaves exactly the unbounded run's first p
+  // swaps, whatever the budget. μ = 0 makes the reported objective the one
+  // the swaps climb.
+  World w(45, 450, 1);
+  FeedbackVector fb(w.tokens.get());
+  GreedySelector sel(&w.store, w.index.get());
+  GreedyOptions unbounded = Unbounded(5);
+  unbounded.feedback_weight = 0;
+  const GroupId anchor = 1;
+  const GreedySelection full = sel.SelectNext(anchor, fb, unbounded);
+  ASSERT_FALSE(full.deadline_hit);
+  ASSERT_GE(full.swaps, 2u);
+
+  double last_objective = -1;
+  for (size_t p = 0; p <= full.swaps; ++p) {
+    SCOPED_TRACE(StrCat("p=", p));
+    std::vector<GreedySelection> cut;
+    for (double budget_ms : {40.0, 80.0}) {
+      failpoint::Policy slow;
+      slow.mode = failpoint::Policy::Mode::kEveryNth;
+      slow.nth = p + 1;
+      slow.max_fires = 1;
+      slow.code = StatusCode::kOk;
+      slow.sleep_ms = 100.0;
+      failpoint::ScopedFailpoint fp("greedy.pass", slow);
+      GreedyOptions opt = unbounded;
+      opt.time_limit_ms = budget_ms;
+      cut.push_back(sel.SelectNext(anchor, fb, opt));
+      ASSERT_EQ(fp.fires(), 1u);
+    }
+    for (const GreedySelection& r : cut) {
+      EXPECT_TRUE(r.deadline_hit);
+      EXPECT_EQ(r.passes, p + 1);
+      EXPECT_EQ(r.swaps, p);
+    }
+    EXPECT_EQ(cut[0].groups, cut[1].groups);
+    EXPECT_GT(cut[0].quality.objective, last_objective);
+    last_objective = cut[0].quality.objective;
+    if (p == full.swaps) {
+      EXPECT_EQ(cut[0].groups, full.groups);
+      EXPECT_EQ(cut[0].quality.coverage, full.quality.coverage);
+      EXPECT_EQ(cut[0].quality.diversity, full.quality.diversity);
     }
   }
 }

@@ -200,6 +200,17 @@ GreedySelection InitialWithExpiredScan(const World& w, size_t k) {
   return sel.SelectInitial(fb, opt);
 }
 
+/// SelectInitial at k with an already-expired budget: the seed alone, since
+/// a first screen never truncates its seed.
+std::vector<GroupId> InitialSeed(const World& w, size_t k) {
+  FeedbackVector fb(w.tokens.get());
+  GreedySelector sel(&w.store, w.index.get());
+  GreedyOptions opt;
+  opt.k = k;
+  opt.time_limit_ms = 0;
+  return sel.SelectInitial(fb, opt).groups;
+}
+
 TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
   // Regression for the P3 budget overrun: the deadline used to be checked
   // only *between* candidates, so one candidate's k-trial sweep could blow
@@ -215,6 +226,9 @@ TEST(GreedyTest, DeadlineCheckedInsidePositionSweep) {
   EXPECT_EQ(r.evaluations, 1u + 16)
       << "deadline must interrupt the per-candidate position sweep at its "
          "first check, 16 trials in";
+  // The cut pass applies nothing, not its best-so-far trial.
+  EXPECT_EQ(r.swaps, 0u);
+  EXPECT_EQ(r.groups, InitialSeed(w, 32));
 }
 
 TEST(GreedyTest, DeadlineCheckSpansCandidates) {
@@ -230,6 +244,8 @@ TEST(GreedyTest, DeadlineCheckSpansCandidates) {
   EXPECT_TRUE(r.deadline_hit);
   EXPECT_EQ(r.groups.size(), 2u);
   EXPECT_EQ(r.evaluations, 1u + 16);
+  EXPECT_EQ(r.swaps, 0u);
+  EXPECT_EQ(r.groups, InitialSeed(w, 2));
 }
 
 TEST(GreedyTest, ConvergedRunIsNotDeadlineHit) {

@@ -258,8 +258,10 @@ TEST_F(ServiceTest, ServiceScreensMatchBareSession) {
 TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
   // A sleep before every prior outlasts a 5 ms greedy budget: the seed
   // stops after k priors, the select still answers k groups flagged
-  // greedy_deadline_hit, and get_stats counts one seed truncation. The same
-  // select without the sleep and without a greedy limit counts none.
+  // greedy_deadline_hit, and get_stats counts one seed truncation and one
+  // deadline hit. A backtrack that re-serves the cut screen runs no greedy,
+  // so it counts neither. The same select without the sleep and without a
+  // greedy limit counts none.
   ServiceOptions bounded = FastOptions();
   bounded.session_template.greedy.time_limit_ms = 5;
   bounded.dispatcher.default_budget_ms = 10'000;
@@ -276,8 +278,7 @@ TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
     }
     return n;
   };
-  auto run = [&](const ServiceOptions& opts, const std::string& id) {
-    ExplorationService svc(engine_, opts);
+  auto run = [&](ExplorationService& svc, const std::string& id) {
     Response started = svc.Call(Start(id));
     EXPECT_TRUE(started.status.ok()) << started.status.ToString();
     // Click a shown group whose candidate pool leaves priors to skip.
@@ -302,18 +303,31 @@ TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
     slow.code = StatusCode::kOk;
     slow.sleep_ms = 3.0;
     failpoint::ScopedFailpoint fp("greedy.seed", slow);
-    auto [resp, stats] = run(bounded, "seed-cut");
+    ExplorationService svc(engine_, bounded);
+    auto [resp, stats] = run(svc, "seed-cut");
     ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
     EXPECT_EQ(fp.hits(), k) << "the deadline stops the seed at k priors";
     EXPECT_TRUE(resp.greedy_deadline_hit);
     EXPECT_EQ(resp.groups.size(), k);
     EXPECT_EQ(stats.greedy_seed_truncations, 1u);
-    EXPECT_GE(stats.greedy_deadline_hits, 1u);
+    EXPECT_EQ(stats.greedy_deadline_hits, 1u);
     EXPECT_NE(stats.ToString().find("greedy_seed_truncations=1"),
               std::string::npos);
     EXPECT_EQ(stats.ToJson().GetNumber("greedy_seed_truncations", -1), 1);
+
+    Request bt;
+    bt.type = RequestType::kBacktrack;
+    bt.session_id = "seed-cut";
+    bt.step = 1;
+    Response back = svc.Call(bt);
+    ASSERT_TRUE(back.status.ok()) << back.status.ToString();
+    EXPECT_TRUE(back.greedy_deadline_hit) << "the cut screen, re-served";
+    const MetricsSnapshot after = svc.Stats();
+    EXPECT_EQ(after.greedy_deadline_hits, 1u);
+    EXPECT_EQ(after.greedy_seed_truncations, 1u);
   }
-  auto [resp, stats] = run(unbounded, "seed-full");
+  ExplorationService svc(engine_, unbounded);
+  auto [resp, stats] = run(svc, "seed-full");
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_FALSE(resp.greedy_deadline_hit);
   EXPECT_EQ(resp.groups.size(), k);
