@@ -107,9 +107,9 @@ int main() {
     return 1;
   }
   core::TokenSpace tokens(world);
-  core::FirstScreenMemo first_screens;
-  core::ExplorationSession session(&world, &groups, &*idx, &tokens,
-                                   &first_screens, {});
+  core::ScreenMemo screens;
+  core::ExplorationSession session(&world, &groups, &*idx, &tokens, &screens,
+                                   {});
   const auto& shown = session.Start();
   std::printf("\nfirst screen over the streamed group space:\n");
   for (auto g : shown.groups) {

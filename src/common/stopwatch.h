@@ -70,6 +70,10 @@ class Deadline {
 
   bool IsInfinite() const { return when_ == Clock::time_point::max(); }
 
+  /// Expires the deadline now, for good. The greedy's failpoint sites use
+  /// it as a deterministic stand-in for the clock running out.
+  void Expire() { when_ = Clock::time_point::min(); }
+
   /// Remaining budget in milliseconds (clamped at 0; huge when infinite).
   ///
   /// Unified with Expired(): for every non-infinite deadline,

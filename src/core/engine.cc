@@ -112,7 +112,7 @@ Result<VexusEngine> VexusEngine::FromSnapshot(data::Dataset dataset,
 
 void VexusEngine::InitSessionState() {
   tokens_ = std::make_unique<TokenSpace>(*dataset_);
-  first_screens_ = std::make_unique<FirstScreenMemo>();
+  screens_ = std::make_unique<ScreenMemo>();
 }
 
 std::optional<mining::GroupId> VexusEngine::RootGroup() const {
@@ -130,7 +130,7 @@ std::unique_ptr<ExplorationSession> VexusEngine::CreateSession(
     SessionOptions options) const {
   return std::make_unique<ExplorationSession>(
       dataset_.get(), &discovery_->groups, index_.get(), tokens_.get(),
-      first_screens_.get(), options);
+      screens_.get(), options);
 }
 
 std::string VexusEngine::Summary() const {

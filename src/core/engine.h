@@ -16,7 +16,7 @@
 #include "common/result.h"
 #include "common/trace.h"
 #include "core/feedback.h"
-#include "core/first_screen_memo.h"
+#include "core/screen_memo.h"
 #include "core/session.h"
 #include "data/dataset.h"
 #include "index/group_graph.h"
@@ -64,16 +64,16 @@ class VexusEngine {
   const mining::DiscoveryResult& discovery() const { return *discovery_; }
   /// The token space every session's feedback is over (one per engine).
   const TokenSpace& tokens() const { return *tokens_; }
-  /// First screens, filled lazily by the sessions' starts (see
-  /// core/first_screen_memo.h); empty right after construction.
-  const FirstScreenMemo& first_screens() const { return *first_screens_; }
+  /// Screens by click path, filled by the sessions' runs (see
+  /// core/screen_memo.h); empty right after construction.
+  const ScreenMemo& screens() const { return *screens_; }
 
   /// Id of the root group (empty description, all users) if discovery
   /// emitted one; used as a neutral exploration start.
   std::optional<mining::GroupId> RootGroup() const;
 
   /// A fresh interactive session over the preprocessed structures, sharing
-  /// the engine's token space and first-screen memo. The engine must
+  /// the engine's token space and screen memo. The engine must
   /// outlive its sessions.
   std::unique_ptr<ExplorationSession> CreateSession(
       SessionOptions options = {}) const;
@@ -85,7 +85,7 @@ class VexusEngine {
   VexusEngine() = default;
 
   /// Builds the per-engine session state over `dataset_`: the token space
-  /// and an empty first-screen memo.
+  /// and an empty screen memo.
   void InitSessionState();
 
   std::unique_ptr<data::Dataset> dataset_;
@@ -94,7 +94,7 @@ class VexusEngine {
   std::unique_ptr<index::GroupGraph> graph_;
   // Behind pointers so a moved engine keeps the addresses its sessions hold.
   std::unique_ptr<TokenSpace> tokens_;
-  std::unique_ptr<FirstScreenMemo> first_screens_;
+  std::unique_ptr<ScreenMemo> screens_;
 };
 
 }  // namespace vexus::core

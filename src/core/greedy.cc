@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -162,6 +163,21 @@ ScanBest RemoteScan(const SwapObjective& eval, RemoteTrialScatterer* remote,
   return best;
 }
 
+/// Whether `record` can describe a run over a pool of `pool_size` at `k`.
+bool FitsPool(const WorkRecord& record, size_t pool_size, size_t k) {
+  if (record.affinity.empty()) {
+    return record.priors.empty() && record.selected.empty();
+  }
+  if (record.affinity.size() != pool_size || record.priors.size() > pool_size) {
+    return false;
+  }
+  if (record.selected.empty()) return true;
+  return record.priors.size() == pool_size &&
+         record.selected.size() == std::min(k, pool_size) &&
+         std::all_of(record.selected.begin(), record.selected.end(),
+                     [&](uint32_t i) { return i < pool_size; });
+}
+
 }  // namespace
 
 void RankPoolByPrior(const GroupStore& store, const FeedbackVector& feedback,
@@ -192,6 +208,13 @@ void RankPoolByPrior(const GroupStore& store, const FeedbackVector& feedback,
 GreedySelection GreedySelector::SelectNext(GroupId anchor,
                                            const FeedbackVector& feedback,
                                            const GreedyOptions& options) const {
+  return SelectNext(anchor, feedback, options, nullptr);
+}
+
+GreedySelection GreedySelector::SelectNext(GroupId anchor,
+                                           const FeedbackVector& feedback,
+                                           const GreedyOptions& options,
+                                           WorkRecord* record) const {
   TraceSpan rank =
       options.trace != nullptr ? options.trace->Child("rank") : TraceSpan();
   std::vector<GroupId> pool;
@@ -200,7 +223,7 @@ GreedySelection GreedySelector::SelectNext(GroupId anchor,
   }
   rank.AddCount(pool.size());
   rank.Close();
-  return Run(std::move(pool), anchor, feedback, options);
+  return Run(std::move(pool), anchor, feedback, options, record);
 }
 
 GreedySelection GreedySelector::SelectInitial(
@@ -212,13 +235,14 @@ GreedySelection GreedySelector::SelectInitial(
   RankPoolByPrior(*store_, feedback, options.initial_candidate_cap, &pool);
   rank.AddCount(pool.size());
   rank.Close();
-  return Run(std::move(pool), std::nullopt, feedback, options);
+  return Run(std::move(pool), std::nullopt, feedback, options, nullptr);
 }
 
 GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
                                     std::optional<GroupId> anchor,
                                     const FeedbackVector& feedback,
-                                    const GreedyOptions& options) const {
+                                    const GreedyOptions& options,
+                                    WorkRecord* record) const {
   VEXUS_CHECK(options.k >= 1);
   Stopwatch watch;
   // AfterMillis owns the budget clamping: <= 0 / NaN expire immediately,
@@ -228,6 +252,10 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
 
   GreedySelection result;
   result.candidates = pool.size();
+  // A record from another pool or k cannot be continued.
+  if (record != nullptr && !FitsPool(*record, pool.size(), options.k)) {
+    *record = WorkRecord{};
+  }
   if (pool.empty()) {
     result.elapsed_ms = watch.ElapsedMillis();
     return result;
@@ -249,20 +277,27 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       anchor.has_value() ? &store_->group(*anchor).members() : nullptr;
   Stopwatch phase;
   if (anchor.has_value()) {
-    TraceSpan weights_span = seed_span.Child("weights");
-    const std::vector<double> weights = feedback.UserWeights();
-    weights_span.Close();
-    result.seed_millis.weights = phase.ElapsedMillis();
+    // A resumed run takes the record's affinities, which an earlier run
+    // computed from the same weights: the weights phase is their only use.
+    result.resumed = record != nullptr && !record->affinity.empty();
+    if (result.resumed) {
+      affinity = std::move(record->affinity);  // handed back at the end
+    } else {
+      TraceSpan weights_span = seed_span.Child("weights");
+      const std::vector<double> weights = feedback.UserWeights();
+      weights_span.Close();
+      result.seed_millis.weights = phase.ElapsedMillis();
 
-    TraceSpan affinity_span = seed_span.Child("affinity");
-    phase.Restart();
-    for (size_t i = 0; i < pool.size(); ++i) {
-      affinity[i] = index::WeightedJaccard(store_->group(pool[i]).members(),
-                                           *anchor_members, weights);
+      TraceSpan affinity_span = seed_span.Child("affinity");
+      phase.Restart();
+      for (size_t i = 0; i < pool.size(); ++i) {
+        affinity[i] = index::WeightedJaccard(store_->group(pool[i]).members(),
+                                             *anchor_members, weights);
+      }
+      affinity_span.AddCount(pool.size());
+      affinity_span.Close();
+      result.seed_millis.affinity = phase.ElapsedMillis();
     }
-    affinity_span.AddCount(pool.size());
-    affinity_span.Close();
-    result.seed_millis.affinity = phase.ElapsedMillis();
 
     // The objective's affinity term is the weighted similarity alone; the
     // prior (description-token channel) enters through *seeding*. Folding
@@ -276,7 +311,8 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     // deadline once min(k, |pool|) are in. An unscored candidate takes
     // prior = 1, the prior's exact lower bound, so its seed score is its
     // affinity. With time to score them all, every value and the sort
-    // below equal an unbounded run's.
+    // below equal an unbounded run's. A resumed run starts after the
+    // record's priors, which come first in the same order.
     TraceSpan prior_span = seed_span.Child("prior");
     phase.Restart();
     std::vector<size_t> visit(pool.size());
@@ -287,18 +323,26 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     });
     const size_t must_score = std::min(options.k, pool.size());
     size_t r = 0;
+    if (result.resumed) {
+      for (; r < record->priors.size(); ++r) {
+        seed_score[visit[r]] = affinity[visit[r]] * record->priors[r];
+      }
+    }
+    const size_t recorded = r;
     for (; r < visit.size(); ++r) {
       if (r >= must_score && deadline.Expired()) break;
-      // Chaos site: a sleep here burns the budget mid-seed, forcing a
-      // truncated seed.
-      VEXUS_FAILPOINT_HIT("greedy.seed");
+      // Chaos site: a fire expires the deadline here (after its sleep, if
+      // any), so the seed stops at the next prior past min(k, |pool|).
+      if (VEXUS_FAILPOINT_FIRES("greedy.seed")) deadline.Expire();
       const size_t i = visit[r];
-      seed_score[i] = affinity[i] * feedback.GroupPrior(store_->group(pool[i]));
+      const double prior = feedback.GroupPrior(store_->group(pool[i]));
+      seed_score[i] = affinity[i] * prior;
+      if (record != nullptr) record->priors.push_back(prior);
     }
     result.seed_scored = r;
     result.seed_truncated = r < visit.size();
     for (; r < visit.size(); ++r) seed_score[visit[r]] = affinity[visit[r]];
-    prior_span.AddCount(result.seed_scored);
+    prior_span.AddCount(result.seed_scored - recorded);
     prior_span.Close();
     result.seed_millis.prior = phase.ElapsedMillis();
   } else {
@@ -363,6 +407,12 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       selected.push_back(i);
     }
   }
+  // A record that holds every prior also holds the selection its complete
+  // passes reached from this same seed: continue from there.
+  if (result.resumed && !record->selected.empty()) {
+    selected.assign(record->selected.begin(), record->selected.end());
+    result.swaps = record->swaps;
+  }
 
   index::PairwiseSimCache sims(store_, &pool);
   SwapObjective eval(store_, &pool, anchor_members, &affinity,
@@ -383,9 +433,10 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
 
   while (!converged && !deadline.Expired()) {
     ++result.passes;
-    // Chaos site: a sleep here burns the remaining budget mid-run, forcing
-    // the anytime path (deadline_hit with the last complete pass's screen).
-    VEXUS_FAILPOINT_HIT("greedy.pass");
+    // Chaos site: a fire expires the deadline here (after its sleep, if
+    // any), so the scan stops at its first check and the pass applies
+    // nothing: deadline_hit with the last complete pass's screen.
+    if (VEXUS_FAILPOINT_FIRES("greedy.pass")) deadline.Expire();
     TraceSpan pass_span = greedy.Child("pass");
     Stopwatch pass_watch;
     size_t refinement_count = 0;
@@ -418,6 +469,10 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   result.deadline_hit = result.seed_truncated || !converged;
   greedy.AddCount(result.evaluations);
   greedy.Close();
+  if (record != nullptr && !result.seed_truncated) {
+    record->selected.assign(selected.begin(), selected.end());
+    record->swaps = result.swaps;
+  }
 
   // ---- Report. ----
   result.groups.reserve(selected.size());
@@ -428,6 +483,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   for (size_t i : selected) aff += affinity[i];
   result.weighted_affinity =
       selected.empty() ? 0 : aff / static_cast<double>(selected.size());
+  if (record != nullptr) record->affinity = std::move(affinity);
   result.elapsed_ms = watch.ElapsedMillis();
   return result;
 }

@@ -23,7 +23,9 @@
 // A run with time to score every prior computes exactly the values an
 // unbounded run does. A refine pass either completes or changes nothing, so
 // a screen is a pure function of the pre-step state, the options,
-// `seed_scored` and `swaps` (DESIGN.md §9.3; E1 sweeps the budget).
+// `seed_scored` and `swaps` (DESIGN.md §9.3; E1 sweeps the budget). A
+// WorkRecord carries that work from a cut run to the next run on the same
+// state, which continues where the cut stopped (core/screen_memo.h).
 #pragma once
 
 #include <cstdint>
@@ -84,8 +86,9 @@ struct GreedyOptions {
   /// guard); candidates below it are not considered.
   double min_similarity = 0.05;
   /// The P3 time budget for the whole run — seed and refinement loop — in
-  /// milliseconds. The seed always scores min(k, |candidates|) priors, so a
-  /// run can overshoot by that much work.
+  /// milliseconds. The first deadline check comes after the user weights,
+  /// the affinity of every candidate and min(k, |candidates|) priors, so a
+  /// run overshoots a small budget by that much work (EXPERIMENTS E1).
   ///
   /// Budget semantics match Deadline::AfterMillis everywhere: zero, negative
   /// or NaN budgets *expire immediately* (seed-only selection, deadline_hit
@@ -132,6 +135,22 @@ struct GreedyOptions {
   const TraceSpan* trace = nullptr;
 };
 
+/// The work an anchored run did, in a form a later run on the same pool,
+/// feedback and options continues from instead of redoing. Those runs
+/// compute the same values in the same order, so a record is a prefix of
+/// the unbounded run's work, and a run that resumes one ends where an
+/// uninterrupted run with the same total work would (DESIGN.md §8.5).
+struct WorkRecord {
+  /// Every candidate's affinity, by pool position; empty before any run.
+  std::vector<double> affinity;
+  /// The priors scored so far, in the seed's descending-affinity order.
+  std::vector<double> priors;
+  /// Once every prior is in: the selection (pool positions, slot order)
+  /// after `swaps` complete passes. Empty until then.
+  std::vector<uint32_t> selected;
+  size_t swaps = 0;
+};
+
 struct GreedySelection {
   std::vector<mining::GroupId> groups;
   /// Reported quality (diversity/coverage/λ-objective, no affinity term).
@@ -142,7 +161,8 @@ struct GreedySelection {
   /// Refinement passes started, the deadline-cut one included.
   size_t passes = 0;
   /// Complete passes that applied a swap; with seed_scored, the work record
-  /// that, given the same inputs, decides the screen.
+  /// that, given the same inputs, decides the screen. A resumed run counts
+  /// the record's passes too.
   size_t swaps = 0;
   size_t evaluations = 0;
   /// True iff the run stopped *because of* the deadline: the seed stopped
@@ -156,7 +176,8 @@ struct GreedySelection {
   /// was computed; the unscored candidates seeded with prior 1.
   bool seed_truncated = false;
   /// Group priors the seed computed: the pool size, or at least
-  /// min(k, candidates) when the seed was truncated.
+  /// min(k, candidates) when the seed was truncated. A resumed run counts
+  /// the record's priors too.
   size_t seed_scored = 0;
   /// Wall-clock of the seed's phases, in milliseconds: user weights, the
   /// affinity of every candidate, the priors, and the set-up (seed sort,
@@ -175,11 +196,15 @@ struct GreedySelection {
   /// degraded:"partial" when this dips below 1.
   double covered_fraction = 1.0;
   double elapsed_ms = 0;
-  /// True when the screen came from the engine's first-screen memo
-  /// (core/first_screen_memo.h) instead of a greedy run: passes, swaps,
+  /// True when the screen came from the engine's screen memo
+  /// (core/screen_memo.h) instead of a greedy run: passes, swaps,
   /// evaluations, seed_scored and the seed and pass timings are then 0, and
   /// elapsed_ms is the lookup's own time.
   bool memoized = false;
+  /// True when the run continued a WorkRecord instead of starting afresh:
+  /// the weights and affinity phases did not run, and the seed scored only
+  /// the priors the record lacked.
+  bool resumed = false;
   /// Wall-clock of each refinement pass, the deadline-cut one included, in
   /// order. Surfaced so the serving layer can attribute the anytime budget
   /// to passes (pass 1 dominates: it fills the sim rows).
@@ -206,15 +231,26 @@ class GreedySelector {
                              const FeedbackVector& feedback,
                              const GreedyOptions& options) const;
 
+  /// The same, continuing from `*record` (empty for a fresh run), which
+  /// must come from runs on this anchor, feedback and options; a record
+  /// whose sizes do not fit the pool is discarded. On return `*record`
+  /// holds the work done so far, this run's included. A null `record`
+  /// runs afresh and keeps nothing.
+  GreedySelection SelectNext(mining::GroupId anchor,
+                             const FeedbackVector& feedback,
+                             const GreedyOptions& options,
+                             WorkRecord* record) const;
+
   /// k groups for the first screen (no anchor; coverage over the universe).
   GreedySelection SelectInitial(const FeedbackVector& feedback,
                                 const GreedyOptions& options) const;
 
  private:
+  /// `record` is null for the first screen, which keeps none.
   GreedySelection Run(std::vector<mining::GroupId> pool,
                       std::optional<mining::GroupId> anchor,
                       const FeedbackVector& feedback,
-                      const GreedyOptions& options) const;
+                      const GreedyOptions& options, WorkRecord* record) const;
 
   const mining::GroupStore* store_;
   const index::InvertedIndex* index_;

@@ -12,18 +12,18 @@ ExplorationSession::ExplorationSession(const data::Dataset* dataset,
                                        const mining::GroupStore* store,
                                        const index::InvertedIndex* index,
                                        const TokenSpace* tokens,
-                                       FirstScreenMemo* first_screens,
+                                       ScreenMemo* screens,
                                        SessionOptions options)
     : dataset_(dataset),
       store_(store),
       index_(index),
       tokens_(tokens),
-      first_screens_(first_screens),
+      screens_(screens),
       options_(options),
-      feedback_(tokens),
+      empty_feedback_(tokens),
       selector_(store, index) {
   VEXUS_CHECK(dataset != nullptr && store != nullptr && index != nullptr &&
-              first_screens != nullptr);
+              screens != nullptr);
   VEXUS_CHECK(store->num_users() == dataset->num_users())
       << "group store universe does not match the dataset";
   VEXUS_CHECK(&tokens->dataset() == dataset)
@@ -33,29 +33,55 @@ ExplorationSession::ExplorationSession(const data::Dataset* dataset,
 const GreedySelection& ExplorationSession::Start() {
   history_.clear();
   memo_ = Memo{};
-  feedback_ = FeedbackVector(tokens_);
+  edited_.reset();
+  unlearned_ = false;
 
-  ExplorationStep step{std::nullopt, FirstScreen(), feedback_};
-  history_.push_back(std::move(step));
+  FeedbackVector empty(tokens_);
+  GreedySelection shown = Screen(std::nullopt, empty);
+  history_.push_back(ExplorationStep{std::nullopt, std::move(shown),
+                                     std::move(empty)});
   return history_.back().shown;
 }
 
-GreedySelection ExplorationSession::FirstScreen() const {
-  Stopwatch watch;
+const FeedbackVector& ExplorationSession::feedback() const {
+  if (edited_.has_value()) return *edited_;
+  return history_.empty() ? empty_feedback_
+                          : history_.back().feedback_snapshot;
+}
+
+GreedySelection ExplorationSession::Screen(
+    std::optional<mining::GroupId> click,
+    const FeedbackVector& feedback) const {
   const GreedyOptions& greedy = options_.greedy;
-  TraceSpan lookup = greedy.trace != nullptr
+  auto run = [&](WorkRecord* record) {
+    return click.has_value()
+               ? selector_.SelectNext(*click, feedback, greedy, record)
+               : selector_.SelectInitial(feedback, greedy);
+  };
+  if (unlearned_) return run(nullptr);
+  Stopwatch watch;
+  TraceSpan lookup = !click.has_value() && greedy.trace != nullptr
                          ? greedy.trace->Child("first_screen")
                          : TraceSpan();
-  std::optional<GreedySelection> hit = first_screens_->Find(greedy);
-  if (hit.has_value()) {
+  std::vector<mining::GroupId> path;
+  if (click.has_value()) {
+    for (size_t i = 1; i < history_.size(); ++i) {
+      path.push_back(*history_[i].selected);
+    }
+    path.push_back(*click);
+  }
+  const ScreenMemo::Key key =
+      ScreenMemo::KeyOf(greedy, options_.learning_rate, std::move(path));
+  ScreenMemo::Lookup found = screens_->Find(key);
+  if (found.screen.has_value()) {
     lookup.AddCount(1);
-    hit->elapsed_ms = watch.ElapsedMillis();
-    return std::move(*hit);
+    found.screen->elapsed_ms = watch.ElapsedMillis();
+    return std::move(*found.screen);
   }
   lookup.Close();
-  GreedySelection computed = selector_.SelectInitial(feedback_, greedy);
-  first_screens_->Store(greedy, computed);
-  return computed;
+  GreedySelection shown = run(&found.record);
+  screens_->Store(key, shown, std::move(found.record));
+  return shown;
 }
 
 const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {
@@ -63,17 +89,18 @@ const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {
   VEXUS_CHECK(!history_.empty()) << "call Start() before SelectGroup()";
 
   const TraceSpan* trace = options_.greedy.trace;
+  // The new HISTORY snapshot starts as a copy of the whole feedback map.
+  TraceSpan snapshot = trace != nullptr ? trace->Child("history") : TraceSpan();
+  FeedbackVector next = feedback();
+  snapshot.Close();
   // Implicit positive feedback for the clicked group.
   TraceSpan learn = trace != nullptr ? trace->Child("learn") : TraceSpan();
-  feedback_.Learn(store_->group(g), options_.learning_rate);
+  next.Learn(store_->group(g), options_.learning_rate);
   learn.Close();
 
-  GreedySelection shown = selector_.SelectNext(g, feedback_, options_.greedy);
-  // The HISTORY snapshot: copies of the whole feedback map.
-  TraceSpan snapshot = trace != nullptr ? trace->Child("history") : TraceSpan();
-  ExplorationStep step{g, std::move(shown), feedback_};
-  history_.push_back(std::move(step));
-  snapshot.Close();
+  GreedySelection shown = Screen(g, next);
+  history_.push_back(ExplorationStep{g, std::move(shown), std::move(next)});
+  edited_.reset();
   return history_.back().shown;
 }
 
@@ -90,7 +117,7 @@ Status ExplorationSession::Backtrack(size_t i) {
   }
   history_.erase(history_.begin() + static_cast<ptrdiff_t>(i) + 1,
                  history_.end());
-  feedback_ = history_[i].feedback_snapshot;
+  edited_.reset();
   return Status::OK();
 }
 
@@ -99,7 +126,11 @@ const GreedySelection& ExplorationSession::Current() const {
   return history_.back().shown;
 }
 
-void ExplorationSession::Unlearn(Token t) { feedback_.Unlearn(t); }
+void ExplorationSession::Unlearn(Token t) {
+  if (!edited_.has_value()) edited_ = feedback();
+  edited_->Unlearn(t);
+  unlearned_ = true;
+}
 
 void ExplorationSession::BookmarkGroup(mining::GroupId g) {
   VEXUS_CHECK(g < store_->size());
@@ -114,7 +145,7 @@ SessionDigest ExplorationSession::Digest() const {
   d.num_steps = history_.size();
   d.memo_groups = memo_.groups.size();
   d.memo_users = memo_.users.size();
-  d.feedback_nonzero = feedback_.nonzero_count();
+  d.feedback_nonzero = feedback().nonzero_count();
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
     if (it->selected.has_value()) {
       d.last_selected = it->selected;

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "core/feedback.h"
-#include "core/first_screen_memo.h"
 #include "core/greedy.h"
+#include "core/screen_memo.h"
 #include "index/inverted_index.h"
 #include "mining/group.h"
 
@@ -39,6 +39,7 @@ struct ExplorationStep {
   /// The k groups GROUPVIZ showed at this step.
   GreedySelection shown;
   /// Feedback state *after* this step's learning (snapshot for backtrack).
+  /// The last step's is the session's live CONTEXT (see feedback()).
   FeedbackVector feedback_snapshot;
 };
 
@@ -63,19 +64,19 @@ struct SessionDigest {
 class ExplorationSession {
  public:
   /// All pointers must outlive the session. `tokens` is the token space
-  /// over `dataset`, and `first_screens` the memo of first screens over
-  /// `store`; both are shared by every session of one engine
-  /// (VexusEngine::CreateSession passes its own).
+  /// over `dataset`, and `screens` the screen memo over `store`; both are
+  /// shared by every session of one engine (VexusEngine::CreateSession
+  /// passes its own).
   ExplorationSession(const data::Dataset* dataset,
                      const mining::GroupStore* store,
                      const index::InvertedIndex* index,
-                     const TokenSpace* tokens, FirstScreenMemo* first_screens,
+                     const TokenSpace* tokens, ScreenMemo* screens,
                      SessionOptions options);
 
   /// Step 0: the initial GROUPVIZ screen. Resets any previous state. The
-  /// screen comes from the first-screen memo when it holds one for these
-  /// greedy options; otherwise SelectInitial runs, and a run that reached
-  /// its local optimum over the whole universe is stored for later starts.
+  /// screen comes from the screen memo when it holds one for these greedy
+  /// options; otherwise SelectInitial runs, and a run that reached its
+  /// local optimum over the whole universe is stored for later starts.
   /// With a trace set, opens one `first_screen` span (count 1 on a hit).
   const GreedySelection& Start();
 
@@ -83,6 +84,12 @@ class ExplorationSession {
   /// and VEXUS answers with the next k groups. `g` need not be on the
   /// current screen (the paper's GROUPVIZ also allows hover-driven jumps);
   /// it must be a valid group id.
+  ///
+  /// The screen memo is keyed by the click path read from HISTORY, g
+  /// included: a converged screen is a hit, a stored work record is
+  /// continued, and a run the deadline cut leaves its record for the next
+  /// visit (core/screen_memo.h). After Unlearn the feedback is no longer a
+  /// function of the path, so the session bypasses the memo until Start.
   ///
   /// Lifetime: history steps live in a deque, so references returned by
   /// Start()/SelectGroup()/Current() stay valid across later SelectGroup
@@ -102,12 +109,14 @@ class ExplorationSession {
   /// The currently shown groups (last step's selection).
   const GreedySelection& Current() const;
 
-  /// CONTEXT: the explicit feedback state.
-  const FeedbackVector& feedback() const { return feedback_; }
+  /// CONTEXT: the explicit feedback state. It is the last HISTORY step's
+  /// snapshot, unless Unlearn has edited it since.
+  const FeedbackVector& feedback() const;
   std::vector<FeedbackVector::TokenScore> ContextTokens(size_t k) const {
-    return feedback_.TopTokens(k);
+    return feedback().TopTokens(k);
   }
-  /// CONTEXT deletion — unlearn a token ("make VEXUS forget").
+  /// CONTEXT deletion — unlearn a token ("make VEXUS forget"). The session
+  /// then bypasses the screen memo until the next Start.
   void Unlearn(Token t);
 
   /// MEMO.
@@ -130,16 +139,24 @@ class ExplorationSession {
   const data::Dataset& dataset() const { return *dataset_; }
 
  private:
-  /// Step 0's screen: a memo hit, or a fresh SelectInitial (see Start).
-  GreedySelection FirstScreen() const;
+  /// The screen after `click` (nullopt: step 0's) on `feedback`: a memo
+  /// hit, or a greedy run that resumes and feeds the memo.
+  GreedySelection Screen(std::optional<mining::GroupId> click,
+                         const FeedbackVector& feedback) const;
 
   const data::Dataset* dataset_;
   const mining::GroupStore* store_;
   const index::InvertedIndex* index_;
   const TokenSpace* tokens_;
-  FirstScreenMemo* first_screens_;
+  ScreenMemo* screens_;
   SessionOptions options_;
-  FeedbackVector feedback_;
+  /// feedback() before Start.
+  FeedbackVector empty_feedback_;
+  /// The feedback after Unlearn calls since the last step; until the next
+  /// step or backtrack it differs from HISTORY's last snapshot.
+  std::optional<FeedbackVector> edited_;
+  /// Set by Unlearn, cleared by Start: the memo is bypassed.
+  bool unlearned_ = false;
   GreedySelector selector_;
   std::deque<ExplorationStep> history_;
   Memo memo_;

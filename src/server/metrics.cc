@@ -122,8 +122,8 @@ MetricsSnapshot ServiceMetrics::Snapshot(uint64_t open_sessions) const {
   s.greedy_evaluations = greedy_evaluations_.load(kRelaxed);
   s.greedy_passes = greedy_passes_.load(kRelaxed);
   s.greedy_swaps = greedy_swaps_.load(kRelaxed);
-  s.first_screen_hits = first_screen_hits_.load(kRelaxed);
-  s.first_screen_misses = first_screen_misses_.load(kRelaxed);
+  s.screen_memo_hits = screen_memo_hits_.load(kRelaxed);
+  s.screen_memo_resumes = screen_memo_resumes_.load(kRelaxed);
   s.degraded_effort = degraded_effort_.load(kRelaxed);
   s.degraded_k = degraded_k_.load(kRelaxed);
   s.degraded_stale = degraded_stale_.load(kRelaxed);
@@ -170,10 +170,14 @@ json::Value MetricsSnapshot::ToJson() const {
   o.emplace_back("greedy_evaluations", json::Value(greedy_evaluations));
   o.emplace_back("greedy_passes", json::Value(greedy_passes));
   o.emplace_back("greedy_swaps", json::Value(greedy_swaps));
-  json::Object first_screen;
-  first_screen.emplace_back("hits", json::Value(first_screen_hits));
-  first_screen.emplace_back("misses", json::Value(first_screen_misses));
-  o.emplace_back("first_screen", json::Value(std::move(first_screen)));
+  json::Object screen_memo;
+  screen_memo.emplace_back("hits", json::Value(screen_memo_hits));
+  screen_memo.emplace_back("resumes", json::Value(screen_memo_resumes));
+  json::Array entries;
+  for (uint64_t n : screen_memo_entries) entries.emplace_back(n);
+  screen_memo.emplace_back("entries_by_path_length",
+                           json::Value(std::move(entries)));
+  o.emplace_back("screen_memo", json::Value(std::move(screen_memo)));
   o.emplace_back("degraded_effort", json::Value(degraded_effort));
   o.emplace_back("degraded_k", json::Value(degraded_k));
   o.emplace_back("degraded_stale", json::Value(degraded_stale));
@@ -229,14 +233,21 @@ std::string MetricsSnapshot::ToString() const {
   out += line;
   std::snprintf(line, sizeof(line),
                 "greedy: runs=%llu evaluations=%llu passes=%llu swaps=%llu "
-                "first_screen_hits=%llu first_screen_misses=%llu\n",
+                "screen_memo_hits=%llu screen_memo_resumes=%llu\n",
                 static_cast<unsigned long long>(greedy_runs),
                 static_cast<unsigned long long>(greedy_evaluations),
                 static_cast<unsigned long long>(greedy_passes),
                 static_cast<unsigned long long>(greedy_swaps),
-                static_cast<unsigned long long>(first_screen_hits),
-                static_cast<unsigned long long>(first_screen_misses));
+                static_cast<unsigned long long>(screen_memo_hits),
+                static_cast<unsigned long long>(screen_memo_resumes));
   out += line;
+  if (!screen_memo_entries.empty()) {
+    out += "screen_memo entries by path length:";
+    for (uint64_t n : screen_memo_entries) {
+      out += " " + std::to_string(n);
+    }
+    out += "\n";
+  }
   if (DegradedTotal() > 0 || overload_sheds > 0) {
     std::snprintf(line, sizeof(line),
                   "overload: degraded_effort=%llu degraded_k=%llu "

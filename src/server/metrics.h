@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/trace.h"
 #include "server/json.h"
@@ -107,10 +108,14 @@ struct MetricsSnapshot {
   uint64_t greedy_evaluations = 0;
   uint64_t greedy_passes = 0;
   uint64_t greedy_swaps = 0;
-  /// start_session screens served from the engine's first-screen memo
-  /// (hits, no greedy run) and computed by SelectInitial (misses).
-  uint64_t first_screen_hits = 0;
-  uint64_t first_screen_misses = 0;
+  /// Screens served from the engine's screen memo with no greedy run
+  /// (hits, starts and selects), and selects whose greedy run continued a
+  /// work record a deadline-cut run stored (resumes; DESIGN.md §8.5).
+  uint64_t screen_memo_hits = 0;
+  uint64_t screen_memo_resumes = 0;
+  /// Gauge the owner fills at snapshot time: the memo's entries by click
+  /// path length, index 0 (the first screen) up. Empty without a memo.
+  std::vector<uint64_t> screen_memo_entries;
   /// Overload ladder (DESIGN.md §12): answers whose quality the controller
   /// reduced to stay inside the latency budget, by rung, plus admissions
   /// rejected *by the ladder's shed rung* (a subset of `shed`, which also
@@ -169,10 +174,11 @@ class ServiceMetrics {
     greedy_passes_.fetch_add(passes, kRelaxed);
     greedy_swaps_.fetch_add(swaps, kRelaxed);
   }
-  /// Accounts one start_session screen: from the first-screen memo (`hit`)
-  /// or computed.
-  void RecordFirstScreen(bool hit) {
-    (hit ? first_screen_hits_ : first_screen_misses_).fetch_add(1, kRelaxed);
+  /// Accounts one screen served from the screen memo (no greedy run).
+  void RecordScreenMemoHit() { screen_memo_hits_.fetch_add(1, kRelaxed); }
+  /// Accounts one greedy run that continued a stored work record.
+  void RecordScreenMemoResume() {
+    screen_memo_resumes_.fetch_add(1, kRelaxed);
   }
   /// Accounts one degraded answer, by the deepest ladder rung applied.
   void RecordDegradedEffort() { degraded_effort_.fetch_add(1, kRelaxed); }
@@ -214,8 +220,8 @@ class ServiceMetrics {
   std::atomic<uint64_t> greedy_evaluations_{0};
   std::atomic<uint64_t> greedy_passes_{0};
   std::atomic<uint64_t> greedy_swaps_{0};
-  std::atomic<uint64_t> first_screen_hits_{0};
-  std::atomic<uint64_t> first_screen_misses_{0};
+  std::atomic<uint64_t> screen_memo_hits_{0};
+  std::atomic<uint64_t> screen_memo_resumes_{0};
   std::atomic<uint64_t> degraded_effort_{0};
   std::atomic<uint64_t> degraded_k_{0};
   std::atomic<uint64_t> degraded_stale_{0};

@@ -103,8 +103,16 @@ std::string ExplorationService::HandleLine(const std::string& line) {
 }
 
 MetricsSnapshot ExplorationService::Stats() const {
-  // A shard backend has no sessions: its open-session gauge is simply 0.
-  return metrics_.Snapshot(sessions_ != nullptr ? sessions_->size() : 0);
+  // A shard backend has no sessions: its open-session gauge is simply 0,
+  // and it has no screen memo.
+  MetricsSnapshot s =
+      metrics_.Snapshot(sessions_ != nullptr ? sessions_->size() : 0);
+  if (engine_ != nullptr) {
+    for (size_t n : engine_->screens().EntriesByPathLength()) {
+      s.screen_memo_entries.push_back(n);
+    }
+  }
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -284,8 +292,9 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
   live.trace = span.enabled() ? &span : nullptr;
   const core::GreedySelection& screen =
       anchor.has_value() ? session.SelectGroup(*anchor) : session.Start();
-  if (!anchor.has_value()) metrics_.RecordFirstScreen(screen.memoized);
-  // A first screen served from the engine's memo ran no greedy here.
+  if (screen.memoized) metrics_.RecordScreenMemoHit();
+  if (screen.resumed) metrics_.RecordScreenMemoResume();
+  // A screen served from the engine's memo ran no greedy here.
   FillScreen(screen, resp, /*fresh_run=*/!screen.memoized, span);
   live = configured;
   if (!resp->degraded.has_value()) return;

@@ -367,6 +367,77 @@ TEST(GreedyTest, SeedFailpointTruncatesTheSeedMidway) {
   EXPECT_EQ(r.passes, 0u);
 }
 
+failpoint::Policy CutEveryNth(uint64_t n) {
+  failpoint::Policy p;
+  p.mode = failpoint::Policy::Mode::kEveryNth;
+  p.nth = n;
+  p.code = StatusCode::kOk;  // a fire only expires the run's deadline
+  return p;
+}
+
+TEST(GreedyResumeTest, ResumedRunsEndWhereAnUninterruptedRunDoes) {
+  World w(60, 500, 21);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(3));
+  GreedySelector sel(&w.store, w.index.get());
+  const GroupId anchor = 1;
+  const GreedySelection full = sel.SelectNext(anchor, fb, Unbounded(4));
+  ASSERT_GT(full.candidates, 8u);
+  ASSERT_GE(full.swaps, 1u);
+
+  // Every run is cut: its seed after two new priors, its second pass at
+  // the start. Each resumes the record the previous one left.
+  WorkRecord record;
+  GreedySelection r;
+  size_t runs = 0, seed_scored = 0, swaps = 0;
+  do {
+    failpoint::ScopedFailpoint seed("greedy.seed", CutEveryNth(2));
+    failpoint::ScopedFailpoint pass("greedy.pass", CutEveryNth(2));
+    r = sel.SelectNext(anchor, fb, Unbounded(4), &record);
+    EXPECT_EQ(r.resumed, runs > 0);
+    EXPECT_GE(r.seed_scored, seed_scored);
+    EXPECT_GE(r.swaps, swaps);
+    EXPECT_EQ(record.priors.size(), r.seed_scored);
+    seed_scored = r.seed_scored;
+    swaps = r.swaps;
+  } while (++runs < 100 && r.deadline_hit);
+  EXPECT_FALSE(r.deadline_hit);
+  EXPECT_GT(runs, 2u);
+  EXPECT_EQ(r.groups, full.groups);
+  EXPECT_EQ(r.quality.coverage, full.quality.coverage);
+  EXPECT_EQ(r.quality.diversity, full.quality.diversity);
+  EXPECT_EQ(r.weighted_affinity, full.weighted_affinity);
+  EXPECT_EQ(r.seed_scored, full.candidates);
+  EXPECT_EQ(r.swaps, full.swaps);
+  EXPECT_EQ(record.swaps, full.swaps);
+  EXPECT_EQ(record.affinity.size(), full.candidates);
+}
+
+TEST(GreedyResumeTest, RecordThatDoesNotFitThePoolIsDiscarded) {
+  World w(60, 500, 21);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(3));
+  GreedySelector sel(&w.store, w.index.get());
+  const GreedySelection full = sel.SelectNext(1, fb, Unbounded(4));
+
+  WorkRecord wrong;
+  wrong.affinity.assign(3, 0.5);
+  wrong.priors = {2.0};
+  const GreedySelection r = sel.SelectNext(1, fb, Unbounded(4), &wrong);
+  EXPECT_FALSE(r.resumed);
+  EXPECT_EQ(r.groups, full.groups);
+  EXPECT_EQ(wrong.affinity.size(), full.candidates) << "replaced, not kept";
+
+  // A selection without every prior behind it cannot be continued either.
+  WorkRecord early;
+  {
+    failpoint::ScopedFailpoint seed("greedy.seed", CutEveryNth(1));
+    ASSERT_TRUE(sel.SelectNext(1, fb, Unbounded(4), &early).seed_truncated);
+  }
+  early.selected = {0, 1, 2, 3};
+  EXPECT_FALSE(sel.SelectNext(1, fb, Unbounded(4), &early).resumed);
+}
+
 TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
   World w(60, 500, 23);
   FeedbackVector fb(w.tokens.get());

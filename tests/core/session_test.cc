@@ -101,6 +101,28 @@ TEST_F(SessionTest, BacktrackRestoresFeedback) {
   }
 }
 
+TEST_F(SessionTest, LiveFeedbackIsTheLastHistorySnapshot) {
+  // The session keeps one map per step: the live CONTEXT is the last
+  // step's snapshot, not a second copy of it, until Unlearn edits it.
+  auto s = NewSession();
+  const auto& first = s->Start();
+  EXPECT_EQ(&s->feedback(), &s->Step(0).feedback_snapshot);
+  s->SelectGroup(first.groups[0]);
+  EXPECT_EQ(&s->feedback(), &s->Step(1).feedback_snapshot);
+
+  const Token top = s->ContextTokens(1).at(0).token;
+  s->Unlearn(top);
+  EXPECT_NE(&s->feedback(), &s->Step(1).feedback_snapshot);
+  EXPECT_EQ(s->feedback().Score(top), 0.0);
+  EXPECT_GT(s->Step(1).feedback_snapshot.Score(top), 0.0);
+  ASSERT_TRUE(s->Backtrack(1).ok());
+  EXPECT_EQ(&s->feedback(), &s->Step(1).feedback_snapshot);
+
+  s->Unlearn(top);
+  s->SelectGroup(first.groups[1]);
+  EXPECT_EQ(&s->feedback(), &s->Step(2).feedback_snapshot);
+}
+
 TEST_F(SessionTest, BacktrackToStartClearsLearning) {
   auto s = NewSession();
   const auto& first = s->Start();

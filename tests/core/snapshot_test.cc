@@ -86,9 +86,9 @@ TEST(SnapshotTest, LoadedSnapshotServesSessions) {
   ASSERT_TRUE(loaded.ok());
 
   TokenSpace tokens(w.dataset);
-  FirstScreenMemo first_screens;
+  ScreenMemo screens;
   ExplorationSession session(&w.dataset, &loaded->groups, &loaded->index,
-                             &tokens, &first_screens, {});
+                             &tokens, &screens, {});
   const auto& shown = session.Start();
   EXPECT_FALSE(shown.groups.empty());
   session.SelectGroup(shown.groups.front());

@@ -256,8 +256,9 @@ class GatherChaosTest : public ::testing::Test {
 
   /// Starts a session and clicks its first group; returns the click's
   /// answer (or the start's, if it failed). A start may be served from the
-  /// engine's first-screen memo without a gather lap, but a click always
-  /// runs greedy over the fleet.
+  /// engine's screen memo without a gather lap. A click on this small world
+  /// finishes inside its budget, so the memo keeps nothing for it, and it
+  /// always runs greedy over the fleet.
   static Response StartAndClick(ExplorationService& svc,
                                 const std::string& id) {
     Response resp = Start(svc, id);

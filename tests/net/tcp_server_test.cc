@@ -488,7 +488,7 @@ TEST_F(TcpServerTest, DrainSettlesStragglersWithoutSleepingTheTimeout) {
   auto client =
       std::make_unique<LineClient>(std::move(connected).ValueOrDie());
   // The parked request is a click: a start may be served from the engine's
-  // first-screen memo without reaching a greedy pass.
+  // screen memo without reaching a greedy pass.
   server::Request start;
   start.type = server::RequestType::kStartSession;
   start.session_id = "straggler";

@@ -88,9 +88,9 @@ TEST(ServiceMetricsTest, OutcomeCountersRouteByCode) {
   m.RecordGreedySeedTruncation();
   m.RecordGreedyRun(/*evaluations=*/120, /*passes=*/3, /*swaps=*/2);
   m.RecordGreedyRun(/*evaluations=*/80, /*passes=*/1, /*swaps=*/0);
-  m.RecordFirstScreen(/*hit=*/true);
-  m.RecordFirstScreen(/*hit=*/true);
-  m.RecordFirstScreen(/*hit=*/false);
+  m.RecordScreenMemoHit();
+  m.RecordScreenMemoHit();
+  m.RecordScreenMemoResume();
 
   auto s = m.Snapshot(/*open_sessions=*/5);
   EXPECT_EQ(s.TotalRequests(), 6u);
@@ -108,8 +108,9 @@ TEST(ServiceMetricsTest, OutcomeCountersRouteByCode) {
   EXPECT_EQ(s.greedy_evaluations, 200u);
   EXPECT_EQ(s.greedy_passes, 4u);
   EXPECT_EQ(s.greedy_swaps, 2u);
-  EXPECT_EQ(s.first_screen_hits, 2u);
-  EXPECT_EQ(s.first_screen_misses, 1u);
+  EXPECT_EQ(s.screen_memo_hits, 2u);
+  EXPECT_EQ(s.screen_memo_resumes, 1u);
+  EXPECT_TRUE(s.screen_memo_entries.empty()) << "the owner's gauge";
   EXPECT_EQ(s.open_sessions, 5u);
   EXPECT_EQ(
       s.requests_by_type[static_cast<size_t>(RequestType::kSelectGroup)], 3u);
@@ -145,8 +146,9 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   m.RecordGreedyRun(42, 3, 1);
   m.RecordGreedyDeadlineHit();
   m.RecordGreedySeedTruncation();
-  m.RecordFirstScreen(/*hit=*/true);
+  m.RecordScreenMemoHit();
   auto s = m.Snapshot(1);
+  s.screen_memo_entries = {1, 3, 2};
   std::string table = s.ToString();
   EXPECT_NE(table.find("start_session"), std::string::npos);
   EXPECT_NE(table.find("ALL"), std::string::npos);
@@ -163,11 +165,18 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   EXPECT_EQ(j.GetNumber("greedy_seed_truncations", -1), 1);
   EXPECT_NE(s.ToString().find("greedy_seed_truncations=1"), std::string::npos);
   EXPECT_NE(s.ToString().find("greedy: runs=1"), std::string::npos);
-  EXPECT_NE(s.ToString().find("first_screen_hits=1"), std::string::npos);
-  const json::Value* first_screen = j.Find("first_screen");
-  ASSERT_NE(first_screen, nullptr);
-  EXPECT_EQ(first_screen->GetNumber("hits", -1), 1);
-  EXPECT_EQ(first_screen->GetNumber("misses", -1), 0);
+  EXPECT_NE(s.ToString().find("screen_memo_hits=1"), std::string::npos);
+  EXPECT_NE(s.ToString().find("entries by path length: 1 3 2"),
+            std::string::npos);
+  const json::Value* screen_memo = j.Find("screen_memo");
+  ASSERT_NE(screen_memo, nullptr);
+  EXPECT_EQ(screen_memo->GetNumber("hits", -1), 1);
+  EXPECT_EQ(screen_memo->GetNumber("resumes", -1), 0);
+  const json::Value* entries = screen_memo->Find("entries_by_path_length");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_TRUE(entries->is_array());
+  ASSERT_EQ(entries->AsArray().size(), 3u);
+  EXPECT_EQ(entries->AsArray()[1].AsDouble(), 3);
   const json::Value* by_op = j.Find("by_op");
   ASSERT_NE(by_op, nullptr);
   EXPECT_NE(by_op->Find("start_session"), nullptr);

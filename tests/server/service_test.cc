@@ -151,20 +151,16 @@ TEST_F(ServiceTest, GreedyWorkCountersAccountFreshScreensOnly) {
   // start_session serves one first screen: from the engine's memo (no
   // greedy run) or computed (one run). The shared engine's memo may hold
   // this k's screen already, from an earlier test in this process.
-  EXPECT_EQ(after_start.first_screen_hits + after_start.first_screen_misses,
-            1u);
-  EXPECT_EQ(after_start.greedy_runs, after_start.first_screen_misses);
+  EXPECT_EQ(after_start.screen_memo_hits + after_start.greedy_runs, 1u);
 
   Response first = svc.Call(Start("ana2"));
   ASSERT_TRUE(first.status.ok());
   Response sel = svc.Call(Select("ana2", first.groups[0].id));
   ASSERT_TRUE(sel.status.ok());
   MetricsSnapshot after_select = svc.Stats();
-  // Two starts + one select_group: one greedy run per computed first
-  // screen, plus the select's.
-  EXPECT_EQ(after_select.first_screen_hits + after_select.first_screen_misses,
-            2u);
-  EXPECT_EQ(after_select.greedy_runs, after_select.first_screen_misses + 1);
+  // Two starts + one select_group: one greedy run per screen the memo did
+  // not serve.
+  EXPECT_EQ(after_select.screen_memo_hits + after_select.greedy_runs, 3u);
   EXPECT_GT(after_select.greedy_evaluations, after_start.greedy_evaluations);
 
   // Backtrack replays a cached screen — no new greedy run may be counted.
@@ -186,12 +182,16 @@ TEST_F(ServiceTest, GreedyWorkCountersAccountFreshScreensOnly) {
   EXPECT_EQ(sresp.stats->GetNumber("greedy_runs", -1),
             static_cast<double>(after_back.greedy_runs));
   EXPECT_GE(sresp.stats->GetNumber("greedy_evaluations", -1), 1);
-  const json::Value* first_screen = sresp.stats->Find("first_screen");
-  ASSERT_NE(first_screen, nullptr) << "get_stats lacks first_screen";
-  EXPECT_EQ(first_screen->GetNumber("hits", -1),
-            static_cast<double>(after_back.first_screen_hits));
-  EXPECT_EQ(first_screen->GetNumber("misses", -1),
-            static_cast<double>(after_back.first_screen_misses));
+  const json::Value* screen_memo = sresp.stats->Find("screen_memo");
+  ASSERT_NE(screen_memo, nullptr) << "get_stats lacks screen_memo";
+  EXPECT_EQ(screen_memo->GetNumber("hits", -1),
+            static_cast<double>(after_back.screen_memo_hits));
+  EXPECT_EQ(screen_memo->GetNumber("resumes", -1),
+            static_cast<double>(after_back.screen_memo_resumes));
+  const json::Value* entries = screen_memo->Find("entries_by_path_length");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_TRUE(entries->is_array());
+  EXPECT_EQ(entries->AsArray().size(), core::ScreenMemo::kMaxPathLength + 1);
 }
 
 TEST_F(ServiceTest, RepeatedStartIsAFirstScreenMemoHit) {
@@ -211,8 +211,7 @@ TEST_F(ServiceTest, RepeatedStartIsAFirstScreenMemoHit) {
   ASSERT_TRUE(b.status.ok()) << b.status.ToString();
   const MetricsSnapshot after = svc.Stats();
 
-  EXPECT_EQ(after.first_screen_hits, before.first_screen_hits + 1);
-  EXPECT_EQ(after.first_screen_misses, before.first_screen_misses);
+  EXPECT_EQ(after.screen_memo_hits, before.screen_memo_hits + 1);
   EXPECT_EQ(after.greedy_runs, before.greedy_runs);
   EXPECT_EQ(after.greedy_evaluations, before.greedy_evaluations);
   EXPECT_FALSE(b.greedy_deadline_hit);
@@ -256,14 +255,19 @@ TEST_F(ServiceTest, ServiceScreensMatchBareSession) {
 }
 
 TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
-  // A sleep before every prior outlasts a 5 ms greedy budget: the seed
-  // stops after k priors, the select still answers k groups flagged
+  // A fire of the seed failpoint before every prior expires the deadline:
+  // the seed stops after k priors, the select still answers k groups flagged
   // greedy_deadline_hit, and get_stats counts one seed truncation and one
   // deadline hit. A backtrack that re-serves the cut screen runs no greedy,
-  // so it counts neither. The same select without the sleep and without a
+  // so it counts neither. The same select without the failpoint and without a
   // greedy limit counts none.
+  // The budget is long, so only the failpoint cuts: a 5 ms one also cut
+  // the start in a slow (Debug, TSan) build.
   ServiceOptions bounded = FastOptions();
-  bounded.session_template.greedy.time_limit_ms = 5;
+  bounded.session_template.greedy.time_limit_ms = 10'000;
+  // A key no other test uses: the cut select leaves its work record in the
+  // shared engine's screen memo, which would serve later tests' selects.
+  bounded.session_template.greedy.lambda = 0.6;
   bounded.dispatcher.default_budget_ms = 10'000;
   ServiceOptions unbounded = bounded;
   unbounded.session_template.greedy.time_limit_ms =
@@ -298,11 +302,10 @@ TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
   };
 
   {
-    failpoint::Policy slow;
-    slow.mode = failpoint::Policy::Mode::kAlways;
-    slow.code = StatusCode::kOk;
-    slow.sleep_ms = 3.0;
-    failpoint::ScopedFailpoint fp("greedy.seed", slow);
+    failpoint::Policy cut;
+    cut.mode = failpoint::Policy::Mode::kAlways;
+    cut.code = StatusCode::kOk;
+    failpoint::ScopedFailpoint fp("greedy.seed", cut);
     ExplorationService svc(engine_, bounded);
     auto [resp, stats] = run(svc, "seed-cut");
     ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
@@ -332,6 +335,88 @@ TEST_F(ServiceTest, TruncatedSeedIsCountedAndAnswersDeadlineHit) {
   EXPECT_FALSE(resp.greedy_deadline_hit);
   EXPECT_EQ(resp.groups.size(), k);
   EXPECT_EQ(stats.greedy_seed_truncations, 0u);
+}
+
+TEST_F(ServiceTest, CutSelectIsResumedThenServedFromTheScreenMemo) {
+  // A fire of the seed failpoint expires the run's deadline: the first
+  // select on a path is cut, and the engine's screen memo admits its work
+  // record. The next select on the path, from another session, resumes
+  // that record and converges; the one after is a hit that runs no greedy.
+  // get_stats shows the resume, the hit and the path's entry.
+  ServiceOptions opts = FastOptions();
+  opts.session_template.greedy.lambda = 0.55;  // a key no other test uses
+  opts.session_template.greedy.time_limit_ms = 10'000;
+  opts.dispatcher.default_budget_ms = 10'000;
+  ExplorationService svc(engine_, opts);
+  const size_t k = opts.session_template.greedy.k;
+
+  Response started = svc.Call(Start("cut"));
+  ASSERT_TRUE(started.status.ok()) << started.status.ToString();
+  std::optional<uint32_t> pick;
+  for (const GroupView& g : started.groups) {
+    size_t pool = 0;
+    for (const index::Neighbor& nb : engine_->index().Neighbors(g.id)) {
+      pool += nb.similarity >= opts.session_template.greedy.min_similarity;
+    }
+    if (pool > k + 1) {
+      pick = g.id;
+      break;
+    }
+  }
+  ASSERT_TRUE(pick.has_value()) << "no shown group has a pool above k+1";
+  // The engine and its memo are shared by every test in this process.
+  const uint64_t one_click_entries = svc.Stats().screen_memo_entries[1];
+  {
+    failpoint::Policy cut;
+    cut.mode = failpoint::Policy::Mode::kAlways;
+    cut.code = StatusCode::kOk;
+    failpoint::ScopedFailpoint fp("greedy.seed", cut);
+    Response r = svc.Call(Select("cut", *pick));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.greedy_deadline_hit);
+  }
+  const MetricsSnapshot cut_stats = svc.Stats();
+  EXPECT_EQ(cut_stats.screen_memo_resumes, 0u);
+  ASSERT_EQ(cut_stats.screen_memo_entries.size(),
+            core::ScreenMemo::kMaxPathLength + 1);
+  EXPECT_EQ(cut_stats.screen_memo_entries[1], one_click_entries + 1);
+
+  ASSERT_TRUE(svc.Call(Start("resume")).status.ok());
+  Response resumed = svc.Call(Select("resume", *pick));
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_FALSE(resumed.greedy_deadline_hit);
+  const MetricsSnapshot resume_stats = svc.Stats();
+  EXPECT_EQ(resume_stats.screen_memo_resumes, 1u);
+  EXPECT_EQ(resume_stats.greedy_runs, cut_stats.greedy_runs + 1);
+
+  ASSERT_TRUE(svc.Call(Start("hit")).status.ok());
+  const MetricsSnapshot before_hit = svc.Stats();
+  Response hit = svc.Call(Select("hit", *pick));
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_FALSE(hit.greedy_deadline_hit);
+  ASSERT_EQ(hit.groups.size(), resumed.groups.size());
+  for (size_t i = 0; i < hit.groups.size(); ++i) {
+    EXPECT_EQ(hit.groups[i].id, resumed.groups[i].id);
+  }
+  EXPECT_EQ(hit.coverage, resumed.coverage);
+  EXPECT_EQ(hit.diversity, resumed.diversity);
+  const MetricsSnapshot after_hit = svc.Stats();
+  EXPECT_EQ(after_hit.screen_memo_hits, before_hit.screen_memo_hits + 1);
+  EXPECT_EQ(after_hit.greedy_runs, before_hit.greedy_runs);
+  EXPECT_EQ(after_hit.screen_memo_resumes, 1u);
+
+  Request stats;
+  stats.type = RequestType::kGetStats;
+  Response sresp = svc.Call(stats);
+  ASSERT_TRUE(sresp.stats.has_value());
+  const json::Value* screen_memo = sresp.stats->Find("screen_memo");
+  ASSERT_NE(screen_memo, nullptr);
+  EXPECT_EQ(screen_memo->GetNumber("resumes", -1), 1);
+  const json::Value* entries = screen_memo->Find("entries_by_path_length");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_TRUE(entries->is_array());
+  EXPECT_EQ(entries->AsArray()[1].AsDouble(),
+            static_cast<double>(one_click_entries + 1));
 }
 
 TEST_F(ServiceTest, ZeroBudgetIsDeadlineExceededWithoutTouchingGreedy) {
@@ -727,7 +812,7 @@ TEST_F(ServiceTest, GetStatsIncludesStageQuantiles) {
   ExplorationService svc(engine_, opts);
   Response started = svc.Call(Start("staged"));
   ASSERT_TRUE(started.status.ok());
-  // The start may be a first-screen memo hit; the select runs greedy.
+  // The start may be a screen memo hit; the select runs greedy.
   ASSERT_TRUE(svc.Call(Select("staged", started.groups[0].id)).status.ok());
 
   Request gs;
