@@ -245,6 +245,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
                                     WorkRecord* record) const {
   VEXUS_CHECK(options.k >= 1);
   Stopwatch watch;
+  ThreadCpuStopwatch cpu;
   // AfterMillis owns the budget clamping: <= 0 / NaN expire immediately,
   // +infinity (kUnboundedTimeLimit) never expires. Keeping the policy in one
   // place is what the serving layer's deadline propagation relies on.
@@ -252,12 +253,14 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
 
   GreedySelection result;
   result.candidates = pool.size();
+  result.time_limit_ms = options.time_limit_ms;
   // A record from another pool or k cannot be continued.
   if (record != nullptr && !FitsPool(*record, pool.size(), options.k)) {
     *record = WorkRecord{};
   }
   if (pool.empty()) {
     result.elapsed_ms = watch.ElapsedMillis();
+    result.cpu_ms = static_cast<float>(cpu.ElapsedMillis());
     return result;
   }
 
@@ -485,6 +488,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       selected.empty() ? 0 : aff / static_cast<double>(selected.size());
   if (record != nullptr) record->affinity = std::move(affinity);
   result.elapsed_ms = watch.ElapsedMillis();
+  result.cpu_ms = static_cast<float>(cpu.ElapsedMillis());
   return result;
 }
 

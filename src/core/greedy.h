@@ -77,6 +77,13 @@ class RemoteTrialScatterer {
                           const Deadline& deadline) = 0;
 };
 
+/// The share of its time limit that makes a run expensive. The overload
+/// ladder's first rung cuts the greedy budget to this share, and the screen
+/// memo admits a converged run whose own work (GreedySelection::cpu_ms)
+/// took at least this share of its limit (core/screen_memo.h): a run the
+/// first rung would have cut even on an idle machine.
+inline constexpr double kEffortFactor = 0.5;
+
 struct GreedyOptions {
   /// Groups shown per step; the paper caps at 7 (Miller's law, P1).
   size_t k = 5;
@@ -175,6 +182,20 @@ struct GreedySelection {
   /// True iff the deadline stopped the seed before every candidate's prior
   /// was computed; the unscored candidates seeded with prior 1.
   bool seed_truncated = false;
+  /// True when the screen came from the engine's screen memo
+  /// (core/screen_memo.h) instead of a greedy run: passes, swaps,
+  /// evaluations, seed_scored and the seed and pass timings are then 0, and
+  /// elapsed_ms is the lookup's own time.
+  bool memoized = false;
+  /// True when the run continued a WorkRecord instead of starting afresh:
+  /// the weights and affinity phases did not run, and the seed scored only
+  /// the priors the record lacked.
+  bool resumed = false;
+  /// CPU time the run's thread spent on it, in milliseconds: its own work,
+  /// without time it waited, preempted or on a remote gather lap. 0 for a
+  /// memo hit. A float, so that it fits beside the flags (see
+  /// time_limit_ms).
+  float cpu_ms = 0;
   /// Group priors the seed computed: the pool size, or at least
   /// min(k, candidates) when the seed was truncated. A resumed run counts
   /// the record's priors too.
@@ -196,15 +217,13 @@ struct GreedySelection {
   /// degraded:"partial" when this dips below 1.
   double covered_fraction = 1.0;
   double elapsed_ms = 0;
-  /// True when the screen came from the engine's screen memo
-  /// (core/screen_memo.h) instead of a greedy run: passes, swaps,
-  /// evaluations, seed_scored and the seed and pass timings are then 0, and
-  /// elapsed_ms is the lookup's own time.
-  bool memoized = false;
-  /// True when the run continued a WorkRecord instead of starting afresh:
-  /// the weights and affinity phases did not run, and the seed scored only
-  /// the priors the record lacked.
-  bool resumed = false;
+  /// The GreedyOptions::time_limit_ms the run ran under. +infinity (the
+  /// default) for a selection no bounded run produced, such as a memo hit.
+  /// The four flags and cpu_ms sit together so that neither field adds
+  /// size: a larger struct would put one ExplorationStep per HISTORY deque
+  /// block instead of two, which read slower on small worlds (EXPERIMENTS
+  /// E20).
+  double time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
   /// Wall-clock of each refinement pass, the deadline-cut one included, in
   /// order. Surfaced so the serving layer can attribute the anytime budget
   /// to passes (pass 1 dominates: it fills the sim rows).

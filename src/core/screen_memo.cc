@@ -13,6 +13,15 @@ uint64_t Bits(double v) {
   return bits;
 }
 
+/// The admission rule for a path with no entry (header comment).
+bool Admits(const std::vector<mining::GroupId>& path,
+            const GreedySelection& run) {
+  if (run.deadline_hit) return !path.empty();
+  // CPU time, not wall-clock: a wait (a preemption, a slow gather lap) does
+  // not recur with the path. NaN and +infinity limits compare false.
+  return path.empty() || run.cpu_ms >= kEffortFactor * run.time_limit_ms;
+}
+
 /// Work order of two records of one key: both are prefixes of the same
 /// run, so more priors, then more complete passes, is further along.
 bool Longer(const WorkRecord& a, const WorkRecord& b) {
@@ -61,9 +70,9 @@ bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    // The empty path is admitted when it converges; any other path only
-    // when the deadline cut it.
-    if (converged != key.path.empty() || entries_.size() >= kMaxEntries) {
+    if (!Admits(key.path, run)) return false;
+    if (entries_.size() >= kMaxEntries) {
+      ++refused_full_;
       return false;
     }
     it = entries_.emplace(key, Entry{}).first;
@@ -82,6 +91,8 @@ bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
     screen.seed_millis = {};
     screen.pass_millis.clear();
     screen.elapsed_ms = 0;
+    screen.cpu_ms = 0;
+    screen.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
     screen.memoized = true;
     screen.resumed = false;
     entry.screen = std::move(screen);
@@ -98,11 +109,16 @@ size_t ScreenMemo::size() const {
   return entries_.size();
 }
 
-std::vector<size_t> ScreenMemo::EntriesByPathLength() const {
-  std::vector<size_t> counts(kMaxPathLength + 1, 0);
+ScreenMemo::Stats ScreenMemo::stats() const {
+  Stats stats;
+  stats.by_path_length.assign(kMaxPathLength + 1, 0);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, entry] : entries_) ++counts[key.path.size()];
-  return counts;
+  for (const auto& [key, entry] : entries_) {
+    ++(entry.screen.has_value() ? stats.screens : stats.records);
+    ++stats.by_path_length[key.path.size()];
+  }
+  stats.refused_full = refused_full_;
+  return stats;
 }
 
 }  // namespace vexus::core

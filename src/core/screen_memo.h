@@ -11,13 +11,24 @@
 //     select on the path continues instead of redoing. A path converges
 //     after a few visits and is then a hit.
 //
-// Admission follows cost. The empty path (the first screen) is stored when
-// its run converges. Any other path gets an entry only when a live run for
-// it is cut by the deadline, so a workload whose selects finish in budget
-// never admits one. A stored screen equals an unbounded run on the replayed
-// path: a converged run makes the same passes as an unbounded one, and a
-// run that resumed a record continued the same deterministic work. A run
-// scored over a partial remote fold (covered_fraction < 1) is never stored.
+// Admission follows cost, with no option. The empty path (the first
+// screen) is stored when its run converges. Any other path is stored when
+// a run for it was expensive: the deadline cut it, which stores its work
+// record, or it converged after its own work took at least kEffortFactor
+// of the time limit it ran under, which stores it as a hit. That is a run
+// the overload ladder's first rung would have cut even on an idle machine.
+// Work is the run's thread CPU time (GreedySelection::cpu_ms), not its
+// wall-clock: time spent preempted or waiting on a gather lap depends on
+// the moment, not the path, and admitting by it would make which paths get
+// cached a matter of chance. A run with no finite limit
+// (GreedySelection::time_limit_ms), such as an unbounded reference or a
+// selection built by hand, never qualifies by cost, so a workload whose
+// selects compute in under half their budget admits only its first
+// screens. A
+// stored screen equals an unbounded run on the replayed path: a converged
+// run makes the same passes as an unbounded one, and a run that resumed a
+// record continued the same deterministic work. A run scored over a
+// partial remote fold (covered_fraction < 1) is never stored.
 //
 // Not to be confused with the session's MEMO (the explorer's bookmarks).
 #pragma once
@@ -35,8 +46,9 @@ namespace vexus::core {
 
 class ScreenMemo {
  public:
-  /// Entries held at most. A full memo stops admitting new paths; lookups
-  /// still hit, and stored records still advance.
+  /// Entries held at most. A full memo stops admitting new paths (counted
+  /// in Stats::refused_full); lookups still hit, and stored records still
+  /// advance.
   static constexpr size_t kMaxEntries = 1024;
   /// Clicks in the longest path the memo stores; longer paths are never
   /// admitted.
@@ -82,8 +94,19 @@ class ScreenMemo {
   bool Store(const Key& key, const GreedySelection& run, WorkRecord record);
 
   size_t size() const;
-  /// Entries by path length, index 0 through kMaxPathLength.
-  std::vector<size_t> EntriesByPathLength() const;
+
+  /// What the memo holds, read under one lock.
+  struct Stats {
+    /// Converged screens, served as hits, and work records of cut runs.
+    size_t screens = 0;
+    size_t records = 0;
+    /// Runs the admission rule accepted for a new path that were refused
+    /// because the memo held kMaxEntries.
+    uint64_t refused_full = 0;
+    /// Entries by path length, index 0 through kMaxPathLength.
+    std::vector<size_t> by_path_length;
+  };
+  Stats stats() const;
 
  private:
   struct Entry {
@@ -93,6 +116,7 @@ class ScreenMemo {
 
   mutable std::mutex mu_;
   std::map<Key, Entry> entries_;  // guarded by mu_
+  uint64_t refused_full_ = 0;     // guarded by mu_
 };
 
 }  // namespace vexus::core

@@ -8,6 +8,12 @@
 
 namespace vexus::core {
 
+// Two steps fill one 512-byte HISTORY deque block (libstdc++); a larger step
+// gets a block of its own, which reads slower on small worlds (EXPERIMENTS
+// E20). A new GreedySelection field goes into padding or replaces one.
+static_assert(sizeof(void*) != 8 || sizeof(ExplorationStep) <= 256,
+              "ExplorationStep outgrew half a HISTORY deque block");
+
 ExplorationSession::ExplorationSession(const data::Dataset* dataset,
                                        const mining::GroupStore* store,
                                        const index::InvertedIndex* index,
@@ -60,8 +66,8 @@ GreedySelection ExplorationSession::Screen(
   };
   if (unlearned_) return run(nullptr);
   Stopwatch watch;
-  TraceSpan lookup = !click.has_value() && greedy.trace != nullptr
-                         ? greedy.trace->Child("first_screen")
+  TraceSpan lookup = greedy.trace != nullptr
+                         ? greedy.trace->Child("screen_memo")
                          : TraceSpan();
   std::vector<mining::GroupId> path;
   if (click.has_value()) {

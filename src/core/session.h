@@ -77,7 +77,7 @@ class ExplorationSession {
   /// screen comes from the screen memo when it holds one for these greedy
   /// options; otherwise SelectInitial runs, and a run that reached its
   /// local optimum over the whole universe is stored for later starts.
-  /// With a trace set, opens one `first_screen` span (count 1 on a hit).
+  /// With a trace set, opens one `screen_memo` span (count 1 on a hit).
   const GreedySelection& Start();
 
   /// The explorer clicks group g (implicit positive feedback, P-learning),
@@ -86,10 +86,14 @@ class ExplorationSession {
   /// it must be a valid group id.
   ///
   /// The screen memo is keyed by the click path read from HISTORY, g
-  /// included: a converged screen is a hit, a stored work record is
-  /// continued, and a run the deadline cut leaves its record for the next
-  /// visit (core/screen_memo.h). After Unlearn the feedback is no longer a
-  /// function of the path, so the session bypasses the memo until Start.
+  /// included: a converged screen is a hit, and a stored work record is
+  /// continued. An expensive run leaves an entry for the next visit
+  /// (core/screen_memo.h): one the deadline cut leaves its record, and one
+  /// that converged after its own work (CPU time) took at least
+  /// kEffortFactor of its time limit leaves its screen. With a trace set,
+  /// the lookup opens one `screen_memo` span (count 1 on a hit). After
+  /// Unlearn the feedback is no longer a function of the path, so the
+  /// session bypasses the memo, and opens no span, until Start.
   ///
   /// Lifetime: history steps live in a deque, so references returned by
   /// Start()/SelectGroup()/Current() stay valid across later SelectGroup

@@ -173,6 +173,10 @@ json::Value MetricsSnapshot::ToJson() const {
   json::Object screen_memo;
   screen_memo.emplace_back("hits", json::Value(screen_memo_hits));
   screen_memo.emplace_back("resumes", json::Value(screen_memo_resumes));
+  screen_memo.emplace_back("screens", json::Value(screen_memo_screens));
+  screen_memo.emplace_back("records", json::Value(screen_memo_records));
+  screen_memo.emplace_back("refused_full",
+                           json::Value(screen_memo_refused_full));
   json::Array entries;
   for (uint64_t n : screen_memo_entries) entries.emplace_back(n);
   screen_memo.emplace_back("entries_by_path_length",
@@ -242,7 +246,13 @@ std::string MetricsSnapshot::ToString() const {
                 static_cast<unsigned long long>(screen_memo_resumes));
   out += line;
   if (!screen_memo_entries.empty()) {
-    out += "screen_memo entries by path length:";
+    std::snprintf(line, sizeof(line),
+                  "screen_memo: screens=%llu records=%llu refused_full=%llu "
+                  "entries by path length:",
+                  static_cast<unsigned long long>(screen_memo_screens),
+                  static_cast<unsigned long long>(screen_memo_records),
+                  static_cast<unsigned long long>(screen_memo_refused_full));
+    out += line;
     for (uint64_t n : screen_memo_entries) {
       out += " " + std::to_string(n);
     }

@@ -113,8 +113,13 @@ struct MetricsSnapshot {
   /// work record a deadline-cut run stored (resumes; DESIGN.md §8.5).
   uint64_t screen_memo_hits = 0;
   uint64_t screen_memo_resumes = 0;
-  /// Gauge the owner fills at snapshot time: the memo's entries by click
-  /// path length, index 0 (the first screen) up. Empty without a memo.
+  /// Gauges the owner fills at snapshot time (core::ScreenMemo::Stats):
+  /// entries by kind (converged screens, work records), admissions refused
+  /// because the memo was full, and entries by click path length, index 0
+  /// (the first screen) up. The last is empty without a memo.
+  uint64_t screen_memo_screens = 0;
+  uint64_t screen_memo_records = 0;
+  uint64_t screen_memo_refused_full = 0;
   std::vector<uint64_t> screen_memo_entries;
   /// Overload ladder (DESIGN.md §12): answers whose quality the controller
   /// reduced to stay inside the latency budget, by rung, plus admissions

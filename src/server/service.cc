@@ -108,9 +108,12 @@ MetricsSnapshot ExplorationService::Stats() const {
   MetricsSnapshot s =
       metrics_.Snapshot(sessions_ != nullptr ? sessions_->size() : 0);
   if (engine_ != nullptr) {
-    for (size_t n : engine_->screens().EntriesByPathLength()) {
-      s.screen_memo_entries.push_back(n);
-    }
+    const core::ScreenMemo::Stats memo = engine_->screens().stats();
+    s.screen_memo_screens = memo.screens;
+    s.screen_memo_records = memo.records;
+    s.screen_memo_refused_full = memo.refused_full;
+    s.screen_memo_entries.assign(memo.by_path_length.begin(),
+                                 memo.by_path_length.end());
   }
   return s;
 }

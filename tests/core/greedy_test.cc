@@ -455,6 +455,11 @@ TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
   const double seed_ms = next.seed_millis.weights + next.seed_millis.affinity +
                          next.seed_millis.prior + next.seed_millis.setup;
   EXPECT_LE(seed_ms, next.elapsed_ms);
+  // The run's own CPU time: some work, no more than its wall-clock (one
+  // thread; the slack covers reading two clocks).
+  EXPECT_GT(next.cpu_ms, 0.0f);
+  EXPECT_LE(next.cpu_ms, next.elapsed_ms + 1.0);
+  EXPECT_EQ(next.time_limit_ms, GreedyOptions::kUnboundedTimeLimit);
 
   auto initial = sel.SelectInitial(fb, Unbounded(4));
   EXPECT_EQ(initial.seed_scored, initial.candidates);

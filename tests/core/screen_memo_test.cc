@@ -1,7 +1,9 @@
 #include "core/screen_memo.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -265,30 +267,47 @@ TEST_F(FirstScreenMemoTest, StoreRejectsIncompleteRunsAndStopsWhenFull) {
 
 TEST_F(FirstScreenMemoTest, TraceSpanCountsOnlyHits) {
   ScreenMemo memo;
-  auto first_screen_span = [&](ExplorationSession& session) {
+  // Runs `step` under a trace: the counts of its `screen_memo` spans, and
+  // whether a greedy run happened.
+  auto traced = [&](ExplorationSession& session, auto step) {
     Trace trace("request");
     TraceSpan root = trace.root();
     session.mutable_options().greedy.trace = &root;
-    session.Start();
+    step();
     session.mutable_options().greedy.trace = nullptr;
     trace.Finish();
-    std::vector<Trace::Span> found;
+    std::vector<uint64_t> counts;
     bool greedy = false;
     for (const Trace::Span& s : trace.spans()) {
-      if (std::string(s.name) == "first_screen") found.push_back(s);
+      if (std::string(s.name) == "screen_memo") counts.push_back(s.count);
       greedy = greedy || std::string(s.name) == "greedy";
     }
-    EXPECT_EQ(found.size(), 1u);
-    return std::make_pair(found.empty() ? uint64_t{99} : found[0].count,
-                          greedy);
+    return std::make_pair(counts, greedy);
   };
   auto session = SessionWith(&memo, Unbounded(4));
-  auto miss = first_screen_span(*session);
-  EXPECT_EQ(miss.first, 0u);
-  EXPECT_TRUE(miss.second);
-  auto hit = first_screen_span(*session);
-  EXPECT_EQ(hit.first, 1u);
-  EXPECT_FALSE(hit.second);
+  auto start = [&] { session->Start(); };
+  EXPECT_EQ(traced(*session, start),
+            std::make_pair(std::vector<uint64_t>{0}, true));
+  EXPECT_EQ(traced(*session, start),
+            std::make_pair(std::vector<uint64_t>{1}, false));
+
+  // A select looks its path up too. An unbounded run never qualifies by
+  // cost, so the path stays a miss.
+  const mining::GroupId g = session->Current().groups[0];
+  auto select = [&] {
+    session->SelectGroup(g);
+    ASSERT_TRUE(session->Backtrack(0).ok());
+  };
+  EXPECT_EQ(traced(*session, select),
+            std::make_pair(std::vector<uint64_t>{0}, true));
+  EXPECT_EQ(traced(*session, select),
+            std::make_pair(std::vector<uint64_t>{0}, true));
+
+  // A session that bypasses the memo opens no span.
+  session->SelectGroup(g);
+  session->Unlearn(session->ContextTokens(1).at(0).token);
+  EXPECT_EQ(traced(*session, select),
+            std::make_pair(std::vector<uint64_t>{}, true));
 }
 
 TEST_F(FirstScreenMemoTest, ConcurrentStartsOnOneEngineAgree) {
@@ -527,7 +546,7 @@ TEST_F(ScreenMemoTest, ResumedAndHitScreensEqualTheUnboundedScreen) {
   EXPECT_GE(visits, 4u) << "cut, resumed, converged, hit";
   // The first click converged inside its budget, so only the first screen
   // and the cut path hold entries.
-  EXPECT_EQ(memo.EntriesByPathLength(),
+  EXPECT_EQ(memo.stats().by_path_length,
             (std::vector<size_t>{1, 0, 1, 0, 0, 0, 0, 0, 0}));
 
   // A session with other execution options is served the same screen.
@@ -610,7 +629,109 @@ TEST_F(ScreenMemoTest, PathConvergingWithinBudgetAdmitsNoEntry) {
     EXPECT_FALSE(s.resumed);
   }
   EXPECT_EQ(memo.size(), 1u) << "only the first screen";
-  EXPECT_EQ(memo.EntriesByPathLength()[0], 1u);
+  EXPECT_EQ(memo.stats().by_path_length[0], 1u);
+}
+
+TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedHalfItsLimit) {
+  const GreedyOptions greedy = Budgeted();
+  GreedySelection run;
+  run.groups = {1, 2};
+  run.time_limit_ms = 80;
+  EXPECT_EQ(GreedySelection().time_limit_ms,
+            GreedyOptions::kUnboundedTimeLimit);
+
+  ScreenMemo memo;
+  // Cost is the run's own work, not its wall-clock.
+  run.elapsed_ms = 1e300;
+  run.cpu_ms = std::nextafter(static_cast<float>(kEffortFactor * 80), 0.0f);
+  EXPECT_FALSE(memo.Store(PathKey(greedy, {4}), run, {})) << "just below";
+  run.cpu_ms = static_cast<float>(kEffortFactor * 80);
+  run.elapsed_ms = 0;
+  const ScreenMemo::Key half = PathKey(greedy, {3});
+  EXPECT_TRUE(memo.Store(half, run, {}));
+  const ScreenMemo::Lookup hit = memo.Find(half);
+  ASSERT_TRUE(hit.screen.has_value());
+  EXPECT_TRUE(hit.screen->memoized);
+  EXPECT_EQ(hit.screen->groups, run.groups);
+  EXPECT_EQ(hit.screen->time_limit_ms, GreedyOptions::kUnboundedTimeLimit);
+  EXPECT_EQ(hit.screen->cpu_ms, 0.0f);
+
+  // Without a finite limit no run is expensive, however long it took.
+  run.cpu_ms = std::numeric_limits<float>::max();
+  for (double limit : {GreedyOptions::kUnboundedTimeLimit,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    run.time_limit_ms = limit;
+    EXPECT_FALSE(memo.Store(PathKey(greedy, {4}), run, {})) << limit;
+  }
+  EXPECT_FALSE(memo.Find(PathKey(greedy, {4})).screen.has_value());
+  EXPECT_TRUE(memo.Find(PathKey(greedy, {4})).record.affinity.empty());
+
+  // The other rules hold whatever the cost: the empty path is stored when
+  // it converges, and never when cut; a cut run on another path stores its
+  // record; a partial fold and an over-long path are never stored.
+  GreedySelection cheap;
+  cheap.groups = {1, 2};
+  EXPECT_TRUE(memo.Store(FirstKey(greedy), cheap, {}));
+  GreedySelection expensive = cheap;
+  expensive.time_limit_ms = 80;
+  expensive.cpu_ms = 80;
+  GreedySelection cut = expensive;
+  cut.deadline_hit = true;
+  EXPECT_FALSE(memo.Store(FirstKey(Unbounded(2)), cut, {}));
+  WorkRecord record;
+  record.affinity = {0.5, 0.25, 0.125};
+  cheap.deadline_hit = true;
+  EXPECT_TRUE(memo.Store(PathKey(greedy, {5}), cheap, record));
+  EXPECT_FALSE(memo.Find(PathKey(greedy, {5})).screen.has_value());
+  GreedySelection partial = expensive;
+  partial.covered_fraction = 0.5;
+  EXPECT_FALSE(memo.Store(PathKey(greedy, {6}), partial, {}));
+  std::vector<mining::GroupId> deep(ScreenMemo::kMaxPathLength + 1, 3);
+  EXPECT_FALSE(memo.Store(PathKey(greedy, deep), expensive, {}));
+
+  const ScreenMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.screens, 2u);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.refused_full, 0u);
+  EXPECT_EQ(stats.by_path_length,
+            (std::vector<size_t>{1, 2, 0, 0, 0, 0, 0, 0, 0}));
+}
+
+TEST_F(ScreenMemoTest, SlowConvergedPathIsAHitOnItsNextVisit) {
+  // Under a zero limit every run uses at least half of it. A click whose
+  // pool holds exactly k candidates selects them all and converges with no
+  // pass, so that run is expensive and converged, with no sleep.
+  GreedyOptions greedy = Budgeted();
+  const mining::GroupId g = WidestPool(greedy, std::nullopt);
+  greedy.k = PoolSize(g, greedy);
+  ASSERT_GE(greedy.k, 2u);
+  greedy.time_limit_ms = 0;
+  const GreedySelection reference = Reference({g}, greedy);
+
+  ScreenMemo memo;
+  auto visit = [&] {
+    auto session = SessionWith(&memo, greedy);
+    session->Start();
+    return session->SelectGroup(g);
+  };
+  const GreedySelection first = visit();
+  EXPECT_FALSE(first.deadline_hit);
+  EXPECT_FALSE(first.memoized);
+  EXPECT_EQ(first.candidates, greedy.k);
+  EXPECT_EQ(first.time_limit_ms, 0.0);
+  ExpectSameScreen17(first, reference, "converged");
+  EXPECT_EQ(memo.stats().screens, 1u) << "the cut start is not stored";
+  const GreedySelection second = visit();
+  EXPECT_TRUE(second.memoized);
+  ExpectSameScreen17(second, reference, "hit");
+
+  // The control: the same path converging without a finite limit.
+  ScreenMemo unbounded;
+  greedy.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
+  auto session = SessionWith(&unbounded, greedy);
+  session->Start();
+  EXPECT_FALSE(session->SelectGroup(g).memoized);
+  EXPECT_EQ(unbounded.stats().by_path_length[1], 0u);
 }
 
 TEST_F(ScreenMemoTest, FullMemoStopsAdmittingButStillServes) {
@@ -628,8 +749,15 @@ TEST_F(ScreenMemoTest, FullMemoStopsAdmittingButStillServes) {
   const uint32_t past = ScreenMemo::kMaxEntries;
   EXPECT_FALSE(memo.Store(PathKey(greedy, {past}), cut, record));
   EXPECT_FALSE(memo.Store(FirstKey(greedy), GreedySelection(), {}));
+  GreedySelection expensive;
+  expensive.time_limit_ms = 80;
+  expensive.cpu_ms = 80;
+  EXPECT_FALSE(memo.Store(PathKey(greedy, {past + 1}), expensive, {}));
   EXPECT_EQ(memo.size(), ScreenMemo::kMaxEntries);
-  EXPECT_EQ(memo.EntriesByPathLength()[1], ScreenMemo::kMaxEntries);
+  ScreenMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.by_path_length[1], ScreenMemo::kMaxEntries);
+  EXPECT_EQ(stats.records, ScreenMemo::kMaxEntries);
+  EXPECT_EQ(stats.refused_full, 3u);
 
   // Stored records still advance, only ever forward, and converge.
   const ScreenMemo::Key key = PathKey(greedy, {7});
@@ -651,12 +779,16 @@ TEST_F(ScreenMemoTest, FullMemoStopsAdmittingButStillServes) {
   EXPECT_TRUE(hit.record.affinity.empty()) << "a converged entry is compact";
   EXPECT_TRUE(hit.record.priors.empty());
   EXPECT_FALSE(memo.Store(key, cut, longer)) << "the screen stays";
+  stats = memo.stats();
+  EXPECT_EQ(stats.screens, 1u);
+  EXPECT_EQ(stats.records, ScreenMemo::kMaxEntries - 1);
+  EXPECT_EQ(stats.refused_full, 3u) << "an existing entry is no admission";
 
   // Paths past the bound are never stored, by a session either.
   ScreenMemo empty;
   std::vector<mining::GroupId> deep(ScreenMemo::kMaxPathLength + 1, 3);
   EXPECT_FALSE(empty.Store(PathKey(greedy, deep), cut, record));
-  EXPECT_EQ(empty.EntriesByPathLength().size(),
+  EXPECT_EQ(empty.stats().by_path_length.size(),
             ScreenMemo::kMaxPathLength + 1);
   auto session = SessionWith(&empty, greedy);
   session->Start();
@@ -687,7 +819,7 @@ TEST_F(ScreenMemoTest, PartialFoldPassIsNeverStored) {
     EXPECT_FALSE(s.seed_truncated);
     EXPECT_EQ(s.swaps, 1u);
     EXPECT_EQ(s.covered_fraction, covered_fraction);
-    return memo->EntriesByPathLength()[2];
+    return memo->stats().by_path_length[2];
   };
   ScreenMemo partial;
   EXPECT_EQ(cut_after_one_pass(0.5, &partial), 0u);

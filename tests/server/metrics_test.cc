@@ -148,6 +148,9 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   m.RecordGreedySeedTruncation();
   m.RecordScreenMemoHit();
   auto s = m.Snapshot(1);
+  s.screen_memo_screens = 4;
+  s.screen_memo_records = 2;
+  s.screen_memo_refused_full = 5;
   s.screen_memo_entries = {1, 3, 2};
   std::string table = s.ToString();
   EXPECT_NE(table.find("start_session"), std::string::npos);
@@ -166,12 +169,16 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   EXPECT_NE(s.ToString().find("greedy_seed_truncations=1"), std::string::npos);
   EXPECT_NE(s.ToString().find("greedy: runs=1"), std::string::npos);
   EXPECT_NE(s.ToString().find("screen_memo_hits=1"), std::string::npos);
-  EXPECT_NE(s.ToString().find("entries by path length: 1 3 2"),
+  EXPECT_NE(s.ToString().find("screen_memo: screens=4 records=2 "
+                              "refused_full=5 entries by path length: 1 3 2"),
             std::string::npos);
   const json::Value* screen_memo = j.Find("screen_memo");
   ASSERT_NE(screen_memo, nullptr);
   EXPECT_EQ(screen_memo->GetNumber("hits", -1), 1);
   EXPECT_EQ(screen_memo->GetNumber("resumes", -1), 0);
+  EXPECT_EQ(screen_memo->GetNumber("screens", -1), 4);
+  EXPECT_EQ(screen_memo->GetNumber("records", -1), 2);
+  EXPECT_EQ(screen_memo->GetNumber("refused_full", -1), 5);
   const json::Value* entries = screen_memo->Find("entries_by_path_length");
   ASSERT_NE(entries, nullptr);
   ASSERT_TRUE(entries->is_array());
