@@ -94,38 +94,68 @@ void FeedbackVector::Learn(const mining::UserGroup& g, double eta) {
   double desc_add =
       n_desc > 0 ? desc_mass / static_cast<double>(n_desc) : 0.0;
   if (member_add <= 0 && desc_add <= 0) return;  // underflowed to all-zero
+
+  // One merge of the sorted arrays with the rewarded tokens, which arrive
+  // ascending too: the members in bitset order, then the description's
+  // value tokens (a description is sorted and unique, ValueToken keeps its
+  // order, and every user token sorts before every value token).
+  const size_t rewarded =
+      (member_add > 0 ? n_members : 0) + (desc_add > 0 ? n_desc : 0);
+  std::vector<Token> ids;
+  std::vector<double> scores;
+  ids.reserve(ids_.size() + rewarded);
+  scores.reserve(ids_.size() + rewarded);
+  size_t i = 0;
+  auto reward = [&](Token t, double add) {
+    VEXUS_DCHECK(ids.empty() || ids.back() < t);
+    for (; i < ids_.size() && ids_[i] < t; ++i) {
+      ids.push_back(ids_[i]);
+      scores.push_back(scores_[i]);
+    }
+    ids.push_back(t);
+    scores.push_back(i < ids_.size() && ids_[i] == t ? scores_[i++] + add
+                                                     : add);
+  };
   if (member_add > 0) {
     g.members().ForEach(
-        [&](uint32_t u) { scores_[tokens_->UserToken(u)] += member_add; });
+        [&](uint32_t u) { reward(tokens_->UserToken(u), member_add); });
   }
   if (desc_add > 0) {
     for (const mining::Descriptor& d : g.description()) {
-      scores_[tokens_->DescriptorToken(d)] += desc_add;
+      reward(tokens_->DescriptorToken(d), desc_add);
     }
   }
+  ids.insert(ids.end(), ids_.begin() + static_cast<ptrdiff_t>(i), ids_.end());
+  scores.insert(scores.end(), scores_.begin() + static_cast<ptrdiff_t>(i),
+                scores_.end());
+  ids_.swap(ids);
+  scores_.swap(scores);
   Normalize();
 }
 
 void FeedbackVector::Unlearn(Token t) {
-  auto it = scores_.find(t);
-  if (it == scores_.end()) return;
-  scores_.erase(it);
+  auto it = std::lower_bound(ids_.begin(), ids_.end(), t);
+  if (it == ids_.end() || *it != t) return;
+  scores_.erase(scores_.begin() + (it - ids_.begin()));
+  ids_.erase(it);
   Normalize();
 }
 
 void FeedbackVector::Normalize() {
   double total = 0;
-  for (const auto& [t, s] : scores_) total += s;
+  for (double s : scores_) total += s;
   if (total <= 0) {
+    ids_.clear();
     scores_.clear();
     return;
   }
-  for (auto& [t, s] : scores_) s /= total;
+  for (double& s : scores_) s /= total;
 }
 
 double FeedbackVector::Score(Token t) const {
-  auto it = scores_.find(t);
-  return it == scores_.end() ? 0.0 : it->second;
+  auto it = std::lower_bound(ids_.begin(), ids_.end(), t);
+  if (it == ids_.end() || *it != t) return 0.0;
+  return scores_[static_cast<size_t>(it - ids_.begin())];
 }
 
 std::vector<double> FeedbackVector::UserWeights() const {
@@ -135,7 +165,9 @@ std::vector<double> FeedbackVector::UserWeights() const {
   double floor = 1.0 / static_cast<double>(std::max<size_t>(n, 1));
   std::vector<double> w(n, floor);
   const data::Dataset& ds = tokens_->dataset();
-  for (const auto& [t, s] : scores_) {
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    const Token t = ids_[i];
+    const double s = scores_[i];
     if (tokens_->IsUserToken(t)) {
       w[t] += s;
     } else {
@@ -154,17 +186,19 @@ std::vector<double> FeedbackVector::UserWeights() const {
 
 double FeedbackVector::GroupPrior(const mining::UserGroup& g,
                                   double boost) const {
-  if (scores_.empty()) return 1.0;
+  if (ids_.empty()) return 1.0;
   double sum = 0;
-  // One walk over the whole map per call. That is not the small side: at
-  // paper scale the map holds 95k-177k tokens after a click while groups
-  // hold 1.4k-95k members, so a prior is the greedy seed's dearest step and
-  // the seed computes priors in affinity order under the deadline
-  // (core/greedy.cc).
-  for (const auto& [t, s] : scores_) {
-    if (tokens_->IsUserToken(t)) {
-      if (g.ContainsUser(t)) sum += s;
-    }
+  // One forward scan of the user-token prefix, testing each token's bit in
+  // g's member words (a token past g's universe is no member). At paper
+  // scale the prefix holds 95k-177k tokens after a click, so a prior is the
+  // greedy seed's dearest step, and the seed computes priors in affinity
+  // order under the deadline (core/greedy.cc).
+  const Bitset& members = g.members();
+  const uint64_t* words = members.words().data();
+  const size_t users = std::min<size_t>(tokens_->num_users(), members.size());
+  for (size_t i = 0; i < ids_.size() && ids_[i] < users; ++i) {
+    const Token t = ids_[i];
+    if ((words[t / 64] >> (t % 64)) & 1u) sum += scores_[i];
   }
   for (const mining::Descriptor& d : g.description()) {
     sum += Score(tokens_->DescriptorToken(d));
@@ -175,11 +209,13 @@ double FeedbackVector::GroupPrior(const mining::UserGroup& g,
 std::vector<FeedbackVector::TokenScore> FeedbackVector::TopTokens(
     size_t k) const {
   std::vector<TokenScore> all;
-  all.reserve(scores_.size());
-  for (const auto& [t, s] : scores_) all.push_back(TokenScore{t, s});
+  all.reserve(ids_.size());
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    all.push_back(TokenScore{ids_[i], scores_[i]});
+  }
   // Score descending, token ascending: a total order (tokens are unique),
   // so the first k are the same whichever sort produces them. Selecting
-  // only those k costs O(n log k) instead of O(n log n) over a map that
+  // only those k costs O(n log k) instead of O(n log n) over a vector that
   // holds 100k+ tokens after a few clicks, for a k of about 8.
   const size_t top = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + static_cast<ptrdiff_t>(top),

@@ -10,14 +10,13 @@
 //    from CONTEXT."
 //
 // TokenSpace maps the two token families — users and attribute=value pairs —
-// into one dense id space; FeedbackVector keeps a sparse normalized score
-// map over it and exposes the three consumers: user weights for weighted
+// into one dense id space; FeedbackVector keeps sparse normalized scores
+// over it and exposes the three consumers: user weights for weighted
 // Jaccard, a description prior for ranking, and the CONTEXT top-token view.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/dataset.h"
@@ -67,9 +66,14 @@ class TokenSpace {
   std::vector<uint32_t> carrier_count_;  // users per value token
 };
 
-/// HISTORY snapshots are plain copies. Declare no copy or move members
-/// (rule of zero): a step pushed into HISTORY must move its vector, not copy
-/// the map again.
+/// The scores are two arrays sorted by token: `ids_` and, index for index,
+/// `scores_`. User tokens sort before value tokens, so the user part is a
+/// prefix. The mix of operations is a few writes per session (one merge per
+/// click) and a full scan per ranked candidate (GroupPrior), which a sorted
+/// array serves best. A HISTORY snapshot is a plain copy, two memcpys; keep
+/// the rule of zero so a step pushed into HISTORY moves its arrays. Every
+/// sum runs in ascending token order, so a copy, a replay and a recompute
+/// of the same clicks agree bit for bit.
 class FeedbackVector {
  public:
   explicit FeedbackVector(const TokenSpace* tokens);
@@ -87,7 +91,7 @@ class FeedbackVector {
   double Score(Token t) const;
 
   /// True before any feedback (or after everything was unlearned).
-  bool Empty() const { return scores_.empty(); }
+  bool Empty() const { return ids_.empty(); }
 
   /// Per-user weights for weighted Jaccard:
   ///   w(u) = floor + score(u) + Σ_attr score(value-token of u) / carriers.
@@ -109,13 +113,14 @@ class FeedbackVector {
   };
   std::vector<TokenScore> TopTokens(size_t k) const;
 
-  size_t nonzero_count() const { return scores_.size(); }
+  size_t nonzero_count() const { return ids_.size(); }
 
  private:
   void Normalize();
 
   const TokenSpace* tokens_;
-  std::unordered_map<Token, double> scores_;
+  std::vector<Token> ids_;      // ascending, unique
+  std::vector<double> scores_;  // scores_[i] is the score of ids_[i]
 };
 
 }  // namespace vexus::core

@@ -309,9 +309,9 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     // CONTEXT deletion (experiment E10) because rewarded users' weights
     // also carry the demographic tokens' spread mass.
     //
-    // Priors are the seed's cost (one walk over the feedback map each), so
-    // they are computed in descending-affinity order and stop at the
-    // deadline once min(k, |pool|) are in. An unscored candidate takes
+    // Priors are the seed's cost (one scan of the feedback's user tokens
+    // each), so they are computed in descending-affinity order and stop at
+    // the deadline once min(k, |pool|) are in. An unscored candidate takes
     // prior = 1, the prior's exact lower bound, so its seed score is its
     // affinity. With time to score them all, every value and the sort
     // below equal an unbounded run's. A resumed run starts after the

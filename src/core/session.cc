@@ -95,7 +95,7 @@ const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {
   VEXUS_CHECK(!history_.empty()) << "call Start() before SelectGroup()";
 
   const TraceSpan* trace = options_.greedy.trace;
-  // The new HISTORY snapshot starts as a copy of the whole feedback map.
+  // The new HISTORY snapshot starts as a copy of the whole feedback vector.
   TraceSpan snapshot = trace != nullptr ? trace->Child("history") : TraceSpan();
   FeedbackVector next = feedback();
   snapshot.Close();
@@ -151,7 +151,6 @@ SessionDigest ExplorationSession::Digest() const {
   d.num_steps = history_.size();
   d.memo_groups = memo_.groups.size();
   d.memo_users = memo_.users.size();
-  d.feedback_nonzero = feedback().nonzero_count();
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
     if (it->selected.has_value()) {
       d.last_selected = it->selected;

@@ -56,7 +56,6 @@ struct SessionDigest {
   size_t num_steps = 0;
   size_t memo_groups = 0;
   size_t memo_users = 0;
-  size_t feedback_nonzero = 0;
   /// The last clicked group, if any step selected one.
   std::optional<mining::GroupId> last_selected;
 };

@@ -34,8 +34,8 @@ struct Descriptor {
 /// A user group: sorted conjunctive description + member bitset. Members
 /// are immutable after construction, so the cached size never goes stale.
 /// Every group is dense: the select path's hottest member operation is the
-/// per-token ContainsUser probe in FeedbackVector::GroupPrior, which a
-/// bitset answers with one load (DESIGN.md §14.2).
+/// per-token membership probe in FeedbackVector::GroupPrior, which reads one
+/// word of the member bitset (DESIGN.md §14.2).
 class UserGroup {
  public:
   UserGroup() = default;

@@ -13,7 +13,7 @@
 namespace vexus::core {
 namespace {
 
-// HISTORY moves each step into its list: a move must not copy the map.
+// HISTORY moves each step into its list: a move must not copy the arrays.
 static_assert(std::is_nothrow_move_constructible_v<FeedbackVector>);
 
 /// 4 users with one gender attribute (m,m,f,f).

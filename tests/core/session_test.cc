@@ -102,7 +102,7 @@ TEST_F(SessionTest, BacktrackRestoresFeedback) {
 }
 
 TEST_F(SessionTest, LiveFeedbackIsTheLastHistorySnapshot) {
-  // The session keeps one map per step: the live CONTEXT is the last
+  // The session keeps one vector per step: the live CONTEXT is the last
   // step's snapshot, not a second copy of it, until Unlearn edits it.
   auto s = NewSession();
   const auto& first = s->Start();
