@@ -67,8 +67,13 @@ FeedbackVector::FeedbackVector(const TokenSpace* tokens) : tokens_(tokens) {
 }
 
 void FeedbackVector::Learn(const mining::UserGroup& g, double eta) {
+  *this = Learned(g, eta);
+}
+
+FeedbackVector FeedbackVector::Learned(const mining::UserGroup& g,
+                                       double eta) const {
   // Degenerate observations are defined as fixed points: an update that
-  // carries no usable reward mass leaves the vector exactly as it was.
+  // carries no usable reward mass returns the vector exactly as it was.
   // This covers
   //   * eta <= 0 or non-finite eta (a config error must not abort the
   //     process — the old VEXUS_CHECK did — and eta = +inf used to poison
@@ -78,7 +83,7 @@ void FeedbackVector::Learn(const mining::UserGroup& g, double eta) {
   //     literal zeros would create 0-valued entries whose sum contributes
   //     nothing, and on a previously-empty vector Normalize() would face a
   //     0/0; skipping the update keeps "all-zero observation ⇒ no-op" exact.
-  if (!std::isfinite(eta) || eta <= 0) return;
+  if (!std::isfinite(eta) || eta <= 0) return *this;
   // Half of the reward mass goes to the members, half to the description
   // tokens ("their common activities described in g"). An even split across
   // *all* tokens would drown the handful of demographic values under
@@ -86,14 +91,14 @@ void FeedbackVector::Learn(const mining::UserGroup& g, double eta) {
   // Scenario 1's gender rebalance) a no-op.
   size_t n_members = g.size();
   size_t n_desc = g.description().size();
-  if (n_members == 0 && n_desc == 0) return;
+  if (n_members == 0 && n_desc == 0) return *this;
   double member_mass = n_desc == 0 ? eta : eta / 2;
   double desc_mass = n_members == 0 ? eta : eta / 2;
   double member_add =
       n_members > 0 ? member_mass / static_cast<double>(n_members) : 0.0;
   double desc_add =
       n_desc > 0 ? desc_mass / static_cast<double>(n_desc) : 0.0;
-  if (member_add <= 0 && desc_add <= 0) return;  // underflowed to all-zero
+  if (member_add <= 0 && desc_add <= 0) return *this;  // underflowed to 0
 
   // One merge of the sorted arrays with the rewarded tokens, which arrive
   // ascending too: the members in bitset order, then the description's
@@ -101,8 +106,9 @@ void FeedbackVector::Learn(const mining::UserGroup& g, double eta) {
   // order, and every user token sorts before every value token).
   const size_t rewarded =
       (member_add > 0 ? n_members : 0) + (desc_add > 0 ? n_desc : 0);
-  std::vector<Token> ids;
-  std::vector<double> scores;
+  FeedbackVector next(tokens_);
+  std::vector<Token>& ids = next.ids_;
+  std::vector<double>& scores = next.scores_;
   ids.reserve(ids_.size() + rewarded);
   scores.reserve(ids_.size() + rewarded);
   size_t i = 0;
@@ -128,9 +134,8 @@ void FeedbackVector::Learn(const mining::UserGroup& g, double eta) {
   ids.insert(ids.end(), ids_.begin() + static_cast<ptrdiff_t>(i), ids_.end());
   scores.insert(scores.end(), scores_.begin() + static_cast<ptrdiff_t>(i),
                 scores_.end());
-  ids_.swap(ids);
-  scores_.swap(scores);
-  Normalize();
+  next.Normalize();
+  return next;
 }
 
 void FeedbackVector::Unlearn(Token t) {

@@ -70,10 +70,11 @@ class TokenSpace {
 /// `scores_`. User tokens sort before value tokens, so the user part is a
 /// prefix. The mix of operations is a few writes per session (one merge per
 /// click) and a full scan per ranked candidate (GroupPrior), which a sorted
-/// array serves best. A HISTORY snapshot is a plain copy, two memcpys; keep
-/// the rule of zero so a step pushed into HISTORY moves its arrays. Every
-/// sum runs in ascending token order, so a copy, a replay and a recompute
-/// of the same clicks agree bit for bit.
+/// array serves best. A HISTORY step is one merge (Learned), and a CONTEXT
+/// edit starts from a plain copy, two memcpys; keep the rule of zero so a
+/// step pushed into HISTORY moves its arrays. Every sum runs in ascending
+/// token order, so a copy, a replay and a recompute of the same clicks
+/// agree bit for bit.
 class FeedbackVector {
  public:
   explicit FeedbackVector(const TokenSpace* tokens);
@@ -81,8 +82,14 @@ class FeedbackVector {
   /// Positive feedback for selecting `g`: distributes `eta` of probability
   /// mass uniformly over g's members and description tokens, then
   /// renormalizes (old mass scales by 1/(1+eta) — unrewarded tokens decay
-  /// toward zero, as the paper specifies).
+  /// toward zero, as the paper specifies). Same as `*this = Learned(g, eta)`.
   void Learn(const mining::UserGroup& g, double eta = 0.5);
+
+  /// This vector after Learn(g, eta), built by one merge of these arrays
+  /// into arrays reserved once; this vector is unchanged. A click builds
+  /// its HISTORY step this way, so no copy of the parent precedes the
+  /// merge. A degenerate update (see Learn) returns an exact copy.
+  FeedbackVector Learned(const mining::UserGroup& g, double eta = 0.5) const;
 
   /// CONTEXT deletion: removes the token's mass entirely and renormalizes.
   void Unlearn(Token t);

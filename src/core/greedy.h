@@ -77,13 +77,6 @@ class RemoteTrialScatterer {
                           const Deadline& deadline) = 0;
 };
 
-/// The share of its time limit that makes a run expensive. The overload
-/// ladder's first rung cuts the greedy budget to this share, and the screen
-/// memo admits a converged run whose own work (GreedySelection::cpu_ms)
-/// took at least this share of its limit (core/screen_memo.h): a run the
-/// first rung would have cut even on an idle machine.
-inline constexpr double kEffortFactor = 0.5;
-
 struct GreedyOptions {
   /// Groups shown per step; the paper caps at 7 (Miller's law, P1).
   size_t k = 5;
@@ -192,8 +185,11 @@ struct GreedySelection {
   /// the priors the record lacked.
   bool resumed = false;
   /// CPU time the run's thread spent on it, in milliseconds: its own work,
-  /// without time it waited, preempted or on a remote gather lap. 0 for a
-  /// memo hit. A float, so that it fits beside the flags (see
+  /// without time it waited or was preempted. On a fleet it also holds the
+  /// shard calls of each gather lap that the gather pool ran on this
+  /// thread, a share that varies from run to run. The screen memo admits a
+  /// converged local run by it (ScreenMemo::kAdmitShare of time_limit_ms).
+  /// 0 for a memo hit. A float, so that it fits beside the flags (see
   /// time_limit_ms).
   float cpu_ms = 0;
   /// Group priors the seed computed: the pool size, or at least
@@ -217,8 +213,10 @@ struct GreedySelection {
   /// degraded:"partial" when this dips below 1.
   double covered_fraction = 1.0;
   double elapsed_ms = 0;
-  /// The GreedyOptions::time_limit_ms the run ran under. +infinity (the
-  /// default) for a selection no bounded run produced, such as a memo hit.
+  /// The GreedyOptions::time_limit_ms the run ran under, which scales the
+  /// screen memo's cost line (cpu_ms). +infinity (the default) for a
+  /// selection no bounded run produced, such as a memo hit; it never
+  /// qualifies by cost.
   /// The four flags and cpu_ms sit together so that neither field adds
   /// size: a larger struct would put one ExplorationStep per HISTORY deque
   /// block instead of two, which read slower on small worlds (EXPERIMENTS

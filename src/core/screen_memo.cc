@@ -15,11 +15,13 @@ uint64_t Bits(double v) {
 
 /// The admission rule for a path with no entry (header comment).
 bool Admits(const std::vector<mining::GroupId>& path,
-            const GreedySelection& run) {
+            const GreedySelection& run, bool remote) {
   if (run.deadline_hit) return !path.empty();
+  if (path.empty()) return true;
   // CPU time, not wall-clock: a wait (a preemption, a slow gather lap) does
-  // not recur with the path. NaN and +infinity limits compare false.
-  return path.empty() || run.cpu_ms >= kEffortFactor * run.time_limit_ms;
+  // not recur with the path. Nor does a fleet run's share of its laps'
+  // shard calls. NaN and +infinity limits compare false.
+  return !remote && run.cpu_ms >= ScreenMemo::kAdmitShare * run.time_limit_ms;
 }
 
 /// Work order of two records of one key: both are prefixes of the same
@@ -62,7 +64,7 @@ ScreenMemo::Lookup ScreenMemo::Find(const Key& key) const {
 }
 
 bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
-                       WorkRecord record) {
+                       WorkRecord record, bool remote) {
   if (key.path.size() > kMaxPathLength || run.covered_fraction != 1.0) {
     return false;
   }
@@ -70,7 +72,7 @@ bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    if (!Admits(key.path, run)) return false;
+    if (!Admits(key.path, run, remote)) return false;
     if (entries_.size() >= kMaxEntries) {
       ++refused_full_;
       return false;

@@ -13,22 +13,25 @@
 //
 // Admission follows cost, with no option. The empty path (the first
 // screen) is stored when its run converges. Any other path is stored when
-// a run for it was expensive: the deadline cut it, which stores its work
-// record, or it converged after its own work took at least kEffortFactor
-// of the time limit it ran under, which stores it as a hit. That is a run
-// the overload ladder's first rung would have cut even on an idle machine.
-// Work is the run's thread CPU time (GreedySelection::cpu_ms), not its
-// wall-clock: time spent preempted or waiting on a gather lap depends on
-// the moment, not the path, and admitting by it would make which paths get
-// cached a matter of chance. A run with no finite limit
+// a run for it did real work: the deadline cut it, which stores its work
+// record, or it converged after its own work took at least kAdmitShare
+// (1/16) of the time limit it ran under, which stores it as a hit. Work is
+// the run's thread CPU time (GreedySelection::cpu_ms), not its wall-clock:
+// time spent preempted or waiting on a gather lap depends on the moment,
+// not the path, and admitting by it would make which paths get cached a
+// matter of chance. For the same reason a fleet run (one whose passes go
+// to remote shards, GreedyOptions::remote_scatter) never qualifies by
+// cost: its thread CPU time also holds whichever of each lap's shard calls
+// the gather pool ran on that thread, a share that changes from run to run
+// (DESIGN.md §8.5). A run with no finite limit
 // (GreedySelection::time_limit_ms), such as an unbounded reference or a
-// selection built by hand, never qualifies by cost, so a workload whose
-// selects compute in under half their budget admits only its first
-// screens. A
-// stored screen equals an unbounded run on the replayed path: a converged
-// run makes the same passes as an unbounded one, and a run that resumed a
-// record continued the same deterministic work. A run scored over a
-// partial remote fold (covered_fraction < 1) is never stored.
+// selection built by hand, never qualifies by cost either, so a workload
+// whose selects compute in under a sixteenth of their budget admits only
+// its first screens. A stored screen equals an unbounded run on the replayed
+// path: a converged run makes the same passes as an unbounded one, and a
+// run that resumed a record continued the same deterministic work. A run
+// scored over a partial remote fold (covered_fraction < 1) is never
+// stored.
 //
 // Not to be confused with the session's MEMO (the explorer's bookmarks).
 #pragma once
@@ -53,6 +56,13 @@ class ScreenMemo {
   /// Clicks in the longest path the memo stores; longer paths are never
   /// admitted.
   static constexpr size_t kMaxPathLength = 8;
+  /// The share of its time limit a converged run's own work must take for
+  /// its path to be stored (file comment): 5 ms of the 80 ms greedy budget.
+  /// Paper-scale selects converge at 3-80 ms of CPU and repeat across
+  /// sessions, so nearly all of them qualify; sub-millisecond selects on
+  /// small worlds never do, which keeps their memo at one screen
+  /// (DESIGN.md §8.5).
+  static constexpr double kAdmitShare = 1.0 / 16;
 
   /// The options that decide a screen, plus the click path. Built by KeyOf.
   struct Key {
@@ -87,11 +97,14 @@ class ScreenMemo {
   Lookup Find(const Key& key) const;
 
   /// Offers the outcome of a run on `key` that started from the record
-  /// Find returned, and `record`, the work it holds now. Applies the
-  /// admission rule (file comment); an existing entry keeps the longer
-  /// record, and its first converged screen. A converged entry keeps only
-  /// its screen. Returns whether the memo changed. Thread-safe.
-  bool Store(const Key& key, const GreedySelection& run, WorkRecord record);
+  /// Find returned, and `record`, the work it holds now. `remote` says the
+  /// run was a fleet run (GreedyOptions::remote_scatter set), which never
+  /// qualifies by cost. Applies the admission rule (file comment); an
+  /// existing entry keeps the longer record, and its first converged
+  /// screen. A converged entry keeps only its screen. Returns whether the
+  /// memo changed. Thread-safe.
+  bool Store(const Key& key, const GreedySelection& run, WorkRecord record,
+             bool remote = false);
 
   size_t size() const;
 

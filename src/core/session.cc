@@ -86,7 +86,8 @@ GreedySelection ExplorationSession::Screen(
   }
   lookup.Close();
   GreedySelection shown = run(&found.record);
-  screens_->Store(key, shown, std::move(found.record));
+  screens_->Store(key, shown, std::move(found.record),
+                  greedy.remote_scatter != nullptr);
   return shown;
 }
 
@@ -95,13 +96,13 @@ const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {
   VEXUS_CHECK(!history_.empty()) << "call Start() before SelectGroup()";
 
   const TraceSpan* trace = options_.greedy.trace;
-  // The new HISTORY snapshot starts as a copy of the whole feedback vector.
-  TraceSpan snapshot = trace != nullptr ? trace->Child("history") : TraceSpan();
-  FeedbackVector next = feedback();
-  snapshot.Close();
-  // Implicit positive feedback for the clicked group.
+  // Implicit positive feedback for the clicked group. The new HISTORY
+  // snapshot is one merge of the live vector with g's reward, so a click
+  // allocates the step's 1-2 MB of arrays once: a copy and then a merge,
+  // at the memo's hit rate, fragments the heap at paper scale.
   TraceSpan learn = trace != nullptr ? trace->Child("learn") : TraceSpan();
-  next.Learn(store_->group(g), options_.learning_rate);
+  FeedbackVector next =
+      feedback().Learned(store_->group(g), options_.learning_rate);
   learn.Close();
 
   GreedySelection shown = Screen(g, next);

@@ -86,10 +86,12 @@ class ExplorationSession {
   ///
   /// The screen memo is keyed by the click path read from HISTORY, g
   /// included: a converged screen is a hit, and a stored work record is
-  /// continued. An expensive run leaves an entry for the next visit
-  /// (core/screen_memo.h): one the deadline cut leaves its record, and one
-  /// that converged after its own work (CPU time) took at least
-  /// kEffortFactor of its time limit leaves its screen. With a trace set,
+  /// continued. A run that did real work leaves an entry for the next
+  /// visit (core/screen_memo.h): one the deadline cut leaves its record, and
+  /// a local run that converged after its own work (CPU time) took at least
+  /// ScreenMemo::kAdmitShare of its time limit leaves its screen. The new
+  /// HISTORY step's feedback is one merge of the live vector with g's
+  /// reward (FeedbackVector::Learned). With a trace set,
   /// the lookup opens one `screen_memo` span (count 1 on a hit). After
   /// Unlearn the feedback is no longer a function of the path, so the
   /// session bypasses the memo, and opens no span, until Start.

@@ -48,8 +48,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "core/greedy.h"
-
 namespace vexus::server {
 
 struct OverloadOptions {
@@ -79,9 +77,8 @@ inline constexpr int kNumOverloadRungs = 5;
 /// Stable lowercase name ("normal", "shrink_effort", ...) for health JSON.
 std::string_view OverloadRungName(OverloadRung rung);
 
-/// Rung >= kShrinkEffort: the greedy time budget is multiplied by
-/// core::kEffortFactor (0.5), the share the screen memo also reads.
-using core::kEffortFactor;
+/// Rung >= kShrinkEffort: the greedy time budget is multiplied by this.
+inline constexpr double kEffortFactor = 0.5;
 /// Rung >= kShrinkEffort: the greedy candidate pool is capped at this many
 /// groups.
 inline constexpr size_t kDegradedCandidateCap = 128;

@@ -1,9 +1,11 @@
 // FeedbackVector against the hash-map oracle it replaced (feedback_oracle.h),
-// over seeded random scripts of Learn, Unlearn, HISTORY copies and
-// backtracks, plus the bit-identity a replay of the same clicks relies on.
+// over seeded random scripts of clicks (Learned), Unlearn, HISTORY copies
+// and backtracks, plus the bit-identity a replay of the same clicks relies
+// on.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -167,11 +169,18 @@ TEST_P(FeedbackPropertyTest, RandomScriptsMatchTheOracleAndReplayBitForBit) {
     const std::string where = StrCat("seed ", GetParam(), " step ", step);
     const uint32_t roll = rng() % 10;
     if (roll < 7) {
-      // A click, as a session makes it: copy the last snapshot, learn
-      // into the copy, push the copy.
-      Snapshot next = history.back();
+      // A click, as a session makes it: one merge of the last snapshot
+      // with the reward, pushed as the new step. Copying the snapshot and
+      // learning into the copy gives the same bits.
+      const Snapshot& last = history.back();
       const Op op{true, rng() % groups.size(), etas[rng() % 4], 0};
-      Apply(op, groups, next.fb);
+      Snapshot next{last.fb.Learned(groups[op.group], op.eta), last.oracle,
+                    last.script};
+      FeedbackVector copied = last.fb;
+      Apply(op, groups, copied);
+      ASSERT_TRUE(BitIdentical(Fingerprint(next.fb, ts, groups),
+                               Fingerprint(copied, ts, groups)))
+          << where << ": Learned differs from copy + Learn";
       next.oracle.Learn(groups[op.group], op.eta);
       next.script.push_back(op);
       history.push_back(std::move(next));
@@ -198,7 +207,7 @@ TEST_P(FeedbackPropertyTest, RandomScriptsMatchTheOracleAndReplayBitForBit) {
     ExpectMatchesOracle(live.fb, live.oracle, ts, groups, where);
 
     // The same operations applied to one vector in sequence, as the e2e
-    // replay does, give the same bits as the chain of HISTORY copies.
+    // replay does, give the same bits as the chain of HISTORY steps.
     FeedbackVector replay(&ts);
     for (const Op& op : live.script) Apply(op, groups, replay);
     ASSERT_TRUE(BitIdentical(Fingerprint(replay, ts, groups),
@@ -210,6 +219,36 @@ TEST_P(FeedbackPropertyTest, RandomScriptsMatchTheOracleAndReplayBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FeedbackPropertyTest,
                          ::testing::Range(uint32_t{1}, uint32_t{21}));
+
+TEST(FeedbackMergeTest, DegenerateLearnedReturnsAnExactCopy) {
+  const data::Dataset ds = MakeWorld();
+  const TokenSpace ts(ds);
+  std::mt19937 rng(7);
+  const std::vector<mining::UserGroup> groups = MakeGroups(ds, rng);
+  const mining::UserGroup empty({}, Bitset(kUsers));
+  FeedbackVector fb(&ts);
+  for (const double eta :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(fb.Learned(groups[3], eta).Empty()) << eta;
+  }
+  for (size_t i = 0; i < 5; ++i) fb.Learn(groups[i]);
+  const std::vector<double> before = Fingerprint(fb, ts, groups);
+  // Degenerate rates, an empty group, and a rate whose per-token share
+  // underflows to zero all carry no reward mass.
+  for (const double eta :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::denorm_min()}) {
+    const FeedbackVector same = fb.Learned(groups[3], eta);
+    EXPECT_EQ(same.nonzero_count(), fb.nonzero_count()) << eta;
+    EXPECT_TRUE(BitIdentical(Fingerprint(same, ts, groups), before)) << eta;
+  }
+  const FeedbackVector same = fb.Learned(empty);
+  EXPECT_TRUE(BitIdentical(Fingerprint(same, ts, groups), before));
+  EXPECT_TRUE(BitIdentical(Fingerprint(fb, ts, groups), before))
+      << "Learned changed its source";
+}
 
 TEST(FeedbackMergeTest, UnsortedAndRepeatedDescriptionMerges) {
   const data::Dataset ds = MakeWorld();

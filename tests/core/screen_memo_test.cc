@@ -632,7 +632,7 @@ TEST_F(ScreenMemoTest, PathConvergingWithinBudgetAdmitsNoEntry) {
   EXPECT_EQ(memo.stats().by_path_length[0], 1u);
 }
 
-TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedHalfItsLimit) {
+TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedASixteenthOfItsLimit) {
   const GreedyOptions greedy = Budgeted();
   GreedySelection run;
   run.groups = {1, 2};
@@ -641,15 +641,16 @@ TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedHalfItsLimit) {
             GreedyOptions::kUnboundedTimeLimit);
 
   ScreenMemo memo;
-  // Cost is the run's own work, not its wall-clock.
+  // Cost is the run's own work, not its wall-clock: 5 ms of an 80 ms limit.
+  EXPECT_EQ(ScreenMemo::kAdmitShare * 80, 5.0);
   run.elapsed_ms = 1e300;
-  run.cpu_ms = std::nextafter(static_cast<float>(kEffortFactor * 80), 0.0f);
+  run.cpu_ms = std::nextafter(5.0f, 0.0f);
   EXPECT_FALSE(memo.Store(PathKey(greedy, {4}), run, {})) << "just below";
-  run.cpu_ms = static_cast<float>(kEffortFactor * 80);
+  run.cpu_ms = 5.0f;
   run.elapsed_ms = 0;
-  const ScreenMemo::Key half = PathKey(greedy, {3});
-  EXPECT_TRUE(memo.Store(half, run, {}));
-  const ScreenMemo::Lookup hit = memo.Find(half);
+  const ScreenMemo::Key line = PathKey(greedy, {3});
+  EXPECT_TRUE(memo.Store(line, run, {}));
+  const ScreenMemo::Lookup hit = memo.Find(line);
   ASSERT_TRUE(hit.screen.has_value());
   EXPECT_TRUE(hit.screen->memoized);
   EXPECT_EQ(hit.screen->groups, run.groups);
@@ -698,7 +699,7 @@ TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedHalfItsLimit) {
 }
 
 TEST_F(ScreenMemoTest, SlowConvergedPathIsAHitOnItsNextVisit) {
-  // Under a zero limit every run uses at least half of it. A click whose
+  // Under a zero limit every run uses its admission share. A click whose
   // pool holds exactly k candidates selects them all and converges with no
   // pass, so that run is expensive and converged, with no sleep.
   GreedyOptions greedy = Budgeted();
@@ -732,6 +733,47 @@ TEST_F(ScreenMemoTest, SlowConvergedPathIsAHitOnItsNextVisit) {
   session->Start();
   EXPECT_FALSE(session->SelectGroup(g).memoized);
   EXPECT_EQ(unbounded.stats().by_path_length[1], 0u);
+}
+
+TEST_F(ScreenMemoTest, FleetRunNeverQualifiesByCost) {
+  // The run SlowConvergedPathIsAHitOnItsNextVisit stores, on a fleet: its
+  // CPU time holds a varying share of the laps, so it does not count.
+  GreedyOptions greedy = Budgeted();
+  const mining::GroupId g = WidestPool(greedy, std::nullopt);
+  greedy.k = PoolSize(g, greedy);
+  ASSERT_GE(greedy.k, 2u);
+  greedy.time_limit_ms = 0;
+  PartialScatterer healthy(&engine_->groups(), 1.0);
+  greedy.remote_scatter = &healthy;
+
+  ScreenMemo memo;
+  for (int visit = 0; visit < 2; ++visit) {
+    auto session = SessionWith(&memo, greedy);
+    session->Start();
+    const GreedySelection& s = session->SelectGroup(g);
+    EXPECT_FALSE(s.deadline_hit) << visit;
+    EXPECT_FALSE(s.memoized) << visit;
+  }
+  EXPECT_EQ(memo.size(), 0u);
+
+  // The other rules hold on a fleet: a cut run stores its record, its
+  // converged resume the screen, and the first screen is stored.
+  GreedySelection expensive;
+  expensive.groups = {1, 2};
+  expensive.time_limit_ms = 80;
+  expensive.cpu_ms = 80;
+  EXPECT_FALSE(memo.Store(PathKey(greedy, {3}), expensive, {}, true));
+  EXPECT_TRUE(memo.Store(PathKey(greedy, {3}), expensive, {}, false))
+      << "the control";
+  GreedySelection cut = expensive;
+  cut.deadline_hit = true;
+  WorkRecord record;
+  record.affinity = {0.5, 0.25, 0.125};
+  EXPECT_TRUE(memo.Store(PathKey(greedy, {4}), cut, record, true));
+  EXPECT_TRUE(memo.Store(PathKey(greedy, {4}), expensive, {}, true));
+  EXPECT_TRUE(memo.Find(PathKey(greedy, {4})).screen.has_value());
+  EXPECT_TRUE(memo.Store(FirstKey(greedy), expensive, {}, true));
+  EXPECT_EQ(memo.stats().screens, 3u);
 }
 
 TEST_F(ScreenMemoTest, FullMemoStopsAdmittingButStillServes) {

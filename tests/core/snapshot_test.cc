@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -19,6 +20,20 @@
 
 namespace vexus::core {
 namespace {
+
+/// A scratch file of the running test. ctest runs every case as its own
+/// process, in parallel under -j, so the name carries the test's own name:
+/// two cases that write the same `name` never share a file.
+std::string TempPath(const char* name) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string owner = test == nullptr ? std::string("none")
+                                      : std::string(test->test_suite_name()) +
+                                            "." + test->name();
+  std::replace(owner.begin(), owner.end(), '/', '_');
+  return ::testing::TempDir() + "/vexus_snapshot_" + owner + "_" + name +
+         ".bin";
+}
 
 struct SnapshotWorld {
   SnapshotWorld() {
@@ -40,10 +55,6 @@ struct SnapshotWorld {
     index = std::make_unique<index::InvertedIndex>(std::move(idx).ValueOrDie());
   }
 
-  std::string TempPath(const char* name) const {
-    return ::testing::TempDir() + "/vexus_snapshot_" + name + ".bin";
-  }
-
   data::Dataset dataset;
   std::unique_ptr<mining::DiscoveryResult> discovery;
   std::unique_ptr<index::InvertedIndex> index;
@@ -51,7 +62,7 @@ struct SnapshotWorld {
 
 TEST(SnapshotTest, RoundTripPreservesEverything) {
   SnapshotWorld w;
-  std::string path = w.TempPath("roundtrip");
+  std::string path = TempPath("roundtrip");
   ASSERT_TRUE(SaveSnapshot(w.discovery->groups, *w.index, path).ok());
 
   auto loaded = LoadSnapshot(path);
@@ -80,7 +91,7 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
 
 TEST(SnapshotTest, LoadedSnapshotServesSessions) {
   SnapshotWorld w;
-  std::string path = w.TempPath("sessions");
+  std::string path = TempPath("sessions");
   ASSERT_TRUE(SaveSnapshot(w.discovery->groups, *w.index, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());
@@ -104,7 +115,7 @@ TEST(SnapshotTest, MissingFileIsIOError) {
 
 TEST(SnapshotTest, BadMagicIsCorruption) {
   SnapshotWorld w;
-  std::string path = w.TempPath("badmagic");
+  std::string path = TempPath("badmagic");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOPEnot a snapshot at all";
@@ -117,7 +128,7 @@ TEST(SnapshotTest, BadMagicIsCorruption) {
 
 TEST(SnapshotTest, TruncationIsCorruption) {
   SnapshotWorld w;
-  std::string path = w.TempPath("trunc");
+  std::string path = TempPath("trunc");
   ASSERT_TRUE(SaveSnapshot(w.discovery->groups, *w.index, path).ok());
   // Chop the file at several prefixes; every cut must fail cleanly.
   std::ifstream in(path, std::ios::binary);
@@ -126,7 +137,7 @@ TEST(SnapshotTest, TruncationIsCorruption) {
   in.close();
   for (size_t cut : {size_t{2}, size_t{6}, size_t{20}, full.size() / 2,
                      full.size() - 3}) {
-    std::string cut_path = w.TempPath("cut");
+    std::string cut_path = TempPath("cut");
     {
       std::ofstream out(cut_path, std::ios::binary);
       out.write(full.data(), static_cast<std::streamsize>(cut));
@@ -141,7 +152,7 @@ TEST(SnapshotTest, TruncationIsCorruption) {
 
 TEST(SnapshotTest, FutureVersionIsNotSupported) {
   SnapshotWorld w;
-  std::string path = w.TempPath("version");
+  std::string path = TempPath("version");
   ASSERT_TRUE(SaveSnapshot(w.discovery->groups, *w.index, path).ok());
   // Bump the version field (bytes 4..7).
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -158,17 +169,13 @@ TEST(SnapshotTest, FutureVersionIsNotSupported) {
 TEST(SnapshotTest, MismatchedInputsRejected) {
   SnapshotWorld w;
   mining::GroupStore other(w.discovery->groups.num_users());
-  Status s = SaveSnapshot(other, *w.index, w.TempPath("mismatch"));
+  Status s = SaveSnapshot(other, *w.index, TempPath("mismatch"));
   EXPECT_TRUE(s.IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------
 // Encoding edge cases and round trips across section counts
 // ---------------------------------------------------------------------------
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/vexus_snapshot_" + name + ".bin";
-}
 
 void ExpectStoresEqual(const mining::GroupStore& a,
                        const mining::GroupStore& b) {

@@ -701,8 +701,7 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
   const std::set<std::string> taxonomy = {
       "request", "queue",  "admit",   "session",  "screen_memo",
       "learn",   "rank",   "greedy",  "seed",     "weights",
-      "affinity", "prior", "setup",   "pass",     "history",
-      "serialize"};
+      "affinity", "prior", "setup",   "pass",     "serialize"};
   for (const json::Value& rec : arr) {
     EXPECT_EQ(rec.GetString("session", ""), "traced");
     EXPECT_EQ(rec.GetString("status", ""), "OK");
@@ -771,11 +770,10 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
     if (rec.GetString("op", "") == "start_session") {
       EXPECT_TRUE(seen.count("admit"));
     } else {
-      // A select learns and snapshots its feedback. A run's seed has all
-      // four phases: `affinity` counts the pool, `prior` the priors
-      // computed (all of them unless the deadline stopped the seed).
+      // A select learns its new HISTORY step in one merge. A run's seed
+      // has all four phases: `affinity` counts the pool, `prior` the
+      // priors computed (all of them unless the deadline stopped the seed).
       EXPECT_TRUE(seen.count("learn"));
-      EXPECT_TRUE(seen.count("history"));
       if (!hit) {
         ASSERT_EQ(seed_child_counts.size(), 4u);
         EXPECT_GE(seed_child_counts["prior"], 1.0);
