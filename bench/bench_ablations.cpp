@@ -2,7 +2,6 @@
 //   D2 — anytime deadline (covered in depth by E1; summarized here),
 //   D3 — feedback-weighted similarity (covered by E4; summarized here),
 //   D4 — k, the number of groups shown (paper fixes k ≤ 7, Miller's law),
-//   D5 — MinHash/LSH vs exact co-occurrence index construction,
 //   D-quota — the refinement quota on each screen (drill-down mix).
 
 #include "bench_util.h"
@@ -49,8 +48,7 @@ void RunMtAblation(const char* label, size_t k, double quota) {
 
 int main() {
   Banner("A1 bench_ablations",
-         "design-choice ablations: k (D4), index build strategy (D5), "
-         "refinement quota");
+         "design-choice ablations: k (D4), refinement quota");
 
   // ---- D4: k sweep (P1 limited options vs task efficiency). ----
   std::printf("[D4: groups shown per step — paper fixes k <= 7]\n");
@@ -110,64 +108,9 @@ int main() {
     }
   }
 
-  // ---- D5: exact vs MinHash index construction. ----
-  std::printf("\n[D5: index construction strategy]\n");
-  mining::DiscoveryOptions dopt;
-  dopt.min_support_fraction = 0.005;
-  auto discovery = mining::DiscoverGroups(
-      data::BookCrossingGenerator::Generate(BxConfig(20000)), dopt);
-  VEXUS_CHECK(discovery.ok());
-  const mining::GroupStore& store = discovery->groups;
-  std::printf("groups=%zu\n", store.size());
-  index::InvertedIndex::Options ref_opt;
-  ref_opt.materialization_fraction = 1.0;
-  ref_opt.min_neighbors = 1;
-  auto reference = index::InvertedIndex::Build(store, ref_opt);
-  VEXUS_CHECK(reference.ok());
-
-  PrintRow({"strategy", "build_ms", "cand_pairs", "postings", "mem_kb",
-            "top10_recall"});
-  for (auto strategy : {index::InvertedIndex::BuildStrategy::kCooccurrence,
-                        index::InvertedIndex::BuildStrategy::kMinHash}) {
-    index::InvertedIndex::Options opt;
-    opt.strategy = strategy;
-    opt.materialization_fraction = 0.10;
-    opt.minhash_hashes = 96;
-    opt.minhash_bands = 24;
-    auto idx = index::InvertedIndex::Build(store, opt);
-    VEXUS_CHECK(idx.ok());
-
-    // Recall of the exact top-10 neighbor lists.
-    Series recall;
-    for (mining::GroupId g = 0; g < store.size(); ++g) {
-      auto truth = reference->TopK(g, 10);
-      if (truth.empty()) continue;
-      size_t hits = 0;
-      for (const auto& t : truth) {
-        for (const auto& nb : idx->Neighbors(g)) {
-          if (nb.group == t.group) {
-            ++hits;
-            break;
-          }
-        }
-      }
-      recall.Add(static_cast<double>(hits) /
-                 static_cast<double>(truth.size()));
-    }
-
-    PrintRow({strategy == index::InvertedIndex::BuildStrategy::kCooccurrence
-                  ? "exact-cooc"
-                  : "minhash-lsh",
-              Fmt(idx->build_stats().elapsed_ms, 1),
-              FmtInt(idx->build_stats().candidate_pairs),
-              FmtInt(idx->build_stats().postings),
-              FmtInt(idx->build_stats().memory_bytes / 1024),
-              Fmt(recall.Mean())});
-  }
-
   std::printf(
       "\nshape check: k≈5–7 is the sweet spot (tiny k starves choice, large "
       "k bloats screens without helping); a moderate refinement quota beats "
-      "none; MinHash trades candidate completeness for build time.\n");
+      "none.\n");
   return 0;
 }

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath the
-// experiment harnesses: bitset algebra, Jaccard, MinHash signatures, LCM
-// mining, crossfilter brushes, and one greedy evaluation step.
+// experiment harnesses: bitset algebra, Jaccard, LCM mining, crossfilter
+// brushes, and one greedy evaluation step.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include "core/engine.h"
 #include "core/greedy.h"
 #include "data/generators/bookcrossing_gen.h"
-#include "index/minhash.h"
 #include "mining/descriptor_catalog.h"
 #include "mining/lcm.h"
 #include "viz/crossfilter.h"
@@ -56,15 +55,6 @@ void BM_BitsetForEach(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitsetForEach);
-
-void BM_MinHashSignature(benchmark::State& state) {
-  index::MinHasher hasher(static_cast<size_t>(state.range(0)));
-  Bitset members = RandomBitset(50000, 0.02, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hasher.Signature(members));
-  }
-}
-BENCHMARK(BM_MinHashSignature)->Arg(32)->Arg(96)->Arg(256);
 
 void BM_LcmMine(benchmark::State& state) {
   data::BookCrossingGenerator::Config cfg;

@@ -1,9 +1,8 @@
-// Hashing utilities: 64-bit mixing and combination, plus string hashing used
-// by the MinHash signatures in src/index.
+// Hashing utilities: 64-bit mixing and combination (group description
+// hashes and the cold-start bench's index fingerprint).
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace vexus {
 
@@ -20,13 +19,6 @@ inline uint64_t Mix64(uint64_t x) {
 /// Order-dependent combination of two 64-bit hashes.
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return Mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
-/// FNV-1a over bytes.
-uint64_t HashBytes(const void* data, size_t len);
-
-inline uint64_t HashString(std::string_view s) {
-  return HashBytes(s.data(), s.size());
 }
 
 }  // namespace vexus

@@ -1,9 +1,9 @@
-// Fixed-size thread pool used by offline pre-processing (mining, index
-// construction and MinHash banding fan out through ParallelForChunked;
-// experiment E7), by the serving layer's dispatcher
-// (src/server/dispatcher.h), which routes per-request work onto the pool,
-// and by the gather coordinator, which fans one lap out to its shards from
-// concurrent request handlers (src/server/gather.h).
+// Fixed-size thread pool used by offline pre-processing (mining and index
+// construction fan out through ParallelForChunked; experiment E7), by the
+// serving layer's dispatcher (src/server/dispatcher.h), which routes
+// per-request work onto the pool, and by the gather coordinator, which fans
+// one lap out to its shards from concurrent request handlers
+// (src/server/gather.h).
 #pragma once
 
 #include <atomic>

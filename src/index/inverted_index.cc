@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "index/minhash.h"
 
 namespace vexus::index {
 
@@ -17,19 +15,15 @@ namespace {
 using mining::GroupId;
 using mining::GroupStore;
 
-/// Sorts by similarity desc (ties on group id for determinism), truncates to
-/// the materialized length, and drops sub-threshold postings.
-void FinalizeList(std::vector<Neighbor>* list, size_t keep,
-                  double min_similarity) {
+/// Sorts by similarity desc (ties on group id for determinism) and
+/// truncates to the materialized length.
+void FinalizeList(std::vector<Neighbor>* list, size_t keep) {
   std::sort(list->begin(), list->end(), [](const Neighbor& a,
                                            const Neighbor& b) {
     if (a.similarity != b.similarity) return a.similarity > b.similarity;
     return a.group < b.group;
   });
   if (list->size() > keep) list->resize(keep);
-  while (!list->empty() && list->back().similarity < min_similarity) {
-    list->pop_back();
-  }
   list->shrink_to_fit();
 }
 
@@ -54,130 +48,78 @@ Result<InvertedIndex> InvertedIndex::Build(const GroupStore& store,
           std::ceil(options.materialization_fraction *
                     static_cast<double>(n - 1))));
 
-  std::atomic<size_t> candidate_pairs{0};
   std::atomic<size_t> full_postings{0};
 
-  if (options.strategy == BuildStrategy::kCooccurrence) {
-    // User -> groups adjacency as one CSR array: user u's groups are
-    // adj[offsets[u], offsets[u + 1]), in ascending group id order. Two
-    // passes (count, then fill) instead of one vector per user.
-    const size_t num_users = store.num_users();
-    std::vector<size_t> offsets(num_users + 1, 0);
+  // User -> groups adjacency as one CSR array: user u's groups are
+  // adj[offsets[u], offsets[u + 1]), in ascending group id order. Two
+  // passes (count, then fill) instead of one vector per user.
+  const size_t num_users = store.num_users();
+  std::vector<size_t> offsets(num_users + 1, 0);
+  for (GroupId g = 0; g < n; ++g) {
+    store.group(g).members().ForEach([&](uint32_t u) { ++offsets[u + 1]; });
+  }
+  for (size_t u = 0; u < num_users; ++u) offsets[u + 1] += offsets[u];
+  std::vector<GroupId> adj(offsets[num_users]);
+  {
+    std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
     for (GroupId g = 0; g < n; ++g) {
-      store.group(g).members().ForEach([&](uint32_t u) { ++offsets[u + 1]; });
-    }
-    for (size_t u = 0; u < num_users; ++u) offsets[u + 1] += offsets[u];
-    std::vector<GroupId> adj(offsets[num_users]);
-    {
-      std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
-      for (GroupId g = 0; g < n; ++g) {
-        store.group(g).members().ForEach(
-            [&](uint32_t u) { adj[next[u]++] = g; });
-      }
-    }
-
-    auto build_one = [&](size_t g_idx, std::vector<uint32_t>* counts) {
-      GroupId g = static_cast<GroupId>(g_idx);
-      const mining::UserGroup& gg = store.group(g);
-      std::vector<GroupId> touched;
-      // Members are visited in ascending user order, so touched-order — and
-      // therefore the posting list — is a pure function of the store.
-      gg.members().ForEach([&](uint32_t u) {
-        for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-          const GroupId h = adj[i];
-          if (h == g) continue;
-          if ((*counts)[h]++ == 0) touched.push_back(h);
-        }
-      });
-      std::vector<Neighbor>& list = idx.postings_[g];
-      list.reserve(touched.size());
-      size_t gsize = gg.size();
-      for (GroupId h : touched) {
-        uint32_t inter = (*counts)[h];
-        (*counts)[h] = 0;  // reset for reuse
-        size_t uni = gsize + store.group(h).size() - inter;
-        float sim = uni == 0 ? 0.0f
-                             : static_cast<float>(inter) /
-                                   static_cast<float>(uni);
-        list.push_back(Neighbor{h, sim});
-      }
-      candidate_pairs += touched.size();
-      full_postings += list.size();
-      FinalizeList(&list, keep, options.min_similarity);
-    };
-
-    if (options.num_threads == 1) {
-      std::vector<uint32_t> counts(n, 0);
-      for (size_t g = 0; g < n; ++g) build_one(g, &counts);
-    } else {
-      // Split over ParallelForChunked with one counts buffer per chunk.
-      // Chunk sizing caps the number of chunks near the worker count so the
-      // n-sized buffers stay bounded; each posting list is written by
-      // exactly one chunk, so the parallel result is byte-identical to the
-      // serial one (tested in inverted_index_test).
-      ThreadPool pool(options.num_threads);
-      size_t workers = pool.num_threads() + 1;  // the caller participates
-      size_t chunk_size = (n + workers - 1) / workers;
-      size_t num_chunks = (n + chunk_size - 1) / chunk_size;
-      std::vector<std::vector<uint32_t>> buffers(
-          num_chunks, std::vector<uint32_t>(n, 0));
-      pool.ParallelForChunked(n, chunk_size,
-                              [&](size_t chunk, size_t begin, size_t end) {
-                                for (size_t g = begin; g < end; ++g) {
-                                  build_one(g, &buffers[chunk]);
-                                }
-                              });
-    }
-  } else {
-    // MinHash + LSH candidates, exact verification. Signature computation,
-    // banding, and candidate verification all shard over the pool; outputs
-    // are position-indexed (signatures, per-pair similarity) or canonically
-    // re-sorted (LSH pairs), so parallel == serial byte-identically.
-    if (options.minhash_hashes % options.minhash_bands != 0) {
-      return Status::InvalidArgument(
-          "minhash_bands must divide minhash_hashes");
-    }
-    std::unique_ptr<ThreadPool> pool;
-    if (options.num_threads != 1) {
-      pool = std::make_unique<ThreadPool>(options.num_threads);
-    }
-    MinHasher hasher(options.minhash_hashes);
-    std::vector<std::vector<uint64_t>> sigs =
-        hasher.Signatures(store, pool.get());
-    auto pairs = LshCandidatePairs(sigs, options.minhash_bands, pool.get());
-    candidate_pairs = pairs.size();
-
-    std::vector<float> sims(pairs.size());
-    auto verify = [&](size_t i) {
-      const auto& [a, b] = pairs[i];
-      sims[i] = static_cast<float>(
-          store.group(a).members().Jaccard(store.group(b).members()));
-    };
-    if (pool == nullptr) {
-      for (size_t i = 0; i < pairs.size(); ++i) verify(i);
-    } else {
-      pool->ParallelForChunked(pairs.size(), /*chunk_size=*/256,
-                               [&](size_t, size_t begin, size_t end) {
-                                 for (size_t i = begin; i < end; ++i) {
-                                   verify(i);
-                                 }
-                               });
-    }
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      if (sims[i] <= 0) continue;
-      idx.postings_[pairs[i].first].push_back(
-          Neighbor{pairs[i].second, sims[i]});
-      idx.postings_[pairs[i].second].push_back(
-          Neighbor{pairs[i].first, sims[i]});
-    }
-    for (GroupId g = 0; g < n; ++g) {
-      full_postings += idx.postings_[g].size();
-      FinalizeList(&idx.postings_[g], keep, options.min_similarity);
+      store.group(g).members().ForEach([&](uint32_t u) { adj[next[u]++] = g; });
     }
   }
 
+  auto build_one = [&](size_t g_idx, std::vector<uint32_t>* counts) {
+    GroupId g = static_cast<GroupId>(g_idx);
+    const mining::UserGroup& gg = store.group(g);
+    std::vector<GroupId> touched;
+    // Members are visited in ascending user order, so touched-order — and
+    // therefore the posting list — is a pure function of the store.
+    gg.members().ForEach([&](uint32_t u) {
+      for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+        const GroupId h = adj[i];
+        if (h == g) continue;
+        if ((*counts)[h]++ == 0) touched.push_back(h);
+      }
+    });
+    std::vector<Neighbor>& list = idx.postings_[g];
+    list.reserve(touched.size());
+    size_t gsize = gg.size();
+    for (GroupId h : touched) {
+      uint32_t inter = (*counts)[h];
+      (*counts)[h] = 0;  // reset for reuse
+      size_t uni = gsize + store.group(h).size() - inter;
+      float sim = uni == 0 ? 0.0f
+                           : static_cast<float>(inter) /
+                                 static_cast<float>(uni);
+      list.push_back(Neighbor{h, sim});
+    }
+    full_postings += list.size();
+    FinalizeList(&list, keep);
+  };
+
+  if (options.num_threads == 1) {
+    std::vector<uint32_t> counts(n, 0);
+    for (size_t g = 0; g < n; ++g) build_one(g, &counts);
+  } else {
+    // Split over ParallelForChunked with one counts buffer per chunk.
+    // Chunk sizing caps the number of chunks near the worker count so the
+    // n-sized buffers stay bounded; each posting list is written by
+    // exactly one chunk, so the parallel result is byte-identical to the
+    // serial one (tested in inverted_index_test).
+    ThreadPool pool(options.num_threads);
+    size_t workers = pool.num_threads() + 1;  // the caller participates
+    size_t chunk_size = (n + workers - 1) / workers;
+    size_t num_chunks = (n + chunk_size - 1) / chunk_size;
+    std::vector<std::vector<uint32_t>> buffers(
+        num_chunks, std::vector<uint32_t>(n, 0));
+    pool.ParallelForChunked(n, chunk_size,
+                            [&](size_t chunk, size_t begin, size_t end) {
+                              for (size_t g = begin; g < end; ++g) {
+                                build_one(g, &buffers[chunk]);
+                              }
+                            });
+  }
+
   idx.stats_.elapsed_ms = watch.ElapsedMillis();
-  idx.stats_.candidate_pairs = candidate_pairs;
   idx.stats_.full_postings = full_postings;
   for (const auto& list : idx.postings_) idx.stats_.postings += list.size();
   idx.stats_.memory_bytes = idx.MemoryBytes();

@@ -3,12 +3,9 @@
 // groups in G − {g} in decreasing order of their similarity to g … we only
 // materialize 10% of each inverted index which is shown to be adequate".
 //
-// Construction strategies:
-//   * kCooccurrence (exact): for each group, count member co-occurrences via
-//     user → group adjacency; Jaccard follows from |g∩h| and the two sizes.
-//     Cost O(Σ_u deg(u)²), independent of |G|² when overlap is sparse.
-//   * kMinHash (approximate): LSH candidate pairs, exact Jaccard verified on
-//     candidates only — sub-quadratic for huge group counts (ablation D5).
+// Construction is exact: for each group, count member co-occurrences via
+// user → group adjacency; Jaccard follows from |g∩h| and the two sizes.
+// Cost O(Σ_u deg(u)²), independent of |G|² when overlap is sparse.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +24,6 @@ struct Neighbor {
 
 class InvertedIndex {
  public:
-  enum class BuildStrategy { kCooccurrence, kMinHash };
-
   struct Options {
     /// Fraction of each group's full neighbor list to materialize
     /// (the paper's 10%). Clamped to [0, 1].
@@ -36,12 +31,6 @@ class InvertedIndex {
     /// Materialize at least this many neighbors regardless of the fraction
     /// (small |G| would otherwise truncate to nothing).
     size_t min_neighbors = 16;
-    /// Drop neighbors below this similarity even within the fraction.
-    double min_similarity = 0.0;
-    BuildStrategy strategy = BuildStrategy::kCooccurrence;
-    /// MinHash parameters (strategy == kMinHash).
-    size_t minhash_hashes = 96;
-    size_t minhash_bands = 24;
     /// Worker threads for the build (0 = hardware concurrency).
     size_t num_threads = 1;
   };
@@ -50,7 +39,6 @@ class InvertedIndex {
     double elapsed_ms = 0;
     size_t postings = 0;          // total materialized neighbors
     size_t full_postings = 0;     // before truncation
-    size_t candidate_pairs = 0;   // similarity evaluations performed
     size_t memory_bytes = 0;
   };
 

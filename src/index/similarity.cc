@@ -29,20 +29,4 @@ double WeightedJaccard(const Bitset& a, const Bitset& b,
   return inter / uni;
 }
 
-double OverlapCoefficient(const Bitset& a, const Bitset& b) {
-  size_t ca = a.Count();
-  size_t cb = b.Count();
-  size_t m = std::min(ca, cb);
-  if (m == 0) return ca == cb ? 1.0 : 0.0;
-  return static_cast<double>(a.IntersectCount(b)) / static_cast<double>(m);
-}
-
-double Dice(const Bitset& a, const Bitset& b) {
-  size_t ca = a.Count();
-  size_t cb = b.Count();
-  if (ca + cb == 0) return 1.0;
-  return 2.0 * static_cast<double>(a.IntersectCount(b)) /
-         static_cast<double>(ca + cb);
-}
-
 }  // namespace vexus::index

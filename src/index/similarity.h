@@ -29,13 +29,6 @@ inline double Jaccard(const mining::UserGroup& a, const mining::UserGroup& b) {
 double WeightedJaccard(const Bitset& a, const Bitset& b,
                        const std::vector<double>& weights);
 
-/// Overlap coefficient |a∩b| / min(|a|,|b|) — used by tests as an
-/// alternative lens on containment-heavy group pairs.
-double OverlapCoefficient(const Bitset& a, const Bitset& b);
-
-/// Sørensen–Dice 2|a∩b| / (|a|+|b|).
-double Dice(const Bitset& a, const Bitset& b);
-
 /// Memoized pairwise Jaccard over a fixed candidate pool.
 ///
 /// Indices are positions into `pool` (NOT GroupIds). k and |pool| are both

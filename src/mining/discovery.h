@@ -11,7 +11,6 @@
 
 #include "common/result.h"
 #include "data/dataset.h"
-#include "mining/apriori.h"
 #include "mining/birch.h"
 #include "mining/descriptor_catalog.h"
 #include "mining/group.h"
@@ -67,7 +66,6 @@ struct DiscoveryResult {
   double elapsed_ms = 0;
   /// Algorithm-specific statistics (whichever ran).
   LcmMiner::Stats lcm_stats;
-  AprioriMiner::Stats apriori_stats;
   BirchTree::Stats birch_stats;
   StreamMiner::Stats stream_stats;
   size_t momri_frontier = 0;

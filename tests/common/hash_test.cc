@@ -1,7 +1,6 @@
 #include "common/hash.h"
 
 #include <set>
-#include <string>
 
 #include <gtest/gtest.h>
 
@@ -30,25 +29,6 @@ TEST(HashCombineTest, OrderDependent) {
 TEST(HashCombineTest, SensitiveToBothArguments) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(1, 3));
   EXPECT_NE(HashCombine(1, 2), HashCombine(4, 2));
-}
-
-TEST(HashStringTest, Deterministic) {
-  EXPECT_EQ(HashString("vexus"), HashString("vexus"));
-  EXPECT_NE(HashString("vexus"), HashString("vexuS"));
-  EXPECT_NE(HashString(""), HashString("a"));
-}
-
-TEST(HashStringTest, ShortStringsDisperse) {
-  std::set<uint64_t> outs;
-  for (char c = 'a'; c <= 'z'; ++c) {
-    outs.insert(HashString(std::string(1, c)));
-  }
-  EXPECT_EQ(outs.size(), 26u);
-}
-
-TEST(HashBytesTest, MatchesStringOverload) {
-  std::string s = "payload";
-  EXPECT_EQ(HashBytes(s.data(), s.size()), HashString(s));
 }
 
 }  // namespace

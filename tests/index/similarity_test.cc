@@ -65,41 +65,5 @@ TEST(WeightedJaccardTest, IdenticalSetsAreOne) {
   EXPECT_DOUBLE_EQ(WeightedJaccard(a, a, w), 1.0);
 }
 
-TEST(OverlapCoefficientTest, SubsetIsOne) {
-  Bitset small = Bitset::FromVector(10, {1, 2});
-  Bitset big = Bitset::FromVector(10, {1, 2, 3, 4});
-  EXPECT_DOUBLE_EQ(OverlapCoefficient(small, big), 1.0);
-}
-
-TEST(OverlapCoefficientTest, PartialOverlap) {
-  Bitset a = Bitset::FromVector(10, {1, 2});
-  Bitset b = Bitset::FromVector(10, {2, 3, 4});
-  EXPECT_DOUBLE_EQ(OverlapCoefficient(a, b), 0.5);
-}
-
-TEST(OverlapCoefficientTest, EmptyEdgeCases) {
-  Bitset empty(10);
-  Bitset nonempty = Bitset::FromVector(10, {0});
-  EXPECT_DOUBLE_EQ(OverlapCoefficient(empty, empty), 1.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient(empty, nonempty), 0.0);
-}
-
-TEST(DiceTest, KnownValues) {
-  Bitset a = Bitset::FromVector(10, {0, 1, 2});
-  Bitset b = Bitset::FromVector(10, {2, 3, 4});
-  EXPECT_DOUBLE_EQ(Dice(a, b), 2.0 * 1 / 6);
-  EXPECT_DOUBLE_EQ(Dice(a, a), 1.0);
-  Bitset empty(10);
-  EXPECT_DOUBLE_EQ(Dice(empty, empty), 1.0);
-}
-
-TEST(SimilarityOrderingTest, DiceAndJaccardAgreeOnOrder) {
-  Bitset anchor = Bitset::FromVector(30, {0, 1, 2, 3, 4, 5});
-  Bitset close = Bitset::FromVector(30, {0, 1, 2, 3, 4, 9});
-  Bitset far = Bitset::FromVector(30, {0, 20, 21, 22});
-  EXPECT_GT(anchor.Jaccard(close), anchor.Jaccard(far));
-  EXPECT_GT(Dice(anchor, close), Dice(anchor, far));
-}
-
 }  // namespace
 }  // namespace vexus::index

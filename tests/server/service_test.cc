@@ -678,7 +678,19 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
   ServiceOptions opts = FastOptions();
   opts.trace.enabled = true;
   opts.trace.capacity = 16;
+  // A key no other test uses, so the start is never a memo hit: it runs
+  // greedy, and the failpoint below lands in it.
+  opts.session_template.greedy.lambda = 0.65;
   ExplorationService svc(engine_, opts);
+  // On this small world every request is µs-scale, so one preemption
+  // between stages could make the slowest request mostly uninstrumented.
+  // One sleep inside the first greedy seed makes the slowest request's time
+  // the seed's (the fire also cuts that run: a deadline-hit screen).
+  failpoint::Policy slow_seed;
+  slow_seed.mode = failpoint::Policy::Mode::kOnce;
+  slow_seed.code = StatusCode::kOk;
+  slow_seed.sleep_ms = 25.0;
+  failpoint::ScopedFailpoint fp("greedy.seed", slow_seed);
 
   Response started = svc.Call(Start("traced"));
   ASSERT_TRUE(started.status.ok()) << started.status.ToString();
@@ -802,8 +814,10 @@ TEST_F(ServiceTest, TraceSpanTreeEndToEnd) {
     }
   }
   ASSERT_GT(top_root, 0.0);
-  // The slowest request is a fresh greedy run (ms-scale); uninstrumented
-  // gaps are µs-scale dispatch glue.
+  // The slowest request holds the 25 ms seed sleep; uninstrumented gaps are
+  // µs-scale dispatch glue.
+  ASSERT_EQ(fp.fires(), 1u) << "the seed sleep never ran";
+  EXPECT_GE(top_root, 25'000.0);
   EXPECT_GE(covered / top_root, 0.5)
       << "stages cover only " << covered << "/" << top_root << " us";
 }
