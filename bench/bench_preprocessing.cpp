@@ -5,14 +5,13 @@
 //
 // Protocol: sweep synthetic BOOKCROSSING up to the full paper scale and
 // time the offline pipeline stages of Fig. 1 — generation (stand-in for
-// ETL ingest), group discovery (LCM), inverted-index construction, and the
-// group graph. Shape to reproduce: the whole offline pass is minutes at
-// most on one core (the paper runs it offline), and stage costs grow near-
-// linearly in |A|.
+// ETL ingest), group discovery (LCM) and inverted-index construction.
+// Shape to reproduce: the whole offline pass is minutes at most on one core
+// (the paper runs it offline), and stage costs grow near-linearly in |A|.
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "index/group_graph.h"
+#include "index/inverted_index.h"
 
 using namespace vexus;
 using namespace vexus::bench;
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
   if (!full) scales.pop_back();
 
   PrintRow({"users", "ratings", "gen_ms", "discover_ms", "groups",
-            "index_ms", "postings", "graph_ms", "total_ms"},
+            "index_ms", "postings", "total_ms"},
            12);
   for (const Scale& s : scales) {
     data::BookCrossingGenerator::Config cfg;
@@ -63,14 +62,10 @@ int main(int argc, char** argv) {
     VEXUS_CHECK(idx.ok());
     double index_ms = w.ElapsedMillis();
 
-    w.Restart();
-    index::GroupGraph graph = index::GroupGraph::FromIndex(*idx);
-    double graph_ms = w.ElapsedMillis();
-
     PrintRow({FmtInt(s.users), FmtInt(s.ratings), Fmt(gen_ms, 0),
               Fmt(discover_ms, 0), FmtInt(discovery->groups.size()),
               Fmt(index_ms, 0), FmtInt(idx->build_stats().postings),
-              Fmt(graph_ms, 0), Fmt(total.ElapsedMillis(), 0)},
+              Fmt(total.ElapsedMillis(), 0)},
              12);
   }
   std::printf(

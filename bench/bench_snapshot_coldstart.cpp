@@ -13,7 +13,7 @@
 //                   each S=2 section (medians of N trials); every load must
 //                   round-trip to the preprocessed store's digest
 //   4. warm-up      VexusEngine::FromSnapshot end-to-end (load + catalog
-//                   rebuild + graph), the number an operator actually waits
+//                   rebuild), the number an operator actually waits
 //
 // Gates: parallel preprocess and both round trips identical; at full scale
 // the S=2 full load is at most 1.5x the S=1 full load (the section decoder
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   double warm_ms = sw.ElapsedMillis();
   VEXUS_CHECK(warmed.ok()) << warmed.status().ToString();
   VEXUS_CHECK(warmed->groups().size() == num_groups);
-  std::printf("FromSnapshot warm-up (load + catalog + graph): %.0f ms vs "
+  std::printf("FromSnapshot warm-up (load + catalog): %.0f ms vs "
               "%.0f ms full preprocess (%.1fx faster cold start)\n\n",
               warm_ms, preprocess_serial_ms,
               preprocess_serial_ms / std::max(1.0, warm_ms));

@@ -3,8 +3,6 @@
 // optimizer (principle P3), and to time benchmark phases.
 #pragma once
 
-#include <time.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -32,28 +30,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// CPU time of the calling thread since construction: the work it did,
-/// without the time it was preempted or blocked (on a socket, say). Read it
-/// on the thread that constructed it.
-class ThreadCpuStopwatch {
- public:
-  ThreadCpuStopwatch() : start_(Now()) {}
-
-  double ElapsedMillis() const {
-    const timespec now = Now();
-    return static_cast<double>(now.tv_sec - start_.tv_sec) * 1e3 +
-           static_cast<double>(now.tv_nsec - start_.tv_nsec) / 1e6;
-  }
-
- private:
-  static timespec Now() {
-    timespec t{};
-    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
-    return t;
-  }
-  timespec start_;
 };
 
 /// A point in monotonic time after which anytime algorithms must stop.

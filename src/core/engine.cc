@@ -41,11 +41,6 @@ Result<VexusEngine> VexusEngine::Preprocess(
     engine.index_ = std::make_unique<index::InvertedIndex>(std::move(idx));
   }
 
-  {
-    TraceSpan graph = span != nullptr ? span->Child("graph") : TraceSpan();
-    engine.graph_ = std::make_unique<index::GroupGraph>(
-        index::GroupGraph::FromIndex(*engine.index_));
-  }
   engine.InitSessionState();
   return engine;
 }
@@ -101,11 +96,6 @@ Result<VexusEngine> VexusEngine::FromSnapshot(data::Dataset dataset,
   engine.index_ =
       std::make_unique<index::InvertedIndex>(std::move(snap.index));
 
-  {
-    TraceSpan graph = span != nullptr ? span->Child("graph") : TraceSpan();
-    engine.graph_ = std::make_unique<index::GroupGraph>(
-        index::GroupGraph::FromIndex(*engine.index_));
-  }
   engine.InitSessionState();
   return engine;
 }
@@ -141,8 +131,7 @@ std::string VexusEngine::Summary() const {
      << "  index: " << WithThousands(index_->build_stats().postings)
      << " postings, " << WithThousands(index_->build_stats().memory_bytes)
      << " bytes (build " << FormatDouble(index_->build_stats().elapsed_ms, 1)
-     << " ms)\n"
-     << "  graph: " << graph_->Summary();
+     << " ms)";
   return os.str();
 }
 

@@ -19,7 +19,6 @@
 #include "core/screen_memo.h"
 #include "core/session.h"
 #include "data/dataset.h"
-#include "index/group_graph.h"
 #include "index/inverted_index.h"
 #include "mining/discovery.h"
 
@@ -28,9 +27,9 @@ namespace vexus::core {
 class VexusEngine {
  public:
   /// Runs the full offline pipeline: group discovery over the dataset, then
-  /// inverted-index construction, then the overlap graph. Takes ownership of
-  /// the dataset (sessions reference it). `span`, when non-null, gets
-  /// "discover" / "index" / "graph" children (counts: groups, postings).
+  /// inverted-index construction. Takes ownership of the dataset (sessions
+  /// reference it). `span`, when non-null, gets "discover" / "index"
+  /// children (counts: groups, postings).
   static Result<VexusEngine> Preprocess(
       data::Dataset dataset,
       const mining::DiscoveryOptions& discovery_options = {},
@@ -45,8 +44,7 @@ class VexusEngine {
   /// against the dataset schema (FailedPrecondition on mismatch). The
   /// descriptor catalog is rebuilt from the dataset — it is derived data,
   /// linear in |U|, and not worth persisting. `span`, when non-null, gets a
-  /// "load" child from LoadSnapshot plus a "graph" child for the
-  /// overlap-graph rebuild.
+  /// "load" child from LoadSnapshot.
   static Result<VexusEngine> FromSnapshot(data::Dataset dataset,
                                           const std::string& path,
                                           const TraceSpan* span = nullptr);
@@ -60,7 +58,6 @@ class VexusEngine {
     return discovery_->catalog;
   }
   const index::InvertedIndex& index() const { return *index_; }
-  const index::GroupGraph& graph() const { return *graph_; }
   const mining::DiscoveryResult& discovery() const { return *discovery_; }
   /// The token space every session's feedback is over (one per engine).
   const TokenSpace& tokens() const { return *tokens_; }
@@ -78,7 +75,7 @@ class VexusEngine {
   std::unique_ptr<ExplorationSession> CreateSession(
       SessionOptions options = {}) const;
 
-  /// Pre-processing summary: groups, index postings, graph shape, timings.
+  /// Pre-processing summary: groups, index postings, timings.
   std::string Summary() const;
 
  private:
@@ -91,7 +88,6 @@ class VexusEngine {
   std::unique_ptr<data::Dataset> dataset_;
   std::unique_ptr<mining::DiscoveryResult> discovery_;
   std::unique_ptr<index::InvertedIndex> index_;
-  std::unique_ptr<index::GroupGraph> graph_;
   // Behind pointers so a moved engine keeps the addresses its sessions hold.
   std::unique_ptr<TokenSpace> tokens_;
   std::unique_ptr<ScreenMemo> screens_;

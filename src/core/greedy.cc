@@ -245,7 +245,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
                                     WorkRecord* record) const {
   VEXUS_CHECK(options.k >= 1);
   Stopwatch watch;
-  ThreadCpuStopwatch cpu;
   // AfterMillis owns the budget clamping: <= 0 / NaN expire immediately,
   // +infinity (kUnboundedTimeLimit) never expires. Keeping the policy in one
   // place is what the serving layer's deadline propagation relies on.
@@ -253,16 +252,18 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
 
   GreedySelection result;
   result.candidates = pool.size();
-  result.time_limit_ms = options.time_limit_ms;
   // A record from another pool or k cannot be continued.
   if (record != nullptr && !FitsPool(*record, pool.size(), options.k)) {
     *record = WorkRecord{};
   }
   if (pool.empty()) {
     result.elapsed_ms = watch.ElapsedMillis();
-    result.cpu_ms = static_cast<float>(cpu.ElapsedMillis());
     return result;
   }
+  // The run's work (GreedySelection::work) is counted in bitset words per
+  // member-set pass and in feedback tokens per prior.
+  const uint64_t num_users = store_->num_users();
+  const uint64_t words = (num_users + 63) / 64;
 
   TraceSpan greedy =
       options.trace != nullptr ? options.trace->Child("greedy") : TraceSpan();
@@ -289,6 +290,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       TraceSpan weights_span = seed_span.Child("weights");
       const std::vector<double> weights = feedback.UserWeights();
       weights_span.Close();
+      result.work += num_users;
       result.seed_millis.weights = phase.ElapsedMillis();
 
       TraceSpan affinity_span = seed_span.Child("affinity");
@@ -299,6 +301,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       }
       affinity_span.AddCount(pool.size());
       affinity_span.Close();
+      result.work += words * pool.size();
       result.seed_millis.affinity = phase.ElapsedMillis();
     }
 
@@ -347,6 +350,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     for (; r < visit.size(); ++r) seed_score[visit[r]] = affinity[visit[r]];
     prior_span.AddCount(result.seed_scored - recorded);
     prior_span.Close();
+    result.work += (result.seed_scored - recorded) * feedback.nonzero_count();
     result.seed_millis.prior = phase.ElapsedMillis();
   } else {
     // The first screen: no anchor, so the prior ranks by size. Start()'s
@@ -361,6 +365,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     result.seed_scored = pool.size();
     prior_span.AddCount(result.seed_scored);
     prior_span.Close();
+    result.work += result.seed_scored * feedback.nonzero_count();
     result.seed_millis.prior = phase.ElapsedMillis();
   }
 
@@ -387,6 +392,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
           g.size() < ag.size() && g.members().IsSubsetOf(ag.members());
       total_refinements += is_refinement[i];
     }
+    result.work += words * pool.size();
     // Clamped before the cast: a fraction above 1 would reserve more slots
     // than k (and +inf makes the cast undefined).
     quota = std::min(total_refinements,
@@ -470,6 +476,7 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     converged = !apply;  // full scan, nothing improves: local optimum
   }
   result.deadline_hit = result.seed_truncated || !converged;
+  result.work += words * result.evaluations;
   greedy.AddCount(result.evaluations);
   greedy.Close();
   if (record != nullptr && !result.seed_truncated) {
@@ -488,7 +495,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       selected.empty() ? 0 : aff / static_cast<double>(selected.size());
   if (record != nullptr) record->affinity = std::move(affinity);
   result.elapsed_ms = watch.ElapsedMillis();
-  result.cpu_ms = static_cast<float>(cpu.ElapsedMillis());
   return result;
 }
 

@@ -177,21 +177,13 @@ struct GreedySelection {
   bool seed_truncated = false;
   /// True when the screen came from the engine's screen memo
   /// (core/screen_memo.h) instead of a greedy run: passes, swaps,
-  /// evaluations, seed_scored and the seed and pass timings are then 0, and
-  /// elapsed_ms is the lookup's own time.
+  /// evaluations, seed_scored, work and the seed and pass timings are then
+  /// 0, and elapsed_ms is the lookup's own time.
   bool memoized = false;
   /// True when the run continued a WorkRecord instead of starting afresh:
   /// the weights and affinity phases did not run, and the seed scored only
   /// the priors the record lacked.
   bool resumed = false;
-  /// CPU time the run's thread spent on it, in milliseconds: its own work,
-  /// without time it waited or was preempted. On a fleet it also holds the
-  /// shard calls of each gather lap that the gather pool ran on this
-  /// thread, a share that varies from run to run. The screen memo admits a
-  /// converged local run by it (ScreenMemo::kAdmitShare of time_limit_ms).
-  /// 0 for a memo hit. A float, so that it fits beside the flags (see
-  /// time_limit_ms).
-  float cpu_ms = 0;
   /// Group priors the seed computed: the pool size, or at least
   /// min(k, candidates) when the seed was truncated. A resumed run counts
   /// the record's priors too.
@@ -213,15 +205,15 @@ struct GreedySelection {
   /// degraded:"partial" when this dips below 1.
   double covered_fraction = 1.0;
   double elapsed_ms = 0;
-  /// The GreedyOptions::time_limit_ms the run ran under, which scales the
-  /// screen memo's cost line (cpu_ms). +infinity (the default) for a
-  /// selection no bounded run produced, such as a memo hit; it never
-  /// qualifies by cost.
-  /// The four flags and cpu_ms sit together so that neither field adds
-  /// size: a larger struct would put one ExplorationStep per HISTORY deque
-  /// block instead of two, which read slower on small worlds (EXPERIMENTS
-  /// E20).
-  double time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
+  /// The work the run did, counted in the words and tokens it read: |U| for
+  /// the user weights, ⌈|U|/64⌉ bitset words per candidate for the
+  /// affinity and the refinement test and per trial evaluation, and the
+  /// feedback's nonzero_count() per prior scored. A function of the inputs
+  /// and of the work done, not of the clock: a converged run counts what an
+  /// unbounded run on the same inputs counts, on any machine and under any
+  /// load. A resumed run counts only its own work. The screen memo admits a
+  /// converged local run by it (ScreenMemo::kAdmitWork). 0 for a memo hit.
+  uint64_t work = 0;
   /// Wall-clock of each refinement pass, the deadline-cut one included, in
   /// order. Surfaced so the serving layer can attribute the anytime budget
   /// to passes (pass 1 dominates: it fills the sim rows).

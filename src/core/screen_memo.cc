@@ -18,10 +18,7 @@ bool Admits(const std::vector<mining::GroupId>& path,
             const GreedySelection& run, bool remote) {
   if (run.deadline_hit) return !path.empty();
   if (path.empty()) return true;
-  // CPU time, not wall-clock: a wait (a preemption, a slow gather lap) does
-  // not recur with the path. Nor does a fleet run's share of its laps'
-  // shard calls. NaN and +infinity limits compare false.
-  return !remote && run.cpu_ms >= ScreenMemo::kAdmitShare * run.time_limit_ms;
+  return !remote && run.work >= ScreenMemo::kAdmitWork;
 }
 
 /// Work order of two records of one key: both are prefixes of the same
@@ -93,8 +90,7 @@ bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
     screen.seed_millis = {};
     screen.pass_millis.clear();
     screen.elapsed_ms = 0;
-    screen.cpu_ms = 0;
-    screen.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
+    screen.work = 0;
     screen.memoized = true;
     screen.resumed = false;
     entry.screen = std::move(screen);

@@ -14,24 +14,19 @@
 // Admission follows cost, with no option. The empty path (the first
 // screen) is stored when its run converges. Any other path is stored when
 // a run for it did real work: the deadline cut it, which stores its work
-// record, or it converged after its own work took at least kAdmitShare
-// (1/16) of the time limit it ran under, which stores it as a hit. Work is
-// the run's thread CPU time (GreedySelection::cpu_ms), not its wall-clock:
-// time spent preempted or waiting on a gather lap depends on the moment,
-// not the path, and admitting by it would make which paths get cached a
-// matter of chance. For the same reason a fleet run (one whose passes go
-// to remote shards, GreedyOptions::remote_scatter) never qualifies by
-// cost: its thread CPU time also holds whichever of each lap's shard calls
-// the gather pool ran on that thread, a share that changes from run to run
-// (DESIGN.md §8.5). A run with no finite limit
-// (GreedySelection::time_limit_ms), such as an unbounded reference or a
-// selection built by hand, never qualifies by cost either, so a workload
-// whose selects compute in under a sixteenth of their budget admits only
-// its first screens. A stored screen equals an unbounded run on the replayed
-// path: a converged run makes the same passes as an unbounded one, and a
-// run that resumed a record continued the same deterministic work. A run
-// scored over a partial remote fold (covered_fraction < 1) is never
-// stored.
+// record, or it converged after counted work (GreedySelection::work, the
+// words and tokens it read) of at least kAdmitWork, which stores it as a
+// hit. The count is a function of the path, not of the clock, the machine,
+// its load or the time limit, so which paths get cached does not depend on
+// the moment, and a run with no finite limit qualifies as a bounded one
+// does. A fleet run (one whose passes go to remote shards,
+// GreedyOptions::remote_scatter) never qualifies by cost: a fleet's cost
+// is its gather laps, which the count does not see, and ROADMAP item 8
+// retires the fleet (DESIGN.md §8.5). A stored screen equals an unbounded run on the
+// replayed path: a converged run makes the same passes as an unbounded
+// one, and a run that resumed a record continued the same deterministic
+// work. A run scored over a partial remote fold (covered_fraction < 1) is
+// never stored.
 //
 // Not to be confused with the session's MEMO (the explorer's bookmarks).
 #pragma once
@@ -56,13 +51,13 @@ class ScreenMemo {
   /// Clicks in the longest path the memo stores; longer paths are never
   /// admitted.
   static constexpr size_t kMaxPathLength = 8;
-  /// The share of its time limit a converged run's own work must take for
-  /// its path to be stored (file comment): 5 ms of the 80 ms greedy budget.
-  /// Paper-scale selects converge at 3-80 ms of CPU and repeat across
-  /// sessions, so nearly all of them qualify; sub-millisecond selects on
-  /// small worlds never do, which keeps their memo at one screen
-  /// (DESIGN.md §8.5).
-  static constexpr double kAdmitShare = 1.0 / 16;
+  /// The counted work (GreedySelection::work) a converged run on a
+  /// non-empty path must reach for its path to be stored (file comment):
+  /// 2^20 words and tokens. Paper-scale selects count 0.9M-36M (1.4M at
+  /// the first percentile) and repeat across sessions, so nearly all of
+  /// them qualify; selects on a 1,500-user world count under 0.06M and
+  /// never do, which keeps its memo at one screen (DESIGN.md §8.5).
+  static constexpr uint64_t kAdmitWork = uint64_t{1} << 20;
 
   /// The options that decide a screen, plus the click path. Built by KeyOf.
   struct Key {

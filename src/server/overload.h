@@ -10,8 +10,7 @@
 // only sheds when nothing cheaper is left:
 //
 //   rung 0  kNormal        full effort, full k
-//   rung 1  kShrinkEffort  greedy budget × kEffortFactor, candidate pool
-//                          capped at kDegradedCandidateCap — fewer trial
+//   rung 1  kShrinkEffort  greedy budget × kEffortFactor — fewer trial
 //                          swaps per screen
 //   rung 2  kReduceK       screens of kDegradedK (< the paper's 7) groups
 //   rung 3  kStale         select_group answers the session's *cached*
@@ -79,9 +78,6 @@ std::string_view OverloadRungName(OverloadRung rung);
 
 /// Rung >= kShrinkEffort: the greedy time budget is multiplied by this.
 inline constexpr double kEffortFactor = 0.5;
-/// Rung >= kShrinkEffort: the greedy candidate pool is capped at this many
-/// groups.
-inline constexpr size_t kDegradedCandidateCap = 128;
 /// Rung >= kReduceK: screens are served with this many groups (clamped to
 /// the requested k; never raises it).
 inline constexpr size_t kDegradedK = 3;

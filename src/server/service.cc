@@ -274,17 +274,17 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
                                    const TraceSpan& span, Response* resp) {
   // Remaining-budget clamp: the greedy loop may use at most what is left of
   // the request's end-to-end budget. The overload ladder (DESIGN.md §12.2)
-  // shrinks *this request's* effort (rung 1) and k (rung 2), and the trace
-  // pointer is set for this request only. All of it is undone after the
-  // run: the span dies with the request, and the session keeps the
-  // explorer's requested options for when the overload passes.
+  // shrinks *this request's* time limit (rung 1) and k (rung 2), and the
+  // trace pointer is set for this request only. Rung 1 leaves the first
+  // screen's candidate cap alone: the cap is part of its memo key, so a
+  // smaller one would miss the stored first screen. All of it is undone
+  // after the run: the span dies with the request, and the session keeps
+  // the explorer's requested options for when the overload passes.
   core::GreedyOptions& live = session.mutable_options().greedy;
   const core::GreedyOptions configured = live;
   double limit = configured.time_limit_ms;
   if (rung >= OverloadRung::kShrinkEffort) {
     limit *= kEffortFactor;
-    live.initial_candidate_cap =
-        std::min(live.initial_candidate_cap, kDegradedCandidateCap);
     resp->degraded = "effort";
   }
   if (rung >= OverloadRung::kReduceK) {

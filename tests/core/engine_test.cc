@@ -27,7 +27,6 @@ TEST(EngineTest, PreprocessBuildsAllStructures) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_GT(engine->groups().size(), 10u);
   EXPECT_EQ(engine->index().num_groups(), engine->groups().size());
-  EXPECT_EQ(engine->graph().num_nodes(), engine->groups().size());
   EXPECT_EQ(engine->dataset().num_users(), 500u);
   EXPECT_GT(engine->catalog().size(), 0u);
 }
@@ -90,7 +89,6 @@ TEST(EngineTest, SummaryContainsKeyFigures) {
   std::string s = engine->Summary();
   EXPECT_NE(s.find("groups:"), std::string::npos);
   EXPECT_NE(s.find("index:"), std::string::npos);
-  EXPECT_NE(s.find("graph:"), std::string::npos);
 }
 
 TEST(EngineTest, WorksOnDbAuthors) {
@@ -152,7 +150,6 @@ TEST(EngineSnapshotTest, FromSnapshotServesSessionsLikePreprocess) {
   ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
   EXPECT_EQ(warmed->groups().size(), mined->groups().size());
   EXPECT_EQ(warmed->index().num_groups(), mined->index().num_groups());
-  EXPECT_EQ(warmed->graph().num_nodes(), warmed->groups().size());
   EXPECT_GT(warmed->catalog().size(), 0u);  // rebuilt, not persisted
   ASSERT_TRUE(warmed->RootGroup().has_value());
 

@@ -455,11 +455,6 @@ TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
   const double seed_ms = next.seed_millis.weights + next.seed_millis.affinity +
                          next.seed_millis.prior + next.seed_millis.setup;
   EXPECT_LE(seed_ms, next.elapsed_ms);
-  // The run's own CPU time: some work, no more than its wall-clock (one
-  // thread; the slack covers reading two clocks).
-  EXPECT_GT(next.cpu_ms, 0.0f);
-  EXPECT_LE(next.cpu_ms, next.elapsed_ms + 1.0);
-  EXPECT_EQ(next.time_limit_ms, GreedyOptions::kUnboundedTimeLimit);
 
   auto initial = sel.SelectInitial(fb, Unbounded(4));
   EXPECT_EQ(initial.seed_scored, initial.candidates);
@@ -467,6 +462,54 @@ TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
   EXPECT_FALSE(initial.deadline_hit);
   EXPECT_EQ(initial.seed_millis.weights, 0.0) << "a first screen has no anchor";
   EXPECT_EQ(initial.seed_millis.affinity, 0.0);
+}
+
+TEST(GreedyTest, ConvergedRunCountsItsWorkNotItsClock) {
+  World w(60, 500, 23);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(2));
+  GreedySelector sel(&w.store, w.index.get());
+  const uint64_t words = (500 + 63) / 64;
+
+  // The weights read |U|; the affinity, the refinement test and every
+  // trial evaluation read the member words once; a prior reads the
+  // feedback's tokens.
+  const GreedySelection unbounded = sel.SelectNext(0, fb, Unbounded(4));
+  ASSERT_FALSE(unbounded.deadline_hit);
+  ASSERT_GE(unbounded.passes, 1u);
+  EXPECT_EQ(unbounded.work,
+            500 + words * (2 * unbounded.candidates + unbounded.evaluations) +
+                unbounded.candidates * fb.nonzero_count());
+
+  // The same work under a finite limit, and over a second world built from
+  // the same inputs.
+  GreedyOptions bounded = Unbounded(4);
+  bounded.time_limit_ms = 80;
+  const GreedySelection in_budget = sel.SelectNext(0, fb, bounded);
+  ASSERT_FALSE(in_budget.deadline_hit);
+  EXPECT_EQ(in_budget.work, unbounded.work);
+  World again(60, 500, 23);
+  FeedbackVector fb_again(again.tokens.get());
+  fb_again.Learn(again.store.group(2));
+  const GreedySelection elsewhere =
+      GreedySelector(&again.store, again.index.get())
+          .SelectNext(0, fb_again, bounded);
+  ASSERT_FALSE(elsewhere.deadline_hit);
+  EXPECT_EQ(elsewhere.work, unbounded.work);
+
+  // A resumed run counts only its own work: no weights, affinity or
+  // priors once the record holds them.
+  WorkRecord record;
+  sel.SelectNext(0, fb, Unbounded(4), &record);
+  const GreedySelection resumed = sel.SelectNext(0, fb, Unbounded(4), &record);
+  ASSERT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.work,
+            words * (resumed.candidates + resumed.evaluations));
+
+  // A first screen has no anchor: priors and trial evaluations only.
+  const GreedySelection initial = sel.SelectInitial(fb, Unbounded(4));
+  EXPECT_EQ(initial.work, words * initial.evaluations +
+                              initial.candidates * fb.nonzero_count());
 }
 
 TEST(GreedyTest, RankPoolByPriorIsPermutationInvariant) {

@@ -1,9 +1,7 @@
 #include "core/screen_memo.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -85,12 +83,13 @@ class FirstScreenMemoTest : public ::testing::Test {
   /// A session over the shared engine's structures but with its own memo,
   /// so a test sees exactly the entries it stored.
   static std::unique_ptr<ExplorationSession> SessionWith(
-      ScreenMemo* memo, const GreedyOptions& greedy) {
+      ScreenMemo* memo, const GreedyOptions& greedy,
+      const VexusEngine& engine = *engine_) {
     SessionOptions options;
     options.greedy = greedy;
     return std::make_unique<ExplorationSession>(
-        &engine_->dataset(), &engine_->groups(), &engine_->index(),
-        &engine_->tokens(), memo, options);
+        &engine.dataset(), &engine.groups(), &engine.index(), &engine.tokens(),
+        memo, options);
   }
 
   static GreedyOptions Unbounded(size_t k) {
@@ -291,8 +290,8 @@ TEST_F(FirstScreenMemoTest, TraceSpanCountsOnlyHits) {
   EXPECT_EQ(traced(*session, start),
             std::make_pair(std::vector<uint64_t>{1}, false));
 
-  // A select looks its path up too. An unbounded run never qualifies by
-  // cost, so the path stays a miss.
+  // A select looks its path up too. A run on this small world counts far
+  // less work than the line, so the path stays a miss.
   const mining::GroupId g = session->Current().groups[0];
   auto select = [&] {
     session->SelectGroup(g);
@@ -462,22 +461,72 @@ class ScreenMemoTest : public FirstScreenMemoTest {
     return {first, second};
   }
 
-  static FeedbackVector Replayed(const std::vector<mining::GroupId>& path) {
-    FeedbackVector feedback(&engine_->tokens());
+  static FeedbackVector Replayed(const std::vector<mining::GroupId>& path,
+                                 const VexusEngine& engine = *engine_) {
+    FeedbackVector feedback(&engine.tokens());
     for (mining::GroupId g : path) {
-      feedback.Learn(engine_->groups().group(g),
-                     SessionOptions().learning_rate);
+      feedback.Learn(engine.groups().group(g), SessionOptions().learning_rate);
     }
     return feedback;
   }
 
   /// An unbounded SelectNext on the replayed feedback of `path`.
   static GreedySelection Reference(const std::vector<mining::GroupId>& path,
-                                   const GreedyOptions& greedy) {
+                                   const GreedyOptions& greedy,
+                                   const VexusEngine& engine = *engine_) {
     GreedyOptions unbounded = greedy;
     unbounded.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
-    return GreedySelector(&engine_->groups(), &engine_->index())
-        .SelectNext(path.back(), Replayed(path), unbounded);
+    unbounded.remote_scatter = nullptr;
+    return GreedySelector(&engine.groups(), &engine.index())
+        .SelectNext(path.back(), Replayed(path, engine), unbounded);
+  }
+
+  /// A world of 24,000 users, built once. Its first screen at k = 5 offers
+  /// clicks whose converged runs count work on both sides of
+  /// ScreenMemo::kAdmitWork.
+  static const VexusEngine& LargeWorld() {
+    static const VexusEngine* const world = [] {
+      data::BookCrossingGenerator::Config cfg;
+      cfg.num_users = 24'000;
+      cfg.num_books = 24'000;
+      cfg.num_ratings = 144'000;
+      mining::DiscoveryOptions opt;
+      opt.min_support_fraction = 0.005;
+      return new VexusEngine(std::move(
+          VexusEngine::Preprocess(data::BookCrossingGenerator::Generate(cfg),
+                                  opt, {})
+              .ValueOrDie()));
+    }();
+    return *world;
+  }
+
+  /// The first-screen clicks of LargeWorld whose converged runs count the
+  /// most and the least work, with their unbounded screens.
+  struct Clicks {
+    mining::GroupId dear, cheap;
+    GreedySelection dear_screen, cheap_screen;
+  };
+  static Clicks DearAndCheapClicks(const GreedyOptions& greedy) {
+    const VexusEngine& world = LargeWorld();
+    ScreenMemo scratch;
+    const std::vector<mining::GroupId> first =
+        SessionWith(&scratch, greedy, world)->Start().groups;
+    const GreedySelection screen0 = Reference({first[0]}, greedy, world);
+    Clicks clicks{first[0], first[0], screen0, screen0};
+    for (mining::GroupId g : first) {
+      GreedySelection screen = Reference({g}, greedy, world);
+      if (screen.work > clicks.dear_screen.work) {
+        clicks.dear = g;
+        clicks.dear_screen = screen;
+      }
+      if (screen.work < clicks.cheap_screen.work) {
+        clicks.cheap = g;
+        clicks.cheap_screen = std::move(screen);
+      }
+    }
+    EXPECT_GE(clicks.dear_screen.work, ScreenMemo::kAdmitWork);
+    EXPECT_LT(clicks.cheap_screen.work, ScreenMemo::kAdmitWork);
+    return clicks;
   }
 
   static ScreenMemo::Key PathKey(const GreedyOptions& greedy,
@@ -544,7 +593,7 @@ TEST_F(ScreenMemoTest, ResumedAndHitScreensEqualTheUnboundedScreen) {
   const size_t visits = VisitUntilHit(
       [&] { return VisitFresh(&memo, greedy, path); }, reference);
   EXPECT_GE(visits, 4u) << "cut, resumed, converged, hit";
-  // The first click converged inside its budget, so only the first screen
+  // The first click converged under the work line, so only the first screen
   // and the cut path hold entries.
   EXPECT_EQ(memo.stats().by_path_length,
             (std::vector<size_t>{1, 0, 1, 0, 0, 0, 0, 0, 0}));
@@ -632,21 +681,17 @@ TEST_F(ScreenMemoTest, PathConvergingWithinBudgetAdmitsNoEntry) {
   EXPECT_EQ(memo.stats().by_path_length[0], 1u);
 }
 
-TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedASixteenthOfItsLimit) {
+TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItsWorkReachesTheLine) {
   const GreedyOptions greedy = Budgeted();
   GreedySelection run;
   run.groups = {1, 2};
-  run.time_limit_ms = 80;
-  EXPECT_EQ(GreedySelection().time_limit_ms,
-            GreedyOptions::kUnboundedTimeLimit);
 
   ScreenMemo memo;
-  // Cost is the run's own work, not its wall-clock: 5 ms of an 80 ms limit.
-  EXPECT_EQ(ScreenMemo::kAdmitShare * 80, 5.0);
+  // Cost is the run's counted work, not its wall-clock.
   run.elapsed_ms = 1e300;
-  run.cpu_ms = std::nextafter(5.0f, 0.0f);
+  run.work = ScreenMemo::kAdmitWork - 1;
   EXPECT_FALSE(memo.Store(PathKey(greedy, {4}), run, {})) << "just below";
-  run.cpu_ms = 5.0f;
+  run.work = ScreenMemo::kAdmitWork;
   run.elapsed_ms = 0;
   const ScreenMemo::Key line = PathKey(greedy, {3});
   EXPECT_TRUE(memo.Store(line, run, {}));
@@ -654,16 +699,7 @@ TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedASixteenthOfItsLimit) {
   ASSERT_TRUE(hit.screen.has_value());
   EXPECT_TRUE(hit.screen->memoized);
   EXPECT_EQ(hit.screen->groups, run.groups);
-  EXPECT_EQ(hit.screen->time_limit_ms, GreedyOptions::kUnboundedTimeLimit);
-  EXPECT_EQ(hit.screen->cpu_ms, 0.0f);
-
-  // Without a finite limit no run is expensive, however long it took.
-  run.cpu_ms = std::numeric_limits<float>::max();
-  for (double limit : {GreedyOptions::kUnboundedTimeLimit,
-                       std::numeric_limits<double>::quiet_NaN()}) {
-    run.time_limit_ms = limit;
-    EXPECT_FALSE(memo.Store(PathKey(greedy, {4}), run, {})) << limit;
-  }
+  EXPECT_EQ(hit.screen->work, 0u);
   EXPECT_FALSE(memo.Find(PathKey(greedy, {4})).screen.has_value());
   EXPECT_TRUE(memo.Find(PathKey(greedy, {4})).record.affinity.empty());
 
@@ -674,8 +710,7 @@ TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedASixteenthOfItsLimit) {
   cheap.groups = {1, 2};
   EXPECT_TRUE(memo.Store(FirstKey(greedy), cheap, {}));
   GreedySelection expensive = cheap;
-  expensive.time_limit_ms = 80;
-  expensive.cpu_ms = 80;
+  expensive.work = ScreenMemo::kAdmitWork;
   GreedySelection cut = expensive;
   cut.deadline_hit = true;
   EXPECT_FALSE(memo.Store(FirstKey(Unbounded(2)), cut, {}));
@@ -699,69 +734,71 @@ TEST_F(ScreenMemoTest, ConvergedRunIsStoredWhenItUsedASixteenthOfItsLimit) {
 }
 
 TEST_F(ScreenMemoTest, SlowConvergedPathIsAHitOnItsNextVisit) {
-  // Under a zero limit every run uses its admission share. A click whose
-  // pool holds exactly k candidates selects them all and converges with no
-  // pass, so that run is expensive and converged, with no sleep.
+  const VexusEngine& world = LargeWorld();
   GreedyOptions greedy = Budgeted();
-  const mining::GroupId g = WidestPool(greedy, std::nullopt);
-  greedy.k = PoolSize(g, greedy);
-  ASSERT_GE(greedy.k, 2u);
-  greedy.time_limit_ms = 0;
-  const GreedySelection reference = Reference({g}, greedy);
+  const Clicks clicks = DearAndCheapClicks(greedy);
 
   ScreenMemo memo;
-  auto visit = [&] {
-    auto session = SessionWith(&memo, greedy);
+  auto visit = [&](mining::GroupId g) {
+    auto session = SessionWith(&memo, greedy, world);
     session->Start();
     return session->SelectGroup(g);
   };
-  const GreedySelection first = visit();
+  const GreedySelection first = visit(clicks.dear);
   EXPECT_FALSE(first.deadline_hit);
   EXPECT_FALSE(first.memoized);
-  EXPECT_EQ(first.candidates, greedy.k);
-  EXPECT_EQ(first.time_limit_ms, 0.0);
-  ExpectSameScreen17(first, reference, "converged");
-  EXPECT_EQ(memo.stats().screens, 1u) << "the cut start is not stored";
-  const GreedySelection second = visit();
+  EXPECT_EQ(first.work, clicks.dear_screen.work);
+  ExpectSameScreen17(first, clicks.dear_screen, "converged");
+  EXPECT_EQ(memo.stats().screens, 2u) << "the first screen and the click";
+  const GreedySelection second = visit(clicks.dear);
   EXPECT_TRUE(second.memoized);
-  ExpectSameScreen17(second, reference, "hit");
+  ExpectSameScreen17(second, clicks.dear_screen, "hit");
 
-  // The control: the same path converging without a finite limit.
+  // The control: a cheaper click converges and stays a miss.
+  for (int v = 0; v < 2; ++v) {
+    const GreedySelection cheap = visit(clicks.cheap);
+    EXPECT_FALSE(cheap.deadline_hit) << v;
+    EXPECT_FALSE(cheap.memoized) << v;
+  }
+  EXPECT_EQ(memo.stats().by_path_length[1], 1u);
+
+  // The count ignores the time limit, so a run with no finite limit
+  // qualifies too.
   ScreenMemo unbounded;
   greedy.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
-  auto session = SessionWith(&unbounded, greedy);
-  session->Start();
-  EXPECT_FALSE(session->SelectGroup(g).memoized);
-  EXPECT_EQ(unbounded.stats().by_path_length[1], 0u);
+  for (bool memoized : {false, true}) {
+    auto session = SessionWith(&unbounded, greedy, world);
+    session->Start();
+    EXPECT_EQ(session->SelectGroup(clicks.dear).memoized, memoized);
+  }
 }
 
 TEST_F(ScreenMemoTest, FleetRunNeverQualifiesByCost) {
-  // The run SlowConvergedPathIsAHitOnItsNextVisit stores, on a fleet: its
-  // CPU time holds a varying share of the laps, so it does not count.
+  // The click SlowConvergedPathIsAHitOnItsNextVisit stores, on a fleet: its
+  // cost is the gather laps, which the count does not see.
+  const VexusEngine& world = LargeWorld();
   GreedyOptions greedy = Budgeted();
-  const mining::GroupId g = WidestPool(greedy, std::nullopt);
-  greedy.k = PoolSize(g, greedy);
-  ASSERT_GE(greedy.k, 2u);
-  greedy.time_limit_ms = 0;
-  PartialScatterer healthy(&engine_->groups(), 1.0);
+  const Clicks clicks = DearAndCheapClicks(greedy);
+  PartialScatterer healthy(&world.groups(), 1.0);
   greedy.remote_scatter = &healthy;
 
   ScreenMemo memo;
   for (int visit = 0; visit < 2; ++visit) {
-    auto session = SessionWith(&memo, greedy);
+    auto session = SessionWith(&memo, greedy, world);
     session->Start();
-    const GreedySelection& s = session->SelectGroup(g);
+    const GreedySelection& s = session->SelectGroup(clicks.dear);
     EXPECT_FALSE(s.deadline_hit) << visit;
     EXPECT_FALSE(s.memoized) << visit;
+    EXPECT_GE(s.work, ScreenMemo::kAdmitWork) << visit;
+    ExpectSameScreen17(s, clicks.dear_screen, "fleet");
   }
-  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.size(), 1u) << "only the first screen";
 
-  // The other rules hold on a fleet: a cut run stores its record, its
-  // converged resume the screen, and the first screen is stored.
+  // The other rules hold on a fleet: the first screen is stored (above), a
+  // cut run stores its record, and its converged resume the screen.
   GreedySelection expensive;
   expensive.groups = {1, 2};
-  expensive.time_limit_ms = 80;
-  expensive.cpu_ms = 80;
+  expensive.work = ScreenMemo::kAdmitWork;
   EXPECT_FALSE(memo.Store(PathKey(greedy, {3}), expensive, {}, true));
   EXPECT_TRUE(memo.Store(PathKey(greedy, {3}), expensive, {}, false))
       << "the control";
@@ -772,7 +809,6 @@ TEST_F(ScreenMemoTest, FleetRunNeverQualifiesByCost) {
   EXPECT_TRUE(memo.Store(PathKey(greedy, {4}), cut, record, true));
   EXPECT_TRUE(memo.Store(PathKey(greedy, {4}), expensive, {}, true));
   EXPECT_TRUE(memo.Find(PathKey(greedy, {4})).screen.has_value());
-  EXPECT_TRUE(memo.Store(FirstKey(greedy), expensive, {}, true));
   EXPECT_EQ(memo.stats().screens, 3u);
 }
 
@@ -792,8 +828,7 @@ TEST_F(ScreenMemoTest, FullMemoStopsAdmittingButStillServes) {
   EXPECT_FALSE(memo.Store(PathKey(greedy, {past}), cut, record));
   EXPECT_FALSE(memo.Store(FirstKey(greedy), GreedySelection(), {}));
   GreedySelection expensive;
-  expensive.time_limit_ms = 80;
-  expensive.cpu_ms = 80;
+  expensive.work = ScreenMemo::kAdmitWork;
   EXPECT_FALSE(memo.Store(PathKey(greedy, {past + 1}), expensive, {}));
   EXPECT_EQ(memo.size(), ScreenMemo::kMaxEntries);
   ScreenMemo::Stats stats = memo.stats();

@@ -1118,6 +1118,29 @@ TEST_F(ServiceTest, LadderShrinkEffortAndReduceKDegradeOnlyTheRequest) {
   EXPECT_EQ(snap.DegradedTotal(), 2u);
 }
 
+TEST_F(ServiceTest, ShrinkEffortStartIsServedTheStoredFirstScreen) {
+  ExplorationService svc(engine_, FastOptions());
+  Response normal = svc.Call(Start("normal_start"));
+  ASSERT_TRUE(normal.status.ok()) << normal.status.ToString();
+  ASSERT_FALSE(normal.greedy_deadline_hit) << "a cut start is not stored";
+  const uint64_t hits = svc.Stats().screen_memo_hits;
+  const size_t entries = engine_->screens().size();
+
+  // Rung 1 shrinks the time limit only: the first screen's key, which holds
+  // the candidate cap, is the normal start's.
+  svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kShrinkEffort);
+  Response effort = svc.Call(Start("effort_start"));
+  ASSERT_TRUE(effort.status.ok()) << effort.status.ToString();
+  ASSERT_TRUE(effort.degraded.has_value());
+  EXPECT_EQ(*effort.degraded, "effort");
+  EXPECT_EQ(svc.Stats().screen_memo_hits, hits + 1) << "not memoized";
+  EXPECT_EQ(engine_->screens().size(), entries) << "a second first screen";
+  ASSERT_EQ(effort.groups.size(), normal.groups.size());
+  for (size_t i = 0; i < effort.groups.size(); ++i) {
+    EXPECT_EQ(effort.groups[i].id, normal.groups[i].id);
+  }
+}
+
 TEST_F(ServiceTest, LadderStaleRungReplaysTheCachedScreen) {
   ExplorationService svc(SharedEngine(), FastOptions());
   Response started = svc.Call(Start("stale_path"));
