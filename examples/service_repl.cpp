@@ -7,7 +7,7 @@
 //   3. Feed it scripted protocol lines for TWO interleaved explorers —
 //      exactly the bytes a socket front-end would read — and print each
 //      request/response pair.
-//   4. Print the service metrics snapshot (per-op latency table).
+//   4. Print the service metrics snapshot (the get_stats JSON object).
 //
 // With --stdin it instead reads protocol lines from standard input, turning
 // the binary into an actual REPL you can pipe a script into:
@@ -260,6 +260,6 @@ int main(int argc, char** argv) {
   Exchange(svc, R"({"op":"end_session","session":"bob"})");
 
   // ---- 4. Metrics. ----
-  std::printf("%s\n", svc.Stats().ToString().c_str());
+  std::printf("%s\n", svc.Stats().ToJson().Dump().c_str());
   return 0;
 }

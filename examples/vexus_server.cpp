@@ -236,7 +236,7 @@ int ServeForever(ExplorationService& svc, const std::string& host,
               static_cast<unsigned long long>(stats.accepted),
               static_cast<unsigned long long>(stats.requests_submitted),
               static_cast<unsigned long long>(stats.responses_routed));
-  std::printf("%s\n", svc.Stats().ToString().c_str());
+  std::printf("%s\n", svc.Stats().ToJson().Dump().c_str());
   g_server.store(nullptr, std::memory_order_relaxed);
   return 0;
 }

@@ -180,8 +180,8 @@ bool FitsPool(const WorkRecord& record, size_t pool_size, size_t k) {
 
 }  // namespace
 
-void RankPoolByPrior(const GroupStore& store, const FeedbackVector& feedback,
-                     size_t cap, std::vector<GroupId>* pool) {
+void RankPoolBySize(const GroupStore& store, size_t cap,
+                    std::vector<GroupId>* pool) {
   VEXUS_CHECK(pool != nullptr);
   if (pool->size() <= cap) return;
   // Score by position (NOT by GroupId): the pool may be any permutation or
@@ -189,9 +189,7 @@ void RankPoolByPrior(const GroupStore& store, const FeedbackVector& feedback,
   // ranking the moment the pool stopped being the identity permutation.
   std::vector<double> score(pool->size());
   for (size_t i = 0; i < pool->size(); ++i) {
-    const mining::UserGroup& g = store.group((*pool)[i]);
-    score[i] =
-        feedback.GroupPrior(g) * std::log1p(static_cast<double>(g.size()));
+    score[i] = std::log1p(static_cast<double>(store.group((*pool)[i]).size()));
   }
   std::vector<size_t> order(pool->size());
   std::iota(order.begin(), order.end(), size_t{0});
@@ -203,12 +201,6 @@ void RankPoolByPrior(const GroupStore& store, const FeedbackVector& feedback,
   ranked.reserve(cap);
   for (size_t r = 0; r < cap; ++r) ranked.push_back((*pool)[order[r]]);
   *pool = std::move(ranked);
-}
-
-GreedySelection GreedySelector::SelectNext(GroupId anchor,
-                                           const FeedbackVector& feedback,
-                                           const GreedyOptions& options) const {
-  return SelectNext(anchor, feedback, options, nullptr);
 }
 
 GreedySelection GreedySelector::SelectNext(GroupId anchor,
@@ -228,11 +220,12 @@ GreedySelection GreedySelector::SelectNext(GroupId anchor,
 
 GreedySelection GreedySelector::SelectInitial(
     const FeedbackVector& feedback, const GreedyOptions& options) const {
+  VEXUS_CHECK(feedback.Empty()) << "the first screen comes before any click";
   TraceSpan rank =
       options.trace != nullptr ? options.trace->Child("rank") : TraceSpan();
   std::vector<GroupId> pool(store_->size());
   std::iota(pool.begin(), pool.end(), GroupId{0});
-  RankPoolByPrior(*store_, feedback, options.initial_candidate_cap, &pool);
+  RankPoolBySize(*store_, kInitialCandidateCap, &pool);
   rank.AddCount(pool.size());
   rank.Close();
   return Run(std::move(pool), std::nullopt, feedback, options, nullptr);
@@ -352,25 +345,19 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     prior_span.Close();
     result.work += (result.seed_scored - recorded) * feedback.nonzero_count();
     result.seed_millis.prior = phase.ElapsedMillis();
-  } else {
-    // The first screen: no anchor, so the prior ranks by size. Start()'s
-    // feedback is empty, which makes every prior O(1).
-    TraceSpan prior_span = seed_span.Child("prior");
-    for (size_t i = 0; i < pool.size(); ++i) {
-      const mining::UserGroup& g = store_->group(pool[i]);
-      double prior = feedback.GroupPrior(g);
-      affinity[i] = prior - 1.0;
-      seed_score[i] = prior * std::log1p(static_cast<double>(g.size()));
-    }
-    result.seed_scored = pool.size();
-    prior_span.AddCount(result.seed_scored);
-    prior_span.Close();
-    result.work += result.seed_scored * feedback.nonzero_count();
-    result.seed_millis.prior = phase.ElapsedMillis();
   }
 
   TraceSpan setup_span = seed_span.Child("setup");
   phase.Restart();
+  if (!anchor.has_value()) {
+    // The first screen: no anchor and no feedback, so the seed ranks by
+    // size and every affinity stays 0.
+    for (size_t i = 0; i < pool.size(); ++i) {
+      seed_score[i] =
+          std::log1p(static_cast<double>(store_->group(pool[i]).size()));
+    }
+    result.seed_scored = pool.size();
+  }
   std::vector<size_t> order(pool.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {

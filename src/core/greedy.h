@@ -102,9 +102,6 @@ struct GreedyOptions {
       std::numeric_limits<double>::infinity();
   /// μ: weight of the feedback-affinity term in the internal objective.
   double feedback_weight = 0.2;
-  /// Cap on the candidate pool for the *initial* step (no anchor), where
-  /// every group is a candidate; top groups by prior·size are kept.
-  size_t initial_candidate_cap = 512;
   /// Fraction of the k slots reserved for *refinements* — strict subsets of
   /// the anchor. The paper's interaction narrative ("she immediately
   /// receives three subsets of that group") implies screens mix drill-down
@@ -128,10 +125,10 @@ struct GreedyOptions {
   /// Optional parent span for stage attribution (the serving layer points
   /// this at the request's root span). The selector opens `rank` around
   /// candidate-pool construction and `greedy` → {`seed`, `pass` ×N, with
-  /// per-pass trial-evaluation counts} inside Run; `seed` has children
-  /// {`weights`, `affinity`, `prior`, `setup`} (DESIGN.md §10.1). Null (the
-  /// default) means no tracing; the per-span overhead is then a single
-  /// branch.
+  /// per-pass trial-evaluation counts} inside Run; an anchored `seed` has
+  /// children {`weights`, `affinity`, `prior`, `setup`}, a first screen's
+  /// only `setup` (DESIGN.md §10.1). Null (the default) means no tracing;
+  /// the per-span overhead is then a single branch.
   const TraceSpan* trace = nullptr;
 };
 
@@ -184,14 +181,14 @@ struct GreedySelection {
   /// the weights and affinity phases did not run, and the seed scored only
   /// the priors the record lacked.
   bool resumed = false;
-  /// Group priors the seed computed: the pool size, or at least
-  /// min(k, candidates) when the seed was truncated. A resumed run counts
-  /// the record's priors too.
+  /// Candidates the seed scored: the pool size, or at least min(k,
+  /// candidates) when the seed was truncated. A resumed run counts the
+  /// record's priors too.
   size_t seed_scored = 0;
   /// Wall-clock of the seed's phases, in milliseconds: user weights, the
   /// affinity of every candidate, the priors, and the set-up (seed sort,
-  /// refinement test, evaluator reset). An initial screen computes no
-  /// weights or affinity, so those stay 0.
+  /// refinement test, evaluator reset). A first screen's seed is its set-up
+  /// alone: it ranks by size and computes no weights, affinity or priors.
   struct SeedMillis {
     double weights = 0;
     double affinity = 0;
@@ -220,37 +217,37 @@ struct GreedySelection {
   std::vector<double> pass_millis;
 };
 
-/// Ranks `pool` in place by group prior × log1p(size) (descending; ties by
-/// GroupId ascending) and truncates it to `cap`; pools already within the
-/// cap are left untouched. Correct for ANY pool permutation — the ranking
-/// sorts positions, never indexes scores by GroupId value (the old inline
-/// comparator did, which was only correct while the pool happened to be the
-/// identity permutation). SelectInitial uses this for its candidate cap.
-void RankPoolByPrior(const mining::GroupStore& store,
-                     const FeedbackVector& feedback, size_t cap,
-                     std::vector<mining::GroupId>* pool);
+/// Candidates of the first screen (no anchor), where every group is one:
+/// the largest groups are kept (RankPoolBySize).
+inline constexpr size_t kInitialCandidateCap = 512;
+
+/// Ranks `pool` in place by log1p(size) (descending; ties by GroupId
+/// ascending) and truncates it to `cap`; pools already within the cap are
+/// left untouched. Correct for ANY pool permutation — the ranking sorts
+/// positions, never indexes scores by GroupId value. SelectInitial uses
+/// this for kInitialCandidateCap.
+void RankPoolBySize(const mining::GroupStore& store, size_t cap,
+                    std::vector<mining::GroupId>* pool);
 
 class GreedySelector {
  public:
   GreedySelector(const mining::GroupStore* store,
                  const index::InvertedIndex* index);
 
-  /// k groups to show after the explorer clicked `anchor`.
-  GreedySelection SelectNext(mining::GroupId anchor,
-                             const FeedbackVector& feedback,
-                             const GreedyOptions& options) const;
-
-  /// The same, continuing from `*record` (empty for a fresh run), which
-  /// must come from runs on this anchor, feedback and options; a record
-  /// whose sizes do not fit the pool is discarded. On return `*record`
-  /// holds the work done so far, this run's included. A null `record`
-  /// runs afresh and keeps nothing.
+  /// k groups to show after the explorer clicked `anchor`, continuing from
+  /// `*record` (empty for a fresh run), which must come from runs on this
+  /// anchor, feedback and options; a record whose sizes do not fit the pool
+  /// is discarded. On return `*record` holds the work done so far, this
+  /// run's included. A null `record` runs afresh and keeps nothing.
   GreedySelection SelectNext(mining::GroupId anchor,
                              const FeedbackVector& feedback,
                              const GreedyOptions& options,
-                             WorkRecord* record) const;
+                             WorkRecord* record = nullptr) const;
 
   /// k groups for the first screen (no anchor; coverage over the universe).
+  /// The first screen comes before any click, so `feedback` must be empty
+  /// (checked): the seed ranks the kInitialCandidateCap largest groups by
+  /// size.
   GreedySelection SelectInitial(const FeedbackVector& feedback,
                                 const GreedyOptions& options) const;
 

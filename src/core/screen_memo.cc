@@ -33,7 +33,7 @@ bool Longer(const WorkRecord& a, const WorkRecord& b) {
 // A new GreedyOptions field changes this size. Decide whether the field
 // changes what a complete run returns; if it does, add it to KeyOf, then
 // update the size here.
-static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 72,
+static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 64,
               "GreedyOptions changed: decide whether the new field belongs "
               "in the screen key (ScreenMemo::KeyOf)");
 
@@ -47,8 +47,7 @@ ScreenMemo::Key ScreenMemo::KeyOf(const GreedyOptions& options,
                  Bits(options.feedback_weight),
                  anchored ? Bits(options.min_similarity) : 0,
                  anchored ? Bits(options.refinement_quota) : 0,
-                 anchored ? Bits(learning_rate) : 0,
-                 anchored ? 0 : options.initial_candidate_cap};
+                 anchored ? Bits(learning_rate) : 0};
   key.path = std::move(path);
   return key;
 }

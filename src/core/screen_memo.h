@@ -61,11 +61,10 @@ class ScreenMemo {
 
   /// The options that decide a screen, plus the click path. Built by KeyOf.
   struct Key {
-    /// k, λ, μ, σ, the refinement quota, the learning rate η and the
-    /// candidate cap. The doubles are keyed by their bits, so NaN cannot
-    /// break the map's ordering.
-    std::tuple<size_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
-               size_t>
+    /// k, λ, μ, σ, the refinement quota and the learning rate η. The
+    /// doubles are keyed by their bits, so NaN cannot break the map's
+    /// ordering.
+    std::tuple<size_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>
         options;
     std::vector<mining::GroupId> path;
     bool operator<(const Key& other) const {
@@ -75,9 +74,9 @@ class ScreenMemo {
 
   /// The key of the screen a session with these options shows after the
   /// clicks in `path` (empty: the first screen). Only what changes a
-  /// complete run's answer is keyed: σ, the quota and η only with an anchor,
-  /// the candidate cap only without one. The time limit, remote scatterer
-  /// and trace change how a run executes, not what it returns.
+  /// complete run's answer is keyed: σ, the quota and η only with an
+  /// anchor. The time limit, remote scatterer and trace change how a run
+  /// executes, not what it returns.
   static Key KeyOf(const GreedyOptions& options, double learning_rate,
                    std::vector<mining::GroupId> path);
 

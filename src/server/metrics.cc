@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace vexus::server {
 
@@ -210,92 +209,6 @@ json::Value MetricsSnapshot::ToJson() const {
     o.emplace_back("stages", json::Value(std::move(stages)));
   }
   return json::Value(std::move(o));
-}
-
-std::string MetricsSnapshot::ToString() const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "service metrics: %llu requests (ok=%llu dl=%llu nf=%llu "
-                "shed=%llu err=%llu) sessions=%llu\n",
-                static_cast<unsigned long long>(TotalRequests()),
-                static_cast<unsigned long long>(ok),
-                static_cast<unsigned long long>(deadline_exceeded),
-                static_cast<unsigned long long>(not_found),
-                static_cast<unsigned long long>(shed),
-                static_cast<unsigned long long>(other_errors),
-                static_cast<unsigned long long>(open_sessions));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "evictions: ttl=%llu lru=%llu admission_rejected=%llu "
-                "greedy_deadline_hits=%llu greedy_seed_truncations=%llu\n",
-                static_cast<unsigned long long>(evictions_ttl),
-                static_cast<unsigned long long>(evictions_lru),
-                static_cast<unsigned long long>(admission_rejected),
-                static_cast<unsigned long long>(greedy_deadline_hits),
-                static_cast<unsigned long long>(greedy_seed_truncations));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "greedy: runs=%llu evaluations=%llu passes=%llu swaps=%llu "
-                "screen_memo_hits=%llu screen_memo_resumes=%llu\n",
-                static_cast<unsigned long long>(greedy_runs),
-                static_cast<unsigned long long>(greedy_evaluations),
-                static_cast<unsigned long long>(greedy_passes),
-                static_cast<unsigned long long>(greedy_swaps),
-                static_cast<unsigned long long>(screen_memo_hits),
-                static_cast<unsigned long long>(screen_memo_resumes));
-  out += line;
-  if (!screen_memo_entries.empty()) {
-    std::snprintf(line, sizeof(line),
-                  "screen_memo: screens=%llu records=%llu refused_full=%llu "
-                  "entries by path length:",
-                  static_cast<unsigned long long>(screen_memo_screens),
-                  static_cast<unsigned long long>(screen_memo_records),
-                  static_cast<unsigned long long>(screen_memo_refused_full));
-    out += line;
-    for (uint64_t n : screen_memo_entries) {
-      out += " " + std::to_string(n);
-    }
-    out += "\n";
-  }
-  if (DegradedTotal() > 0 || overload_sheds > 0) {
-    std::snprintf(line, sizeof(line),
-                  "overload: degraded_effort=%llu degraded_k=%llu "
-                  "degraded_stale=%llu degraded_partial=%llu "
-                  "overload_sheds=%llu\n",
-                  static_cast<unsigned long long>(degraded_effort),
-                  static_cast<unsigned long long>(degraded_k),
-                  static_cast<unsigned long long>(degraded_stale),
-                  static_cast<unsigned long long>(degraded_partial),
-                  static_cast<unsigned long long>(overload_sheds));
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "%-14s %10s %10s %10s %10s %10s %10s\n",
-                "op", "requests", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
-                "max_ms");
-  out += line;
-  auto row = [&](std::string_view name, uint64_t n,
-                 const LatencyHistogram::Snapshot& l) {
-    std::snprintf(line, sizeof(line),
-                  "%-14s %10llu %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-                  std::string(name).c_str(),
-                  static_cast<unsigned long long>(n), l.MeanMillis(),
-                  l.QuantileMillis(0.50), l.QuantileMillis(0.95),
-                  l.QuantileMillis(0.99), l.max_ms);
-    out += line;
-  };
-  for (size_t i = 0; i < kNumRequestTypes; ++i) {
-    if (requests_by_type[i] == 0) continue;
-    row(RequestTypeName(static_cast<RequestType>(i)), requests_by_type[i],
-        latency_by_type[i]);
-  }
-  row("ALL", TotalRequests(), latency_all);
-  for (size_t i = 0; i < kNumStages; ++i) {
-    if (stage_latency[i].count == 0) continue;
-    row("stage:" + std::string(StageName(static_cast<Stage>(i))),
-        stage_latency[i].count, stage_latency[i]);
-  }
-  return out;
 }
 
 }  // namespace vexus::server

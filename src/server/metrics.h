@@ -17,7 +17,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -79,8 +78,7 @@ class LatencyHistogram {
 };
 
 /// Everything ServiceMetrics knows, frozen. Produced by Snapshot();
-/// renderable as an aligned text table (ToString) or a JSON object (ToJson,
-/// served by the get_stats op and emitted by bench_service_throughput).
+/// rendered as a JSON object (ToJson), which the get_stats op serves.
 struct MetricsSnapshot {
   /// Requests that *completed* (any status), by op.
   std::array<uint64_t, kNumRequestTypes> requests_by_type{};
@@ -150,7 +148,6 @@ struct MetricsSnapshot {
     return degraded_effort + degraded_k + degraded_stale + degraded_partial;
   }
 
-  std::string ToString() const;
   json::Value ToJson() const;
 };
 

@@ -12,25 +12,28 @@ constexpr std::string_view kNames[kNumRequestTypes] = {
     "get_trace",     "health",       "eval_partial", "shard_info",
 };
 
-/// Reads a non-negative integer field; fails when present but ill-typed.
-Status ReadUint(const json::Value& v, std::string_view key,
-                std::optional<uint64_t>* out) {
+/// Reads a non-negative integer field below 2^64 into `*out` (an integer or
+/// an optional one, untouched when the field is absent); fails when present
+/// but ill-typed or out of range, so the conversion is always defined.
+template <typename Out>
+Status ReadUint(const json::Value& v, std::string_view key, Out* out) {
   const json::Value* f = v.Find(key);
   if (f == nullptr) return Status::OK();
   if (!f->is_number()) {
     return Status::InvalidArgument(std::string(key) + " must be a number");
   }
   double d = f->AsDouble();
-  if (d < 0 || std::floor(d) != d) {
+  if (!(d >= 0 && d < 0x1p64) || std::floor(d) != d) {
     return Status::InvalidArgument(std::string(key) +
-                                   " must be a non-negative integer");
+                                   " must be a non-negative integer below "
+                                   "2^64");
   }
   *out = static_cast<uint64_t>(d);
   return Status::OK();
 }
 
-Status ReadUint32(const json::Value& v, std::string_view key,
-                  std::optional<uint32_t>* out) {
+template <typename Out>
+Status ReadUint32(const json::Value& v, std::string_view key, Out* out) {
   std::optional<uint64_t> wide;
   VEXUS_RETURN_NOT_OK(ReadUint(v, key, &wide));
   if (wide.has_value()) {
@@ -341,13 +344,13 @@ Result<Response> Response::FromJson(const json::Value& v) {
   StatusCode code = StatusCodeFromString(v.GetString("status", "Unknown"));
   resp.status = Status::FromCode(code, v.GetString("error", ""));
   resp.session_id = v.GetString("session", "");
-  resp.generation = static_cast<uint64_t>(v.GetNumber("generation", 0));
+  VEXUS_RETURN_NOT_OK(ReadUint(v, "generation", &resp.generation));
   resp.elapsed_ms = v.GetNumber("elapsed_ms", 0);
   resp.queue_ms = v.GetNumber("queue_ms", 0);
-  resp.step = static_cast<uint64_t>(v.GetNumber("step", 0));
-  resp.num_steps = static_cast<uint64_t>(v.GetNumber("num_steps", 0));
-  resp.memo_groups = static_cast<uint64_t>(v.GetNumber("memo_groups", 0));
-  resp.memo_users = static_cast<uint64_t>(v.GetNumber("memo_users", 0));
+  VEXUS_RETURN_NOT_OK(ReadUint(v, "step", &resp.step));
+  VEXUS_RETURN_NOT_OK(ReadUint(v, "num_steps", &resp.num_steps));
+  VEXUS_RETURN_NOT_OK(ReadUint(v, "memo_groups", &resp.memo_groups));
+  VEXUS_RETURN_NOT_OK(ReadUint(v, "memo_users", &resp.memo_users));
   resp.coverage = v.GetNumber("coverage", 0);
   resp.diversity = v.GetNumber("diversity", 0);
   resp.greedy_deadline_hit = v.GetBool("greedy_deadline_hit", false);
@@ -362,8 +365,8 @@ Result<Response> Response::FromJson(const json::Value& v) {
         return Status::InvalidArgument("groups[] must hold objects");
       }
       GroupView view;
-      view.id = static_cast<uint32_t>(g.GetNumber("id", 0));
-      view.size = static_cast<uint64_t>(g.GetNumber("size", 0));
+      VEXUS_RETURN_NOT_OK(ReadUint32(g, "id", &view.id));
+      VEXUS_RETURN_NOT_OK(ReadUint(g, "size", &view.size));
       view.description = g.GetString("description", "");
       resp.groups.push_back(std::move(view));
     }
@@ -378,7 +381,7 @@ Result<Response> Response::FromJson(const json::Value& v) {
         return Status::InvalidArgument("context[] must hold objects");
       }
       ContextTokenView view;
-      view.token = static_cast<uint32_t>(t.GetNumber("token", 0));
+      VEXUS_RETURN_NOT_OK(ReadUint32(t, "token", &view.token));
       view.score = t.GetNumber("score", 0);
       view.label = t.GetString("label", "");
       resp.context.push_back(std::move(view));

@@ -130,13 +130,6 @@ Response ExplorationService::Execute(const Request& req,
       return DoGetStats(req);
     case RequestType::kGetTrace:
       return DoGetTrace(req);
-    case RequestType::kHealth:
-      // Normally intercepted by DispatchAsync(); kept here so a health
-      // request routed through the dispatcher directly still answers.
-      return DoHealth(req);
-    case RequestType::kShardInfo:
-      // Likewise normally inlined by DispatchAsync().
-      return DoShardInfo(req);
     case RequestType::kEvalPartial:
       return DoEvalPartial(req, deadline);
     default:
@@ -275,11 +268,9 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
   // Remaining-budget clamp: the greedy loop may use at most what is left of
   // the request's end-to-end budget. The overload ladder (DESIGN.md §12.2)
   // shrinks *this request's* time limit (rung 1) and k (rung 2), and the
-  // trace pointer is set for this request only. Rung 1 leaves the first
-  // screen's candidate cap alone: the cap is part of its memo key, so a
-  // smaller one would miss the stored first screen. All of it is undone
-  // after the run: the span dies with the request, and the session keeps
-  // the explorer's requested options for when the overload passes.
+  // trace pointer is set for this request only. All of it is undone after
+  // the run: the span dies with the request, and the session keeps the
+  // explorer's requested options for when the overload passes.
   core::GreedyOptions& live = session.mutable_options().greedy;
   const core::GreedyOptions configured = live;
   double limit = configured.time_limit_ms;
@@ -406,12 +397,19 @@ Response ExplorationService::DoSessionOp(const Request& req,
             std::to_string(store.size()) + ")");
         return resp;
       }
+      // A start whose budget ran out after admission leaves a session
+      // with no screen to click on.
+      if (l->NumSteps() == 0) {
+        resp.status = Status::FailedPrecondition(
+            "session has no screen yet: its start_session has not completed");
+        return resp;
+      }
       // Overload ladder (DESIGN.md §12.2). Rung 3 (stale): answer the
       // session's *cached* current screen without running greedy or
       // learning — the explorer sees an instant, slightly stale response
       // flagged degraded:"stale" instead of a shed.
       const OverloadRung rung = dispatcher_->overload().rung();
-      if (rung >= OverloadRung::kStale && l->NumSteps() > 0) {
+      if (rung >= OverloadRung::kStale) {
         FillScreen(l->Current(), &resp, /*fresh_run=*/false, span);
         resp.degraded = "stale";
         metrics_.RecordDegradedStale();

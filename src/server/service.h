@@ -123,7 +123,8 @@ class ExplorationService {
 
  private:
   /// Worker-side execution (Dispatcher handler). `span` is the request's
-  /// root span (the disabled span when tracing is off).
+  /// root span (the disabled span when tracing is off). Health and
+  /// shard_info never get here: DispatchAsync answers them inline.
   Response Execute(const Request& req, const Deadline& deadline,
                    TraceSpan& span);
 

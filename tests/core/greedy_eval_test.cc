@@ -294,19 +294,16 @@ TEST(GreedyDeterminismTest, UnboundedRunIsALocalOptimumOfTheScratchObjective) {
       ExpectScratchLocalOptimum(w.store, pool, anchor, affinity, opt,
                                 next.groups);
 
-      // SelectInitial's candidates: every group ranked by prior, with
-      // prior − 1 as affinity.
+      // SelectInitial's candidates: every group ranked by size, with no
+      // affinity.
       std::vector<GroupId> all(w.store.size());
       for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<GroupId>(i);
-      RankPoolByPrior(w.store, fb, opt.initial_candidate_cap, &all);
-      std::vector<double> prior_affinity;
-      for (GroupId g : all) {
-        prior_affinity.push_back(fb.GroupPrior(w.store.group(g)) - 1.0);
-      }
+      RankPoolBySize(w.store, kInitialCandidateCap, &all);
       auto initial = sel.SelectInitial(fb, opt);
       ASSERT_FALSE(initial.deadline_hit);
-      ExpectScratchLocalOptimum(w.store, all, std::nullopt, prior_affinity,
-                                opt, initial.groups);
+      ExpectScratchLocalOptimum(w.store, all, std::nullopt,
+                                std::vector<double>(all.size(), 0.0), opt,
+                                initial.groups);
     }
   }
 }

@@ -456,12 +456,23 @@ TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
                          next.seed_millis.prior + next.seed_millis.setup;
   EXPECT_LE(seed_ms, next.elapsed_ms);
 
-  auto initial = sel.SelectInitial(fb, Unbounded(4));
+  auto initial =
+      sel.SelectInitial(FeedbackVector(w.tokens.get()), Unbounded(4));
   EXPECT_EQ(initial.seed_scored, initial.candidates);
   EXPECT_FALSE(initial.seed_truncated);
   EXPECT_FALSE(initial.deadline_hit);
   EXPECT_EQ(initial.seed_millis.weights, 0.0) << "a first screen has no anchor";
   EXPECT_EQ(initial.seed_millis.affinity, 0.0);
+  EXPECT_EQ(initial.seed_millis.prior, 0.0) << "it ranks by size";
+}
+
+TEST(GreedyDeathTest, FirstScreenTakesNoFeedback) {
+  World w(20, 200, 23);
+  FeedbackVector fb(w.tokens.get());
+  fb.Learn(w.store.group(2));
+  GreedySelector sel(&w.store, w.index.get());
+  ASSERT_DEATH({ (void)sel.SelectInitial(fb, Unbounded(4)); },
+               "before any click");
 }
 
 TEST(GreedyTest, ConvergedRunCountsItsWorkNotItsClock) {
@@ -506,19 +517,18 @@ TEST(GreedyTest, ConvergedRunCountsItsWorkNotItsClock) {
   EXPECT_EQ(resumed.work,
             words * (resumed.candidates + resumed.evaluations));
 
-  // A first screen has no anchor: priors and trial evaluations only.
-  const GreedySelection initial = sel.SelectInitial(fb, Unbounded(4));
-  EXPECT_EQ(initial.work, words * initial.evaluations +
-                              initial.candidates * fb.nonzero_count());
+  // A first screen has no anchor and no feedback: trial evaluations only.
+  const GreedySelection initial =
+      sel.SelectInitial(FeedbackVector(w.tokens.get()), Unbounded(4));
+  EXPECT_EQ(initial.work, words * initial.evaluations);
 }
 
-TEST(GreedyTest, RankPoolByPriorIsPermutationInvariant) {
+TEST(GreedyTest, RankPoolBySizeIsPermutationInvariant) {
   // Regression: the initial-screen candidate cap used to sort a positions
   // array while indexing the score vector by GroupId *value* — correct only
   // while the pool happened to be the identity permutation. The ranking
   // must now give the same truncated pool for any input order.
   World w(40, 300, 14);
-  FeedbackVector fb(w.tokens.get());
 
   std::vector<GroupId> identity(w.store.size());
   std::iota(identity.begin(), identity.end(), GroupId{0});
@@ -530,13 +540,12 @@ TEST(GreedyTest, RankPoolByPriorIsPermutationInvariant) {
   ASSERT_NE(shuffled, identity);
 
   std::vector<GroupId> a = identity, b = shuffled;
-  RankPoolByPrior(w.store, fb, /*cap=*/10, &a);
-  RankPoolByPrior(w.store, fb, /*cap=*/10, &b);
+  RankPoolBySize(w.store, /*cap=*/10, &a);
+  RankPoolBySize(w.store, /*cap=*/10, &b);
   EXPECT_EQ(a.size(), 10u);
   EXPECT_EQ(a, b) << "ranking must not depend on the pool's input order";
 
-  // With neutral feedback the prior is flat, so the ranking reduces to
-  // log1p(group size): scores must be non-increasing down the kept pool.
+  // Sizes must be non-increasing down the kept pool.
   for (size_t i = 1; i < a.size(); ++i) {
     EXPECT_GE(w.store.group(a[i - 1]).size(), w.store.group(a[i]).size());
   }
@@ -544,18 +553,23 @@ TEST(GreedyTest, RankPoolByPriorIsPermutationInvariant) {
   // Pools within the cap are untouched, in their original order.
   std::vector<GroupId> small = {7, 3, 5};
   std::vector<GroupId> small_copy = small;
-  RankPoolByPrior(w.store, fb, /*cap=*/10, &small);
+  RankPoolBySize(w.store, /*cap=*/10, &small);
   EXPECT_EQ(small, small_copy);
 
-  // End-to-end: the capped initial screen must pick the same groups as an
-  // uncapped run over a store this small would seed from the top anyway.
-  GreedySelector sel(&w.store, w.index.get());
-  GreedyOptions opt = Unbounded(3);
-  opt.initial_candidate_cap = 10;
-  auto r = sel.SelectInitial(fb, opt);
-  EXPECT_EQ(r.candidates, 10u);
+  // End-to-end, on a store with more groups than the cap: the initial
+  // screen's candidates are the ranked pool, whatever order it starts in.
+  World big(kInitialCandidateCap + 40, 300, 14);
+  std::vector<GroupId> ranked(big.store.size());
+  std::iota(ranked.begin(), ranked.end(), GroupId{0});
+  std::vector<GroupId> reversed(ranked.rbegin(), ranked.rend());
+  RankPoolBySize(big.store, kInitialCandidateCap, &ranked);
+  RankPoolBySize(big.store, kInitialCandidateCap, &reversed);
+  EXPECT_EQ(ranked, reversed);
+  GreedySelector sel(&big.store, big.index.get());
+  auto r = sel.SelectInitial(FeedbackVector(big.tokens.get()), Unbounded(3));
+  EXPECT_EQ(r.candidates, kInitialCandidateCap);
   for (GroupId g : r.groups) {
-    EXPECT_NE(std::find(a.begin(), a.end(), g), a.end())
+    EXPECT_NE(std::find(ranked.begin(), ranked.end(), g), ranked.end())
         << "selection must come from the ranked pool";
   }
 }
@@ -630,13 +644,11 @@ TEST(GreedyTest, InitialSelectionCoversUniverse) {
 }
 
 TEST(GreedyTest, InitialCandidateCapRespected) {
-  World w(60, 300, 9);
+  World w(kInitialCandidateCap + 60, 300, 9);
   FeedbackVector fb(w.tokens.get());
   GreedySelector sel(&w.store, w.index.get());
-  GreedyOptions opt = Unbounded(3);
-  opt.initial_candidate_cap = 10;
-  auto result = sel.SelectInitial(fb, opt);
-  EXPECT_EQ(result.candidates, 10u);
+  auto result = sel.SelectInitial(fb, Unbounded(3));
+  EXPECT_EQ(result.candidates, kInitialCandidateCap);
   EXPECT_EQ(result.groups.size(), 3u);
 }
 

@@ -118,28 +118,23 @@ class FirstScreenMemoTest : public ::testing::Test {
 VexusEngine* FirstScreenMemoTest::engine_ = nullptr;
 
 TEST_F(FirstScreenMemoTest, MemoizedScreenEqualsUnboundedSelectInitial) {
-  ASSERT_GT(engine_->groups().size(), 128u) << "pool must exceed both caps";
   ScreenMemo memo;
-  for (size_t cap : {size_t{512}, size_t{128}}) {
-    for (size_t k : {size_t{1}, size_t{5}, size_t{7}, size_t{64}}) {
-      const std::string where =
-          "k=" + std::to_string(k) + " cap=" + std::to_string(cap);
-      GreedyOptions greedy = Unbounded(k);
-      greedy.initial_candidate_cap = cap;
-      const GreedySelection reference = ReferenceInitial(greedy);
-      ASSERT_EQ(reference.groups.size(), k) << where;
+  for (size_t k : {size_t{1}, size_t{5}, size_t{7}, size_t{64}}) {
+    const std::string where = "k=" + std::to_string(k);
+    const GreedyOptions greedy = Unbounded(k);
+    const GreedySelection reference = ReferenceInitial(greedy);
+    ASSERT_EQ(reference.groups.size(), k) << where;
 
-      auto session = SessionWith(&memo, greedy);
-      const GreedySelection computed = session->Start();
-      EXPECT_FALSE(computed.memoized) << where;
-      ExpectSameScreen(computed, reference, where + " (miss)");
+    auto session = SessionWith(&memo, greedy);
+    const GreedySelection computed = session->Start();
+    EXPECT_FALSE(computed.memoized) << where;
+    ExpectSameScreen(computed, reference, where + " (miss)");
 
-      const GreedySelection& memoized = session->Start();
-      EXPECT_TRUE(memoized.memoized) << where;
-      ExpectSameScreen(memoized, reference, where + " (hit)");
-    }
+    const GreedySelection& memoized = session->Start();
+    EXPECT_TRUE(memoized.memoized) << where;
+    ExpectSameScreen(memoized, reference, where + " (hit)");
   }
-  EXPECT_EQ(memo.size(), 8u);
+  EXPECT_EQ(memo.size(), 4u);
 }
 
 TEST_F(FirstScreenMemoTest, HitCarriesNoGreedyWork) {
@@ -190,9 +185,6 @@ TEST_F(FirstScreenMemoTest, KeyIgnoresExecutionOnlyOptions) {
   EXPECT_FALSE(memo.Find(FirstKey(other)).screen.has_value());
   other = stored;
   other.feedback_weight = 0.1;
-  EXPECT_FALSE(memo.Find(FirstKey(other)).screen.has_value());
-  other = stored;
-  other.initial_candidate_cap = 128;
   EXPECT_FALSE(memo.Find(FirstKey(other)).screen.has_value());
 }
 

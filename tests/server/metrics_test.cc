@@ -152,10 +152,6 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   s.screen_memo_records = 2;
   s.screen_memo_refused_full = 5;
   s.screen_memo_entries = {1, 3, 2};
-  std::string table = s.ToString();
-  EXPECT_NE(table.find("start_session"), std::string::npos);
-  EXPECT_NE(table.find("ALL"), std::string::npos);
-
   json::Value j = s.ToJson();
   EXPECT_EQ(j.GetNumber("total_requests", -1), 1);
   EXPECT_EQ(j.GetNumber("ok", -1), 1);
@@ -166,12 +162,6 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   EXPECT_EQ(j.GetNumber("greedy_swaps", -1), 1);
   EXPECT_EQ(j.GetNumber("greedy_deadline_hits", -1), 1);
   EXPECT_EQ(j.GetNumber("greedy_seed_truncations", -1), 1);
-  EXPECT_NE(s.ToString().find("greedy_seed_truncations=1"), std::string::npos);
-  EXPECT_NE(s.ToString().find("greedy: runs=1"), std::string::npos);
-  EXPECT_NE(s.ToString().find("screen_memo_hits=1"), std::string::npos);
-  EXPECT_NE(s.ToString().find("screen_memo: screens=4 records=2 "
-                              "refused_full=5 entries by path length: 1 3 2"),
-            std::string::npos);
   const json::Value* screen_memo = j.Find("screen_memo");
   ASSERT_NE(screen_memo, nullptr);
   EXPECT_EQ(screen_memo->GetNumber("hits", -1), 1);
@@ -183,7 +173,12 @@ TEST(MetricsSnapshotTest, RendersTableAndJson) {
   ASSERT_NE(entries, nullptr);
   ASSERT_TRUE(entries->is_array());
   ASSERT_EQ(entries->AsArray().size(), 3u);
+  EXPECT_EQ(entries->AsArray()[0].AsDouble(), 1);
   EXPECT_EQ(entries->AsArray()[1].AsDouble(), 3);
+  EXPECT_EQ(entries->AsArray()[2].AsDouble(), 2);
+  const json::Value* latency = j.Find("latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->GetNumber("count", -1), 1);
   const json::Value* by_op = j.Find("by_op");
   ASSERT_NE(by_op, nullptr);
   EXPECT_NE(by_op->Find("start_session"), nullptr);

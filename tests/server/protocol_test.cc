@@ -1,6 +1,10 @@
 #include "server/protocol.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "common/string_util.h"
 
 namespace vexus::server {
 namespace {
@@ -87,6 +91,57 @@ TEST(RequestDecodeTest, IllTypedFieldsFail) {
           .ok());  // > UINT32_MAX
   EXPECT_FALSE(
       Request::Decode("{\"op\":\"get_stats\",\"budget_ms\":\"fast\"}").ok());
+}
+
+// Integers on the wire arrive as doubles. Out-of-range ones (1e30, and
+// 1e400, which parses as infinity) must be rejected, not converted: the
+// conversion would be undefined behaviour.
+constexpr const char* kBadUints[] = {"1e30", "1e400", "-1", "1.5",
+                                     "18446744073709551616"};
+
+TEST(RequestDecodeTest, OutOfRangeIntegersAreInvalidArgument) {
+  for (const char* bad : kBadUints) {
+    for (const std::string& line :
+         {StrCat("{\"op\":\"backtrack\",\"session\":\"x\",\"step\":", bad,
+                 "}"),
+          StrCat("{\"op\":\"get_stats\",\"generation\":", bad, "}"),
+          StrCat("{\"op\":\"select_group\",\"session\":\"x\",\"group\":",
+                 bad, "}")}) {
+      auto r = Request::Decode(line);
+      ASSERT_FALSE(r.ok()) << line;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << line;
+    }
+  }
+  // The largest double below 2^64 still converts.
+  auto top = Request::Decode(
+      "{\"op\":\"backtrack\",\"session\":\"x\","
+      "\"step\":18446744073709549568}");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(*top->step, 18446744073709549568u);
+}
+
+TEST(ResponseCodecTest, OutOfRangeIntegersAreInvalidArgument) {
+  for (const char* bad : kBadUints) {
+    const std::string head = "{\"op\":\"select_group\",\"status\":\"OK\",";
+    for (const std::string& line :
+         {StrCat(head, "\"generation\":", bad, "}"),
+          StrCat(head, "\"step\":", bad, "}"),
+          StrCat(head, "\"num_steps\":", bad, "}"),
+          StrCat(head, "\"memo_groups\":", bad, "}"),
+          StrCat(head, "\"memo_users\":", bad, "}"),
+          StrCat(head, "\"groups\":[{\"id\":", bad, ",\"size\":1}]}"),
+          StrCat(head, "\"groups\":[{\"id\":1,\"size\":", bad, "}]}"),
+          StrCat(head, "\"context\":[{\"token\":", bad, ",\"score\":1}]}")}) {
+      auto r = Response::Decode(line);
+      ASSERT_FALSE(r.ok()) << line;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << line;
+    }
+  }
+  // Absent fields stay 0.
+  auto bare = Response::Decode("{\"op\":\"health\",\"status\":\"OK\"}");
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_EQ(bare->generation, 0u);
+  EXPECT_EQ(bare->num_steps, 0u);
 }
 
 TEST(RequestDecodeTest, WarmFromSnapshotIsUnknownOp) {
