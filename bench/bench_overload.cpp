@@ -60,7 +60,7 @@ constexpr double kThinkMs = 5.0;
 
 struct PhaseStats {
   std::atomic<uint64_t> full{0};      // OK, full quality
-  std::atomic<uint64_t> degraded{0};  // OK, degraded:"effort"/"k"/"stale"
+  std::atomic<uint64_t> degraded{0};  // OK, degraded:"effort"/"stale"
   std::atomic<uint64_t> shed{0};      // ResourceExhausted
   std::atomic<uint64_t> deadline{0};  // DeadlineExceeded
   std::atomic<uint64_t> other{0};
@@ -136,7 +136,7 @@ struct PhaseResult {
   double good_fraction = 0;
   double p50_ms = 0, p99_ms = 0, max_ms = 0;
   uint64_t escalations = 0;
-  uint64_t degraded_effort = 0, degraded_k = 0, degraded_stale = 0;
+  uint64_t degraded_effort = 0, degraded_stale = 0;
   uint64_t overload_sheds = 0;
 };
 
@@ -147,7 +147,6 @@ PhaseResult RunPhase(core::VexusEngine* engine, bool ladder, int workers,
   opts.session_template.greedy.time_limit_ms = 80;
   opts.dispatcher.default_budget_ms = 100;  // the paper's budget
   opts.dispatcher.overload.enabled = ladder;
-  opts.dispatcher.overload.target_delay_ms = 5.0;
   opts.dispatcher.overload.window_ms = 50.0;
   opts.num_workers = static_cast<size_t>(workers);
   server::ExplorationService svc(engine, opts);
@@ -177,7 +176,6 @@ PhaseResult RunPhase(core::VexusEngine* engine, bool ladder, int workers,
   r.max_ms = lat.Max();
   r.escalations = svc.dispatcher().overload().escalations();
   r.degraded_effort = snap.degraded_effort;
-  r.degraded_k = snap.degraded_k;
   r.degraded_stale = snap.degraded_stale;
   r.overload_sheds = snap.overload_sheds;
   return r;
@@ -189,7 +187,6 @@ server::json::Value PhaseJson(const PhaseResult& r) {
   o.emplace_back("full", server::json::Value(r.full));
   o.emplace_back("degraded", server::json::Value(r.degraded));
   o.emplace_back("degraded_effort", server::json::Value(r.degraded_effort));
-  o.emplace_back("degraded_k", server::json::Value(r.degraded_k));
   o.emplace_back("degraded_stale", server::json::Value(r.degraded_stale));
   o.emplace_back("shed", server::json::Value(r.shed));
   o.emplace_back("overload_sheds", server::json::Value(r.overload_sheds));
@@ -205,13 +202,12 @@ server::json::Value PhaseJson(const PhaseResult& r) {
 void PrintPhase(const char* name, const PhaseResult& r) {
   std::printf(
       "%-10s requests=%-6llu full=%-6llu degraded=%-5llu (effort=%llu "
-      "k=%llu stale=%llu) shed=%-5llu deadline=%-4llu good=%5.1f%%  "
+      "stale=%llu) shed=%-5llu deadline=%-4llu good=%5.1f%%  "
       "p50=%6.1f ms  p99=%6.1f ms  escalations=%llu\n",
       name, static_cast<unsigned long long>(r.requests),
       static_cast<unsigned long long>(r.full),
       static_cast<unsigned long long>(r.degraded),
       static_cast<unsigned long long>(r.degraded_effort),
-      static_cast<unsigned long long>(r.degraded_k),
       static_cast<unsigned long long>(r.degraded_stale),
       static_cast<unsigned long long>(r.shed),
       static_cast<unsigned long long>(r.deadline), 100.0 * r.good_fraction,

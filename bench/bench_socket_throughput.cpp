@@ -423,7 +423,6 @@ int main(int argc, char** argv) {
   // the worst instant; the queue must hold them so the *ladder* (not the
   // fixed-depth backstop) decides what to degrade.
   opts.dispatcher.max_queue_depth = std::max<size_t>(2048, kConns + 512);
-  opts.dispatcher.overload.target_delay_ms = 5.0;
   opts.dispatcher.overload.window_ms = 50.0;
   // The session store must hold the whole fleet: the default 1024-session
   // cap would LRU-evict live explorers' sessions mid-run (their selects then

@@ -64,18 +64,13 @@ std::string OverloadHint(const Response& resp) {
   }
   if (resp.degraded.has_value()) {
     if (*resp.degraded == "effort") {
-      return "   -- degraded:\"effort\": overload rung 1 — this screen was "
-             "computed with a\n"
-           "      shrunken greedy budget; quality may be slightly lower, "
-             "latency is protected.";
-    }
-    if (*resp.degraded == "k") {
-      return "   -- degraded:\"k\": overload rung 2 — fewer groups than "
-             "requested on this\n"
-             "      screen; your session's own k returns when load drops.";
+      return "   -- degraded:\"effort\": overload rung 1 — the shrunken "
+             "greedy budget cut\n"
+             "      this screen; quality may be slightly lower, latency is "
+             "protected.";
     }
     if (*resp.degraded == "stale") {
-      return "   -- degraded:\"stale\": overload rung 3 — this is your "
+      return "   -- degraded:\"stale\": overload rung 2 — this is your "
              "previous screen replayed\n"
              "      from cache; the selection was NOT applied. Re-issue it "
              "when load drops.";
@@ -239,14 +234,13 @@ int main(int argc, char** argv) {
   // Force the controller up the ladder so the script shows what an explorer
   // sees during a load spike (a real spike reaches the same rungs through
   // measured queue delay; see the health probe's overload_rung).
-  std::printf("---- simulated load spike: ladder forced to rung 2 "
-              "(reduce_k) ----\n\n");
+  std::printf("---- simulated load spike: ladder forced to rung 1 "
+              "(shrink_effort) ----\n\n");
   svc.dispatcher().overload().ForceRungForTesting(
-      vexus::server::OverloadRung::kReduceK);
-  Response squeezed =
-      Exchange(svc, std::string(R"({"op":"select_group","session":"bob","group":)") +
-                        std::to_string(bob_click) + "}");
-  std::printf("---- spike worsens: rung 3 (stale) ----\n\n");
+      vexus::server::OverloadRung::kShrinkEffort);
+  Exchange(svc, std::string(R"({"op":"select_group","session":"bob","group":)") +
+                    std::to_string(bob_click) + "}");
+  std::printf("---- spike worsens: rung 2 (stale) ----\n\n");
   svc.dispatcher().overload().ForceRungForTesting(
       vexus::server::OverloadRung::kStale);
   Exchange(svc, std::string(R"({"op":"select_group","session":"bob","group":)") +
@@ -255,7 +249,6 @@ int main(int argc, char** argv) {
   std::printf("---- spike over: back to normal ----\n\n");
   svc.dispatcher().overload().ForceRungForTesting(
       vexus::server::OverloadRung::kNormal);
-  (void)squeezed;
 
   Exchange(svc, R"({"op":"end_session","session":"bob"})");
 

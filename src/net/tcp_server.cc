@@ -578,7 +578,7 @@ void TcpServer::EventLoop::Tick() {
   // Under sustained overload the ladder is already sacrificing answer
   // quality; transport-side patience shrinks too, reclaiming fds and write
   // buffers from clients that aren't keeping up (DESIGN.md §13.3).
-  const double tighten = rung >= OverloadRung::kReduceK ? 0.25 : 1.0;
+  const double tighten = rung >= OverloadRung::kStale ? 0.25 : 1.0;
   const double idle_limit = server->options_.idle_timeout_ms * tighten;
   const double stall_limit = kWriteStallTimeoutMs * tighten;
 

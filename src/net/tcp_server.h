@@ -90,7 +90,7 @@ struct TcpServerOptions {
   size_t max_connections = 4096;
   ConnectionOptions connection;
   /// Connections with no traffic and no work in flight for this long are
-  /// closed (quartered while the overload ladder is at reduce_k or above).
+  /// closed (quartered while the overload ladder is at stale or above).
   double idle_timeout_ms = 60'000;
   /// Event-loop housekeeping cadence (idle scan, stall scan, drain checks).
   double tick_ms = 100;

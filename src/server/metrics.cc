@@ -124,7 +124,6 @@ MetricsSnapshot ServiceMetrics::Snapshot(uint64_t open_sessions) const {
   s.screen_memo_hits = screen_memo_hits_.load(kRelaxed);
   s.screen_memo_resumes = screen_memo_resumes_.load(kRelaxed);
   s.degraded_effort = degraded_effort_.load(kRelaxed);
-  s.degraded_k = degraded_k_.load(kRelaxed);
   s.degraded_stale = degraded_stale_.load(kRelaxed);
   s.degraded_partial = degraded_partial_.load(kRelaxed);
   s.overload_sheds = overload_sheds_.load(kRelaxed);
@@ -182,7 +181,6 @@ json::Value MetricsSnapshot::ToJson() const {
                            json::Value(std::move(entries)));
   o.emplace_back("screen_memo", json::Value(std::move(screen_memo)));
   o.emplace_back("degraded_effort", json::Value(degraded_effort));
-  o.emplace_back("degraded_k", json::Value(degraded_k));
   o.emplace_back("degraded_stale", json::Value(degraded_stale));
   o.emplace_back("degraded_partial", json::Value(degraded_partial));
   o.emplace_back("overload_sheds", json::Value(overload_sheds));

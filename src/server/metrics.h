@@ -119,11 +119,13 @@ struct MetricsSnapshot {
   uint64_t screen_memo_records = 0;
   uint64_t screen_memo_refused_full = 0;
   std::vector<uint64_t> screen_memo_entries;
-  /// Overload ladder (DESIGN.md §12): answers whose quality the controller
-  /// reduced to stay inside the latency budget, by rung, plus admissions
-  /// rejected *by the ladder's shed rung* (a subset of `shed`, which also
-  /// counts the fixed queue-depth backstop and teardown sheds).
+  /// Overload ladder (DESIGN.md §12): degraded answers, by their wire flag,
+  /// plus admissions rejected *by the ladder's shed rung* (a subset of
+  /// `shed`, which also counts the fixed queue-depth backstop and teardown
+  /// sheds).
   uint64_t degraded_effort = 0;
+  /// Always 0 (no reduce-k rung); bench/e2e/main.cc reads it through a
+  /// member pointer until ROADMAP item 9's benchmark PR drops it.
   uint64_t degraded_k = 0;
   uint64_t degraded_stale = 0;
   /// Screens scored over a subset of the user universe because one or more
@@ -145,7 +147,7 @@ struct MetricsSnapshot {
     return t;
   }
   uint64_t DegradedTotal() const {
-    return degraded_effort + degraded_k + degraded_stale + degraded_partial;
+    return degraded_effort + degraded_stale + degraded_partial;
   }
 
   json::Value ToJson() const;
@@ -182,9 +184,8 @@ class ServiceMetrics {
   void RecordScreenMemoResume() {
     screen_memo_resumes_.fetch_add(1, kRelaxed);
   }
-  /// Accounts one degraded answer, by the deepest ladder rung applied.
+  /// Accounts one degraded answer, by its wire flag.
   void RecordDegradedEffort() { degraded_effort_.fetch_add(1, kRelaxed); }
-  void RecordDegradedK() { degraded_k_.fetch_add(1, kRelaxed); }
   void RecordDegradedStale() { degraded_stale_.fetch_add(1, kRelaxed); }
   void RecordDegradedPartial() { degraded_partial_.fetch_add(1, kRelaxed); }
   /// Accounts one admission rejected by the ladder's shed rung.
@@ -225,7 +226,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> screen_memo_hits_{0};
   std::atomic<uint64_t> screen_memo_resumes_{0};
   std::atomic<uint64_t> degraded_effort_{0};
-  std::atomic<uint64_t> degraded_k_{0};
   std::atomic<uint64_t> degraded_stale_{0};
   std::atomic<uint64_t> degraded_partial_{0};
   std::atomic<uint64_t> overload_sheds_{0};

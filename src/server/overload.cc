@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/failpoint.h"
+
 namespace vexus::server {
 
 std::string_view OverloadRungName(OverloadRung rung) {
@@ -11,8 +13,6 @@ std::string_view OverloadRungName(OverloadRung rung) {
       return "normal";
     case OverloadRung::kShrinkEffort:
       return "shrink_effort";
-    case OverloadRung::kReduceK:
-      return "reduce_k";
     case OverloadRung::kStale:
       return "stale";
     case OverloadRung::kShed:
@@ -23,7 +23,6 @@ std::string_view OverloadRungName(OverloadRung rung) {
 
 OverloadController::OverloadController(OverloadOptions options)
     : options_(options), window_start_us_(NowMicros()) {
-  if (options_.target_delay_ms <= 0) options_.target_delay_ms = 5.0;
   if (options_.window_ms <= 0) options_.window_ms = 100.0;
 }
 
@@ -49,9 +48,12 @@ void OverloadController::OnQueueDelay(double delay_ms) {
   // Window close: first sampler past the boundary wins the CAS and applies
   // the ladder move; losers keep folding into the (now reset) next window.
   const uint64_t now = NowMicros();
+  VEXUS_FAILPOINT_HIT("overload.window_close");  // test site: delays the load
   uint64_t start = window_start_us_.load(std::memory_order_relaxed);
   const auto window_us = static_cast<uint64_t>(options_.window_ms * 1e3);
-  if (now - start < window_us) return;
+  // By addition: another sampler may have closed the window after our clock
+  // read, and unsigned `now - start` would then wrap and look elapsed.
+  if (now < start + window_us) return;
   if (!window_start_us_.compare_exchange_strong(start, now,
                                                 std::memory_order_relaxed)) {
     return;  // another thread is closing this window
@@ -65,7 +67,7 @@ void OverloadController::OnQueueDelay(double delay_ms) {
   if (min_us == UINT64_MAX) min_us = sample_us;  // we *are* a sample
   last_min_us_.store(min_us, std::memory_order_relaxed);
 
-  const auto target_us = static_cast<uint64_t>(options_.target_delay_ms * 1e3);
+  const auto target_us = static_cast<uint64_t>(kTargetDelayMs * 1e3);
   int r = rung_.load(std::memory_order_relaxed);
   if (min_us > target_us) {
     // Standing queue: even the emptiest instant of the window was over

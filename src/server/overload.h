@@ -9,14 +9,13 @@
 // ladder that trades *answer quality* for latency one rung at a time and
 // only sheds when nothing cheaper is left:
 //
-//   rung 0  kNormal        full effort, full k
-//   rung 1  kShrinkEffort  greedy budget × kEffortFactor — fewer trial
-//                          swaps per screen
-//   rung 2  kReduceK       screens of kDegradedK (< the paper's 7) groups
-//   rung 3  kStale         select_group answers the session's *cached*
+//   rung 0  kNormal        full effort
+//   rung 1  kShrinkEffort  greedy budget × kEffortFactor; only a screen
+//                          that budget cut is flagged degraded:"effort"
+//   rung 2  kStale         select_group answers the session's *cached*
 //                          current screen (degraded:"stale"), skipping the
 //                          greedy loop entirely
-//   rung 4  kShed          admission control rejects (ResourceExhausted)
+//   rung 3  kShed          admission control rejects (ResourceExhausted)
 //
 // The signal is CoDel's (Nichols & Jacobson, CACM 2012): the *minimum*
 // queueing delay observed over a sliding window, and there is exactly one —
@@ -25,7 +24,7 @@
 // buffer) are not queueing and never feed the ladder: one slow shard or
 // stalled reader would otherwise degrade every healthy screen. Minimum, not
 // mean — under bursty-but-healthy load the queue drains at least once per
-// window and the min is ~0; a min that stays above `target_delay_ms` for a
+// window and the min is ~0; a min that stays above kTargetDelayMs for a
 // whole window means a standing queue that no burst tolerance explains.
 // Each window close moves the ladder at most one rung (up when min >
 // target, down when min < target/2; the hysteresis band in between holds),
@@ -36,8 +35,8 @@
 // window elapsed closes it with a CAS (losers simply keep sampling into the
 // next window). Rung reads on the admission path are one relaxed load.
 //
-// Recovery from kShed needs care: a rung-4 controller that shed *all*
-// admissions would starve itself of queue-delay samples and stick at 4
+// Recovery from kShed needs care: a rung-3 controller that shed *all*
+// admissions would starve itself of queue-delay samples and stick at 3
 // forever. The dispatcher therefore keeps admitting while the standing
 // queue is at or below `kShedKeepDepth` — those probe requests re-measure
 // the queue and walk the ladder back down as the drain completes.
@@ -53,10 +52,6 @@ struct OverloadOptions {
   /// Master switch. Disabled: rung stays kNormal forever and the dispatcher
   /// behaves exactly as in PR 1 (fixed-depth shedding only).
   bool enabled = true;
-  /// CoDel target: a window whose *minimum* queue delay exceeds this has a
-  /// standing queue → escalate one rung. 5 ms is 1/20 of the interactivity
-  /// budget — queueing beyond that eats into greedy time for every request.
-  double target_delay_ms = 5.0;
   /// Window length. 100 ms ≈ one request budget: the ladder reacts within
   /// a screen or two, but never mid-request.
   double window_ms = 100.0;
@@ -67,20 +62,20 @@ struct OverloadOptions {
 enum class OverloadRung : int {
   kNormal = 0,
   kShrinkEffort = 1,
-  kReduceK = 2,
-  kStale = 3,
-  kShed = 4,
+  kStale = 2,
+  kShed = 3,
 };
-inline constexpr int kNumOverloadRungs = 5;
+inline constexpr int kNumOverloadRungs = 4;
 
 /// Stable lowercase name ("normal", "shrink_effort", ...) for health JSON.
 std::string_view OverloadRungName(OverloadRung rung);
 
+/// CoDel target: a window whose *minimum* queue delay exceeds this has a
+/// standing queue → escalate one rung. 5 ms is 1/20 of the interactivity
+/// budget — queueing beyond that eats into greedy time for every request.
+inline constexpr double kTargetDelayMs = 5.0;
 /// Rung >= kShrinkEffort: the greedy time budget is multiplied by this.
 inline constexpr double kEffortFactor = 0.5;
-/// Rung >= kReduceK: screens are served with this many groups (clamped to
-/// the requested k; never raises it).
-inline constexpr size_t kDegradedK = 3;
 /// Rung kShed: the dispatcher keeps admitting while the standing queue is
 /// at or below this depth, so the controller still sees fresh delay samples
 /// and can de-escalate once the drain completes.

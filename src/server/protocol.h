@@ -154,12 +154,11 @@ struct Response {
   double coverage = 0;                  // screen quality (start/select)
   double diversity = 0;
   bool greedy_deadline_hit = false;     // anytime loop truncated?
-  /// Set when the overload ladder reduced this answer's quality:
-  /// "effort" (shrunk greedy budget), "k" (fewer groups than asked),
-  /// "stale" (cached screen replayed, no greedy run), or "partial" (one or
-  /// more gather shards missed their lap deadline or sat open-circuit, so
-  /// the screen was scored over a subset of the user universe). Absent on
-  /// the wire when the answer is full-fidelity.
+  /// Set when this answer's screen is not the full-effort one: "effort"
+  /// (the overload ladder's shrunken greedy budget cut the run), "stale"
+  /// (cached screen replayed, no greedy run), or "partial" (gather shards
+  /// missed their lap deadline or sat open-circuit, so the screen was
+  /// scored over a subset of the user universe). Absent when full-fidelity.
   std::optional<std::string> degraded;
   /// With degraded:"partial": the fraction of the user universe the folded
   /// shards covered, in [0, 1]. Absent on full-coverage answers.

@@ -239,7 +239,7 @@ void ExplorationService::FillScreen(const core::GreedySelection& selection,
     if (selection.deadline_hit) metrics_.RecordGreedyDeadlineHit();
     if (selection.seed_truncated) metrics_.RecordGreedySeedTruncation();
     // Multi-box gather degradation (DESIGN.md §16): a screen scored over a
-    // subset of the user universe outranks the effort/k rung flags — the
+    // subset of the user universe outranks the effort flag — the
     // explorer should know the *data*, not just the effort, was partial.
     if (selection.covered_fraction < 1.0) {
       resp->degraded = "partial";
@@ -267,22 +267,15 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
                                    const TraceSpan& span, Response* resp) {
   // Remaining-budget clamp: the greedy loop may use at most what is left of
   // the request's end-to-end budget. The overload ladder (DESIGN.md §12.2)
-  // shrinks *this request's* time limit (rung 1) and k (rung 2), and the
-  // trace pointer is set for this request only. All of it is undone after
-  // the run: the span dies with the request, and the session keeps the
-  // explorer's requested options for when the overload passes.
+  // shrinks *this request's* time limit (rung 1), and the trace pointer is
+  // set for this request only. Both are undone after the run: the span dies
+  // with the request, and the session keeps its own limit for when the
+  // overload passes.
   core::GreedyOptions& live = session.mutable_options().greedy;
   const core::GreedyOptions configured = live;
-  double limit = configured.time_limit_ms;
-  if (rung >= OverloadRung::kShrinkEffort) {
-    limit *= kEffortFactor;
-    resp->degraded = "effort";
-  }
-  if (rung >= OverloadRung::kReduceK) {
-    live.k = std::min(live.k, kDegradedK);
-    resp->degraded = "k";  // deepest applied rung wins the flag
-  }
-  live.time_limit_ms = std::min(limit, deadline.RemainingMillis());
+  const double effort = rung >= OverloadRung::kShrinkEffort ? kEffortFactor : 1;
+  live.time_limit_ms = std::min(configured.time_limit_ms * effort,
+                                deadline.RemainingMillis());
   live.trace = span.enabled() ? &span : nullptr;
   const core::GreedySelection& screen =
       anchor.has_value() ? session.SelectGroup(*anchor) : session.Start();
@@ -291,13 +284,12 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
   // A screen served from the engine's memo ran no greedy here.
   FillScreen(screen, resp, /*fresh_run=*/!screen.memoized, span);
   live = configured;
-  if (!resp->degraded.has_value()) return;
-  // FillScreen's "partial" outranks the rung flags (see there).
-  if (*resp->degraded == "partial") {
+  // The flag describes the screen: "partial" (FillScreen) outranks
+  // "effort", which only a run the shrunken budget cut earns.
+  if (resp->degraded.has_value()) {
     metrics_.RecordDegradedPartial();
-  } else if (*resp->degraded == "k") {
-    metrics_.RecordDegradedK();
-  } else {
+  } else if (rung >= OverloadRung::kShrinkEffort && screen.deadline_hit) {
+    resp->degraded = "effort";
     metrics_.RecordDegradedEffort();
   }
 }
@@ -344,7 +336,7 @@ Response ExplorationService::DoStartSession(const Request& req,
     return resp;
   }
   // A new session has no cached screen to serve stale, so start_session
-  // degrades at most to the reduce-k rung.
+  // degrades at most to the effort rung.
   RunScreen(*l, std::nullopt, dispatcher_->overload().rung(), deadline, span,
             &resp);
   resp.step = 0;
@@ -404,7 +396,7 @@ Response ExplorationService::DoSessionOp(const Request& req,
             "session has no screen yet: its start_session has not completed");
         return resp;
       }
-      // Overload ladder (DESIGN.md §12.2). Rung 3 (stale): answer the
+      // Overload ladder (DESIGN.md §12.2). Rung 2 (stale): answer the
       // session's *cached* current screen without running greedy or
       // learning — the explorer sees an instant, slightly stale response
       // flagged degraded:"stale" instead of a shed.
@@ -520,12 +512,12 @@ Response ExplorationService::DoHealth(const Request& req) {
   h.emplace_back("queue_delay_min_ms",
                  json::Value(overload.last_window_min_delay_ms()));
   h.emplace_back("overload_escalations", json::Value(overload.escalations()));
-  // Degraded/shed counters from one relaxed snapshot — no quantile math,
-  // no per-op JSON table, so the probe stays cheap for high-rate polling.
-  MetricsSnapshot snap = Stats();
+  // Degraded/shed counters from one relaxed snapshot of atomics: not
+  // Stats(), whose memo gauges would lock the screen memo on the loop thread.
+  MetricsSnapshot snap =
+      metrics_.Snapshot(sessions_ != nullptr ? sessions_->size() : 0);
   json::Object degraded;
   degraded.emplace_back("effort", json::Value(snap.degraded_effort));
-  degraded.emplace_back("k", json::Value(snap.degraded_k));
   degraded.emplace_back("stale", json::Value(snap.degraded_stale));
   degraded.emplace_back("partial", json::Value(snap.degraded_partial));
   h.emplace_back("degraded", json::Value(std::move(degraded)));

@@ -157,9 +157,9 @@ class ExplorationService {
                   bool fresh_run, const TraceSpan& span);
 
   /// Runs this request's fresh screen — `Start()` without an anchor,
-  /// `SelectGroup(*anchor)` with one — at the overload `rung`'s effort and
-  /// k, within the remaining `deadline`; fills `resp` and counts a degraded
-  /// answer. The session's greedy options are restored afterwards.
+  /// `SelectGroup(*anchor)` with one — at the overload `rung`'s effort,
+  /// within the remaining `deadline`; fills `resp` and flags and counts a
+  /// degraded screen. The session's greedy options are restored afterwards.
   void RunScreen(core::ExplorationSession& session,
                  std::optional<mining::GroupId> anchor, OverloadRung rung,
                  const Deadline& deadline, const TraceSpan& span,

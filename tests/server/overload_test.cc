@@ -20,7 +20,6 @@ namespace {
 /// Controller tuned so tests can close windows quickly.
 OverloadOptions FastOptions() {
   OverloadOptions o;
-  o.target_delay_ms = 5.0;
   o.window_ms = 10.0;
   return o;
 }
@@ -38,7 +37,6 @@ TEST(OverloadControllerTest, StartsAtNormal) {
 TEST(OverloadControllerTest, RungNamesAreStable) {
   EXPECT_EQ(OverloadRungName(OverloadRung::kNormal), "normal");
   EXPECT_EQ(OverloadRungName(OverloadRung::kShrinkEffort), "shrink_effort");
-  EXPECT_EQ(OverloadRungName(OverloadRung::kReduceK), "reduce_k");
   EXPECT_EQ(OverloadRungName(OverloadRung::kStale), "stale");
   EXPECT_EQ(OverloadRungName(OverloadRung::kShed), "shed");
 }
@@ -46,7 +44,7 @@ TEST(OverloadControllerTest, RungNamesAreStable) {
 TEST(OverloadControllerTest, SustainedHighDelayEscalatesOneRungPerWindow) {
   OverloadController c(FastOptions());
   // Feed samples all far above target; each closed window moves exactly one
-  // rung, so the ladder climbs kNormal → kShed over >= 4 windows.
+  // rung, so the ladder climbs kNormal → kShed over >= 3 windows.
   int closed_before_shed = 0;
   while (c.rung() != OverloadRung::kShed && closed_before_shed < 100) {
     OverloadRung before = c.rung();
@@ -58,7 +56,7 @@ TEST(OverloadControllerTest, SustainedHighDelayEscalatesOneRungPerWindow) {
     SleepMs(2.0);
   }
   EXPECT_EQ(c.rung(), OverloadRung::kShed);
-  EXPECT_EQ(c.escalations(), 4u) << "one escalation per rung climbed";
+  EXPECT_EQ(c.escalations(), 3u) << "one escalation per rung climbed";
   EXPECT_GT(c.last_window_min_delay_ms(), 5.0);
 }
 
@@ -76,13 +74,13 @@ TEST(OverloadControllerTest, LowDelayRecoversOneRungPerWindow) {
 
 TEST(OverloadControllerTest, HysteresisBandHolds) {
   OverloadController c(FastOptions());
-  c.ForceRungForTesting(OverloadRung::kReduceK);
+  c.ForceRungForTesting(OverloadRung::kShrinkEffort);
   // Samples between target/2 and target: neither escalate nor recover.
   for (int i = 0; i < 20; ++i) {
     c.OnQueueDelay(3.5);  // target 5, target/2 = 2.5
     SleepMs(1.5);
   }
-  EXPECT_EQ(c.rung(), OverloadRung::kReduceK);
+  EXPECT_EQ(c.rung(), OverloadRung::kShrinkEffort);
 }
 
 TEST(OverloadControllerTest, MinOverWindowIgnoresBursts) {
@@ -127,6 +125,30 @@ TEST(OverloadControllerTest, ConcurrentSamplersStayOnLadder) {
   int rung = static_cast<int>(c.rung());
   EXPECT_GE(rung, 0);
   EXPECT_LT(rung, kNumOverloadRungs);
+}
+
+TEST(OverloadControllerTest, SamplerBehindAWindowCloseDoesNotCloseItAgain) {
+  // A sampler reads the clock; before it loads the window start, another
+  // sampler closes the window with a later reading. The first sampler's
+  // window has not elapsed: the ladder moves one rung, not two, and the
+  // window start never goes backwards. The failpoint holds the first
+  // sampler between its two reads.
+  OverloadController c(FastOptions());
+  SleepMs(12.0);  // the first 10 ms window has elapsed
+  failpoint::Policy hold;
+  hold.mode = failpoint::Policy::Mode::kOnce;
+  hold.code = StatusCode::kOk;
+  hold.sleep_ms = 200.0;
+  failpoint::ScopedFailpoint fp("overload.window_close", hold);
+  std::thread held([&c] { c.OnQueueDelay(50.0); });
+  while (fp.hits() == 0) SleepMs(0.1);
+  SleepMs(1.0);           // a clock reading later than the held sampler's
+  c.OnQueueDelay(50.0);   // closes the window
+  EXPECT_EQ(c.escalations(), 1u);
+  held.join();
+  EXPECT_EQ(fp.fires(), 1u);
+  EXPECT_EQ(c.escalations(), 1u) << "the held sampler closed the window again";
+  EXPECT_EQ(c.rung(), OverloadRung::kShrinkEffort);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,12 +221,13 @@ TEST(DispatcherOverloadTest, QueueDelaySamplesDriveTheLadder) {
   ThreadPool pool(1);
   ServiceMetrics metrics;
   DispatcherOptions opts;
-  opts.overload.target_delay_ms = 1.0;
   opts.overload.window_ms = 5.0;
+  // Each request holds the only worker past kTargetDelayMs, so every
+  // request behind it waits longer than the target.
   Dispatcher d(
       &pool,
       [](const Request&, const Deadline&, TraceSpan&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(4));
+        std::this_thread::sleep_for(std::chrono::milliseconds(6));
         return Response{};
       },
       opts, &metrics);
@@ -213,7 +236,7 @@ TEST(DispatcherOverloadTest, QueueDelaySamplesDriveTheLadder) {
   for (int i = 0; i < 40; ++i) futures.push_back(d.Submit(MakeRequest(inf)));
   for (auto& f : futures) f.get();
   EXPECT_GT(d.overload().escalations(), 0u)
-      << "a 4 ms/request worker with 40 queued requests must escalate";
+      << "a 6 ms/request worker with 40 queued requests must escalate";
   pool.Shutdown();
 }
 

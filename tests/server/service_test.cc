@@ -1111,44 +1111,35 @@ TEST_F(ServiceTest, HealthBypassesTheQueueEvenAtShedRung) {
       << "health must never be shed by the ladder it reports: "
       << resp.status.ToString();
   ASSERT_TRUE(resp.health.has_value());
-  EXPECT_EQ(resp.health->GetNumber("overload_rung", -1), 4.0);
+  EXPECT_EQ(resp.health->GetNumber("overload_rung", -1), 3.0);
   EXPECT_EQ(resp.health->GetString("overload_rung_name", ""), "shed");
 }
 
-TEST_F(ServiceTest, LadderShrinkEffortAndReduceKDegradeOnlyTheRequest) {
+TEST_F(ServiceTest, LadderShrinkEffortDegradesOnlyTheRequest) {
   ExplorationService svc(SharedEngine(), FastOptions());
   Response started = svc.Call(Start("laddered"));
   ASSERT_TRUE(started.status.ok()) << started.status.ToString();
   ASSERT_FALSE(started.groups.empty());
   EXPECT_FALSE(started.degraded.has_value());
 
-  // Rung 1: same op succeeds, flagged degraded:"effort".
+  // Rung 1: same op succeeds on a halved budget, flagged degraded:"effort"
+  // only if that budget cut the screen.
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kShrinkEffort);
   Response effort = svc.Call(Select("laddered", started.groups[0].id));
   ASSERT_TRUE(effort.status.ok()) << effort.status.ToString();
-  ASSERT_TRUE(effort.degraded.has_value());
-  EXPECT_EQ(*effort.degraded, "effort");
+  EXPECT_EQ(effort.degraded.has_value(), effort.greedy_deadline_hit);
+  EXPECT_EQ(effort.degraded.value_or("effort"), "effort");
 
-  // Rung 2: k clamps to kDegradedK for this request only.
-  svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kReduceK);
-  Response reduced = svc.Call(Select("laddered", effort.groups[0].id));
-  ASSERT_TRUE(reduced.status.ok()) << reduced.status.ToString();
-  ASSERT_TRUE(reduced.degraded.has_value());
-  EXPECT_EQ(*reduced.degraded, "k");
-  EXPECT_LE(reduced.groups.size(), kDegradedK);
-
-  // Back to normal: the session's own k was preserved, not the clamp.
+  // Back to normal: no flag, whatever the session's own budget did.
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kNormal);
-  Response healed = svc.Call(Select("laddered", reduced.groups[0].id));
+  Response healed = svc.Call(Select("laddered", effort.groups[0].id));
   ASSERT_TRUE(healed.status.ok()) << healed.status.ToString();
   EXPECT_FALSE(healed.degraded.has_value());
-  EXPECT_GT(healed.groups.size(), kDegradedK)
-      << "degraded k stuck to the session";
 
   MetricsSnapshot snap = svc.Stats();
-  EXPECT_EQ(snap.degraded_effort, 1u);
-  EXPECT_EQ(snap.degraded_k, 1u);
-  EXPECT_EQ(snap.DegradedTotal(), 2u);
+  EXPECT_EQ(snap.degraded_effort, effort.greedy_deadline_hit ? 1u : 0u);
+  EXPECT_EQ(snap.degraded_k, 0u);
+  EXPECT_EQ(snap.DegradedTotal(), snap.degraded_effort);
 }
 
 TEST_F(ServiceTest, ShrinkEffortStartIsServedTheStoredFirstScreen) {
@@ -1164,14 +1155,106 @@ TEST_F(ServiceTest, ShrinkEffortStartIsServedTheStoredFirstScreen) {
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kShrinkEffort);
   Response effort = svc.Call(Start("effort_start"));
   ASSERT_TRUE(effort.status.ok()) << effort.status.ToString();
-  ASSERT_TRUE(effort.degraded.has_value());
-  EXPECT_EQ(*effort.degraded, "effort");
+  EXPECT_FALSE(effort.degraded.has_value()) << "a hit is the rung-0 screen";
+  EXPECT_EQ(svc.Stats().degraded_effort, 0u);
   EXPECT_EQ(svc.Stats().screen_memo_hits, hits + 1) << "not memoized";
   EXPECT_EQ(engine_->screens().size(), entries) << "a second first screen";
   ASSERT_EQ(effort.groups.size(), normal.groups.size());
   for (size_t i = 0; i < effort.groups.size(); ++i) {
     EXPECT_EQ(effort.groups[i].id, normal.groups[i].id);
   }
+}
+
+TEST_F(ServiceTest, EffortFlagsOnlyACutScreenAndRungsShareThePathEntry) {
+  // The flag describes the screen, not the rung: at rung 1 a converged run
+  // or a memo hit is the rung-0 screen and carries no flag, and a run the
+  // halved budget cut answers degraded:"effort". No rung keys a path apart,
+  // so a path visited at rungs 0, 1 and 2 holds one memo entry.
+  ServiceOptions opts = FastOptions();
+  opts.session_template.greedy.lambda = 0.45;  // a key no other test uses
+  opts.session_template.greedy.time_limit_ms = 10'000;
+  opts.dispatcher.default_budget_ms = 10'000;
+  ExplorationService svc(engine_, opts);
+  OverloadController& overload = svc.dispatcher().overload();
+  const size_t k = opts.session_template.greedy.k;
+  failpoint::Policy cut;
+  cut.mode = failpoint::Policy::Mode::kAlways;
+  cut.code = StatusCode::kOk;
+
+  Response started = svc.Call(Start("s0"));
+  ASSERT_TRUE(started.status.ok()) << started.status.ToString();
+  // Two shown groups whose candidate pools leave a pass to cut.
+  std::vector<uint32_t> picks;
+  for (const GroupView& g : started.groups) {
+    size_t pool = 0;
+    for (const index::Neighbor& nb : engine_->index().Neighbors(g.id)) {
+      pool += nb.similarity >= opts.session_template.greedy.min_similarity;
+    }
+    if (pool > k + 1) picks.push_back(g.id);
+  }
+  ASSERT_GE(picks.size(), 2u) << "fewer than two shown pools above k+1";
+  for (const char* id : {"s1", "s2", "s3", "s4"}) {
+    ASSERT_TRUE(svc.Call(Start(id)).status.ok());
+  }
+  const uint64_t one_click_entries = svc.Stats().screen_memo_entries[1];
+  const size_t entries = engine_->screens().size();
+
+  // Rung 0, cut: no flag, and the path's work record is stored.
+  {
+    failpoint::ScopedFailpoint fp("greedy.pass", cut);
+    Response r = svc.Call(Select("s0", picks[0]));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.greedy_deadline_hit);
+    EXPECT_FALSE(r.degraded.has_value());
+  }
+  EXPECT_EQ(engine_->screens().size(), entries + 1);
+
+  // Rung 1: the run resumes the record and converges, with no flag; the
+  // next visit is a hit with no flag, the same screen, and no new entry.
+  overload.ForceRungForTesting(OverloadRung::kShrinkEffort);
+  Response resumed = svc.Call(Select("s1", picks[0]));
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_FALSE(resumed.greedy_deadline_hit);
+  EXPECT_FALSE(resumed.degraded.has_value());
+  const uint64_t hits = svc.Stats().screen_memo_hits;
+  Response hit = svc.Call(Select("s2", picks[0]));
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_EQ(svc.Stats().screen_memo_hits, hits + 1) << "not memoized";
+  EXPECT_FALSE(hit.degraded.has_value()) << "a hit is the rung-0 screen";
+  ASSERT_EQ(hit.groups.size(), resumed.groups.size());
+  for (size_t i = 0; i < hit.groups.size(); ++i) {
+    EXPECT_EQ(hit.groups[i].id, resumed.groups[i].id);
+  }
+  EXPECT_EQ(hit.coverage, resumed.coverage);
+  EXPECT_EQ(hit.diversity, resumed.diversity);
+  EXPECT_EQ(engine_->screens().size(), entries + 1);
+  EXPECT_EQ(svc.Stats().degraded_effort, 0u);
+
+  // Rung 2 replays the session's cached screen and runs nothing.
+  overload.ForceRungForTesting(OverloadRung::kStale);
+  Response stale = svc.Call(Select("s3", picks[0]));
+  ASSERT_TRUE(stale.status.ok()) << stale.status.ToString();
+  ASSERT_TRUE(stale.degraded.has_value());
+  EXPECT_EQ(*stale.degraded, "stale");
+  EXPECT_EQ(engine_->screens().size(), entries + 1);
+
+  // Rung 1, cut: the screen answers "effort" and counts once.
+  overload.ForceRungForTesting(OverloadRung::kShrinkEffort);
+  {
+    failpoint::ScopedFailpoint fp("greedy.pass", cut);
+    Response r = svc.Call(Select("s4", picks[1]));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.greedy_deadline_hit);
+    ASSERT_TRUE(r.degraded.has_value());
+    EXPECT_EQ(*r.degraded, "effort");
+  }
+  overload.ForceRungForTesting(OverloadRung::kNormal);
+  const MetricsSnapshot snap = svc.Stats();
+  EXPECT_EQ(snap.degraded_effort, 1u);
+  EXPECT_EQ(snap.degraded_stale, 1u);
+  EXPECT_EQ(snap.DegradedTotal(), 2u);
+  // One entry per path: the path visited at every rung, and the cut one.
+  EXPECT_EQ(snap.screen_memo_entries[1], one_click_entries + 2);
 }
 
 TEST_F(ServiceTest, LadderStaleRungReplaysTheCachedScreen) {
