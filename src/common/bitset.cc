@@ -63,14 +63,6 @@ bool Bitset::IsSubsetOf(const Bitset& other) const {
   return true;
 }
 
-bool Bitset::IsDisjointWith(const Bitset& other) const {
-  CheckCompatible(other);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return false;
-  }
-  return true;
-}
-
 size_t Bitset::IntersectCount(const Bitset& other) const {
   CheckCompatible(other);
   return kernels::AndCount(words_.data(), other.words_.data(), words_.size());
@@ -88,14 +80,6 @@ size_t Bitset::IntersectCountAndNot(const Bitset& other,
   CheckCompatible(exclude);
   return kernels::AndAndNotCount(words_.data(), other.words_.data(),
                                  exclude.words_.data(), words_.size());
-}
-
-size_t Bitset::IntersectCountInto(const Bitset& other, Bitset* out) const {
-  CheckCompatible(other);
-  out->size_ = size_;
-  out->words_.resize(words_.size());
-  return kernels::AndCountInto(words_.data(), other.words_.data(),
-                               out->words_.data(), words_.size());
 }
 
 void Bitset::AssignUnion(const Bitset& a, const Bitset& b) {
@@ -124,11 +108,6 @@ size_t Bitset::AssignUnionMaskedCount(const Bitset& a, const Bitset& b,
                                  words_.size());
 }
 
-size_t Bitset::UnionCount(const Bitset& other) const {
-  CheckCompatible(other);
-  return kernels::OrCount(words_.data(), other.words_.data(), words_.size());
-}
-
 double Bitset::Jaccard(const Bitset& other) const {
   CheckCompatible(other);
   size_t inter = 0, uni = 0;
@@ -148,12 +127,6 @@ Bitset& Bitset::operator|=(const Bitset& other) {
   CheckCompatible(other);
   kernels::Or(words_.data(), other.words_.data(), words_.data(),
               words_.size());
-  return *this;
-}
-
-Bitset& Bitset::operator^=(const Bitset& other) {
-  CheckCompatible(other);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
   return *this;
 }
 
@@ -190,15 +163,6 @@ Bitset Bitset::FromVector(size_t size, const std::vector<uint32_t>& elems) {
   Bitset b(size);
   for (uint32_t e : elems) b.Set(e);
   return b;
-}
-
-size_t Bitset::FindFirst() const {
-  for (size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != 0) {
-      return w * kWordBits + static_cast<size_t>(__builtin_ctzll(words_[w]));
-    }
-  }
-  return size_;
 }
 
 uint64_t Bitset::Hash() const {

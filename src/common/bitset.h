@@ -4,7 +4,7 @@
 // operations of the whole system — Jaccard similarity (index construction,
 // experiment E3) and coverage accumulation (greedy selection, experiment E1)
 // — reduce to word-parallel AND/OR + popcount, which this class provides
-// without materializing temporaries (IntersectCount / UnionCount / Jaccard).
+// without materializing temporaries (IntersectCount / Jaccard).
 #pragma once
 
 #include <cstddef>
@@ -47,9 +47,6 @@ class Bitset {
   /// True iff every element of this set is also in `other` (sizes must match).
   bool IsSubsetOf(const Bitset& other) const;
 
-  /// True iff the two sets share no element (sizes must match).
-  bool IsDisjointWith(const Bitset& other) const;
-
   /// |this ∩ other| without allocating. Sizes must match.
   size_t IntersectCount(const Bitset& other) const;
 
@@ -61,11 +58,6 @@ class Bitset {
   /// "how many anchor users would candidate g newly cover?" is
   /// g.IntersectCountAndNot(anchor, rest) — one pass instead of three.
   size_t IntersectCountAndNot(const Bitset& other, const Bitset& exclude) const;
-
-  /// Writes this ∩ other into *out (resized to this universe) and returns
-  /// |this ∩ other| — intersection and popcount fused into one pass. `out`
-  /// may alias neither operand.
-  size_t IntersectCountInto(const Bitset& other, Bitset* out) const;
 
   /// this = a ∪ b in one pass (resized to a's universe; a and b must
   /// match). Avoids the copy+|= double pass when building prefix/suffix
@@ -83,22 +75,17 @@ class Bitset {
   size_t AssignUnionMaskedCount(const Bitset& a, const Bitset& b,
                                 const Bitset& mask);
 
-  /// |this ∪ other| without allocating. Sizes must match.
-  size_t UnionCount(const Bitset& other) const;
-
   /// Jaccard similarity |a∩b| / |a∪b|; 1.0 when both sets are empty.
   double Jaccard(const Bitset& other) const;
 
   /// In-place set algebra. Sizes must match.
   Bitset& operator&=(const Bitset& other);
   Bitset& operator|=(const Bitset& other);
-  Bitset& operator^=(const Bitset& other);
   /// Set difference: removes every element of `other` from this.
   Bitset& Subtract(const Bitset& other);
 
   friend Bitset operator&(Bitset a, const Bitset& b) { return a &= b; }
   friend Bitset operator|(Bitset a, const Bitset& b) { return a |= b; }
-  friend Bitset operator^(Bitset a, const Bitset& b) { return a ^= b; }
 
   bool operator==(const Bitset& other) const;
 
@@ -137,9 +124,6 @@ class Bitset {
       }
     }
   }
-
-  /// Index of the first set bit, or size() if none.
-  size_t FindFirst() const;
 
   /// 64-bit content hash (order-independent by construction).
   uint64_t Hash() const;

@@ -52,25 +52,6 @@ size_t ScalarAndAndNotCount(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-size_t ScalarOrCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  size_t c = 0;
-  for (size_t i = 0; i < n; ++i) {
-    c += static_cast<size_t>(__builtin_popcountll(a[i] | b[i]));
-  }
-  return c;
-}
-
-size_t ScalarAndCountInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                          size_t n) {
-  size_t c = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t w = a[i] & b[i];
-    out[i] = w;
-    c += static_cast<size_t>(__builtin_popcountll(w));
-  }
-  return c;
-}
-
 void ScalarOr(const uint64_t* a, const uint64_t* b, uint64_t* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] | b[i];
 }
@@ -203,42 +184,6 @@ VEXUS_TARGET_AVX2 size_t Avx2AndAndNotCount(const uint64_t* a,
     count += static_cast<size_t>(__builtin_popcountll(a[i] & b[i] & ~c[i]));
   }
   return count;
-}
-
-VEXUS_TARGET_AVX2 size_t Avx2OrCount(const uint64_t* a, const uint64_t* b,
-                                     size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, Popcnt256(_mm256_or_si256(va, vb)));
-  }
-  size_t c = Hsum256(acc);
-  for (; i < n; ++i) {
-    c += static_cast<size_t>(__builtin_popcountll(a[i] | b[i]));
-  }
-  return c;
-}
-
-VEXUS_TARGET_AVX2 size_t Avx2AndCountInto(const uint64_t* a, const uint64_t* b,
-                                          uint64_t* out, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i w = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), w);
-    acc = _mm256_add_epi64(acc, Popcnt256(w));
-  }
-  size_t c = Hsum256(acc);
-  for (; i < n; ++i) {
-    uint64_t w = a[i] & b[i];
-    out[i] = w;
-    c += static_cast<size_t>(__builtin_popcountll(w));
-  }
-  return c;
 }
 
 VEXUS_TARGET_AVX2 void Avx2Or(const uint64_t* a, const uint64_t* b,
@@ -400,42 +345,6 @@ VEXUS_TARGET_AVX512 size_t Avx512AndAndNotCount(const uint64_t* a,
   return count;
 }
 
-VEXUS_TARGET_AVX512 size_t Avx512OrCount(const uint64_t* a, const uint64_t* b,
-                                         size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i w =
-        _mm512_or_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
-  }
-  size_t c = Hsum512(acc);
-  for (; i < n; ++i) {
-    c += static_cast<size_t>(__builtin_popcountll(a[i] | b[i]));
-  }
-  return c;
-}
-
-VEXUS_TARGET_AVX512 size_t Avx512AndCountInto(const uint64_t* a,
-                                              const uint64_t* b, uint64_t* out,
-                                              size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i w =
-        _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
-    _mm512_storeu_si512(out + i, w);
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(w));
-  }
-  size_t c = Hsum512(acc);
-  for (; i < n; ++i) {
-    uint64_t w = a[i] & b[i];
-    out[i] = w;
-    c += static_cast<size_t>(__builtin_popcountll(w));
-  }
-  return c;
-}
-
 VEXUS_TARGET_AVX512 void Avx512Or(const uint64_t* a, const uint64_t* b,
                                   uint64_t* out, size_t n) {
   size_t i = 0;
@@ -525,9 +434,6 @@ struct KernelTable {
   size_t (*and_not_count)(const uint64_t*, const uint64_t*, size_t);
   size_t (*and_and_not_count)(const uint64_t*, const uint64_t*,
                               const uint64_t*, size_t);
-  size_t (*or_count)(const uint64_t*, const uint64_t*, size_t);
-  size_t (*and_count_into)(const uint64_t*, const uint64_t*, uint64_t*,
-                           size_t);
   void (*or_)(const uint64_t*, const uint64_t*, uint64_t*, size_t);
   size_t (*or_count_into)(const uint64_t*, const uint64_t*, uint64_t*, size_t);
   size_t (*or_and_count_into)(const uint64_t*, const uint64_t*,
@@ -537,25 +443,22 @@ struct KernelTable {
 };
 
 constexpr KernelTable kScalarTable = {
-    Level::kScalar,       ScalarCount,       ScalarAndCount,
-    ScalarAndNotCount,    ScalarAndAndNotCount, ScalarOrCount,
-    ScalarAndCountInto,   ScalarOr,          ScalarOrCountInto,
-    ScalarOrAndCountInto, ScalarAndOrCount,
+    Level::kScalar,       ScalarCount,         ScalarAndCount,
+    ScalarAndNotCount,    ScalarAndAndNotCount, ScalarOr,
+    ScalarOrCountInto,    ScalarOrAndCountInto, ScalarAndOrCount,
 };
 
 #ifdef VEXUS_BITSET_SIMD
 constexpr KernelTable kAvx2Table = {
-    Level::kAvx2,       Avx2Count,       Avx2AndCount,
-    Avx2AndNotCount,    Avx2AndAndNotCount, Avx2OrCount,
-    Avx2AndCountInto,   Avx2Or,          Avx2OrCountInto,
-    Avx2OrAndCountInto, Avx2AndOrCount,
+    Level::kAvx2,       Avx2Count,         Avx2AndCount,
+    Avx2AndNotCount,    Avx2AndAndNotCount, Avx2Or,
+    Avx2OrCountInto,    Avx2OrAndCountInto, Avx2AndOrCount,
 };
 
 constexpr KernelTable kAvx512Table = {
-    Level::kAvx512,       Avx512Count,       Avx512AndCount,
-    Avx512AndNotCount,    Avx512AndAndNotCount, Avx512OrCount,
-    Avx512AndCountInto,   Avx512Or,          Avx512OrCountInto,
-    Avx512OrAndCountInto, Avx512AndOrCount,
+    Level::kAvx512,       Avx512Count,         Avx512AndCount,
+    Avx512AndNotCount,    Avx512AndAndNotCount, Avx512Or,
+    Avx512OrCountInto,    Avx512OrAndCountInto, Avx512AndOrCount,
 };
 #endif
 
@@ -647,15 +550,6 @@ size_t AndNotCount(const uint64_t* a, const uint64_t* b, size_t n) {
 size_t AndAndNotCount(const uint64_t* a, const uint64_t* b, const uint64_t* c,
                       size_t n) {
   return Active().and_and_not_count(a, b, c, n);
-}
-
-size_t OrCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  return Active().or_count(a, b, n);
-}
-
-size_t AndCountInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                    size_t n) {
-  return Active().and_count_into(a, b, out, n);
 }
 
 void Or(const uint64_t* a, const uint64_t* b, uint64_t* out, size_t n) {

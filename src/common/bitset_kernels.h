@@ -1,8 +1,9 @@
 // SIMD kernels for the word-parallel bitset operations on the greedy hot
-// path (ROADMAP item 4). Every trial swap of the incremental evaluator is
-// one pass over ceil(U/64) words of the 278,858-user universe — popcounts
-// fused with AND/OR — so these loops are where the 100 ms interaction
-// budget is actually spent (trial evaluations per second is the currency).
+// path: eight kernels, each in three tiers. Every trial swap of the
+// incremental evaluator is one pass over ceil(U/64) words of the
+// 278,858-user universe — popcounts fused with AND/OR — so these loops
+// are where the 100 ms interaction budget is actually spent (trial
+// evaluations per second is the currency).
 //
 // Dispatch follows the pattern common/crc32 established: the vector
 // bodies live in one translation unit (bitset_kernels.cc) compiled with
@@ -61,11 +62,6 @@ size_t AndNotCount(const uint64_t* a, const uint64_t* b, size_t n);
 /// popcount(a & b & ~c) — the anchored trial-swap coverage kernel.
 size_t AndAndNotCount(const uint64_t* a, const uint64_t* b, const uint64_t* c,
                       size_t n);
-/// popcount(a | b) — fused union-popcount.
-size_t OrCount(const uint64_t* a, const uint64_t* b, size_t n);
-/// out = a & b, returns popcount(out).
-size_t AndCountInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                    size_t n);
 /// out = a | b (no count — prefix/suffix union table build).
 void Or(const uint64_t* a, const uint64_t* b, uint64_t* out, size_t n);
 /// out = a | b, returns popcount(out) — fused union-popcount with store.

@@ -272,7 +272,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   std::vector<double> affinity(pool.size(), 0.0);
   const Bitset* anchor_members =
       anchor.has_value() ? &store_->group(*anchor).members() : nullptr;
-  Stopwatch phase;
   if (anchor.has_value()) {
     // A resumed run takes the record's affinities, which an earlier run
     // computed from the same weights: the weights phase is their only use.
@@ -284,10 +283,8 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       const std::vector<double> weights = feedback.UserWeights();
       weights_span.Close();
       result.work += num_users;
-      result.seed_millis.weights = phase.ElapsedMillis();
 
       TraceSpan affinity_span = seed_span.Child("affinity");
-      phase.Restart();
       for (size_t i = 0; i < pool.size(); ++i) {
         affinity[i] = index::WeightedJaccard(store_->group(pool[i]).members(),
                                              *anchor_members, weights);
@@ -295,7 +292,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
       affinity_span.AddCount(pool.size());
       affinity_span.Close();
       result.work += words * pool.size();
-      result.seed_millis.affinity = phase.ElapsedMillis();
     }
 
     // The objective's affinity term is the weighted similarity alone; the
@@ -313,7 +309,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     // below equal an unbounded run's. A resumed run starts after the
     // record's priors, which come first in the same order.
     TraceSpan prior_span = seed_span.Child("prior");
-    phase.Restart();
     std::vector<size_t> visit(pool.size());
     std::iota(visit.begin(), visit.end(), size_t{0});
     std::sort(visit.begin(), visit.end(), [&](size_t a, size_t b) {
@@ -344,11 +339,9 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
     prior_span.AddCount(result.seed_scored - recorded);
     prior_span.Close();
     result.work += (result.seed_scored - recorded) * feedback.nonzero_count();
-    result.seed_millis.prior = phase.ElapsedMillis();
   }
 
   TraceSpan setup_span = seed_span.Child("setup");
-  phase.Restart();
   if (!anchor.has_value()) {
     // The first screen: no anchor and no feedback, so the seed ranks by
     // size and every affinity stays 0.
@@ -416,7 +409,6 @@ GreedySelection GreedySelector::Run(std::vector<GroupId> pool,
   eval.Reset(selected);
   ++result.evaluations;
   setup_span.Close();
-  result.seed_millis.setup = phase.ElapsedMillis();
   seed_span.Close();
 
   // ---- Anytime best-improving swap loop. ----

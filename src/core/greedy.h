@@ -174,8 +174,8 @@ struct GreedySelection {
   bool seed_truncated = false;
   /// True when the screen came from the engine's screen memo
   /// (core/screen_memo.h) instead of a greedy run: passes, swaps,
-  /// evaluations, seed_scored, work and the seed and pass timings are then
-  /// 0, and elapsed_ms is the lookup's own time.
+  /// evaluations, seed_scored and work are then 0, pass_millis is empty,
+  /// and elapsed_ms is the lookup's own time.
   bool memoized = false;
   /// True when the run continued a WorkRecord instead of starting afresh:
   /// the weights and affinity phases did not run, and the seed scored only
@@ -185,17 +185,6 @@ struct GreedySelection {
   /// candidates) when the seed was truncated. A resumed run counts the
   /// record's priors too.
   size_t seed_scored = 0;
-  /// Wall-clock of the seed's phases, in milliseconds: user weights, the
-  /// affinity of every candidate, the priors, and the set-up (seed sort,
-  /// refinement test, evaluator reset). A first screen's seed is its set-up
-  /// alone: it ranks by size and computes no weights, affinity or priors.
-  struct SeedMillis {
-    double weights = 0;
-    double affinity = 0;
-    double prior = 0;
-    double setup = 0;
-  };
-  SeedMillis seed_millis;
   /// Minimum over passes of the user-universe fraction the folded shards
   /// covered (1.0 unless a remote scatter degraded; see
   /// GreedyOptions::remote_scatter). The serving layer answers

@@ -17,8 +17,9 @@
 //
 //   · rest(pos)        = anchor-masked union of the selection minus slot
 //                        `pos`, built from prefix/suffix union tables in
-//                        O(k·U/64) with Bitset::AssignUnion /
-//                        IntersectCountInto (no temporaries);
+//                        O(k·U/64) with Bitset::AssignUnion and
+//                        the fused AssignUnion(Masked)Count (no
+//                        temporaries);
 //   · rest_count(pos)  = |rest(pos)| — the coverage a trial at `pos` keeps;
 //   · simrow[c][j]     = Jaccard(c, S[j]) — a dense candidate×selected
 //                        similarity row matrix filled through the memoized

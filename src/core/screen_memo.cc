@@ -86,7 +86,6 @@ bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
     screen.swaps = 0;
     screen.evaluations = 0;
     screen.seed_scored = 0;
-    screen.seed_millis = {};
     screen.pass_millis.clear();
     screen.elapsed_ms = 0;
     screen.work = 0;

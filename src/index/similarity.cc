@@ -24,7 +24,7 @@ double WeightedJaccard(const Bitset& a, const Bitset& b,
   }
   if (uni <= 0) {
     // Zero-weight union: fall back on set semantics.
-    return a.UnionCount(b) == 0 ? 1.0 : 0.0;
+    return a.None() && b.None() ? 1.0 : 0.0;
   }
   return inter / uni;
 }

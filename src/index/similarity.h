@@ -14,11 +14,6 @@
 
 namespace vexus::index {
 
-/// Plain Jaccard |a∩b| / |a∪b| over member sets.
-inline double Jaccard(const mining::UserGroup& a, const mining::UserGroup& b) {
-  return a.members().Jaccard(b.members());
-}
-
 /// Weighted Jaccard: Σ_{u∈a∩b} w(u) / Σ_{u∈a∪b} w(u).
 ///
 /// `weights` is indexed by UserId and must cover the universe; weights are

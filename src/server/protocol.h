@@ -85,7 +85,7 @@ struct Request {
   std::optional<uint32_t> user;        // bookmark
   std::optional<uint64_t> step;        // backtrack
   std::optional<uint32_t> token;       // unlearn
-  std::optional<uint64_t> top_k;       // get_context
+  std::optional<uint64_t> top_k;       // get_context: at most 1,000
   std::optional<uint64_t> k;           // start_session: groups per screen
   std::optional<double> learning_rate; // start_session
   std::optional<uint64_t> n;           // get_trace: how many traces

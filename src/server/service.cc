@@ -19,6 +19,10 @@ namespace {
 /// screens at 7 by Miller's law; we allow head-room for scripted analysis).
 constexpr uint64_t kMaxScreenK = 64;
 
+/// get_context top_k above this is a client error: the answer must fit the
+/// wire's 1 MiB response line (1,000 tokens is ~64 KB at paper scale).
+constexpr uint64_t kMaxContextTokens = 1000;
+
 }  // namespace
 
 ExplorationService::ExplorationService(const core::VexusEngine* engine,
@@ -447,6 +451,11 @@ Response ExplorationService::DoSessionOp(const Request& req,
       break;
     }
     case RequestType::kGetContext: {
+      if (req.top_k.value_or(0) > kMaxContextTokens) {
+        resp.status = Status::InvalidArgument(
+            "top_k must be at most " + std::to_string(kMaxContextTokens));
+        return resp;
+      }
       TraceSpan serialize = span.Child("serialize");
       size_t top_k = static_cast<size_t>(req.top_k.value_or(10));
       for (const auto& ts : l->ContextTokens(top_k)) {

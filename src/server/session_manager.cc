@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -34,11 +33,6 @@ struct SessionManager::Lease::Entry {
   std::atomic<int64_t> last_used_us{0};
 };
 
-struct SessionManager::Shard {
-  std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<Lease::Entry>> map;
-};
-
 // ---------------------------------------------------------------------------
 // Lease
 // ---------------------------------------------------------------------------
@@ -63,22 +57,10 @@ SessionManager::SessionManager(const core::VexusEngine* engine,
                                ServiceMetrics* metrics)
     : engine_(engine), options_(options), metrics_(metrics) {
   VEXUS_CHECK(engine != nullptr);
-  if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.max_sessions == 0) options_.max_sessions = 1;
-  shards_.reserve(options_.num_shards);
-  for (size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 SessionManager::~SessionManager() = default;
-
-SessionManager::Shard& SessionManager::ShardOf(const std::string& id) {
-  size_t h = std::hash<std::string>{}(id);
-  return *shards_[h % shards_.size()];
-}
-
-int64_t SessionManager::NowMicros() const { return SteadyNowMicros(); }
 
 Result<uint64_t> SessionManager::Create(const std::string& id,
                                         core::SessionOptions session_options) {
@@ -88,12 +70,9 @@ Result<uint64_t> SessionManager::Create(const std::string& id,
   // Chaos site: admission failing for reasons other than capacity (token
   // space allocation, a per-tenant quota layer).
   VEXUS_FAILPOINT("session_manager.create");
-  Shard& shard = ShardOf(id);
-  // Lazy TTL pass over the target shard keeps long-idle sessions from
-  // blocking admissions even when nobody calls SweepExpired(); the
-  // round-robin step extends that guarantee to shards no access hashes to.
-  SweepShard(shard);
-  SweepNextShard();
+  // Lazy TTL pass: keeps long-idle sessions from blocking admissions even
+  // when nobody calls SweepExpired().
+  SweepIfDue();
 
   // Reserve a slot (CAS) so concurrent Creates cannot overshoot the cap.
   while (true) {
@@ -113,47 +92,42 @@ Result<uint64_t> SessionManager::Create(const std::string& id,
     }
   }
 
-  // Build the session outside the shard lock. It is cheap (it points at
-  // the engine's token space and screen memo), but its allocation
-  // has no business under a lock every lookup of this shard takes.
+  // Build the session outside the table lock. It is cheap (it points at
+  // the engine's token space and screen memo), but its allocation has no
+  // business under a lock every lookup takes.
   auto entry = std::make_shared<Lease::Entry>();
   entry->session = engine_->CreateSession(session_options);
   entry->generation =
       next_generation_.fetch_add(1, std::memory_order_relaxed);
-  entry->last_used_us.store(NowMicros(), std::memory_order_relaxed);
+  const int64_t now_us = SteadyNowMicros();
+  entry->last_used_us.store(now_us, std::memory_order_relaxed);
 
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(id, entry);
-    if (!inserted) {
-      count_.fetch_sub(1, std::memory_order_relaxed);  // release the slot
-      return Status::AlreadyExists("session \"" + id + "\" is live");
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!table_.emplace(id, entry).second) {
+    count_.fetch_sub(1, std::memory_order_relaxed);  // release the slot
+    return Status::AlreadyExists("session \"" + id + "\" is live");
+  }
+  if (options_.ttl_seconds > 0) {
+    const int64_t expiry_us =
+        now_us + static_cast<int64_t>(options_.ttl_seconds * 1e6);
+    if (expiry_us < next_expiry_us_.load()) next_expiry_us_.store(expiry_us);
   }
   return entry->generation;
 }
 
-Result<SessionManager::Lease> SessionManager::Acquire(
-    const std::string& id, uint64_t expected_generation) {
-  // Chaos site: lease acquisition failing/stalling (a sleep here simulates
-  // a long-held lease; an error simulates lookup-layer trouble).
-  VEXUS_FAILPOINT("session_manager.acquire");
-  // Cross-shard TTL progress rides on every acquire (cheap: one try-lock
-  // walk of one shard), so a workload that only ever touches a few hot
-  // sessions still expires the cold ones parked in other shards.
-  SweepNextShard();
-  Shard& shard = ShardOf(id);
+Result<std::shared_ptr<SessionManager::Lease::Entry>>
+SessionManager::LockLive(const std::string& id, uint64_t expected_generation) {
   std::shared_ptr<Lease::Entry> entry;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(id);
-    if (it == shard.map.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = table_.find(id);
+    if (it == table_.end()) {
       return Status::NotFound("session \"" + id + "\" does not exist");
     }
     entry = it->second;
   }
-  // Block on the session's op lock *without* holding the shard lock, so one
-  // slow explorer never stalls the other sessions hashed to this shard.
+  // Block on the session's op lock *without* holding the table lock, so
+  // one slow explorer never stalls lookups of the other sessions.
   entry->mu.lock();
   if (entry->dead) {
     entry->mu.unlock();
@@ -167,7 +141,20 @@ Result<SessionManager::Lease> SessionManager::Acquire(
         std::to_string(expected_generation) + " != live generation " +
         std::to_string(entry->generation));
   }
-  entry->last_used_us.store(NowMicros(), std::memory_order_relaxed);
+  return entry;
+}
+
+Result<SessionManager::Lease> SessionManager::Acquire(
+    const std::string& id, uint64_t expected_generation) {
+  // Chaos site: lease acquisition failing/stalling (a sleep here simulates
+  // a long-held lease; an error simulates lookup-layer trouble).
+  VEXUS_FAILPOINT("session_manager.acquire");
+  // TTL progress rides on every acquire, so a workload that only ever
+  // touches a few hot sessions still expires the cold ones.
+  SweepIfDue();
+  VEXUS_ASSIGN_OR_RETURN(std::shared_ptr<Lease::Entry> entry,
+                         LockLive(id, expected_generation));
+  entry->last_used_us.store(SteadyNowMicros(), std::memory_order_relaxed);
   core::ExplorationSession* session = entry->session.get();
   uint64_t generation = entry->generation;
   return Lease(std::move(entry), session, generation);
@@ -175,123 +162,95 @@ Result<SessionManager::Lease> SessionManager::Acquire(
 
 Result<core::SessionDigest> SessionManager::Remove(
     const std::string& id, uint64_t expected_generation) {
-  Shard& shard = ShardOf(id);
-  std::shared_ptr<Lease::Entry> entry;
+  // Locking the entry drains an in-flight lease.
+  VEXUS_ASSIGN_OR_RETURN(std::shared_ptr<Lease::Entry> entry,
+                         LockLive(id, expected_generation));
+  const core::SessionDigest digest = entry->session->Digest();
+  std::unique_ptr<core::ExplorationSession> removed;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(id);
-    if (it == shard.map.end()) {
-      return Status::NotFound("session \"" + id + "\" does not exist");
-    }
-    entry = it->second;
+    // Unlinked before the op lock is released, so a sweep never finds a
+    // dead entry to evict (and count) a second time. A live entry whose
+    // op lock is held cannot have left the table.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = table_.find(id);
+    VEXUS_DCHECK(it != table_.end() && it->second == entry);
+    removed = Retire(it);
   }
-  core::SessionDigest digest;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);  // drain in-flight lease
-    if (entry->dead) {
-      return Status::NotFound("session \"" + id + "\" was evicted");
-    }
-    if (expected_generation != 0 &&
-        expected_generation != entry->generation) {
-      return Status::NotFound(
-          "stale handle for session \"" + id + "\": generation " +
-          std::to_string(expected_generation) + " != live generation " +
-          std::to_string(entry->generation));
-    }
-    entry->dead = true;
-    digest = entry->session->Digest();
-    entry->session.reset();
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(id);
-    if (it != shard.map.end() && it->second == entry) shard.map.erase(it);
-  }
-  count_.fetch_sub(1, std::memory_order_relaxed);
   return digest;
 }
 
-size_t SessionManager::SweepShard(Shard& shard) {
-  if (options_.ttl_seconds <= 0) return 0;
-  // Chaos site: a sleep here makes the TTL sweep slow, widening the race
-  // between eviction and concurrent Acquire/Create on the same shard.
-  VEXUS_FAILPOINT_HIT("session_manager.evict");
-  int64_t horizon_us =
-      NowMicros() - static_cast<int64_t>(options_.ttl_seconds * 1e6);
-  size_t evicted = 0;
-  std::lock_guard<std::mutex> lock(shard.mu);
-  for (auto it = shard.map.begin(); it != shard.map.end();) {
-    auto& entry = it->second;
-    if (entry->last_used_us.load(std::memory_order_relaxed) >= horizon_us) {
-      ++it;
-      continue;
-    }
-    // Busy entries are skipped, not waited for: their lease release bumps
-    // last_used_us anyway.
-    if (!entry->mu.try_lock()) {
-      ++it;
-      continue;
-    }
-    entry->dead = true;
-    entry->session.reset();
-    entry->mu.unlock();
-    it = shard.map.erase(it);
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    ++evicted;
-    if (metrics_ != nullptr) metrics_->RecordEvictionTtl();
-  }
-  return evicted;
+std::unique_ptr<core::ExplorationSession> SessionManager::Retire(
+    Table::iterator it) {
+  Lease::Entry& entry = *it->second;
+  entry.dead = true;
+  std::unique_ptr<core::ExplorationSession> session =
+      std::move(entry.session);
+  entry.mu.unlock();
+  table_.erase(it);
+  count_.fetch_sub(1, std::memory_order_relaxed);
+  return session;
 }
 
-void SessionManager::SweepNextShard() {
-  if (options_.ttl_seconds <= 0) return;
-  size_t idx =
-      sweep_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  SweepShard(*shards_[idx]);
+void SessionManager::SweepIfDue() {
+  if (SteadyNowMicros() >= next_expiry_us_.load()) SweepExpired();
 }
 
 size_t SessionManager::SweepExpired() {
-  size_t evicted = 0;
-  for (auto& shard : shards_) evicted += SweepShard(*shard);
-  return evicted;
+  if (options_.ttl_seconds <= 0) return 0;
+  // Chaos site: a sleep here makes the TTL sweep slow, widening the race
+  // between eviction and concurrent Acquire/Create.
+  VEXUS_FAILPOINT_HIT("session_manager.evict");
+  const int64_t ttl_us = static_cast<int64_t>(options_.ttl_seconds * 1e6);
+  // Destroyed after the table lock is released: a session's HISTORY is
+  // megabytes at paper scale.
+  std::vector<std::unique_ptr<core::ExplorationSession>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const int64_t now_us = SteadyNowMicros();
+    int64_t next_expiry_us = INT64_MAX;
+    for (auto it = table_.begin(); it != table_.end();) {
+      const int64_t expiry_us =
+          it->second->last_used_us.load(std::memory_order_relaxed) + ttl_us;
+      if (expiry_us <= now_us && it->second->mu.try_lock()) {
+        evicted.push_back(Retire(it++));
+        continue;
+      }
+      // A leased entry is skipped, not waited for: its lease release
+      // stamps last_used_us at about now, so it expires at now + ttl at
+      // the earliest.
+      next_expiry_us = std::min(
+          next_expiry_us, expiry_us > now_us ? expiry_us : now_us + ttl_us);
+      ++it;
+    }
+    next_expiry_us_.store(next_expiry_us);
+  }
+  if (metrics_ != nullptr) {
+    for (size_t i = 0; i < evicted.size(); ++i) metrics_->RecordEvictionTtl();
+  }
+  return evicted.size();
 }
 
 bool SessionManager::EvictLruIdle() {
-  // Pass 1: rank all live entries by idle time (no entry locks taken).
-  struct Candidate {
-    int64_t last_used_us;
-    size_t shard;
-    std::string id;
-  };
-  std::vector<Candidate> candidates;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    for (const auto& [id, entry] : shards_[s]->map) {
-      candidates.push_back(
-          {entry->last_used_us.load(std::memory_order_relaxed), s, id});
+  std::unique_ptr<core::ExplorationSession> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // One pass: hold the op lock of the oldest idle entry seen so far.
+    auto victim = table_.end();
+    int64_t victim_used_us = 0;
+    for (auto it = table_.begin(); it != table_.end(); ++it) {
+      const int64_t last_used_us =
+          it->second->last_used_us.load(std::memory_order_relaxed);
+      if (victim != table_.end() && last_used_us >= victim_used_us) continue;
+      if (!it->second->mu.try_lock()) continue;  // busy: never evict a lease
+      if (victim != table_.end()) victim->second->mu.unlock();
+      victim = it;
+      victim_used_us = last_used_us;
     }
+    if (victim == table_.end()) return false;
+    evicted = Retire(victim);
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.last_used_us < b.last_used_us;
-            });
-  // Pass 2: evict the oldest entry that is still present and idle.
-  for (const Candidate& c : candidates) {
-    Shard& shard = *shards_[c.shard];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(c.id);
-    if (it == shard.map.end()) continue;
-    auto& entry = it->second;
-    if (!entry->mu.try_lock()) continue;  // busy: never evict under a lease
-    entry->dead = true;
-    entry->session.reset();
-    entry->mu.unlock();
-    shard.map.erase(it);
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->RecordEvictionLru();
-    return true;
-  }
-  return false;
+  if (metrics_ != nullptr) metrics_->RecordEvictionLru();
+  return true;
 }
 
 }  // namespace vexus::server

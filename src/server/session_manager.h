@@ -1,23 +1,25 @@
-// SessionManager — many named ExplorationSessions behind sharded mutexes.
+// SessionManager — many named ExplorationSessions behind one table.
 //
 // The serving substrate's stateful half: each concurrent explorer owns one
 // named session; requests acquire an exclusive per-session lease for the
 // duration of one op (the paper's navigation loop is inherently sequential
 // per explorer — selection feeds learning feeds the next selection — so
 // per-session serialization is semantics, not a bottleneck; throughput comes
-// from running *different* explorers' ops in parallel).
+// from running *different* explorers' ops in parallel). The table is one
+// mutex and one map: a lookup holds the lock for one hash probe, and a
+// session's op lock is taken only after the table lock is released.
 //
 // Life-cycle guarantees:
 //   * Admission control: at most `max_sessions` live sessions; Create on a
 //     full manager first tries to evict the least-recently-used *idle*
 //     session, then fails with ResourceExhausted.
 //   * TTL: sessions idle longer than `ttl` are evicted lazily or by an
-//     explicit SweepExpired(). Lazy sweeping covers the *touched* shard
-//     (Create) plus one further shard per access in round-robin order
-//     (Create and Acquire advance a shared cursor), so sessions hashed to
-//     shards no request ever touches again still expire — with only the
-//     touched shard swept (the old behaviour) they outlived their TTL
-//     indefinitely under any traffic pattern that missed their shard.
+//     explicit SweepExpired(). Create and Acquire sweep the whole table
+//     once the clock reaches the earliest expiry the last sweep saw
+//     (lowered by every Create), so under any traffic pattern — one hot
+//     session included — an idle session expires at the first Create or
+//     Acquire after its TTL, and no access before that time pays for a
+//     sweep.
 //   * Generations: every Create stamps a process-unique, monotonically
 //     increasing generation. A client that cached a handle to a session
 //     that was evicted and re-created under the same name observes NotFound
@@ -25,14 +27,16 @@
 //   * Eviction vs. in-flight requests: leases pin the entry; eviction only
 //     removes *idle* entries from the map and marks them dead, so a worker
 //     mid-request never has its session deleted under it, and a lease
-//     attempt racing eviction fails cleanly with NotFound.
+//     attempt racing eviction fails cleanly with NotFound. Evicted sessions
+//     are destroyed after the table lock is released.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "common/result.h"
 #include "core/engine.h"
@@ -46,8 +50,6 @@ struct SessionManagerOptions {
   size_t max_sessions = 1024;
   /// Idle sessions older than this are evictable; <= 0 disables TTL.
   double ttl_seconds = 15 * 60.0;
-  /// Lock striping; clamped to >= 1. More shards, less contention.
-  size_t num_shards = 16;
 };
 
 class SessionManager {
@@ -105,35 +107,42 @@ class SessionManager {
   Result<core::SessionDigest> Remove(const std::string& id,
                                      uint64_t expected_generation = 0);
 
-  /// Evicts every idle session past its TTL; returns how many.
+  /// Evicts every idle session past its TTL, whatever the expiry gate
+  /// reads; returns how many.
   size_t SweepExpired();
 
   /// Live session count (gauge; racy by nature).
   size_t size() const { return count_.load(std::memory_order_relaxed); }
 
-  const SessionManagerOptions& options() const { return options_; }
-
  private:
-  struct Shard;
+  using Table =
+      std::unordered_map<std::string, std::shared_ptr<Lease::Entry>>;
 
-  Shard& ShardOf(const std::string& id);
-  /// Attempts one LRU eviction across all shards; true on success.
+  /// The live entry `id` names, its op lock held by the caller on
+  /// success. NotFound for an unknown, evicted or (with a non-zero
+  /// `expected_generation`) re-created session.
+  Result<std::shared_ptr<Lease::Entry>> LockLive(const std::string& id,
+                                                 uint64_t expected_generation);
+  /// SweepExpired(), once the clock has reached next_expiry_us_.
+  void SweepIfDue();
+  /// Attempts one LRU eviction; true on success.
   bool EvictLruIdle();
-  /// TTL-sweeps one shard (caller must not hold its mutex).
-  size_t SweepShard(Shard& shard);
-  /// Amortized cross-shard TTL progress: sweeps the next shard in
-  /// round-robin order. Called on every Create/Acquire so the whole keyspace
-  /// is swept after `num_shards` accesses anywhere, O(1 shard) per access.
-  void SweepNextShard();
-  int64_t NowMicros() const;
+  /// Unlinks `it` (the caller holds mu_ and the entry's op lock), marks
+  /// it dead, releases its op lock and returns its session, for the caller
+  /// to destroy once mu_ is released.
+  std::unique_ptr<core::ExplorationSession> Retire(Table::iterator it);
 
   const core::VexusEngine* engine_;
   SessionManagerOptions options_;
   ServiceMetrics* metrics_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex mu_;
+  Table table_;  // guarded by mu_
+  /// No session expires before this time (steady-clock µs): the earliest
+  /// last_used + ttl the last sweep saw, lowered by every Create. Written
+  /// under mu_; Create and Acquire read it without the lock.
+  std::atomic<int64_t> next_expiry_us_{INT64_MAX};
   std::atomic<uint64_t> next_generation_{1};
   std::atomic<size_t> count_{0};
-  std::atomic<size_t> sweep_cursor_{0};
 };
 
 }  // namespace vexus::server

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 
 namespace vexus::core {
 namespace {
@@ -438,32 +441,78 @@ TEST(GreedyResumeTest, RecordThatDoesNotFitThePoolIsDiscarded) {
   EXPECT_FALSE(sel.SelectNext(1, fb, Unbounded(4), &early).resumed);
 }
 
+/// Closed durations (µs) of a traced run's greedy and seed spans, and of
+/// the seed's children by name.
+struct SeedSpans {
+  int64_t greedy_us = -1;
+  int64_t seed_us = -1;
+  std::map<std::string, int64_t> phase_us;
+};
+
+SeedSpans ReadSeedSpans(const Trace& trace) {
+  SeedSpans out;
+  int32_t greedy = -1;
+  int32_t seed = -1;
+  const std::vector<Trace::Span> spans = trace.spans();
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const Trace::Span& span = spans[i];
+    const std::string name = span.name;
+    if (name == "greedy") {
+      greedy = static_cast<int32_t>(i);
+      out.greedy_us = span.duration_us;
+    } else if (name == "seed" && span.parent == greedy) {
+      seed = static_cast<int32_t>(i);
+      out.seed_us = span.duration_us;
+    } else if (seed >= 0 && span.parent == seed) {
+      out.phase_us[name] = span.duration_us;
+    }
+  }
+  return out;
+}
+
 TEST(GreedyTest, UnboundedSeedScoresEveryCandidate) {
   World w(60, 500, 23);
   FeedbackVector fb(w.tokens.get());
   fb.Learn(w.store.group(2));
   GreedySelector sel(&w.store, w.index.get());
 
-  auto next = sel.SelectNext(0, fb, Unbounded(4));
+  Trace next_trace("select");
+  TraceSpan next_root = next_trace.root();
+  GreedyOptions traced = Unbounded(4);
+  traced.trace = &next_root;
+  auto next = sel.SelectNext(0, fb, traced);
+  next_trace.Finish();
   EXPECT_EQ(next.seed_scored, next.candidates);
   EXPECT_FALSE(next.seed_truncated);
   EXPECT_FALSE(next.deadline_hit);
-  EXPECT_GE(next.seed_millis.weights, 0.0);
-  EXPECT_GE(next.seed_millis.affinity, 0.0);
-  EXPECT_GE(next.seed_millis.prior, 0.0);
-  EXPECT_GE(next.seed_millis.setup, 0.0);
-  const double seed_ms = next.seed_millis.weights + next.seed_millis.affinity +
-                         next.seed_millis.prior + next.seed_millis.setup;
-  EXPECT_LE(seed_ms, next.elapsed_ms);
+  // The seed's phases are timed by the seed span's children: all four ran
+  // and closed, one after another inside the seed, inside the run.
+  const SeedSpans seed = ReadSeedSpans(next_trace);
+  int64_t phases_us = 0;
+  for (const char* phase : {"weights", "affinity", "prior", "setup"}) {
+    ASSERT_TRUE(seed.phase_us.count(phase)) << phase;
+    EXPECT_GE(seed.phase_us.at(phase), 0) << phase;
+    phases_us += seed.phase_us.at(phase);
+  }
+  EXPECT_EQ(seed.phase_us.size(), 4u);
+  EXPECT_LE(phases_us, seed.seed_us);
+  EXPECT_LE(seed.seed_us, seed.greedy_us);
+  EXPECT_LE(static_cast<double>(seed.seed_us), next.elapsed_ms * 1e3 + 1.0);
 
-  auto initial =
-      sel.SelectInitial(FeedbackVector(w.tokens.get()), Unbounded(4));
+  Trace initial_trace("start");
+  TraceSpan initial_root = initial_trace.root();
+  traced.trace = &initial_root;
+  auto initial = sel.SelectInitial(FeedbackVector(w.tokens.get()), traced);
+  initial_trace.Finish();
   EXPECT_EQ(initial.seed_scored, initial.candidates);
   EXPECT_FALSE(initial.seed_truncated);
   EXPECT_FALSE(initial.deadline_hit);
-  EXPECT_EQ(initial.seed_millis.weights, 0.0) << "a first screen has no anchor";
-  EXPECT_EQ(initial.seed_millis.affinity, 0.0);
-  EXPECT_EQ(initial.seed_millis.prior, 0.0) << "it ranks by size";
+  // A first screen has no anchor (no weights, no affinity) and ranks by
+  // size (no priors): its seed is the set-up alone.
+  const SeedSpans first = ReadSeedSpans(initial_trace);
+  EXPECT_EQ(first.phase_us.size(), 1u);
+  EXPECT_TRUE(first.phase_us.count("setup"));
+  EXPECT_LE(first.phase_us.at("setup"), first.seed_us);
 }
 
 TEST(GreedyDeathTest, FirstScreenTakesNoFeedback) {

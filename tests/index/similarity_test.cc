@@ -6,9 +6,15 @@ namespace vexus::index {
 namespace {
 
 TEST(JaccardTest, MatchesBitsetJaccard) {
-  mining::UserGroup a({}, Bitset::FromVector(10, {0, 1, 2}));
-  mining::UserGroup b({}, Bitset::FromVector(10, {2, 3}));
-  EXPECT_DOUBLE_EQ(Jaccard(a, b), 1.0 / 4.0);
+  // The greedy's memoized pairwise similarity is the members' Jaccard.
+  mining::GroupStore store(10);
+  store.Append(mining::UserGroup({}, Bitset::FromVector(10, {0, 1, 2})));
+  store.Append(mining::UserGroup({}, Bitset::FromVector(10, {2, 3})));
+  const std::vector<mining::GroupId> pool = {0, 1};
+  PairwiseSimCache sims(&store, &pool);
+  EXPECT_FLOAT_EQ(sims.Sim(0, 1), 1.0f / 4.0f);
+  EXPECT_EQ(sims.Sim(1, 0), sims.Sim(0, 1));
+  EXPECT_EQ(sims.Sim(1, 1), 1.0f);
 }
 
 TEST(WeightedJaccardTest, UniformWeightsReduceToPlain) {

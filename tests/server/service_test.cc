@@ -1,5 +1,6 @@
 #include "server/service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -560,6 +561,45 @@ TEST_F(ServiceTest, InvalidArgumentsAreRejectedNotFatal) {
 
   // The session survives all of that.
   EXPECT_TRUE(svc.Call(End("val")).status.ok());
+}
+
+TEST_F(ServiceTest, ContextTopKAboveTheCapIsInvalidArgument) {
+  // An uncapped top_k let a paper-scale CONTEXT answer outgrow the wire's
+  // 1 MiB response line; 1,000 is the largest top_k served.
+  ExplorationService svc(engine_, FastOptions());
+  Response started = svc.Call(Start("ctx"));
+  ASSERT_TRUE(started.status.ok()) << started.status.ToString();
+  ASSERT_TRUE(svc.Call(Select("ctx", started.groups[0].id)).status.ok());
+
+  Request ctx;
+  ctx.type = RequestType::kGetContext;
+  ctx.session_id = "ctx";
+  ctx.top_k = 1000;
+  Response at_cap = svc.Call(ctx);
+  ASSERT_TRUE(at_cap.status.ok()) << at_cap.status.ToString();
+  ASSERT_FALSE(at_cap.context.empty());
+  for (uint64_t top_k : {uint64_t{1001}, uint64_t{100'000}}) {
+    ctx.top_k = top_k;
+    Response over = svc.Call(ctx);
+    EXPECT_TRUE(over.status.IsInvalidArgument()) << top_k;
+    EXPECT_TRUE(over.context.empty());
+  }
+
+  // The session is untouched: the capped answer is the same, token for
+  // token, and a default top_k still serves its first 10.
+  ctx.top_k = 1000;
+  Response again = svc.Call(ctx);
+  ASSERT_TRUE(again.status.ok());
+  ASSERT_EQ(again.context.size(), at_cap.context.size());
+  for (size_t i = 0; i < at_cap.context.size(); ++i) {
+    EXPECT_EQ(again.context[i].token, at_cap.context[i].token);
+    EXPECT_EQ(again.context[i].score, at_cap.context[i].score);
+  }
+  ctx.top_k.reset();
+  Response by_default = svc.Call(ctx);
+  ASSERT_TRUE(by_default.status.ok());
+  EXPECT_EQ(by_default.context.size(),
+            std::min<size_t>(10, at_cap.context.size()));
 }
 
 TEST_F(ServiceTest, PerRequestKOverridesTemplate) {

@@ -144,12 +144,15 @@ TEST_F(SessionManagerTest, AdmissionControlEvictsLruIdleThenRejects) {
 
 TEST_F(SessionManagerTest, TtlSweepEvictsIdleSessions) {
   SessionManagerOptions opts;
-  opts.ttl_seconds = 0.02;  // 20 ms
+  opts.ttl_seconds = 0.2;  // 200 ms
   ServiceMetrics metrics;
   SessionManager mgr(engine_, opts, &metrics);
   ASSERT_TRUE(mgr.Create("old", FastSession()).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Before "old" expires, so this Create sweeps nothing.
   ASSERT_TRUE(mgr.Create("fresh", FastSession()).ok());
+  ASSERT_EQ(mgr.size(), 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   size_t evicted = mgr.SweepExpired();
   EXPECT_EQ(evicted, 1u);
   EXPECT_EQ(mgr.size(), 1u);
@@ -158,50 +161,99 @@ TEST_F(SessionManagerTest, TtlSweepEvictsIdleSessions) {
   EXPECT_EQ(metrics.Snapshot().evictions_ttl, 1u);
 }
 
-TEST_F(SessionManagerTest, LazyTtlSweepReachesColdShards) {
-  // Satellite regression: lazy TTL sweeping used to cover only the shard
-  // *touched* by the access, so sessions hashed to shards no later request
-  // ever touched outlived their TTL indefinitely. The fix advances a
-  // round-robin cursor on every Create/Acquire, so any traffic pattern —
-  // here: hammering one hot session — retires the whole keyspace within
-  // num_shards accesses.
+TEST_F(SessionManagerTest, AcquireOfAHotSessionEvictsEveryExpiredIdleSession) {
+  // Sessions that no request touches again must still expire: traffic on
+  // one hot session is enough. The first Acquire after the cold sessions'
+  // TTL sweeps the whole table.
   SessionManagerOptions opts;
-  opts.ttl_seconds = 0.05;  // 50 ms
-  opts.num_shards = 8;
+  opts.ttl_seconds = 0.2;  // 200 ms
   ServiceMetrics metrics;
   SessionManager mgr(engine_, opts, &metrics);
-  constexpr int kCold = 16;  // spread over all 8 shards
+  constexpr int kCold = 16;
   for (int i = 0; i < kCold; ++i) {
     ASSERT_TRUE(mgr.Create(StrCat("cold", i), FastSession()).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Created *after* the cold sessions expired: stays live throughout.
+  // Created halfway through the cold sessions' TTL: before they expire,
+  // and alive when they have.
   ASSERT_TRUE(mgr.Create("hot", FastSession()).ok());
-  // Acquire-only traffic on the hot session must still sweep every shard
-  // within num_shards accesses (pre-fix: Acquire swept nothing, and only
-  // hot's own shard ever made TTL progress).
-  for (size_t i = 0; i < opts.num_shards + 1; ++i) {
-    ASSERT_TRUE(mgr.Acquire("hot").ok());
-  }
-  EXPECT_EQ(mgr.size(), 1u);
-  EXPECT_TRUE(mgr.Acquire("hot").ok());
-  EXPECT_TRUE(mgr.Acquire("cold0").status().IsNotFound());
-  EXPECT_EQ(metrics.Snapshot().evictions_ttl, static_cast<uint64_t>(kCold));
-}
+  ASSERT_EQ(mgr.size(), static_cast<size_t>(kCold + 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_EQ(metrics.Snapshot().evictions_ttl, 0u) << "nothing swept yet";
 
-TEST_F(SessionManagerTest, SingleShardManagerStillSweepsOnAcquire) {
-  // Degenerate shard count: the round-robin cursor must not skip the only
-  // shard (an early-out for num_shards == 1 would reintroduce the bug).
-  SessionManagerOptions opts;
-  opts.ttl_seconds = 0.03;
-  opts.num_shards = 1;
-  SessionManager mgr(engine_, opts);
-  ASSERT_TRUE(mgr.Create("stale", FastSession()).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  ASSERT_TRUE(mgr.Create("hot", FastSession()).ok());
   ASSERT_TRUE(mgr.Acquire("hot").ok());
   EXPECT_EQ(mgr.size(), 1u);
-  EXPECT_TRUE(mgr.Acquire("stale").status().IsNotFound());
+  EXPECT_EQ(metrics.Snapshot().evictions_ttl, static_cast<uint64_t>(kCold));
+  for (int i = 0; i < kCold; ++i) {
+    EXPECT_TRUE(mgr.Acquire(StrCat("cold", i)).status().IsNotFound()) << i;
+  }
+}
+
+TEST_F(SessionManagerTest, ExpiryGateNeverEvictsASessionTouchedWithinItsTtl) {
+  // Both sessions are created together, so the gate opens at their shared
+  // expiry; "young" is touched before it. The sweep that "old"'s expiry
+  // opens must take "old" alone.
+  SessionManagerOptions opts;
+  opts.ttl_seconds = 0.2;  // 200 ms
+  ServiceMetrics metrics;
+  SessionManager mgr(engine_, opts, &metrics);
+  ASSERT_TRUE(mgr.Create("old", FastSession()).ok());
+  ASSERT_TRUE(mgr.Create("young", FastSession()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(mgr.Acquire("young").ok());  // before the gate: no sweep
+  ASSERT_EQ(mgr.size(), 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+
+  // Past "old"'s expiry, within "young"'s: this Acquire sweeps first.
+  EXPECT_TRUE(mgr.Acquire("old").status().IsNotFound());
+  EXPECT_EQ(metrics.Snapshot().evictions_ttl, 1u);
+  EXPECT_EQ(mgr.size(), 1u);
+  EXPECT_TRUE(mgr.Acquire("young").ok());
+}
+
+TEST_F(SessionManagerTest, ConcurrentChurnConservesSessions) {
+  // Creates, leases and removals race LRU evictions and TTL sweeps from
+  // four threads over one table: every session created ends removed,
+  // evicted or live, and the cap holds.
+  SessionManagerOptions opts;
+  opts.max_sessions = 8;
+  opts.ttl_seconds = 0.001;  // 1 ms: sweeps run throughout
+  ServiceMetrics metrics;
+  SessionManager mgr(engine_, opts, &metrics);
+  std::atomic<uint64_t> created{0};
+  std::atomic<uint64_t> removed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 300; ++i) {
+        // Sixteen names over an eight-session cap: creates evict.
+        const std::string id = StrCat("c", (t * 7 + i) % 16);
+        if (i % 5 < 3) {
+          if (mgr.Create(id, FastSession()).ok()) created.fetch_add(1);
+        } else if (i % 5 == 3) {
+          auto lease = mgr.Acquire(id);
+          if (lease.ok()) {
+            EXPECT_EQ(lease->session()->NumSteps(), 0u);
+          }
+        } else if (mgr.Remove(id).ok()) {
+          removed.fetch_add(1);
+        }
+        EXPECT_LE(mgr.size(), opts.max_sessions);
+        if (i % 25 == 0) {  // idle past the TTL now and then
+          std::this_thread::sleep_for(std::chrono::microseconds(1500));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_GT(snap.evictions_lru, 0u);
+  EXPECT_EQ(created.load(),
+            removed.load() + snap.evictions_lru + snap.evictions_ttl +
+                mgr.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  mgr.SweepExpired();
+  EXPECT_EQ(mgr.size(), 0u);
 }
 
 TEST_F(SessionManagerTest, TtlNeverEvictsLeasedSession) {
@@ -264,7 +316,6 @@ TEST_F(SessionManagerTest, RemoveWaitsForInFlightLease) {
 TEST_F(SessionManagerTest, ManySessionsAcrossShards) {
   SessionManagerOptions opts;
   opts.max_sessions = 64;
-  opts.num_shards = 4;
   SessionManager mgr(engine_, opts);
   for (int i = 0; i < 48; ++i) {
     ASSERT_TRUE(mgr.Create(StrCat("s", i), FastSession()).ok());
