@@ -25,11 +25,6 @@ void Bitset::Set(size_t i) {
   words_[i / kWordBits] |= uint64_t{1} << (i % kWordBits);
 }
 
-void Bitset::Clear(size_t i) {
-  VEXUS_DCHECK(i < size_);
-  words_[i / kWordBits] &= ~(uint64_t{1} << (i % kWordBits));
-}
-
 bool Bitset::Test(size_t i) const {
   VEXUS_DCHECK(i < size_);
   return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;

@@ -31,7 +31,6 @@ class Bitset {
   void Resize(size_t size);
 
   void Set(size_t i);
-  void Clear(size_t i);
   bool Test(size_t i) const;
 
   /// Sets all bits / clears all bits.

@@ -47,15 +47,6 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::optional<int64_t> ParseInt(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return std::nullopt;

@@ -21,9 +21,6 @@ std::string_view Trim(std::string_view s);
 /// ASCII lowercase copy.
 std::string ToLower(std::string_view s);
 
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 /// Strict parse of a whole string (after trimming) as int64 / double.
 /// Empty strings and trailing garbage yield nullopt.
 std::optional<int64_t> ParseInt(std::string_view s);

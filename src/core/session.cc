@@ -26,7 +26,7 @@ ExplorationSession::ExplorationSession(const data::Dataset* dataset,
       tokens_(tokens),
       screens_(screens),
       options_(options),
-      empty_feedback_(tokens),
+      live_(tokens),
       selector_(store, index) {
   VEXUS_CHECK(dataset != nullptr && store != nullptr && index != nullptr &&
               screens != nullptr);
@@ -39,20 +39,12 @@ ExplorationSession::ExplorationSession(const data::Dataset* dataset,
 const GreedySelection& ExplorationSession::Start() {
   history_.clear();
   memo_ = Memo{};
-  edited_.reset();
+  live_ = FeedbackVector(tokens_);
   unlearned_ = false;
 
-  FeedbackVector empty(tokens_);
-  GreedySelection shown = Screen(std::nullopt, empty);
-  history_.push_back(ExplorationStep{std::nullopt, std::move(shown),
-                                     std::move(empty)});
+  GreedySelection shown = Screen(std::nullopt, live_);
+  history_.push_back(ExplorationStep{std::nullopt, std::move(shown), {}});
   return history_.back().shown;
-}
-
-const FeedbackVector& ExplorationSession::feedback() const {
-  if (edited_.has_value()) return *edited_;
-  return history_.empty() ? empty_feedback_
-                          : history_.back().feedback_snapshot;
 }
 
 GreedySelection ExplorationSession::Screen(
@@ -96,18 +88,18 @@ const GreedySelection& ExplorationSession::SelectGroup(mining::GroupId g) {
   VEXUS_CHECK(!history_.empty()) << "call Start() before SelectGroup()";
 
   const TraceSpan* trace = options_.greedy.trace;
-  // Implicit positive feedback for the clicked group. The new HISTORY
-  // snapshot is one merge of the live vector with g's reward, so a click
-  // allocates the step's 1-2 MB of arrays once: a copy and then a merge,
-  // at the memo's hit rate, fragments the heap at paper scale.
+  // Implicit positive feedback for the clicked group. The new vector is one
+  // merge of the live one with g's reward, so a click allocates its 1-2 MB
+  // of arrays once: a copy and then a merge, at the memo's hit rate,
+  // fragments the heap at paper scale.
   TraceSpan learn = trace != nullptr ? trace->Child("learn") : TraceSpan();
   FeedbackVector next =
-      feedback().Learned(store_->group(g), options_.learning_rate);
+      live_.Learned(store_->group(g), options_.learning_rate);
   learn.Close();
 
   GreedySelection shown = Screen(g, next);
-  history_.push_back(ExplorationStep{g, std::move(shown), std::move(next)});
-  edited_.reset();
+  history_.push_back(ExplorationStep{g, std::move(shown), {}});
+  live_ = std::move(next);
   return history_.back().shown;
 }
 
@@ -124,7 +116,14 @@ Status ExplorationSession::Backtrack(size_t i) {
   }
   history_.erase(history_.begin() + static_cast<ptrdiff_t>(i) + 1,
                  history_.end());
-  edited_.reset();
+  history_[i].unlearned.clear();
+  // The fold of feedback(), in the order the first visit ran it.
+  FeedbackVector fold(tokens_);
+  for (size_t s = 1; s <= i; ++s) {
+    for (Token t : history_[s - 1].unlearned) fold.Unlearn(t);
+    fold.Learn(store_->group(*history_[s].selected), options_.learning_rate);
+  }
+  live_ = std::move(fold);
   return Status::OK();
 }
 
@@ -134,8 +133,9 @@ const GreedySelection& ExplorationSession::Current() const {
 }
 
 void ExplorationSession::Unlearn(Token t) {
-  if (!edited_.has_value()) edited_ = feedback();
-  edited_->Unlearn(t);
+  // The vector is empty until the first click, so before Start (or after a
+  // start that never ran) nothing is removed and nothing recorded.
+  if (live_.Unlearn(t)) history_.back().unlearned.push_back(t);
   unlearned_ = true;
 }
 

@@ -9,8 +9,10 @@
 //    in MEMO. The analysis ends when the explorer is satisfied with her
 //    collection in MEMO."
 //
-// Each step records the shown selection and a feedback snapshot, so
-// Backtrack(i) restores both the view and the learning state at step i.
+// A session is its click path. Each step records the click and the screen
+// shown, plus the CONTEXT tokens deleted while it was current; the one live
+// feedback vector is a fold over those steps, so Backtrack(i) keeps the view
+// of step i and replays the path to restore its learning state.
 #pragma once
 
 #include <deque>
@@ -32,15 +34,16 @@ struct SessionOptions {
   double learning_rate = 0.5;
 };
 
-/// One HISTORY entry: what was clicked and what was shown in response.
+/// One HISTORY entry: what was clicked, what was shown in response, and
+/// which CONTEXT tokens the explorer deleted before clicking on.
 struct ExplorationStep {
   /// The group the explorer selected to get here (nullopt for step 0).
   std::optional<mining::GroupId> selected;
   /// The k groups GROUPVIZ showed at this step.
   GreedySelection shown;
-  /// Feedback state *after* this step's learning (snapshot for backtrack).
-  /// The last step's is the session's live CONTEXT (see feedback()).
-  FeedbackVector feedback_snapshot;
+  /// The tokens Unlearn removed while this step was current, in order
+  /// (only those the vector held, so at most one entry per token).
+  std::vector<Token> unlearned;
 };
 
 /// MEMO: bookmarked groups and users — "which serves as her analysis goal".
@@ -51,7 +54,7 @@ struct Memo {
 
 /// A constant-size summary of a session's state — what the serving layer
 /// logs when it evicts an idle session and returns from end_session, without
-/// cloning history or feedback (sessions can hold megabytes of snapshots).
+/// cloning history or the feedback vector (megabytes at paper scale).
 struct SessionDigest {
   size_t num_steps = 0;
   size_t memo_groups = 0;
@@ -89,12 +92,11 @@ class ExplorationSession {
   /// continued. A run that did real work leaves an entry for the next
   /// visit (core/screen_memo.h): one the deadline cut leaves its record, and
   /// a local run that converged after counted work of at least
-  /// ScreenMemo::kAdmitWork leaves its screen. The new HISTORY step's
-  /// feedback is one merge of the live vector with g's reward
-  /// (FeedbackVector::Learned). With a trace set, the lookup opens one
-  /// `screen_memo` span (count 1 on a hit). After
-  /// Unlearn the feedback is no longer a function of the path, so the
-  /// session bypasses the memo, and opens no span, until Start.
+  /// ScreenMemo::kAdmitWork leaves its screen. The new live feedback is
+  /// one merge of the old one with g's reward (FeedbackVector::Learned).
+  /// With a trace set, the lookup opens one `screen_memo` span (count 1 on
+  /// a hit). After Unlearn the feedback is no longer a function of the
+  /// path, so the session bypasses the memo, and opens no span, until Start.
   ///
   /// Lifetime: history steps live in a deque, so references returned by
   /// Start()/SelectGroup()/Current() stay valid across later SelectGroup
@@ -105,23 +107,26 @@ class ExplorationSession {
   /// HISTORY: number of steps so far (≥ 1 after Start).
   size_t NumSteps() const { return history_.size(); }
   const ExplorationStep& Step(size_t i) const;
-  const std::deque<ExplorationStep>& History() const { return history_; }
 
-  /// Backtrack to step `i` (0-based): discards later steps and restores the
-  /// feedback snapshot of step i. Fails when i is out of range.
+  /// Backtrack to step `i` (0-based): discards the later steps and step i's
+  /// deletions, and rebuilds the feedback by the fold over steps 1..i (see
+  /// feedback()), which repeats the first visit's operations bit for bit.
+  /// Fails when i is out of range.
   Status Backtrack(size_t i);
 
   /// The currently shown groups (last step's selection).
   const GreedySelection& Current() const;
 
-  /// CONTEXT: the explicit feedback state. It is the last HISTORY step's
-  /// snapshot, unless Unlearn has edited it since.
-  const FeedbackVector& feedback() const;
+  /// CONTEXT: the explicit feedback state. It is the fold over HISTORY:
+  /// start empty, then for each step s ≥ 1 unlearn step s−1's deletions and
+  /// learn step s's click; then unlearn the last step's deletions.
+  const FeedbackVector& feedback() const { return live_; }
   std::vector<FeedbackVector::TokenScore> ContextTokens(size_t k) const {
     return feedback().TopTokens(k);
   }
-  /// CONTEXT deletion — unlearn a token ("make VEXUS forget"). The session
-  /// then bypasses the screen memo until the next Start.
+  /// CONTEXT deletion — unlearn a token ("make VEXUS forget"). A token the
+  /// vector held is recorded on the current step. The session then bypasses
+  /// the screen memo until the next Start.
   void Unlearn(Token t);
 
   /// MEMO.
@@ -137,9 +142,11 @@ class ExplorationSession {
   /// Serving-layer hook: the dispatcher clamps the greedy time budget to a
   /// request's *remaining* deadline before each Start/SelectGroup, so queue
   /// time spent before the worker picked the request up still counts against
-  /// the paper's 100 ms end-to-end budget. Callers must hold the session's
-  /// exclusive lease (see server::SessionManager).
-  SessionOptions& mutable_options() { return options_; }
+  /// the paper's 100 ms end-to-end budget. Only the greedy options are
+  /// exposed: the fold behind feedback() needs one learning rate per session.
+  /// Callers must hold the session's exclusive lease (see
+  /// server::SessionManager).
+  GreedyOptions& mutable_greedy() { return options_.greedy; }
   const mining::GroupStore& store() const { return *store_; }
   const data::Dataset& dataset() const { return *dataset_; }
 
@@ -155,11 +162,8 @@ class ExplorationSession {
   const TokenSpace* tokens_;
   ScreenMemo* screens_;
   SessionOptions options_;
-  /// feedback() before Start.
-  FeedbackVector empty_feedback_;
-  /// The feedback after Unlearn calls since the last step; until the next
-  /// step or backtrack it differs from HISTORY's last snapshot.
-  std::optional<FeedbackVector> edited_;
+  /// feedback(): empty before the first click.
+  FeedbackVector live_;
   /// Set by Unlearn, cleared by Start: the memo is bypassed.
   bool unlearned_ = false;
   GreedySelector selector_;

@@ -82,10 +82,4 @@ Result<AttributeId> Schema::Require(std::string_view name) const {
   return *id;
 }
 
-size_t Schema::TotalValueCount() const {
-  size_t n = 0;
-  for (const auto& a : attributes_) n += a.values().size();
-  return n;
-}
-
 }  // namespace vexus::data

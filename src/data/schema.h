@@ -54,7 +54,6 @@ class Attribute {
   /// "[e_i,e_{i+1})" as values. Requires >= 2 edges.
   void SetBinEdges(std::vector<double> edges);
 
-  const std::vector<double>& bin_edges() const { return bin_edges_; }
   bool has_bins() const { return bin_edges_.size() >= 2; }
 
   /// Bin code for a raw numeric value (clamped to first/last bin).
@@ -83,10 +82,6 @@ class Schema {
 
   /// Find() that reports a NotFound status with the attribute name.
   Result<AttributeId> Require(std::string_view name) const;
-
-  /// Total number of attribute=value tokens across all attributes; the size
-  /// of the demographic part of the feedback-vector token space.
-  size_t TotalValueCount() const;
 
  private:
   AttributeId Add(std::string_view name, AttributeKind kind);

@@ -68,7 +68,6 @@ class UserTable {
   size_t NonNullCount(AttributeId a) const;
 
   const Schema& schema() const { return *schema_; }
-  Schema* mutable_schema() { return schema_; }
 
  private:
   void EnsureColumns();

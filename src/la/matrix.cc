@@ -183,19 +183,6 @@ std::vector<double> ForwardSubstitute(const Matrix& l,
   return y;
 }
 
-std::vector<double> BackwardSubstituteTranspose(const Matrix& l,
-                                                const std::vector<double>& y) {
-  size_t n = l.rows();
-  VEXUS_CHECK(y.size() == n);
-  std::vector<double> x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t j = ii + 1; j < n; ++j) sum -= l(j, ii) * x[j];
-    x[ii] = sum / l(ii, ii);
-  }
-  return x;
-}
-
 Matrix InvertLowerTriangular(const Matrix& l) {
   size_t n = l.rows();
   Matrix inv(n, n);
@@ -214,7 +201,5 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   for (size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
 }
-
-double Norm(const std::vector<double>& v) { return std::sqrt(Dot(v, v)); }
 
 }  // namespace vexus::la

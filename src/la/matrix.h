@@ -85,17 +85,10 @@ Result<Matrix> Cholesky(const Matrix& a);
 std::vector<double> ForwardSubstitute(const Matrix& l,
                                       const std::vector<double>& b);
 
-/// Solves Lᵀ·x = y for lower-triangular L (backward substitution on Lᵀ).
-std::vector<double> BackwardSubstituteTranspose(const Matrix& l,
-                                                const std::vector<double>& y);
-
 /// Inverts a lower-triangular matrix.
 Matrix InvertLowerTriangular(const Matrix& l);
 
 /// Dot product; sizes must match.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Euclidean norm.
-double Norm(const std::vector<double>& v);
 
 }  // namespace vexus::la

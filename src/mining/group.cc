@@ -36,18 +36,6 @@ uint64_t UserGroup::DescriptionHash() const {
   return h;
 }
 
-bool UserGroup::DescriptionIsPrefixOf(const UserGroup& other) const {
-  // Both descriptions are sorted; subset test by merge walk.
-  size_t j = 0;
-  for (const Descriptor& d : description_) {
-    while (j < other.description_.size() && other.description_[j] < d) ++j;
-    if (j == other.description_.size() || !(other.description_[j] == d)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 GroupId GroupStore::Add(UserGroup group) {
   uint64_t h = group.DescriptionHash();
   auto it = hash_index_.find(h);
@@ -76,14 +64,6 @@ GroupId GroupStore::Append(UserGroup group) {
 const UserGroup& GroupStore::group(GroupId id) const {
   VEXUS_DCHECK(id < groups_.size());
   return groups_[id];
-}
-
-std::vector<GroupId> GroupStore::GroupsOfUser(data::UserId u) const {
-  std::vector<GroupId> out;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (groups_[id].ContainsUser(u)) out.push_back(id);
-  }
-  return out;
 }
 
 size_t GroupStore::MemoryBytes() const {

@@ -57,9 +57,6 @@ class UserGroup {
   /// 64-bit hash of the description (order-independent since sorted).
   uint64_t DescriptionHash() const;
 
-  /// True if `other` has a superset description (is a refinement of this).
-  bool DescriptionIsPrefixOf(const UserGroup& other) const;
-
  private:
   std::vector<Descriptor> description_;  // sorted, unique
   Bitset members_;
@@ -86,9 +83,6 @@ class GroupStore {
 
   const UserGroup& group(GroupId id) const;
   const std::vector<UserGroup>& groups() const { return groups_; }
-
-  /// Ids of groups containing a user.
-  std::vector<GroupId> GroupsOfUser(data::UserId u) const;
 
   /// Total member-bitset memory (index sizing for experiment E7's report).
   size_t MemoryBytes() const;

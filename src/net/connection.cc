@@ -49,7 +49,6 @@ Connection::IoStatus Connection::OnReadable() {
 
     ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
     if (n > 0) {
-      bytes_read_ += static_cast<uint64_t>(n);
       last_activity_.Restart();
       framer_.Append(std::string_view(buf, static_cast<size_t>(n)));
       continue;
@@ -80,7 +79,6 @@ Connection::IoStatus Connection::OnWritable() {
                        out_.size() - out_offset_, MSG_NOSIGNAL);
     if (n > 0) {
       out_offset_ += static_cast<size_t>(n);
-      bytes_written_ += static_cast<uint64_t>(n);
       last_activity_.Restart();
       progressed = true;
       continue;

@@ -124,10 +124,7 @@ class Connection {
   int fd() const { return fd_.get(); }
   uint64_t id() const { return id_; }
   size_t loop_id() const { return loop_id_; }
-  uint64_t lines_read() const { return next_seq_; }
   uint64_t responses_flushed() const { return responses_flushed_; }
-  uint64_t bytes_read() const { return bytes_read_; }
-  uint64_t bytes_written() const { return bytes_written_; }
 
   /// Peer sent EOF but responses are still in flight/unflushed: the owner
   /// marks the connection lame-duck and closes it once drained().
@@ -155,8 +152,6 @@ class Connection {
   Stopwatch last_activity_;
   bool peer_eof_ = false;
   uint64_t responses_flushed_ = 0;
-  uint64_t bytes_read_ = 0;
-  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace vexus::net

@@ -275,7 +275,7 @@ void ExplorationService::RunScreen(core::ExplorationSession& session,
   // set for this request only. Both are undone after the run: the span dies
   // with the request, and the session keeps its own limit for when the
   // overload passes.
-  core::GreedyOptions& live = session.mutable_options().greedy;
+  core::GreedyOptions& live = session.mutable_greedy();
   const core::GreedyOptions configured = live;
   const double effort = rung >= OverloadRung::kShrinkEffort ? kEffortFactor : 1;
   live.time_limit_ms = std::min(configured.time_limit_ms * effort,

@@ -6,7 +6,7 @@
 //            │   (json.h)         (ThreadPool,   │            │
 //            │                     deadlines,    ▼            │
 //            │                     backpressure) SessionManager──▶ Exploration-
-//            │                        │          (sharded,    │     Session ×N
+//            │                        │          (one table,  │     Session ×N
 //            │                        ▼           TTL+LRU)    │
 //            │                   ServiceMetrics               │
 //            └────────────────────────────────────────────────┘

@@ -201,8 +201,8 @@ size_t SessionManager::SweepExpired() {
   // between eviction and concurrent Acquire/Create.
   VEXUS_FAILPOINT_HIT("session_manager.evict");
   const int64_t ttl_us = static_cast<int64_t>(options_.ttl_seconds * 1e6);
-  // Destroyed after the table lock is released: a session's HISTORY is
-  // megabytes at paper scale.
+  // Destroyed after the table lock is released: a session's feedback
+  // vector is megabytes at paper scale.
   std::vector<std::unique_ptr<core::ExplorationSession>> evicted;
   {
     std::lock_guard<std::mutex> lock(mu_);

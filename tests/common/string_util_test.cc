@@ -33,16 +33,6 @@ TEST(ToLowerTest, AsciiOnly) {
   EXPECT_EQ(ToLower(""), "");
 }
 
-TEST(StartsEndsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("foobar", "bar"));
-  EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_FALSE(StartsWith("", "x"));
-  EXPECT_TRUE(EndsWith("foobar", "bar"));
-  EXPECT_FALSE(EndsWith("foobar", "foo"));
-  EXPECT_TRUE(EndsWith("x", ""));
-}
-
 TEST(ParseIntTest, ValidInputs) {
   EXPECT_EQ(ParseInt("42"), 42);
   EXPECT_EQ(ParseInt("-17"), -17);

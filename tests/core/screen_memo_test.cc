@@ -263,9 +263,9 @@ TEST_F(FirstScreenMemoTest, TraceSpanCountsOnlyHits) {
   auto traced = [&](ExplorationSession& session, auto step) {
     Trace trace("request");
     TraceSpan root = trace.root();
-    session.mutable_options().greedy.trace = &root;
+    session.mutable_greedy().trace = &root;
     step();
-    session.mutable_options().greedy.trace = nullptr;
+    session.mutable_greedy().trace = nullptr;
     trace.Finish();
     std::vector<uint64_t> counts;
     bool greedy = false;

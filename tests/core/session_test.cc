@@ -1,9 +1,14 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "data/generators/bookcrossing_gen.h"
 
@@ -101,26 +106,135 @@ TEST_F(SessionTest, BacktrackRestoresFeedback) {
   }
 }
 
-TEST_F(SessionTest, LiveFeedbackIsTheLastHistorySnapshot) {
-  // The session keeps one vector per step: the live CONTEXT is the last
-  // step's snapshot, not a second copy of it, until Unlearn edits it.
+TEST_F(SessionTest, UnlearnIsRecordedOnTheCurrentStep) {
+  // HISTORY keeps no vector: a deletion is recorded on the step that was
+  // current, a click leaves it there, and a backtrack to that step drops it.
   auto s = NewSession();
   const auto& first = s->Start();
-  EXPECT_EQ(&s->feedback(), &s->Step(0).feedback_snapshot);
   s->SelectGroup(first.groups[0]);
-  EXPECT_EQ(&s->feedback(), &s->Step(1).feedback_snapshot);
+  EXPECT_TRUE(s->Step(1).unlearned.empty());
 
   const Token top = s->ContextTokens(1).at(0).token;
   s->Unlearn(top);
-  EXPECT_NE(&s->feedback(), &s->Step(1).feedback_snapshot);
   EXPECT_EQ(s->feedback().Score(top), 0.0);
-  EXPECT_GT(s->Step(1).feedback_snapshot.Score(top), 0.0);
-  ASSERT_TRUE(s->Backtrack(1).ok());
-  EXPECT_EQ(&s->feedback(), &s->Step(1).feedback_snapshot);
+  EXPECT_EQ(s->Step(1).unlearned, std::vector<Token>{top});
 
-  s->Unlearn(top);
   s->SelectGroup(first.groups[1]);
-  EXPECT_EQ(&s->feedback(), &s->Step(2).feedback_snapshot);
+  EXPECT_EQ(s->Step(1).unlearned, std::vector<Token>{top});
+  EXPECT_TRUE(s->Step(2).unlearned.empty());
+
+  ASSERT_TRUE(s->Backtrack(1).ok());
+  EXPECT_TRUE(s->Step(1).unlearned.empty());
+  EXPECT_GT(s->feedback().Score(top), 0.0);
+}
+
+TEST_F(SessionTest, UnlearnOfAnAbsentTokenRecordsNothing) {
+  // Only a token the vector held is recorded, so a client repeating a
+  // deletion cannot grow a step's list; before the first click the vector
+  // is empty and nothing is recorded either.
+  auto s = NewSession();
+  s->Unlearn(0);  // before Start: no step to record on
+  const auto& first = s->Start();
+  s->Unlearn(0);
+  EXPECT_TRUE(s->Step(0).unlearned.empty());
+
+  s->SelectGroup(first.groups[0]);
+  const Token top = s->ContextTokens(1).at(0).token;
+  s->Unlearn(top);
+  s->Unlearn(top);
+  EXPECT_EQ(s->Step(1).unlearned, std::vector<Token>{top});
+}
+
+// The feedback model before HISTORY became a click path: one vector per
+// step, the state after that step's click, plus a copy that Unlearn edits
+// until the next click or backtrack. It is the oracle for the fold.
+class SnapshotModel {
+ public:
+  SnapshotModel(const TokenSpace* tokens, double eta)
+      : eta_(eta), snapshots_{FeedbackVector(tokens)} {}
+  void Select(const mining::UserGroup& g) {
+    snapshots_.push_back(feedback().Learned(g, eta_));
+    edited_.reset();
+  }
+  void Unlearn(Token t) {
+    if (!edited_.has_value()) edited_ = snapshots_.back();
+    edited_->Unlearn(t);
+  }
+  void Backtrack(size_t i) {
+    snapshots_.erase(snapshots_.begin() + static_cast<ptrdiff_t>(i) + 1,
+                     snapshots_.end());
+    edited_.reset();
+  }
+  const FeedbackVector& feedback() const {
+    return edited_.has_value() ? *edited_ : snapshots_.back();
+  }
+
+ private:
+  double eta_;
+  std::vector<FeedbackVector> snapshots_;
+  std::optional<FeedbackVector> edited_;
+};
+
+// Token for token, and every score bit for bit.
+void ExpectSameVector(const FeedbackVector& got, const FeedbackVector& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.nonzero_count(), want.nonzero_count()) << where;
+  const auto a = got.TopTokens(got.nonzero_count());
+  const auto b = want.TopTokens(want.nonzero_count());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].token, b[i].token) << where << ", rank " << i;
+    ASSERT_EQ(std::memcmp(&a[i].score, &b[i].score, sizeof(double)), 0)
+        << where << ", token " << a[i].token;
+  }
+}
+
+TEST_F(SessionTest, FeedbackFoldMatchesTheSnapshotModel) {
+  // Seeded random scripts of clicks, CONTEXT deletions (held and absent
+  // tokens) and backtracks; after every op the live vector must equal the
+  // snapshot model's exactly.
+  const TokenSpace* tokens = &engine_->tokens();
+  const auto num_groups = static_cast<uint32_t>(engine_->groups().size());
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    auto s = NewSession(3);
+    SnapshotModel model(tokens, SessionOptions{}.learning_rate);
+    const GreedySelection* shown = &s->Start();
+    for (int op = 0; op < 60; ++op) {
+      const uint32_t pick = rng.UniformU32(10);
+      std::string what;
+      if (pick < 4) {
+        // Mostly a shown group; sometimes any group, as a client may send.
+        mining::GroupId g;
+        if (pick < 3 && !shown->groups.empty()) {
+          g = shown->groups[rng.UniformU32(
+              static_cast<uint32_t>(shown->groups.size()))];
+        } else {
+          g = rng.UniformU32(num_groups);
+        }
+        what = StrCat("select ", g);
+        shown = &s->SelectGroup(g);
+        model.Select(engine_->groups().group(g));
+      } else if (pick < 8) {
+        Token t = rng.UniformU32(tokens->num_tokens());
+        const auto top = s->ContextTokens(20);
+        if (pick < 7 && !top.empty()) {
+          t = top[rng.UniformU32(static_cast<uint32_t>(top.size()))].token;
+        }
+        what = StrCat("unlearn ", t);
+        s->Unlearn(t);
+        model.Unlearn(t);
+      } else {
+        const size_t i = rng.UniformU32(static_cast<uint32_t>(s->NumSteps()));
+        what = StrCat("backtrack ", i);
+        ASSERT_TRUE(s->Backtrack(i).ok());
+        shown = &s->Current();
+        model.Backtrack(i);
+      }
+      ExpectSameVector(s->feedback(), model.feedback(),
+                       StrCat("seed ", seed, ", op ", op, " (", what, ")"));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST_F(SessionTest, BacktrackToStartClearsLearning) {
@@ -152,11 +266,11 @@ TEST_F(SessionTest, UnlearnRemovesContextToken) {
 }
 
 TEST_F(SessionTest, BacktrackRestoresPreUnlearnSnapshotExactly) {
-  // Interplay regression: Unlearn mutates the *live* CONTEXT only — the
-  // per-step snapshots in HISTORY must stay untouched, so backtracking to a
-  // step restores the feedback state as it was at that step, unlearn and
-  // all. (A snapshot aliasing bug would let Unlearn reach back into
-  // history and make backtrack restore the post-unlearn state.)
+  // Interplay regression: Unlearn edits the live CONTEXT and records the
+  // token on the current step, so backtracking to that step drops the
+  // deletion and the replay restores the feedback state as the click left
+  // it. (A replay that kept the step's deletions would restore the
+  // post-unlearn state.)
   auto s = NewSession();
   const auto& first = s->Start();
   s->SelectGroup(first.groups[0]);
@@ -174,8 +288,8 @@ TEST_F(SessionTest, BacktrackRestoresPreUnlearnSnapshotExactly) {
   EXPECT_DOUBLE_EQ(s->feedback().Score(top), 0.0);
   EXPECT_LT(s->feedback().nonzero_count(), pre_nonzero);
 
-  // ...while the recorded step-1 snapshot must not.
-  EXPECT_DOUBLE_EQ(s->Step(1).feedback_snapshot.Score(top), top_score);
+  // ...and step 1 records the deletion, nothing more.
+  EXPECT_EQ(s->Step(1).unlearned, std::vector<Token>{top});
 
   // Backtrack to step 1: the pre-unlearn feedback comes back exactly.
   ASSERT_TRUE(s->Backtrack(1).ok());

@@ -27,16 +27,6 @@ TEST(SchemaTest, RequireReportsNotFound) {
   EXPECT_TRUE(r.status().IsNotFound());
 }
 
-TEST(SchemaTest, TotalValueCountSums) {
-  Schema s;
-  AttributeId a = s.AddCategorical("a");
-  AttributeId b = s.AddCategorical("b");
-  s.attribute(a).values().GetOrAdd("v1");
-  s.attribute(a).values().GetOrAdd("v2");
-  s.attribute(b).values().GetOrAdd("w1");
-  EXPECT_EQ(s.TotalValueCount(), 3u);
-}
-
 TEST(AttributeTest, ValueNameForNull) {
   Attribute a("x", AttributeKind::kCategorical);
   EXPECT_EQ(a.ValueName(kNullValue), "∅");

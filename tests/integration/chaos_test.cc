@@ -19,6 +19,7 @@
 // CI sweeps seeds under ASan/UBSan and TSan; zero sanitizer reports is part
 // of the acceptance gate. Thread interleaving is intentionally left free —
 // it is part of the search space.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -102,9 +103,12 @@ failpoint::Policy Once(StatusCode code = StatusCode::kIOError) {
   return pol;
 }
 
-/// One chaotic explorer: start → (select | context | health)* → end, with a
-/// budget mix. Every response must carry a well-formed status; faults show
-/// up as error codes, never as crashes or hangs.
+/// One chaotic explorer: start → (select | context | backtrack | unlearn |
+/// health)* → end, with a budget mix. A backtrack goes to a random earlier
+/// step and an unlearn deletes a token from the last get_context, so the
+/// session's feedback replay runs under the faults too. Every response must
+/// carry a well-formed status; faults show up as error codes, never as
+/// crashes or hangs.
 void ChaosExplorer(ExplorationService* svc, uint64_t seed, int id, int rounds,
                    std::atomic<uint64_t>* sent,
                    std::atomic<uint64_t>* got_ok,
@@ -131,9 +135,10 @@ void ChaosExplorer(ExplorationService* svc, uint64_t seed, int id, int rounds,
   start.type = RequestType::kStartSession;
   start.session_id = sid;
   Response screen = call(start);
+  std::vector<uint32_t> context;  // tokens of the last get_context
 
   for (int r = 0; r < rounds; ++r) {
-    switch (next() % 4) {
+    switch (next() % 6) {
       case 0:
       case 1: {
         if (screen.status.ok() && !screen.groups.empty()) {
@@ -154,7 +159,28 @@ void ChaosExplorer(ExplorationService* svc, uint64_t seed, int id, int rounds,
         ctx.type = RequestType::kGetContext;
         ctx.session_id = sid;
         ctx.top_k = 5;
-        call(std::move(ctx));
+        Response got = call(std::move(ctx));
+        if (got.status.ok()) {
+          context.clear();
+          for (const auto& t : got.context) context.push_back(t.token);
+        }
+        break;
+      }
+      case 3: {
+        Request bt;
+        bt.type = RequestType::kBacktrack;
+        bt.session_id = sid;
+        bt.step = next() % std::max<uint64_t>(screen.num_steps, 1);
+        Response back = call(std::move(bt));
+        if (back.status.ok() && !back.groups.empty()) screen = std::move(back);
+        break;
+      }
+      case 4: {
+        Request un;
+        un.type = RequestType::kUnlearn;
+        un.session_id = sid;
+        un.token = context.empty() ? 0 : context[next() % context.size()];
+        call(std::move(un));
         break;
       }
       default: {

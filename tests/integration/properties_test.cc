@@ -63,7 +63,8 @@ TEST_P(ExplorationInvariantsTest, PrinciplesHoldThroughoutASession) {
                 sorted.end());
     // Reported quality matches an independent recomputation (P2's
     // "optimality" bookkeeping is truthful).
-    std::optional<mining::GroupId> anchor = session->History().back().selected;
+    std::optional<mining::GroupId> anchor =
+        session->Step(session->NumSteps() - 1).selected;
     core::QualityScore q = core::Evaluate(engine->groups(), shown->groups,
                                           anchor, sopt.greedy.lambda);
     EXPECT_NEAR(q.diversity, shown->quality.diversity, 1e-9);

@@ -49,16 +49,6 @@ TEST(UserGroupTest, DescriptionHashDiscriminates) {
   EXPECT_NE(a.DescriptionHash(), b.DescriptionHash());
 }
 
-TEST(UserGroupTest, DescriptionIsPrefixOf) {
-  UserGroup narrow({{0, 0}, {1, 0}}, Bitset(4));
-  UserGroup wide({{0, 0}}, Bitset(4));
-  EXPECT_TRUE(wide.DescriptionIsPrefixOf(narrow));
-  EXPECT_FALSE(narrow.DescriptionIsPrefixOf(wide));
-  EXPECT_TRUE(wide.DescriptionIsPrefixOf(wide));
-  UserGroup empty({}, Bitset(4));
-  EXPECT_TRUE(empty.DescriptionIsPrefixOf(narrow));
-}
-
 TEST(GroupStoreTest, AddAndRetrieve) {
   GroupStore store(10);
   GroupId id = store.Add(UserGroup({{0, 0}}, Bitset::FromVector(10, {1})));
@@ -89,15 +79,6 @@ TEST(GroupStoreTest, EmptyDescriptionsNotDedupedAcrossExtents) {
   GroupId a = store.Add(UserGroup({}, Bitset::FromVector(10, {1})));
   GroupId b = store.Add(UserGroup({}, Bitset::FromVector(10, {2})));
   EXPECT_NE(a, b);
-}
-
-TEST(GroupStoreTest, GroupsOfUser) {
-  GroupStore store(10);
-  GroupId a = store.Add(UserGroup({{0, 0}}, Bitset::FromVector(10, {1, 2})));
-  store.Add(UserGroup({{0, 1}}, Bitset::FromVector(10, {3})));
-  GroupId c = store.Add(UserGroup({{1, 0}}, Bitset::FromVector(10, {2, 3})));
-  EXPECT_EQ(store.GroupsOfUser(2), (std::vector<GroupId>{a, c}));
-  EXPECT_TRUE(store.GroupsOfUser(9).empty());
 }
 
 TEST(GroupStoreTest, MemoryBytesPositive) {

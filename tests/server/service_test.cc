@@ -474,6 +474,22 @@ TEST_F(ServiceTest, SelectOnAStartThatTimedOutIsAFailedPrecondition) {
   svc.dispatcher().overload().ForceRungForTesting(OverloadRung::kNormal);
   EXPECT_EQ(svc.Stats().greedy_runs, 0u);
 
+  // A CONTEXT deletion finds an empty vector and no step to record on: it
+  // answers ok and changes nothing. A backtrack has no step to return to.
+  Request un;
+  un.type = RequestType::kUnlearn;
+  un.session_id = "late";
+  un.token = 0;
+  Response unlearned = svc.Call(un);
+  EXPECT_TRUE(unlearned.status.ok()) << unlearned.status.ToString();
+  Request bt;
+  bt.type = RequestType::kBacktrack;
+  bt.session_id = "late";
+  bt.step = 0;
+  Response back = svc.Call(bt);
+  EXPECT_TRUE(back.status.IsOutOfRange()) << back.status.ToString();
+  EXPECT_EQ(svc.Stats().greedy_runs, 0u);
+
   // The session itself is intact: it can still be ended.
   EXPECT_TRUE(svc.Call(End("late")).status.ok());
 }
