@@ -61,7 +61,7 @@ class VexusEngine {
   const mining::DiscoveryResult& discovery() const { return *discovery_; }
   /// The token space every session's feedback is over (one per engine).
   const TokenSpace& tokens() const { return *tokens_; }
-  /// Screens by click path, filled by the sessions' runs (see
+  /// Screens by clicks and deletions, filled by the sessions' runs (see
   /// core/screen_memo.h); empty right after construction.
   const ScreenMemo& screens() const { return *screens_; }
 

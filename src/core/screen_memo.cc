@@ -39,7 +39,8 @@ static_assert(sizeof(void*) != 8 || sizeof(GreedyOptions) == 64,
 
 ScreenMemo::Key ScreenMemo::KeyOf(const GreedyOptions& options,
                                   double learning_rate,
-                                  std::vector<mining::GroupId> path) {
+                                  std::vector<mining::GroupId> path,
+                                  std::vector<Deletion> unlearned) {
   Key key;
   const bool anchored = !path.empty();
   key.options = {options.k,
@@ -49,6 +50,7 @@ ScreenMemo::Key ScreenMemo::KeyOf(const GreedyOptions& options,
                  anchored ? Bits(options.refinement_quota) : 0,
                  anchored ? Bits(learning_rate) : 0};
   key.path = std::move(path);
+  key.unlearned = std::move(unlearned);
   return key;
 }
 
@@ -61,7 +63,8 @@ ScreenMemo::Lookup ScreenMemo::Find(const Key& key) const {
 
 bool ScreenMemo::Store(const Key& key, const GreedySelection& run,
                        WorkRecord record, bool remote) {
-  if (key.path.size() > kMaxPathLength || run.covered_fraction != 1.0) {
+  if (key.path.size() + key.unlearned.size() > kMaxPathLength ||
+      run.covered_fraction != 1.0) {
     return false;
   }
   const bool converged = !run.deadline_hit;

@@ -1,10 +1,11 @@
-// ScreenMemo — the engine's cache of GROUPVIZ screens, keyed by click path.
+// ScreenMemo — the engine's cache of GROUPVIZ screens, keyed by HISTORY.
 //
-// A session's feedback state is a function of its click path: Start()
-// empties the vector, and each SelectGroup(g) runs Learn(g) before the
-// greedy (paper §II.B). So for fixed options a screen is a function of the
-// path, and every session that repeats a path asks for the same screen. The
-// memo keeps, per (options, path):
+// A session's feedback state is a function of its HISTORY: Start()
+// empties the vector, each SelectGroup(g) runs Learn(g) before the greedy
+// (paper §II.B), and each Unlearn(t) removes a token the vector held. So
+// for fixed options a screen is a function of the clicks and of the
+// deletions between them, and every session that repeats them asks for the
+// same screen. The memo keeps, per (options, clicks, deletions):
 //
 //   * a converged screen, served as a hit with no greedy run; or
 //   * the work record (greedy.h) of runs the deadline cut, which the next
@@ -22,11 +23,11 @@
 // does. A fleet run (one whose passes go to remote shards,
 // GreedyOptions::remote_scatter) never qualifies by cost: a fleet's cost
 // is its gather laps, which the count does not see, and ROADMAP item 8
-// retires the fleet (DESIGN.md §8.5). A stored screen equals an unbounded run on the
-// replayed path: a converged run makes the same passes as an unbounded
-// one, and a run that resumed a record continued the same deterministic
-// work. A run scored over a partial remote fold (covered_fraction < 1) is
-// never stored.
+// retires the fleet (DESIGN.md §8.5). A stored screen equals an unbounded
+// run on a fresh fold of the path's clicks and deletions: a converged run
+// makes the same passes as an unbounded one, and a run that resumed a
+// record continued the same deterministic work. A run scored over a
+// partial remote fold (covered_fraction < 1) is never stored.
 //
 // Not to be confused with the session's MEMO (the explorer's bookmarks).
 #pragma once
@@ -36,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.h"
@@ -48,8 +50,8 @@ class ScreenMemo {
   /// in Stats::refused_full); lookups still hit, and stored records still
   /// advance.
   static constexpr size_t kMaxEntries = 1024;
-  /// Clicks in the longest path the memo stores; longer paths are never
-  /// admitted.
+  /// Clicks plus deletions in the longest path the memo stores. A longer
+  /// path misses in Find and Store refuses it, so no stored key is long.
   static constexpr size_t kMaxPathLength = 8;
   /// The counted work (GreedySelection::work) a converged run on a
   /// non-empty path must reach for its path to be stored (file comment):
@@ -59,7 +61,10 @@ class ScreenMemo {
   /// never do, which keeps its memo at one screen (DESIGN.md §8.5).
   static constexpr uint64_t kAdmitWork = uint64_t{1} << 20;
 
-  /// The options that decide a screen, plus the click path. Built by KeyOf.
+  /// A CONTEXT deletion on a path: the clicks before it, and the token.
+  using Deletion = std::pair<uint32_t, Token>;
+
+  /// The options that decide a screen, plus the path. Built by KeyOf.
   struct Key {
     /// k, λ, μ, σ, the refinement quota and the learning rate η. The
     /// doubles are keyed by their bits, so NaN cannot break the map's
@@ -67,18 +72,19 @@ class ScreenMemo {
     std::tuple<size_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>
         options;
     std::vector<mining::GroupId> path;
-    bool operator<(const Key& other) const {
-      return std::tie(options, path) < std::tie(other.options, other.path);
-    }
+    /// In the order they were recorded; empty for a path without any.
+    std::vector<Deletion> unlearned;
+    auto operator<=>(const Key&) const = default;
   };
 
   /// The key of the screen a session with these options shows after the
-  /// clicks in `path` (empty: the first screen). Only what changes a
-  /// complete run's answer is keyed: σ, the quota and η only with an
-  /// anchor. The time limit, remote scatterer and trace change how a run
-  /// executes, not what it returns.
+  /// clicks in `path` (empty: the first screen) and the deletions in
+  /// `unlearned`. Only what changes a complete run's answer is keyed: σ,
+  /// the quota and η only with an anchor. The time limit, remote scatterer
+  /// and trace change how a run executes, not what it returns.
   static Key KeyOf(const GreedyOptions& options, double learning_rate,
-                   std::vector<mining::GroupId> path);
+                   std::vector<mining::GroupId> path,
+                   std::vector<Deletion> unlearned = {});
 
   /// What a lookup found: a converged screen (a hit, with `memoized` set,
   /// zero work counters and `elapsed_ms` 0 for the caller to stamp), or
@@ -110,7 +116,7 @@ class ScreenMemo {
     /// Runs the admission rule accepted for a new path that were refused
     /// because the memo held kMaxEntries.
     uint64_t refused_full = 0;
-    /// Entries by path length, index 0 through kMaxPathLength.
+    /// Entries by clicks on their path, index 0 through kMaxPathLength.
     std::vector<size_t> by_path_length;
   };
   Stats stats() const;

@@ -22,7 +22,6 @@ ExplorationSession::ExplorationSession(const data::Dataset* dataset,
                                        SessionOptions options)
     : dataset_(dataset),
       store_(store),
-      index_(index),
       tokens_(tokens),
       screens_(screens),
       options_(options),
@@ -40,7 +39,6 @@ const GreedySelection& ExplorationSession::Start() {
   history_.clear();
   memo_ = Memo{};
   live_ = FeedbackVector(tokens_);
-  unlearned_ = false;
 
   GreedySelection shown = Screen(std::nullopt, live_);
   history_.push_back(ExplorationStep{std::nullopt, std::move(shown), {}});
@@ -51,25 +49,21 @@ GreedySelection ExplorationSession::Screen(
     std::optional<mining::GroupId> click,
     const FeedbackVector& feedback) const {
   const GreedyOptions& greedy = options_.greedy;
-  auto run = [&](WorkRecord* record) {
-    return click.has_value()
-               ? selector_.SelectNext(*click, feedback, greedy, record)
-               : selector_.SelectInitial(feedback, greedy);
-  };
-  if (unlearned_) return run(nullptr);
   Stopwatch watch;
   TraceSpan lookup = greedy.trace != nullptr
                          ? greedy.trace->Child("screen_memo")
                          : TraceSpan();
   std::vector<mining::GroupId> path;
+  std::vector<ScreenMemo::Deletion> deleted;
   if (click.has_value()) {
-    for (size_t i = 1; i < history_.size(); ++i) {
-      path.push_back(*history_[i].selected);
+    // The click that creates step n follows step n-1's deletions.
+    for (uint32_t n = 1; n <= history_.size(); ++n) {
+      for (Token t : history_[n - 1].unlearned) deleted.emplace_back(n - 1, t);
+      path.push_back(n < history_.size() ? *history_[n].selected : *click);
     }
-    path.push_back(*click);
   }
-  const ScreenMemo::Key key =
-      ScreenMemo::KeyOf(greedy, options_.learning_rate, std::move(path));
+  const ScreenMemo::Key key = ScreenMemo::KeyOf(
+      greedy, options_.learning_rate, std::move(path), std::move(deleted));
   ScreenMemo::Lookup found = screens_->Find(key);
   if (found.screen.has_value()) {
     lookup.AddCount(1);
@@ -77,7 +71,10 @@ GreedySelection ExplorationSession::Screen(
     return std::move(*found.screen);
   }
   lookup.Close();
-  GreedySelection shown = run(&found.record);
+  GreedySelection shown =
+      click.has_value()
+          ? selector_.SelectNext(*click, feedback, greedy, &found.record)
+          : selector_.SelectInitial(feedback, greedy);
   screens_->Store(key, shown, std::move(found.record),
                   greedy.remote_scatter != nullptr);
   return shown;
@@ -136,7 +133,6 @@ void ExplorationSession::Unlearn(Token t) {
   // The vector is empty until the first click, so before Start (or after a
   // start that never ran) nothing is removed and nothing recorded.
   if (live_.Unlearn(t)) history_.back().unlearned.push_back(t);
-  unlearned_ = true;
 }
 
 void ExplorationSession::BookmarkGroup(mining::GroupId g) {

@@ -9,7 +9,7 @@
 //    in MEMO. The analysis ends when the explorer is satisfied with her
 //    collection in MEMO."
 //
-// A session is its click path. Each step records the click and the screen
+// A session is its HISTORY. Each step records the click and the screen
 // shown, plus the CONTEXT tokens deleted while it was current; the one live
 // feedback vector is a fold over those steps, so Backtrack(i) keeps the view
 // of step i and replays the path to restore its learning state.
@@ -87,16 +87,15 @@ class ExplorationSession {
   /// current screen (the paper's GROUPVIZ also allows hover-driven jumps);
   /// it must be a valid group id.
   ///
-  /// The screen memo is keyed by the click path read from HISTORY, g
-  /// included: a converged screen is a hit, and a stored work record is
-  /// continued. A run that did real work leaves an entry for the next
-  /// visit (core/screen_memo.h): one the deadline cut leaves its record, and
-  /// a local run that converged after counted work of at least
+  /// The screen memo is keyed by the clicks and the deletions read from
+  /// HISTORY, g included: a converged screen is a hit, and a stored work
+  /// record is continued. A run that did real work leaves an entry for the
+  /// next visit (core/screen_memo.h): one the deadline cut leaves its
+  /// record, and a local run that converged after counted work of at least
   /// ScreenMemo::kAdmitWork leaves its screen. The new live feedback is
   /// one merge of the old one with g's reward (FeedbackVector::Learned).
   /// With a trace set, the lookup opens one `screen_memo` span (count 1 on
-  /// a hit). After Unlearn the feedback is no longer a function of the
-  /// path, so the session bypasses the memo, and opens no span, until Start.
+  /// a hit).
   ///
   /// Lifetime: history steps live in a deque, so references returned by
   /// Start()/SelectGroup()/Current() stay valid across later SelectGroup
@@ -125,8 +124,8 @@ class ExplorationSession {
     return feedback().TopTokens(k);
   }
   /// CONTEXT deletion — unlearn a token ("make VEXUS forget"). A token the
-  /// vector held is recorded on the current step. The session then bypasses
-  /// the screen memo until the next Start.
+  /// vector held is recorded on the current step, and the screen memo keys
+  /// it with the clicks before it; any other token changes nothing.
   void Unlearn(Token t);
 
   /// MEMO.
@@ -158,14 +157,11 @@ class ExplorationSession {
 
   const data::Dataset* dataset_;
   const mining::GroupStore* store_;
-  const index::InvertedIndex* index_;
   const TokenSpace* tokens_;
   ScreenMemo* screens_;
   SessionOptions options_;
   /// feedback(): empty before the first click.
   FeedbackVector live_;
-  /// Set by Unlearn, cleared by Start: the memo is bypassed.
-  bool unlearned_ = false;
   GreedySelector selector_;
   std::deque<ExplorationStep> history_;
   Memo memo_;

@@ -98,7 +98,6 @@ class TraceLog {
   TraceLogOptions options_;
   std::atomic<uint64_t> offered_{0};
   std::atomic<uint64_t> recorded_{0};
-  std::atomic<uint64_t> next_slot_{0};
 
   struct Slot {
     mutable std::mutex mu;

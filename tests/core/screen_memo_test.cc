@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -294,11 +296,11 @@ TEST_F(FirstScreenMemoTest, TraceSpanCountsOnlyHits) {
   EXPECT_EQ(traced(*session, select),
             std::make_pair(std::vector<uint64_t>{0}, true));
 
-  // A session that bypasses the memo opens no span.
+  // So does a select after a deletion.
   session->SelectGroup(g);
   session->Unlearn(session->ContextTokens(1).at(0).token);
   EXPECT_EQ(traced(*session, select),
-            std::make_pair(std::vector<uint64_t>{}, true));
+            std::make_pair(std::vector<uint64_t>{0}, true));
 }
 
 TEST_F(FirstScreenMemoTest, ConcurrentStartsOnOneEngineAgree) {
@@ -453,24 +455,73 @@ class ScreenMemoTest : public FirstScreenMemoTest {
     return {first, second};
   }
 
-  static FeedbackVector Replayed(const std::vector<mining::GroupId>& path,
-                                 const VexusEngine& engine = *engine_) {
+  /// A fresh fold of the clicks in `path` and the deletions in `unlearned`,
+  /// each made after the number of clicks it names.
+  static FeedbackVector Replayed(
+      const std::vector<mining::GroupId>& path,
+      const std::vector<ScreenMemo::Deletion>& unlearned = {},
+      const VexusEngine& engine = *engine_) {
     FeedbackVector feedback(&engine.tokens());
-    for (mining::GroupId g : path) {
-      feedback.Learn(engine.groups().group(g), SessionOptions().learning_rate);
+    for (size_t n = 0; n < path.size(); ++n) {
+      for (const auto& [clicks, t] : unlearned) {
+        if (clicks == n) feedback.Unlearn(t);
+      }
+      feedback.Learn(engine.groups().group(path[n]),
+                     SessionOptions().learning_rate);
     }
     return feedback;
   }
 
-  /// An unbounded SelectNext on the replayed feedback of `path`.
-  static GreedySelection Reference(const std::vector<mining::GroupId>& path,
-                                   const GreedyOptions& greedy,
-                                   const VexusEngine& engine = *engine_) {
+  /// An unbounded SelectNext on the fresh fold of `path` and `unlearned`.
+  static GreedySelection Reference(
+      const std::vector<mining::GroupId>& path, const GreedyOptions& greedy,
+      const std::vector<ScreenMemo::Deletion>& unlearned = {},
+      const VexusEngine& engine = *engine_) {
     GreedyOptions unbounded = greedy;
     unbounded.time_limit_ms = GreedyOptions::kUnboundedTimeLimit;
     unbounded.remote_scatter = nullptr;
     return GreedySelector(&engine.groups(), &engine.index())
-        .SelectNext(path.back(), Replayed(path, engine), unbounded);
+        .SelectNext(path.back(), Replayed(path, unlearned, engine), unbounded);
+  }
+
+  /// The `n` tokens with the highest scores after the clicks in `path`.
+  static std::vector<Token> TopTokens(const std::vector<mining::GroupId>& path,
+                                      size_t n) {
+    std::vector<Token> tokens;
+    for (const auto& ts : Replayed(path).TopTokens(n)) {
+      tokens.push_back(ts.token);
+    }
+    EXPECT_EQ(tokens.size(), n);
+    return tokens;
+  }
+
+  /// A first click, and a token it rewards whose deletion after that click
+  /// changes the screen of a second click on `anchor`, so a key that drops
+  /// the deletion would serve the wrong screen.
+  static std::pair<mining::GroupId, Token> DeletionThatMatters(
+      const GreedyOptions& greedy, mining::GroupId anchor) {
+    for (mining::GroupId g = 0; g < engine_->groups().size(); ++g) {
+      const GreedySelection plain = Reference({g, anchor}, greedy);
+      for (const auto& ts : Replayed({g}).TopTokens(64)) {
+        if (Reference({g, anchor}, greedy, {{1, ts.token}}).groups !=
+            plain.groups) {
+          return {g, ts.token};
+        }
+      }
+    }
+    ADD_FAILURE() << "no deletion changes a screen";
+    return {0, 0};
+  }
+
+  /// A token no fold of the clicks in `path` holds: none of their groups
+  /// carries it, so deleting it changes nothing.
+  static Token AbsentToken(const std::vector<mining::GroupId>& path) {
+    const FeedbackVector all = Replayed(path);
+    for (Token t = engine_->tokens().num_tokens(); t-- > 0;) {
+      if (all.Score(t) == 0) return t;
+    }
+    ADD_FAILURE() << "every token is held";
+    return 0;
   }
 
   /// A world of 24,000 users, built once. Its first screen at k = 5 offers
@@ -503,10 +554,10 @@ class ScreenMemoTest : public FirstScreenMemoTest {
     ScreenMemo scratch;
     const std::vector<mining::GroupId> first =
         SessionWith(&scratch, greedy, world)->Start().groups;
-    const GreedySelection screen0 = Reference({first[0]}, greedy, world);
+    const GreedySelection screen0 = Reference({first[0]}, greedy, {}, world);
     Clicks clicks{first[0], first[0], screen0, screen0};
     for (mining::GroupId g : first) {
-      GreedySelection screen = Reference({g}, greedy, world);
+      GreedySelection screen = Reference({g}, greedy, {}, world);
       if (screen.work > clicks.dear_screen.work) {
         clicks.dear = g;
         clicks.dear_screen = screen;
@@ -527,15 +578,21 @@ class ScreenMemoTest : public FirstScreenMemoTest {
                              std::move(path));
   }
 
-  /// One visit of `path` in a new session: the clicks before the last run
-  /// unarmed, the last one under Cuts.
-  static GreedySelection VisitFresh(ScreenMemo* memo,
-                                    const GreedyOptions& greedy,
-                                    const std::vector<mining::GroupId>& path) {
+  /// One visit of `path` in a new session, with the deletions in
+  /// `unlearned` made after the clicks they name: the clicks before the
+  /// last run unarmed, the last one under Cuts.
+  static GreedySelection VisitFresh(
+      ScreenMemo* memo, const GreedyOptions& greedy,
+      const std::vector<mining::GroupId>& path,
+      const std::vector<ScreenMemo::Deletion>& unlearned = {}) {
     auto session = SessionWith(memo, greedy);
     session->Start();
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      session->SelectGroup(path[i]);
+    for (size_t n = 0; n < path.size(); ++n) {
+      for (const auto& [clicks, t] : unlearned) {
+        if (clicks == n) session->Unlearn(t);
+      }
+      if (n + 1 == path.size()) break;
+      session->SelectGroup(path[n]);
     }
     Cuts cuts;
     return session->SelectGroup(path.back());
@@ -624,37 +681,221 @@ TEST_F(ScreenMemoTest, BacktrackedPathResumesToTheUnboundedScreen) {
   ExpectSameScreen17(fresh, reference, "fresh session");
 }
 
-TEST_F(ScreenMemoTest, UnlearnedSessionNeitherReadsNorWritesTheMemo) {
+TEST_F(ScreenMemoTest, UnlearnedSessionReadsAndWritesItsOwnEntry) {
   ScreenMemo memo;
   const GreedyOptions greedy = Budgeted();
   const std::vector<mining::GroupId> path = DeepPath(greedy);
-  VisitUntilHit([&] { return VisitFresh(&memo, greedy, path); },
-                Reference(path, greedy));
+  const GreedySelection plain = Reference(path, greedy);
+  VisitUntilHit([&] { return VisitFresh(&memo, greedy, path); }, plain);
   const size_t entries = memo.size();
+
+  // One session deletes the top token after the first click and revisits
+  // the path through backtracks, which drop the deletion, so each visit
+  // deletes it again. Its first visit is not the plain path's entry; its
+  // runs build an entry of their own.
+  const Token top = TopTokens({path[0]}, 1)[0];
+  const std::vector<ScreenMemo::Deletion> unlearned = {{1, top}};
+  auto session = SessionWith(&memo, greedy);
+  session->Start();
+  session->SelectGroup(path[0]);
+  VisitUntilHit(
+      [&] {
+        EXPECT_TRUE(session->Backtrack(1).ok());
+        session->Unlearn(top);
+        Cuts cuts;
+        return session->SelectGroup(path[1]);
+      },
+      Reference(path, greedy, unlearned));
+  EXPECT_EQ(memo.size(), entries + 1);
+
+  // Fresh sessions are served the entry of what they did.
+  const GreedySelection deleted = VisitFresh(&memo, greedy, path, unlearned);
+  EXPECT_TRUE(deleted.memoized);
+  ExpectSameScreen(deleted, Reference(path, greedy, unlearned), "deleted");
+  const GreedySelection kept = VisitFresh(&memo, greedy, path);
+  EXPECT_TRUE(kept.memoized);
+  ExpectSameScreen(kept, plain, "plain");
+}
+
+TEST_F(ScreenMemoTest, NoOpUnlearnHitsThePlainPathsEntry) {
+  ScreenMemo memo;
+  const GreedyOptions greedy = Budgeted();
+  const std::vector<mining::GroupId> path = DeepPath(greedy);
+  const GreedySelection reference = Reference(path, greedy);
+  VisitUntilHit([&] { return VisitFresh(&memo, greedy, path); }, reference);
+
+  // A deletion before the first click (the vector is empty) and one of a
+  // token the vector does not hold change nothing, so nothing is recorded
+  // and the session's path is the plain one.
+  auto session = SessionWith(&memo, greedy);
+  session->Start();
+  session->Unlearn(TopTokens({path[0]}, 1)[0]);
+  session->SelectGroup(path[0]);
+  session->Unlearn(AbsentToken(path));
+  const GreedySelection& hit = session->SelectGroup(path[1]);
+  EXPECT_TRUE(session->Step(0).unlearned.empty());
+  EXPECT_TRUE(session->Step(1).unlearned.empty());
+  EXPECT_TRUE(hit.memoized);
+  ExpectSameScreen(hit, reference, "no-op deletions");
+}
+
+TEST_F(ScreenMemoTest, BacktrackPastADeletionHitsAgain) {
+  ScreenMemo memo;
+  const GreedyOptions greedy = Budgeted();
+  const std::vector<mining::GroupId> path = DeepPath(greedy);
+  const GreedySelection reference = Reference(path, greedy);
+  VisitUntilHit([&] { return VisitFresh(&memo, greedy, path); }, reference);
 
   auto session = SessionWith(&memo, greedy);
   session->Start();
   session->SelectGroup(path[0]);
-  const auto top = session->ContextTokens(1);
-  ASSERT_FALSE(top.empty());
-  session->Unlearn(top[0].token);
-  {
-    Cuts cuts;
-    const GreedySelection& s = session->SelectGroup(path[1]);
-    EXPECT_FALSE(s.memoized) << "read the converged entry";
-    EXPECT_FALSE(s.resumed);
-    EXPECT_TRUE(s.deadline_hit);
-    // A cut run on a path with no entry would admit one.
-    const GreedySelection& next = session->SelectGroup(path[0]);
-    EXPECT_TRUE(next.deadline_hit);
-  }
-  EXPECT_EQ(memo.size(), entries) << "wrote an entry";
-  // A backtrack keeps the bypass; only Start ends it.
-  ASSERT_TRUE(session->Backtrack(1).ok());
+  session->Unlearn(TopTokens({path[0]}, 1)[0]);
   EXPECT_FALSE(session->SelectGroup(path[1]).memoized);
+  // Backtrack to step 1 drops its deletion.
+  ASSERT_TRUE(session->Backtrack(1).ok());
+  const GreedySelection& again = session->SelectGroup(path[1]);
+  EXPECT_TRUE(again.memoized);
+  ExpectSameScreen(again, reference, "backtrack to step 1");
+
+  // So does a backtrack past the step that holds it.
+  session->Unlearn(TopTokens(path, 1)[0]);
+  ASSERT_TRUE(session->Backtrack(0).ok());
+  session->SelectGroup(path[0]);
+  const GreedySelection& replayed = session->SelectGroup(path[1]);
+  EXPECT_TRUE(replayed.memoized);
+  ExpectSameScreen(replayed, reference, "backtrack to step 0");
+}
+
+TEST_F(ScreenMemoTest, OneTokenDeletedAtDifferentStepsNeverSharesAnEntry) {
+  ScreenMemo memo;
+  const GreedyOptions greedy = Budgeted();
+  const std::vector<mining::GroupId> deep = DeepPath(greedy);
+  // Three clicks, the last on the widest pool, so that its runs are cut.
+  const std::vector<mining::GroupId> path = {deep[1], deep[0], deep[0]};
+  const Token t = TopTokens({path[0]}, 1)[0];
+  const std::vector<std::vector<ScreenMemo::Deletion>> variants = {
+      {}, {{1, t}}, {{2, t}}, {{1, t}, {2, TopTokens({path[0]}, 2)[1]}}};
+  for (size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    // The first visit of each is a miss: VisitUntilHit fails on a hit
+    // before a run converged.
+    VisitUntilHit(
+        [&] { return VisitFresh(&memo, greedy, path, variants[v]); },
+        Reference(path, greedy, variants[v]));
+  }
+  EXPECT_EQ(memo.stats().by_path_length[3], variants.size());
+}
+
+TEST_F(ScreenMemoTest, PathLengthCountsClicksAndDeletions) {
+  ScreenMemo memo;
+  const GreedyOptions greedy = Budgeted();
+  const std::vector<mining::GroupId> path = DeepPath(greedy);
+  const std::vector<Token> top = TopTokens({path[0]}, 7);
+  std::vector<ScreenMemo::Deletion> unlearned;
+  for (size_t i = 0; i + path.size() < ScreenMemo::kMaxPathLength; ++i) {
+    unlearned.emplace_back(1, top[i]);
+  }
+  // At the bound the path is stored as any other.
+  VisitUntilHit([&] { return VisitFresh(&memo, greedy, path, unlearned); },
+                Reference(path, greedy, unlearned));
+  const size_t entries = memo.size();
+
+  // One deletion more, and no visit stores it; a converged run is still
+  // the unbounded screen.
+  unlearned.emplace_back(1, top[unlearned.size()]);
+  const GreedySelection reference = Reference(path, greedy, unlearned);
+  for (int v = 0; v < 3; ++v) {
+    const GreedySelection cut = VisitFresh(&memo, greedy, path, unlearned);
+    EXPECT_TRUE(cut.deadline_hit) << v;
+    EXPECT_FALSE(cut.resumed) << v;
+  }
+  auto session = SessionWith(&memo, greedy);
   session->Start();
   session->SelectGroup(path[0]);
-  EXPECT_TRUE(session->SelectGroup(path[1]).memoized);
+  for (const auto& [clicks, t] : unlearned) session->Unlearn(t);
+  const GreedySelection& s = session->SelectGroup(path[1]);
+  EXPECT_FALSE(s.deadline_hit);
+  EXPECT_FALSE(s.memoized);
+  ExpectSameScreen(s, reference, "over the bound");
+  EXPECT_EQ(memo.size(), entries);
+}
+
+TEST_F(ScreenMemoTest, SeededScriptsMatchAFreshFold) {
+  // Sessions sharing one memo run random scripts of clicks, deletions,
+  // backtracks and starts over a few groups and tokens, so that paths
+  // repeat; half the selects are cut. Every hit and every converged screen
+  // equals the unbounded one on a fresh fold of the script's clicks and
+  // deletions, no-op deletions included.
+  const GreedyOptions greedy = Budgeted();
+  const mining::GroupId wide = DeepPath(greedy)[0];
+  const auto [small, token] = DeletionThatMatters(greedy, wide);
+  const std::vector<mining::GroupId> clicks = {small, wide};
+  const std::vector<Token> tokens = {token, AbsentToken(clicks)};
+
+  struct Script {
+    std::unique_ptr<ExplorationSession> session;
+    std::vector<mining::GroupId> path;
+    std::vector<ScreenMemo::Deletion> unlearned;
+  };
+  size_t hits = 0, hits_with_deletions = 0, converged = 0;
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    ScreenMemo memo;
+    std::mt19937 rng(seed);
+    std::vector<Script> scripts(3);
+    for (Script& script : scripts) {
+      script.session = SessionWith(&memo, greedy);
+      script.session->Start();
+    }
+    for (int op = 0; op < 1000; ++op) {
+      Script& script = scripts[rng() % scripts.size()];
+      ExplorationSession& session = *script.session;
+      enum Step { kSelect, kUnlearn, kBacktrack, kStart };
+      const uint32_t roll = rng() % 16;
+      Step step = roll < 8    ? kSelect
+                  : roll < 12 ? kUnlearn
+                  : roll < 15 ? kBacktrack
+                              : kStart;
+      if (step == kSelect && script.path.size() == 3) step = kBacktrack;
+      if (step == kSelect) {
+        const mining::GroupId g = clicks[rng() % clicks.size()];
+        std::optional<Cuts> cuts;
+        if (rng() % 2 == 0) cuts.emplace();
+        const GreedySelection s = session.SelectGroup(g);
+        cuts.reset();
+        script.path.push_back(g);
+        if (!s.memoized && s.deadline_hit) continue;
+        ExpectSameScreen(s, Reference(script.path, greedy, script.unlearned),
+                         "seed " + std::to_string(seed) + " op " +
+                             std::to_string(op));
+        bool deleted = false;
+        for (size_t i = 0; i + 1 < session.NumSteps(); ++i) {
+          deleted = deleted || !session.Step(i).unlearned.empty();
+        }
+        converged += !s.memoized;
+        hits += s.memoized;
+        hits_with_deletions += s.memoized && deleted;
+      } else if (step == kUnlearn) {
+        const Token t = tokens[rng() % tokens.size()];
+        session.Unlearn(t);
+        script.unlearned.emplace_back(
+            static_cast<uint32_t>(script.path.size()), t);
+      } else if (step == kBacktrack) {
+        const size_t i = rng() % session.NumSteps();
+        ASSERT_TRUE(session.Backtrack(i).ok());
+        script.path.resize(i);
+        std::erase_if(script.unlearned, [&](const ScreenMemo::Deletion& d) {
+          return d.first >= i;
+        });
+      } else {
+        session.Start();
+        script.path.clear();
+        script.unlearned.clear();
+      }
+    }
+  }
+  EXPECT_GT(converged, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(hits_with_deletions, 0u);
 }
 
 TEST_F(ScreenMemoTest, PathConvergingWithinBudgetAdmitsNoEntry) {
@@ -971,6 +1212,59 @@ TEST_F(ScreenMemoTest, ConcurrentVisitsOfOnePathAgree) {
   const ScreenMemo::Lookup entry = memo.Find(PathKey(greedy, path));
   ASSERT_TRUE(entry.screen.has_value());
   ExpectSameScreen17(*entry.screen, reference, "stored");
+}
+
+TEST_F(ScreenMemoTest, ConcurrentUnlearnedSessionsAgree) {
+  // As ConcurrentVisitsOfOnePathAgree, with a deletion after the first
+  // click: half the threads delete a token the vector holds, and half one
+  // it does not, which leaves their path the plain one. Each half's
+  // screens equal the unbounded screen of what it did.
+  ScreenMemo memo;
+  const GreedyOptions greedy = Budgeted();
+  const mining::GroupId wide = DeepPath(greedy)[0];
+  const auto [small, held] = DeletionThatMatters(greedy, wide);
+  const std::vector<mining::GroupId> path = {small, wide};
+  const Token absent = AbsentToken(path);
+  const std::vector<ScreenMemo::Deletion> unlearned = {{1, held}};
+  const GreedySelection deleted = Reference(path, greedy, unlearned);
+  const GreedySelection plain = Reference(path, greedy);
+  failpoint::ScopedFailpoint seed("greedy.seed", EveryNth(2));
+  failpoint::ScopedFailpoint pass("greedy.pass", EveryNth(2));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<GreedySelection>> screens(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int v = 0; v < 400; ++v) {
+        auto session = SessionWith(&memo, greedy);
+        session->Start();
+        session->SelectGroup(path[0]);
+        session->Unlearn(t % 2 == 0 ? held : absent);
+        screens[t].push_back(session->SelectGroup(path[1]));
+        if (screens[t].back().memoized) break;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const GreedySelection& reference = t % 2 == 0 ? deleted : plain;
+    ASSERT_FALSE(screens[t].empty());
+    EXPECT_TRUE(screens[t].back().memoized) << "thread " << t;
+    for (const GreedySelection& s : screens[t]) {
+      if (!s.deadline_hit) {
+        ExpectSameScreen(s, reference, "thread " + std::to_string(t));
+      }
+    }
+  }
+  const ScreenMemo::Key key = ScreenMemo::KeyOf(
+      greedy, SessionOptions().learning_rate, path, unlearned);
+  ASSERT_TRUE(memo.Find(key).screen.has_value());
+  ExpectSameScreen(*memo.Find(key).screen, deleted, "stored, deleted");
+  ASSERT_TRUE(memo.Find(PathKey(greedy, path)).screen.has_value());
+  ExpectSameScreen(*memo.Find(PathKey(greedy, path)).screen, plain,
+                   "stored, plain");
 }
 
 }  // namespace
